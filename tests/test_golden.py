@@ -1,0 +1,168 @@
+"""Golden digests: the exact GCL1 and GCB1 bytes and SizeBreakdown fields of
+Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py).
+
+A refactor of the grammar serialization or the coders must leave every value
+here unchanged; formula_bound_bits is a float and is compared to 1e-9.
+"""
+
+import hashlib
+
+import pytest
+
+from gclab import coders
+from gclab.grammar import to_binary
+
+# {(input, algorithm): {"gcl1": sha256, encoding: (sha256 of the GCB1 container,
+#   (payload_bits, dictionary_bits, lengths_side_bits, total_bits, formula_bound_bits))}}
+GOLDEN = {
+    ('example32', 'repair'): {
+        'gcl1': 'f433d4c04070c2660ed9e0f969c16fa7501aec930804caceb7f883d1c35c4f20',
+        'fully_naive': ('6faf65263ddb1b1714733aa64828920ff73e1becf1b4f1d8017d38b85dae196c',
+            (128, 0, 10, 138, 270.437600046154)),
+        'naive': ('91c3cb4fe24f6bba4c75b2ce76564d218ac8c98424088c6f3d5407214912fda6',
+            (110, 96, 10, 216, 412.8067456244437)),
+        'entropy': ('7d33dac3cc95fd30146f917c1588bd35e4bdd18f35652ddfbc4ca5f0e48cb567',
+            (98, 96, 10, 204, 440.7611690424725)),
+        'incremental': ('0be413c3e0d7168ce3169714cf7bd9280ebf841c0a373f6c42a6838e0ed27d40',
+            (90, 96, 11, 197, 445.5283482055627)),
+    },
+    ('example32', 'greedy'): {
+        'gcl1': 'f433d4c04070c2660ed9e0f969c16fa7501aec930804caceb7f883d1c35c4f20',
+        'fully_naive': ('6faf65263ddb1b1714733aa64828920ff73e1becf1b4f1d8017d38b85dae196c',
+            (128, 0, 10, 138, 270.437600046154)),
+        'naive': ('91c3cb4fe24f6bba4c75b2ce76564d218ac8c98424088c6f3d5407214912fda6',
+            (110, 96, 10, 216, 412.8067456244437)),
+        'entropy': ('7d33dac3cc95fd30146f917c1588bd35e4bdd18f35652ddfbc4ca5f0e48cb567',
+            (98, 96, 10, 204, 440.7611690424725)),
+        'incremental': ('0be413c3e0d7168ce3169714cf7bd9280ebf841c0a373f6c42a6838e0ed27d40',
+            (90, 96, 11, 197, 445.5283482055627)),
+    },
+    ('example16', 'repair'): {
+        'gcl1': '681b2a53945c918b15f24ed8bbd844acc1b2328bde35d72557c04a60776f0ce6',
+        'fully_naive': ('d87d71557c5150eef59a5b636ef263949fa7e8cc6d0cff75208d3efe68f2919d',
+            (48, 0, 6, 54, 179.91767875292166)),
+        'naive': ('56925a4a7a9709da9e7d023331b18fa61a1134ea0df28e526450638df828dc29',
+            (42, 56, 6, 104, 255.06341048121925)),
+        'entropy': ('618de07b5a8965a9c3c7ce08c8f7d68cae4eacd5be0ade7e92ca42785cc38006',
+            (45, 72, 6, 123, 307.4902249956731)),
+        'incremental': ('ba13bc2d24de3d81f6628dab7d8f70d9b4b2dbfb17157c83968beddc4bf96ebc',
+            (33, 56, 7, 96, 275.7885896062359)),
+    },
+    ('example16', 'greedy'): {
+        'gcl1': '681b2a53945c918b15f24ed8bbd844acc1b2328bde35d72557c04a60776f0ce6',
+        'fully_naive': ('d87d71557c5150eef59a5b636ef263949fa7e8cc6d0cff75208d3efe68f2919d',
+            (48, 0, 6, 54, 179.91767875292166)),
+        'naive': ('56925a4a7a9709da9e7d023331b18fa61a1134ea0df28e526450638df828dc29',
+            (42, 56, 6, 104, 255.06341048121925)),
+        'entropy': ('618de07b5a8965a9c3c7ce08c8f7d68cae4eacd5be0ade7e92ca42785cc38006',
+            (45, 72, 6, 123, 307.4902249956731)),
+        'incremental': ('ba13bc2d24de3d81f6628dab7d8f70d9b4b2dbfb17157c83968beddc4bf96ebc',
+            (33, 56, 7, 96, 275.7885896062359)),
+    },
+    ('worst:64', 'repair'): {
+        'gcl1': 'c7bc2b2e0d9edea0cee83bcfc0643e5f6b11dc41889f1f5c071a701c51e10dde',
+        'fully_naive': ('72b67cdf4fa957a8181a79bee99ff99550b815e5a45915ad53f3b15c7836ae77',
+            (2048, 0, 128, 2176, 2531.874177388353)),
+        'naive': ('2eb722b6efffd63eae2c012b33f5e5645efb8e9c027afd4bac37a9bd614bbbeb',
+            (1792, 664, 128, 2584, 3426.4370886941765)),
+        'entropy': ('f26f317715c7347de1a178102c86a50cd3e4b1a5fb858ed0b193b25cf189f743',
+            (1536, 1184, 128, 2848, 4593.0)),
+        'incremental': ('a31a5fdeadb0941b33ae265ab0b5339a65c7293c0617c1f60b8430ba76dc4cfd',
+            (1280, 664, 253, 2197, 3696.3067015828105)),
+    },
+    ('worst:64', 'greedy'): {
+        'gcl1': '5b62e5d635cfe1bb49152de2951c74a5857d90348fda05c956999c22390cd1ef',
+        'fully_naive': ('a81b2ced5f3d47cf60232e5f892b6c5e6c70da4d9625159620c9b36f74325da2',
+            (1575, 0, 95, 1670, 2127.9803894921038)),
+        'naive': ('041c60a587d0b56e3f2803a9bee1496d70d6371e08681e482563b2e47f96fb15',
+            (1449, 632, 95, 2176, 3092.899535701476)),
+        'entropy': ('1bedc5b63f61a7b6c071e869d53ca19474ac34af50dd6c1b96cc2dd8375171c5',
+            (1250, 888, 95, 2233, 3658.646860176984)),
+    },
+    ('random:4,2000,1', 'repair'): {
+        'gcl1': '81dd4ac05fa957a2bdb4120564cf0a764b64c34cfe3f9609748a08557ae042ea',
+        'fully_naive': ('96e39e5c077377a8c2bf227c0f7061988e36b8975f9b36fa8fd9b770888aaaa9',
+            (6712, 0, 264, 6976, 7856.381323809034)),
+        'naive': ('8a4c2c200210e3b7ecc7d2970e500aeca8f12fe55206c2422b4e66908427959a',
+            (6001, 1240, 264, 7505, 9829.615646848373)),
+        'entropy': ('63f93623af5e62ec48e2f3d4337845686447ed0c2bdf433146bd7430e5bfa2e4',
+            (5411, 1240, 264, 6915, 10315.654761635156)),
+        'incremental': ('b013559a4b493de44233344da01d17df45fbe75fe6dedac8dadbd5c3d49687fe',
+            (4945, 1240, 273, 6458, 10342.246520798792)),
+    },
+    ('random:4,2000,1', 'greedy'): {
+        'gcl1': '57d5aa80819779ed5b9b285a6448eb6a6288380af4dc002b73820a767513731d',
+        'fully_naive': ('5bf14540b082f3d4456de52fd5baba7f2b64758eea43cb249c0f4cd9ac504268',
+            (6720, 0, 267, 6987, 7875.346949686842)),
+        'naive': ('8d4b9caa939cceee835bca0c3fe9f83efe271cebce9de1f3aa40e514529991c1',
+            (6016, 1256, 267, 7539, 9864.179272640908)),
+        'entropy': ('a654cdf8ea7b68f49e253c3453e9d4914be1178c33f38131dc1d1cd20fca887f',
+            (5422, 1256, 267, 6945, 10345.892586847396)),
+    },
+    ('bytes:4096', 'repair'): {
+        'gcl1': 'ae6c0133fcbe6be132afd356dfb674cfc70b5aecda1d6548ee07225e1f0135fd',
+        'fully_naive': ('c0e528208ea5d8972b1d5c06f242dee32b9af2e019b037b4688f96b0d8222125',
+            (36837, 0, 200, 37037, 43329.17693294547)),
+        'naive': ('85b4a4bbfdbef800b838fbe7e41cddd4ca560328b78ed882d6c3ce804e4957b1',
+            (33766, 3224, 200, 37190, 47910.354138329814)),
+        'entropy': ('827b561af7b9778d4574de9d4acd0a2033e15409cc8901a265f71792b42a5bd4',
+            (33586, 3224, 200, 37010, 51928.25145822209)),
+        'incremental': ('a5d34096b8ca71aa12cb65ea5650885c19e4bc7329018bf429bcd2553b4811df',
+            (32866, 3224, 408, 36498, 48270.51562222956)),
+    },
+    ('bytes:4096', 'greedy'): {
+        'gcl1': 'ae6c0133fcbe6be132afd356dfb674cfc70b5aecda1d6548ee07225e1f0135fd',
+        'fully_naive': ('c0e528208ea5d8972b1d5c06f242dee32b9af2e019b037b4688f96b0d8222125',
+            (36837, 0, 200, 37037, 43329.17693294547)),
+        'naive': ('85b4a4bbfdbef800b838fbe7e41cddd4ca560328b78ed882d6c3ce804e4957b1',
+            (33766, 3224, 200, 37190, 47910.354138329814)),
+        'entropy': ('827b561af7b9778d4574de9d4acd0a2033e15409cc8901a265f71792b42a5bd4',
+            (33586, 3224, 200, 37010, 51928.25145822209)),
+        'incremental': ('a5d34096b8ca71aa12cb65ea5650885c19e4bc7329018bf429bcd2553b4811df',
+            (32866, 3224, 408, 36498, 48270.51562222956)),
+    },
+    ('badgrammar:5', 'repair'): {
+        'gcl1': '5a8e719331a66adbc2097b5fc1e29acb958639c4aa4cd3f13f0bcdaedaa5b2fb',
+        'fully_naive': ('b9dd82b1c37da1bfb716f7c8393bb311a2617a54f19e1f30edb79da7dbb263fe',
+            (475, 0, 54, 529, 776.5081945371194)),
+        'naive': ('c8e3ea2ef26ce90623d5971cabfddb1447181d945f13b49642a53f701795d4e1',
+            (452, 224, 54, 730, 1124.72594341974)),
+        'entropy': ('6fe13f783fc1eee895c40a280cbfece9ad8d9dacd855f101fbac570611261d25',
+            (451, 272, 54, 777, 1321.0616203344748)),
+        'incremental': ('1834e97497c01c417326fff0e5c8f8f3a39c4d4c1087215d59cba150f9a0a1db',
+            (317, 224, 70, 611, 1269.2323802074563)),
+    },
+    ('badgrammar:5', 'greedy'): {
+        'gcl1': 'a5b77be376267fff77e3c822000560f16af3506d28f0fd4f41ff0eb6669c9e5e',
+        'fully_naive': ('c85155d6fcae52c234bb7fd795e5b518c9c226c7c60213e29c942f7aa1a434d8',
+            (455, 0, 50, 505, 719.2315875656252)),
+        'naive': ('31a0c986323825d59a7359c32fe02a57e369b2165dda2e8d56c043e6bf2ad548',
+            (421, 192, 50, 663, 1020.2785667423086)),
+        'entropy': ('ca3d99dd1af73d6611f468da8d4e2d1a1c51e3b8e736e6bbf0247ac019d70601',
+            (401, 224, 50, 675, 1173.7121003343725)),
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_golden_covers_corpus(golden_grammars):
+    assert set(golden_grammars) == set(GOLDEN)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digests(golden_grammars, key):
+    grammar = golden_grammars[key]
+    want = GOLDEN[key]
+    assert _sha256(to_binary(grammar)) == want["gcl1"]
+    applicable = [e for e in coders.ENCODINGS if e != "incremental" or grammar.is_cnf]
+    assert sorted(applicable) == sorted(e for e in want if e != "gcl1")
+    for enc in applicable:
+        digest, fields = want[enc]
+        _, br = coders.encode(grammar, enc)
+        assert _sha256(coders.to_container(grammar, enc)) == digest, enc
+        assert (br.payload_bits, br.dictionary_bits, br.lengths_side_bits, br.total_bits) \
+            == fields[:4], enc
+        assert br.formula_bound_bits == pytest.approx(fields[4], abs=1e-9), enc
