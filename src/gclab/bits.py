@@ -28,91 +28,117 @@ class BitStream:
     def __len__(self):
         return self.length_bits
 
-    def bit(self, i: int) -> int:
-        if not 0 <= i < self.length_bits:
-            raise IndexError(i)
-        return (self.data[i >> 3] >> (7 - (i & 7))) & 1
-
     def to01(self) -> str:
-        return "".join(str(self.bit(i)) for i in range(self.length_bits))
+        n = self.length_bits
+        return format(BitReader(self).read_bits(n), f"0{n}b") if n else ""
 
 
 class BitWriter:
-    """Accumulates bits MSB-first; single owner until frozen."""
+    """Accumulates bits MSB-first; single owner until frozen.
+
+    Pending bits collect in an int and move to the byte buffer once 64 or
+    more are pending; write_bits is the only packing path.
+    """
 
     def __init__(self):
         self._buf = bytearray()
+        self._acc = 0       # pending bits, the oldest most significant
+        self._pending = 0   # number of pending bits
         self._nbits = 0
 
     def __len__(self):
         return self._nbits
 
-    def write_bit(self, b: int):
-        if self._nbits % 8 == 0:
-            self._buf.append(0)
-        if b:
-            self._buf[-1] |= 1 << (7 - (self._nbits & 7))
-        self._nbits += 1
-
     def write_bits(self, value: int, width: int):
         """Write ``value`` in ``width`` bits, most significant bit first."""
         if width < 0 or value < 0 or value >> width:
             raise ValueError(f"value {value} does not fit in {width} bits")
-        for i in range(width - 1, -1, -1):
-            self.write_bit((value >> i) & 1)
+        self._acc = (self._acc << width) | value
+        self._pending += width
+        self._nbits += width
+        if self._pending >= 64:
+            keep = self._pending & 7
+            self._buf += (self._acc >> keep).to_bytes(self._pending >> 3, "big")
+            self._acc &= (1 << keep) - 1
+            self._pending = keep
+
+    def write_bit(self, b: int):
+        self.write_bits(1 if b else 0, 1)
 
     def write_unary(self, m: int):
         """Unary code for m >= 1: (m - 1) one-bits then a zero; m bits total."""
         if m < 1:
             raise ValueError("unary code defined for m >= 1")
-        for _ in range(m - 1):
-            self.write_bit(1)
-        self.write_bit(0)
+        self.write_bits((1 << m) - 2, m)
 
     def write_bytes(self, data: bytes):
         """Splice whole bytes into the stream (no alignment padding)."""
-        for byte in data:
-            self.write_bits(byte, 8)
-
-    def extend(self, stream: BitStream):
-        for i in range(stream.length_bits):
-            self.write_bit(stream.bit(i))
+        self.write_bits(int.from_bytes(data, "big"), 8 * len(data))
 
     def freeze(self) -> BitStream:
-        return BitStream(bytes(self._buf), self._nbits)
+        pad = -self._pending % 8
+        tail = (self._acc << pad).to_bytes((self._pending + pad) >> 3, "big")
+        return BitStream(bytes(self._buf) + tail, self._nbits)
+
+
+_ONES64 = (1 << 64) - 1
 
 
 class BitReader:
-    """Sequential reader over a BitStream; raises on overrun."""
+    """Sequential reader over a BitStream; raises on overrun.
+
+    Each read converts only the bytes it covers, never the whole stream.
+    """
 
     def __init__(self, stream: BitStream):
-        self._s = stream
+        self._data = stream.data
+        self._nbits = stream.length_bits
         self.pos = 0
 
     def remaining(self) -> int:
-        return self._s.length_bits - self.pos
+        return self._nbits - self.pos
 
-    def read_bit(self) -> int:
-        if self.pos >= self._s.length_bits:
+    def peek_bits(self, width: int) -> int:
+        """The next ``width`` bits, not consumed; bits past the data read as 0."""
+        first = self.pos >> 3
+        last = (self.pos + width + 7) >> 3
+        chunk = int.from_bytes(self._data[first:last].ljust(last - first, b"\0"), "big")
+        return (chunk >> (8 * last - self.pos - width)) & ((1 << width) - 1)
+
+    def skip(self, width: int):
+        """Consume ``width`` bits, as after peek_bits."""
+        if self.pos + width > self._nbits:
             raise MalformedStreamError("bit stream exhausted")
-        b = self._s.bit(self.pos)
-        self.pos += 1
-        return b
+        self.pos += width
 
     def read_bits(self, width: int) -> int:
-        v = 0
-        for _ in range(width):
-            v = (v << 1) | self.read_bit()
-        return v
+        if self.pos + width > self._nbits:
+            raise MalformedStreamError("bit stream exhausted")
+        value = self.peek_bits(width)
+        self.pos += width
+        return value
+
+    def read_bit(self) -> int:
+        return self.read_bits(1)
 
     def read_unary(self) -> int:
         m = 1
-        while self.read_bit():
-            m += 1
-        return m
+        while True:
+            window = self.peek_bits(64)
+            if window != _ONES64:
+                ones = 64 - (window ^ _ONES64).bit_length()
+                self.skip(ones + 1)
+                return m + ones
+            self.skip(64)
+            m += 64
 
-    def read_bytes(self, n: int) -> bytes:
-        return bytes(self.read_bits(8) for _ in range(n))
+    def read_uvarint(self) -> int:
+        """A varint written with write_bytes, at any bit offset."""
+        # a varint has at most 10 bytes; zero padding past the end ends it,
+        # and consuming it then overruns
+        value, size = read_uvarint(self.peek_bits(80).to_bytes(10, "big"), 0)
+        self.skip(8 * size)
+        return value
 
 
 def write_uvarint(out: bytearray, value: int):

@@ -38,7 +38,7 @@ from .bits import (
     read_uvarint,
     uvarint_bytes,
 )
-from .grammar import FullGrammar
+from .grammar import FullGrammar, renumber_segments
 
 MAGIC = b"GCB1"
 ENCODINGS = ("fully_naive", "naive", "entropy", "incremental")
@@ -148,60 +148,25 @@ def build_codebook(seq, domain: int) -> Codebook:
     return _canonical(_code_lengths(freqs), domain)
 
 
-def parse_codebook(data: bytes, pos: int) -> tuple[Codebook, int]:
-    domain, pos = read_uvarint(data, pos)
+def parse_codebook(reader: BitReader) -> Codebook:
+    """Read a codebook serialization (see _canonical) at the reader's position."""
+    domain = reader.read_uvarint()
     nbytes = (domain + 7) // 8
-    if pos + nbytes > len(data):
+    if 8 * nbytes > reader.remaining():
         raise MalformedStreamError("truncated codebook bitmap")
-    bitmap = data[pos : pos + nbytes]
-    pos += nbytes
-    lengths = {}
-    for sym in range(domain):
-        if bitmap[sym >> 3] & (1 << (7 - (sym & 7))):
-            l, pos = read_uvarint(data, pos)
-            if l < 1:
-                raise MalformedStreamError("zero code length")
-            lengths[sym] = l
-    if not lengths:
+    bitmap = reader.read_bits(8 * nbytes).to_bytes(nbytes, "big")
+    present = [sym for sym in range(domain) if bitmap[sym >> 3] & (1 << (7 - (sym & 7)))]
+    if not present:
         raise MalformedStreamError("empty codebook")
-    cb = _canonical(lengths, domain)
-    return cb, pos
-
-
-def _read_codebook(reader: BitReader) -> Codebook:
-    # the codebook is a byte blob inside the bit stream: varint domain,
-    # bitmap, varints; read it byte-wise
-    buf = bytearray()
-
-    def take_varint():
-        start = len(buf)
-        while True:
-            b = reader.read_bits(8)
-            buf.append(b)
-            if not b & 0x80:
-                break
-        return start
-
-    take_varint()
-    domain, p = read_uvarint(bytes(buf), 0)
-    nbytes = (domain + 7) // 8
-    for _ in range(nbytes):
-        buf.append(reader.read_bits(8))
-    present = sum(
-        1
-        for sym in range(domain)
-        if buf[p + (sym >> 3)] & (1 << (7 - (sym & 7)))
-    )
-    for _ in range(present):
-        take_varint()
-    cb, end = parse_codebook(bytes(buf), 0)
-    if end != len(buf):
-        raise MalformedStreamError("codebook size mismatch")
-    return cb
-
-
-def huffman_payload_bits(seq, codebook: Codebook) -> int:
-    return sum(codebook.lengths[s] for s in seq)
+    # a Huffman code over m >= 2 symbols is at most m - 1 bits deep
+    max_len = max(1, len(present) - 1)
+    lengths = {}
+    for sym in present:
+        l = reader.read_uvarint()
+        if not 1 <= l <= max_len:
+            raise MalformedStreamError(f"code length {l} outside 1..{max_len}")
+        lengths[sym] = l
+    return _canonical(lengths, domain)
 
 
 def _write_huffman(writer: BitWriter, seq, codebook: Codebook):
@@ -210,21 +175,28 @@ def _write_huffman(writer: BitWriter, seq, codebook: Codebook):
 
 
 def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> list[int]:
-    decode = {(codebook.lengths[s], codebook.codes[s]): s for s in codebook.lengths}
-    max_len = max(codebook.lengths.values())
+    # canonical decoding: the codes of one length are consecutive integers,
+    # assigned in symbol order, so each length needs only its first code
+    order = sorted(codebook.lengths, key=lambda s: (codebook.lengths[s], s))
+    table = []  # [length, first code, symbols of that length, index in order]
+    for i, sym in enumerate(order):
+        length = codebook.lengths[sym]
+        if table and table[-1][0] == length:
+            table[-1][2] += 1
+        else:
+            table.append([length, codebook.codes[sym], 1, i])
+    max_len = table[-1][0]
     out = []
     for _ in range(count):
-        code = 0
-        length = 0
-        while True:
-            code = (code << 1) | reader.read_bit()
-            length += 1
-            sym = decode.get((length, code))
-            if sym is not None:
-                out.append(sym)
+        window = reader.peek_bits(max_len)
+        for length, first, n, base in table:
+            offset = (window >> (max_len - length)) - first
+            if 0 <= offset < n:
+                reader.skip(length)
+                out.append(order[base + offset])
                 break
-            if length > max_len:
-                raise MalformedStreamError("invalid Huffman code")
+        else:
+            raise MalformedStreamError("invalid Huffman code")
     return out
 
 
@@ -270,21 +242,17 @@ def _write_delta(writer: BitWriter, n: int):
         raise ValueError("Elias delta is defined for n >= 1")
     nbits = n.bit_length()
     lbits = nbits.bit_length()
-    for _ in range(lbits - 1):
-        writer.write_bit(0)
-    writer.write_bits(nbits, lbits)
+    # lbits - 1 zeros, then nbits in lbits bits
+    writer.write_bits(nbits, 2 * lbits - 1)
     writer.write_bits(n - (1 << (nbits - 1)), nbits - 1)
 
 
 def _read_delta(reader: BitReader) -> int:
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-        if zeros > 64:
-            raise MalformedStreamError("bad Elias delta prefix")
-    nbits = (1 << zeros) | reader.read_bits(zeros)
-    if nbits < 1:
-        raise MalformedStreamError("bad Elias delta length field")
+    window = reader.peek_bits(64)
+    if not window:
+        raise MalformedStreamError("bad Elias delta prefix")
+    zeros = 64 - window.bit_length()
+    nbits = reader.read_bits(2 * zeros + 1)
     rest = reader.read_bits(nbits - 1)
     return (1 << (nbits - 1)) | rest
 
@@ -339,12 +307,9 @@ def _check_unary(length: int):
         raise ValueError(f"rule length {length} exceeds the unary cap {MAX_UNARY}")
 
 
-# -- fully naive -------------------------------------------------------------------
-
-
-def encode_fully_naive(grammar: FullGrammar):
-    w = BitWriter()
-    width = symbol_width(grammar.sigma, len(grammar.rules))
+def _write_rules(w: BitWriter, grammar: FullGrammar, width: int) -> int:
+    """Each rule as its unary length, then its symbols in ``width`` bits;
+    returns the bits spent on lengths."""
     lengths_side = 0
     for rhs in grammar.rules:
         _check_unary(len(rhs))
@@ -352,6 +317,36 @@ def encode_fully_naive(grammar: FullGrammar):
         lengths_side += len(rhs)
         for s in rhs:
             w.write_bits(s, width)
+    return lengths_side
+
+
+def _read_rules(r: BitReader, n_rules: int, width: int) -> list[tuple]:
+    rules = []
+    for _ in range(n_rules):
+        ln = r.read_unary()
+        rules.append(tuple(r.read_bits(width) for _ in range(ln)))
+    return rules
+
+
+def _write_coded(w: BitWriter, seq, domain: int) -> Codebook:
+    """The codebook of ``seq``, then ``seq`` Huffman-coded."""
+    cb = build_codebook(seq, domain)
+    w.write_bytes(cb.serialized)
+    _write_huffman(w, seq, cb)
+    return cb
+
+
+def _read_coded(r: BitReader, count: int) -> list[int]:
+    return _read_huffman(r, parse_codebook(r), count)
+
+
+# -- fully naive -------------------------------------------------------------------
+
+
+def encode_fully_naive(grammar: FullGrammar):
+    w = BitWriter()
+    width = symbol_width(grammar.sigma, len(grammar.rules))
+    lengths_side = _write_rules(w, grammar, width)
     for s in grammar.start:
         w.write_bits(s, width)
     stream = w.freeze()
@@ -362,17 +357,10 @@ def encode_fully_naive(grammar: FullGrammar):
     return stream, _breakdown(payload, 0, lengths_side, bound)
 
 
-def decode_fully_naive(stream: BitStream, sigma, n_rules, start_len) -> FullGrammar:
-    r = BitReader(stream)
+def _read_fully_naive(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
-    rules = []
-    for _ in range(n_rules):
-        ln = r.read_unary()
-        rules.append(tuple(r.read_bits(width) for _ in range(ln)))
-    start = [r.read_bits(width) for _ in range(start_len)]
-    if r.remaining() >= 8:
-        raise MalformedStreamError("trailing data after grammar payload")
-    return FullGrammar(sigma, start, rules)
+    rules = _read_rules(r, n_rules, width)
+    return [r.read_bits(width) for _ in range(start_len)], rules
 
 
 # -- naive -------------------------------------------------------------------------
@@ -382,18 +370,9 @@ def encode_naive(grammar: FullGrammar):
     if not grammar.start:
         raise ValueError("naive encoding needs a nonempty starting string")
     w = BitWriter()
-    width = symbol_width(grammar.sigma, len(grammar.rules))
-    lengths_side = 0
-    for rhs in grammar.rules:
-        _check_unary(len(rhs))
-        w.write_unary(len(rhs))
-        lengths_side += len(rhs)
-        for s in rhs:
-            w.write_bits(s, width)
+    lengths_side = _write_rules(w, grammar, symbol_width(grammar.sigma, len(grammar.rules)))
     domain = grammar.sigma + len(grammar.rules)
-    cb = build_codebook(grammar.start, domain)
-    w.write_bytes(cb.serialized)
-    _write_huffman(w, grammar.start, cb)
+    cb = _write_coded(w, grammar.start, domain)
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
     rhs_g = sum(len(r) for r in grammar.rules)
@@ -406,18 +385,9 @@ def encode_naive(grammar: FullGrammar):
     return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound)
 
 
-def decode_naive(stream: BitStream, sigma, n_rules, start_len) -> FullGrammar:
-    r = BitReader(stream)
-    width = symbol_width(sigma, n_rules)
-    rules = []
-    for _ in range(n_rules):
-        ln = r.read_unary()
-        rules.append(tuple(r.read_bits(width) for _ in range(ln)))
-    cb = _read_codebook(r)
-    start = _read_huffman(r, cb, start_len)
-    if r.remaining() >= 8:
-        raise MalformedStreamError("trailing data after grammar payload")
-    return FullGrammar(sigma, start, rules)
+def _read_naive(r: BitReader, sigma, n_rules, start_len):
+    rules = _read_rules(r, n_rules, symbol_width(sigma, n_rules))
+    return _read_coded(r, start_len), rules
 
 
 # -- entropy coding of the concatenation --------------------------------------------
@@ -434,9 +404,7 @@ def encode_entropy(grammar: FullGrammar):
         w.write_unary(len(rhs))
         lengths_side += len(rhs)
     domain = grammar.sigma + len(grammar.rules)
-    cb = build_codebook(s_g, domain)
-    w.write_bytes(cb.serialized)
-    _write_huffman(w, s_g, cb)
+    cb = _write_coded(w, s_g, domain)
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
     bound = (
@@ -447,20 +415,15 @@ def encode_entropy(grammar: FullGrammar):
     return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound)
 
 
-def decode_entropy(stream: BitStream, sigma, n_rules, start_len) -> FullGrammar:
-    r = BitReader(stream)
+def _read_entropy(r: BitReader, sigma, n_rules, start_len):
     rule_lens = [r.read_unary() for _ in range(n_rules)]
-    cb = _read_codebook(r)
-    symbols = _read_huffman(r, cb, start_len + sum(rule_lens))
-    if r.remaining() >= 8:
-        raise MalformedStreamError("trailing data after grammar payload")
-    start = symbols[:start_len]
+    symbols = _read_coded(r, start_len + sum(rule_lens))
     rules = []
     at = start_len
     for ln in rule_lens:
         rules.append(tuple(symbols[at : at + ln]))
         at += ln
-    return FullGrammar(sigma, start, rules)
+    return symbols[:start_len], rules
 
 
 # -- incremental (CNF) ----------------------------------------------------------------
@@ -522,9 +485,7 @@ def encode_incremental(grammar: FullGrammar):
         w.write_bits(second, width)
         prev = first
     start = [new_id(s) for s in grammar.start]
-    cb = build_codebook(start, sigma + n_rules)
-    w.write_bytes(cb.serialized)
-    _write_huffman(w, start, cb)
+    cb = _write_coded(w, start, sigma + n_rules)
     stream = w.freeze()
     payload = stream.length_bits - delta_bits - cb.serialized_bits
     rhs_full = len(grammar.start) + 2 * n_rules
@@ -537,8 +498,7 @@ def encode_incremental(grammar: FullGrammar):
     return stream, _breakdown(payload, cb.serialized_bits, delta_bits, bound)
 
 
-def decode_incremental(stream: BitStream, sigma, n_rules, start_len) -> FullGrammar:
-    r = BitReader(stream)
+def _read_incremental(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
     pairs = []
     prev = 0
@@ -546,41 +506,15 @@ def decode_incremental(stream: BitStream, sigma, n_rules, start_len) -> FullGram
         prev = prev + _read_delta(r) - 1
         second = r.read_bits(width)
         pairs.append((prev, second))
-    cb = _read_codebook(r)
-    start = _read_huffman(r, cb, start_len)
-    if r.remaining() >= 8:
-        raise MalformedStreamError("trailing data after grammar payload")
+    start = _read_coded(r, start_len)
     # rules arrive in permuted order; rebuild a topologically ordered grammar
     limit = sigma + n_rules
-    for first, second in pairs:
-        if first >= limit or second >= limit:
-            raise MalformedStreamError("rule component out of range")
-    indeg = {j: sum(1 for s in pairs[j] if s >= sigma) for j in range(n_rules)}
-    users: dict[int, list[int]] = {}
-    for j, pr in enumerate(pairs):
-        for s in pr:
-            if s >= sigma:
-                users.setdefault(s - sigma, []).append(j)
-    ready = sorted(j for j, d in indeg.items() if d == 0)
-    topo: list[int] = []
-    heapq.heapify(ready)
-    while ready:
-        j = heapq.heappop(ready)
-        topo.append(j)
-        for u in users.get(j, ()):
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                heapq.heappush(ready, u)
-    if len(topo) != n_rules:
-        raise MalformedStreamError("decoded grammar is not acyclic")
-    rename = {sigma + j: sigma + new for new, j in enumerate(topo)}
-
-    def mapped(s: int) -> int:
-        return s if s < sigma else rename[s]
-
-    rules = [tuple(mapped(s) for s in pairs[j]) for j in topo]
-    new_start = [mapped(s) for s in start]
-    return FullGrammar(sigma, new_start, rules)
+    if any(s >= limit for s in start) or any(s >= limit for pr in pairs for s in pr):
+        raise MalformedStreamError("symbol id out of range")
+    try:
+        return renumber_segments(sigma, [start, *pairs])
+    except ValueError as e:
+        raise MalformedStreamError("decoded grammar is not acyclic") from e
 
 
 # -- container -------------------------------------------------------------------------
@@ -592,11 +526,12 @@ _ENCODE = {
     "entropy": encode_entropy,
     "incremental": encode_incremental,
 }
-_DECODE = {
-    "fully_naive": decode_fully_naive,
-    "naive": decode_naive,
-    "entropy": decode_entropy,
-    "incremental": decode_incremental,
+# the rule section of each encoding: reader, sigma, |G|, |S'| -> (start, rules)
+_READ = {
+    "fully_naive": _read_fully_naive,
+    "naive": _read_naive,
+    "entropy": _read_entropy,
+    "incremental": _read_incremental,
 }
 
 
@@ -610,14 +545,21 @@ def encode(grammar: FullGrammar, encoding: str):
 
 def decode(encoding: str, stream: BitStream, sigma, n_rules, start_len) -> FullGrammar:
     try:
-        fn = _DECODE[encoding]
+        read = _READ[encoding]
     except KeyError:
         raise ValueError(f"unknown encoding {encoding!r}") from None
-    return fn(stream, sigma, n_rules, start_len)
+    r = BitReader(stream)
+    start, rules = read(r, sigma, n_rules, start_len)
+    if r.remaining() >= 8:
+        raise MalformedStreamError("trailing data after grammar payload")
+    try:
+        return FullGrammar(sigma, start, rules)
+    except ValueError as e:
+        raise MalformedStreamError(f"decoded grammar is invalid: {e}") from e
 
 
-def to_container(grammar: FullGrammar, encoding: str) -> bytes:
-    stream, _ = encode(grammar, encoding)
+def frame_container(grammar: FullGrammar, encoding: str, stream: BitStream) -> bytes:
+    """The GCB1 container of ``stream``, an ``encoding`` of ``grammar``."""
     out = bytearray(MAGIC)
     out.append(_TAGS[encoding])
     out += uvarint_bytes(grammar.sigma)
@@ -626,6 +568,11 @@ def to_container(grammar: FullGrammar, encoding: str) -> bytes:
     out += uvarint_bytes(stream.length_bits)
     out += stream.data
     return bytes(out)
+
+
+def to_container(grammar: FullGrammar, encoding: str) -> bytes:
+    stream, _ = encode(grammar, encoding)
+    return frame_container(grammar, encoding, stream)
 
 
 def from_container(data: bytes) -> tuple[FullGrammar, str]:

@@ -16,12 +16,17 @@ from .parsing import Parsing
 from .textcore import Text
 
 _MAGIC = b"GCL1"
+MAX_EXPANSION = 1 << 26  # symbols one expansion may build
+
+
+class ExpansionTooLargeError(ValueError):
+    """An expansion would build more than MAX_EXPANSION symbols."""
 
 
 class FullGrammar:
     """Starting string S' plus ordered rules; immutable after construction."""
 
-    __slots__ = ("sigma", "start", "rules", "_exp_cache", "_len_cache")
+    __slots__ = ("sigma", "start", "rules", "_exp_cache", "_len_cache", "_largest_rule")
 
     def __init__(self, sigma: int, start, rules):
         if sigma < 1:
@@ -45,6 +50,7 @@ class FullGrammar:
         self.rules = rules
         self._exp_cache: dict[int, tuple] = {}
         self._len_cache: list[int] | None = None
+        self._largest_rule: int | None = None
 
     # -- basic views --------------------------------------------------------
 
@@ -99,6 +105,20 @@ class FullGrammar:
             self._len_cache = lens
         return self._len_cache
 
+    def _check_expansion(self, total: int):
+        """Refuse an expansion of ``total`` symbols before building any of it.
+
+        expand() caches every rule up to the one asked for, so any expansion
+        is refused while some rule is over the cap.
+        """
+        if self._largest_rule is None:
+            self._largest_rule = max(self.expansion_lengths(), default=0)
+        largest = max(total, self._largest_rule)
+        if largest > MAX_EXPANSION:
+            raise ExpansionTooLargeError(
+                f"expansion of {largest} symbols exceeds the cap of {MAX_EXPANSION}"
+            )
+
     def expand(self, sym: int):
         """Fully derived terminal string of one symbol."""
         if sym < 0 or sym >= self.sigma + len(self.rules):
@@ -106,6 +126,7 @@ class FullGrammar:
         if sym < self.sigma:
             return (sym,)
         top = sym - self.sigma
+        self._check_expansion(self.expansion_lengths()[top])
         cache = self._exp_cache
         for i in range(top + 1):
             if i in cache:
@@ -120,6 +141,9 @@ class FullGrammar:
         return cache[top]
 
     def expand_sequence(self, seq) -> tuple:
+        lens = self.expansion_lengths()
+        sigma, limit = self.sigma, self.sigma + len(lens)
+        self._check_expansion(sum(lens[s - sigma] if sigma <= s < limit else 1 for s in seq))
         out: list[int] = []
         for s in seq:
             out.extend(self.expand(s))
@@ -361,6 +385,12 @@ def grammar_from_segments(sigma: int, segments) -> FullGrammar:
     inside earlier right-hand sides; here rules are renumbered into a
     deterministic topological order (children first, stable by working id).
     """
+    return FullGrammar(sigma, *renumber_segments(sigma, segments))
+
+
+def renumber_segments(sigma: int, segments) -> tuple[tuple, tuple]:
+    """(start, rules) of grammar_from_segments, before validation; every id
+    must be below sigma + the number of rules."""
     import heapq
 
     n_rules = len(segments) - 1
@@ -390,8 +420,7 @@ def grammar_from_segments(sigma: int, segments) -> FullGrammar:
     def mapped(seq):
         return tuple(s if s < sigma else rename[s] for s in seq)
 
-    rules = tuple(mapped(segments[1 + old]) for old in topo)
-    return FullGrammar(sigma, mapped(segments[0]), rules)
+    return mapped(segments[0]), tuple(mapped(segments[1 + old]) for old in topo)
 
 
 def canonicalized(grammar: FullGrammar) -> FullGrammar:
@@ -470,7 +499,10 @@ def from_binary(data: bytes) -> FullGrammar:
         start.append(s)
     if pos != len(data):
         raise bits.MalformedStreamError("trailing bytes after grammar")
-    return FullGrammar(sigma, start, rules)
+    try:
+        return FullGrammar(sigma, start, rules)
+    except ValueError as e:
+        raise bits.MalformedStreamError(f"decoded grammar is invalid: {e}") from e
 
 
 def to_text_dump(grammar: FullGrammar) -> str:

@@ -40,7 +40,7 @@ from .textcore import Text, empirical_entropy, entropy_profile, load_text
 
 SCHEMA_VERSION = "1"
 GREEDY_CAP = 1 << 24
-REPAIR_CAP = 1 << 26
+REPAIR_CAP = gmod.MAX_EXPANSION
 ALGORITHMS = ("repair", "greedy", "lz78", "lz77ns", "offset-parse")
 
 EXAMPLE_WORD_32 = "aababcbbadccdbddaacadaccbdbbcddc"  # (k=2, l=0, p=1)
@@ -239,7 +239,7 @@ def _encoding_rows(rows, grammar, encodings, text, k_list):
             measurements[enc] = {"skipped": "grammar not in CNF"}
             continue
         stream, br = coders.encode(grammar, enc)
-        decoded, _ = coders.from_container(coders.to_container(grammar, enc))
+        decoded, _ = coders.from_container(coders.frame_container(grammar, enc, stream))
         rows.append(
             BoundRow.check(
                 f"encoding_size_bound[{enc}]",
@@ -833,8 +833,8 @@ def _dispatch(args) -> int:
     if args.cmd == "encode":
         with open(args.grammar, "rb") as fh:
             grammar = gmod.from_binary(fh.read())
-        _, br = coders.encode(grammar, args.encoding)
-        _write_out(args, coders.to_container(grammar, args.encoding))
+        stream, br = coders.encode(grammar, args.encoding)
+        _write_out(args, coders.frame_container(grammar, args.encoding, stream))
         print(json.dumps(br.as_dict(), indent=2), file=sys.stderr)
         return 0
 

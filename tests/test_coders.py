@@ -277,6 +277,13 @@ def test_container_rejects_garbage():
         from_container(data[:4] + bytes([250]) + data[5:])
 
 
+def test_decoded_grammar_errors_are_malformed():
+    # sigma 3, no rules, one 2-bit start id 3: a well-formed payload whose
+    # grammar is invalid
+    with pytest.raises(MalformedStreamError, match="start references undefined id 3"):
+        decode("fully_naive", BitStream(b"\xc0", 2), 3, 0, 1)
+
+
 def test_truncated_payload_is_malformed():
     g = FullGrammar(3, tuple(range(3)) * 4, [(0, 1), (3, 2)])
     stream, _ = encode(g, "entropy")

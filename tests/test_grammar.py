@@ -1,7 +1,12 @@
+import time
+
 import pytest
 
 from conftest import random_text
+from gclab.coders import from_container, to_container
 from gclab.grammar import (
+    MAX_EXPANSION,
+    ExpansionTooLargeError,
     FullGrammar,
     bad_grammar_fixture,
     canonicalized,
@@ -269,6 +274,53 @@ def test_binary_rejects_garbage():
     g = FullGrammar(2, (0, 1), [(0, 1)])
     with pytest.raises(MalformedStreamError):
         from_binary(to_binary(g) + b"\x00")
+
+
+def doubling_grammar(n_rules: int, copies: int = 1) -> FullGrammar:
+    """Rule i is X_{i-1} X_{i-1}: the last rule expands to 2^n_rules symbols;
+    the start holds ``copies`` of it."""
+    rules = [(0, 0)] + [(2 + i, 2 + i) for i in range(n_rules - 1)]
+    return FullGrammar(2, (1 + n_rules,) * copies, rules)
+
+
+@pytest.mark.parametrize("fmt", ["gcl1", "gcb1-incremental"])
+def test_small_files_cannot_start_huge_expansions(fmt):
+    g = doubling_grammar(60)
+    if fmt == "gcl1":
+        data = to_binary(g)
+        decoded = from_binary(data)
+    else:
+        data = to_container(g, "incremental")
+        decoded, _ = from_container(data)
+    assert len(data) == {"gcl1": 188, "gcb1-incremental": 95}[fmt]
+    assert decoded.expansion_lengths()[-1] == 2**60
+    t0 = time.perf_counter()
+    for call in (
+        decoded.expand_start,
+        decoded.text,
+        lambda: decoded.expand(decoded.sigma + 59),
+        lambda: decoded.expand_sequence([0, 1]),
+        lambda: check_irreducible(decoded),
+    ):
+        with pytest.raises(ExpansionTooLargeError):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_expansion_total_over_cap_is_refused():
+    # every rule is within the cap; the start's 65 copies of 2^20 are not
+    g = doubling_grammar(20, copies=MAX_EXPANSION // (1 << 20) + 1)
+    assert max(g.expansion_lengths()) == 1 << 20
+    with pytest.raises(ExpansionTooLargeError):
+        g.expand_start()
+
+
+def test_binary_invalid_grammar_is_malformed():
+    from gclab.bits import MalformedStreamError
+
+    data = to_binary(FullGrammar(2, (2,), [(0, 1)]))
+    with pytest.raises(MalformedStreamError, match="start references undefined id 3"):
+        from_binary(data[:-1] + b"\x03")
 
 
 def test_text_dump():
