@@ -26,7 +26,7 @@ class ExpansionTooLargeError(ValueError):
 class FullGrammar:
     """Starting string S' plus ordered rules; immutable after construction."""
 
-    __slots__ = ("sigma", "start", "rules", "_exp_cache", "_len_cache", "_largest_rule")
+    __slots__ = ("sigma", "start", "rules", "_expansions", "_len_cache", "_largest_rule")
 
     def __init__(self, sigma: int, start, rules):
         if sigma < 1:
@@ -48,7 +48,7 @@ class FullGrammar:
         self.sigma = sigma
         self.start = start
         self.rules = rules
-        self._exp_cache: dict[int, tuple] = {}
+        self._expansions: list[tuple] = []  # exp(rule i) for i < len, built in id order
         self._len_cache: list[int] | None = None
         self._largest_rule: int | None = None
 
@@ -119,6 +119,22 @@ class FullGrammar:
                 f"expansion of {largest} symbols exceeds the cap of {MAX_EXPANSION}"
             )
 
+    def _fill(self, top: int):
+        """Build the expansions of rules up to index ``top`` not built yet.
+
+        Rules are built bottom-up in id order, each once, from its children's
+        tuples, so the total cost is the sum of the expansion lengths.
+        """
+        sigma, built = self.sigma, self._expansions
+        for rhs in self.rules[len(built):top + 1]:
+            out: list[int] = []
+            for s in rhs:
+                if s < sigma:
+                    out.append(s)
+                else:
+                    out.extend(built[s - sigma])
+            built.append(tuple(out))
+
     def expand(self, sym: int):
         """Fully derived terminal string of one symbol."""
         if sym < 0 or sym >= self.sigma + len(self.rules):
@@ -126,27 +142,26 @@ class FullGrammar:
         if sym < self.sigma:
             return (sym,)
         top = sym - self.sigma
-        self._check_expansion(self.expansion_lengths()[top])
-        cache = self._exp_cache
-        for i in range(top + 1):
-            if i in cache:
-                continue
-            out: list[int] = []
-            for s in self.rules[i]:
-                if s < self.sigma:
-                    out.append(s)
-                else:
-                    out.extend(cache[s - self.sigma])
-            cache[i] = tuple(out)
-        return cache[top]
+        if top >= len(self._expansions):
+            self._check_expansion(self.expansion_lengths()[top])
+            self._fill(top)
+        return self._expansions[top]
 
     def expand_sequence(self, seq) -> tuple:
         lens = self.expansion_lengths()
         sigma, limit = self.sigma, self.sigma + len(lens)
         self._check_expansion(sum(lens[s - sigma] if sigma <= s < limit else 1 for s in seq))
+        for s in seq:
+            if not 0 <= s < limit:
+                raise KeyError(f"undefined symbol id {s}")
+        self._fill(max(seq, default=0) - sigma)
+        built = self._expansions
         out: list[int] = []
         for s in seq:
-            out.extend(self.expand(s))
+            if s < sigma:
+                out.append(s)
+            else:
+                out.extend(built[s - sigma])
         return tuple(out)
 
     def expand_start(self) -> tuple:
@@ -213,6 +228,17 @@ def nonoverlapping_digram_counts(segments) -> Counter:
     return counts
 
 
+def _ig2_witness(grammar: FullGrammar) -> int | None:
+    """First nonterminal occurring fewer than twice across S' and the rules."""
+    occ = Counter()
+    for seg in grammar.rhs_segments():
+        occ.update(s for s in seg if s >= grammar.sigma)
+    for i in range(len(grammar.rules)):
+        if occ[grammar.sigma + i] < 2:
+            return grammar.sigma + i
+    return None
+
+
 def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
     """IG1: distinct expansions; IG2: every nonterminal used twice;
     IG3: no digram repeats (without overlap) across S' and rule rhs strings."""
@@ -225,14 +251,7 @@ def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
             break
         seen[exp] = i
 
-    occ = Counter()
-    for seg in grammar.rhs_segments():
-        occ.update(s for s in seg if s >= grammar.sigma)
-    ig2_w = None
-    for i in range(len(grammar.rules)):
-        if occ[grammar.sigma + i] < 2:
-            ig2_w = grammar.sigma + i
-            break
+    ig2_w = _ig2_witness(grammar)
 
     digrams = nonoverlapping_digram_counts(grammar.rhs_segments())
     ig3_w = None
@@ -300,8 +319,7 @@ class ExpansionSumResult:
 
 def expansion_sum_check(grammar: FullGrammar) -> ExpansionSumResult:
     """Under IG2, the expansions of all rule right-hand sides sum to <= 2|S|."""
-    ig = check_irreducible(grammar)
-    if not ig.ig2:
+    if _ig2_witness(grammar) is not None:
         return ExpansionSumResult(False, None, None, None)
     total = sum(grammar.expansion_lengths())
     n = len(grammar.expand_start())

@@ -27,7 +27,7 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
 from . import coders, debruijn
@@ -170,24 +170,17 @@ def _gibbs_row(parsing: pmod.Parsing, rng: random.Random) -> BoundRow:
     )
 
 
+def _prefixed(row: BoundRow, prefix: str, suffix: str = "") -> BoundRow:
+    """``row`` renamed to prefix + name + suffix, all else unchanged."""
+    return replace(row, name=f"{prefix}{row.name}{suffix}")
+
+
 def _parsing_rows(rows, parsing, k_list, rng, prefix=""):
     for k in k_list:
         rep = pmod.verify_parsing_bounds(parsing, k)
-        for row in rep.rows:
-            rows.append(
-                BoundRow(
-                    f"{prefix}{row.name}[k={k}]",
-                    row.lhs_bits,
-                    row.rhs_bits,
-                    row.passed,
-                    row.slack_used,
-                    row.detail,
-                )
-            )
+        rows.extend(_prefixed(row, prefix, f"[k={k}]") for row in rep.rows)
     if len(parsing):
-        g = _gibbs_row(parsing, rng)
-        rows.append(BoundRow(prefix + g.name, g.lhs_bits, g.rhs_bits, g.passed,
-                             g.slack_used, g.detail))
+        rows.append(_prefixed(_gibbs_row(parsing, rng), prefix))
 
 
 def _natural_row(rows, parsing, prefix=""):
@@ -232,7 +225,9 @@ def _cyclic_rows(rows, text, k_list):
         )
 
 
-def _encoding_rows(rows, grammar, encodings, text, k_list):
+def _encoding_rows(rows, grammar, encodings, hk_totals):
+    """Size, roundtrip and Huffman sandwich rows per encoding; ``hk_totals``
+    maps each k to |S|H_k(S) of the cell's text."""
     measurements = {}
     for enc in encodings:
         if enc == "incremental" and not grammar.is_cnf:
@@ -260,8 +255,7 @@ def _encoding_rows(rows, grammar, encodings, text, k_list):
             )
         )
         entry = br.as_dict()
-        for k in k_list:
-            hk, _ = empirical_entropy(text, k)
+        for k, hk in hk_totals.items():
             entry[f"ratio_vs_hk[k={k}]"] = (br.total_bits / hk) if hk > 0 else None
         measurements[enc] = entry
         if enc in ("naive", "entropy", "incremental"):
@@ -366,7 +360,7 @@ def _entropy_concat_rows(rows, grammar, text, k):
     )
 
 
-def _repair_entry(name, text, spec, rows, measurements, rng):
+def _repair_entry(name, text, spec, rows, measurements, hk_totals):
     if len(text) > REPAIR_CAP:
         raise ValueError(f"input exceeds the Re-Pair cap of 2^26 symbols")
     policy = _repair_policy(spec.policy)
@@ -396,8 +390,7 @@ def _repair_entry(name, text, spec, rows, measurements, rng):
             "|G| < n/z whenever the most frequent pair occurs z times",
         )
     )
-    _grammar_rows(rows, grammar, text, check_irreducible=False)
-    ig = gmod.check_irreducible(grammar)
+    ig = _grammar_rows(rows, grammar, text, check_irreducible=False)
     rows.append(
         BoundRow("repair_expansions_distinct", 0.0, 0.0, ig.ig1, 0.0,
                  "no two nonterminals share an expansion")
@@ -416,9 +409,7 @@ def _repair_entry(name, text, spec, rows, measurements, rng):
         "working_len": len(grammar.start),
         "stopped_by": trace.stopped_by,
     }
-    measurements["encodings"] = _encoding_rows(
-        rows, grammar, spec.encodings, text, spec.k_list
-    )
+    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, hk_totals)
     if name.startswith("worst:") and "incremental" in spec.encodings:
         _, br = coders.encode(grammar, "incremental")
         bound = 0.75 * n * math.log2(n) - WORST_CASE_LINEAR_SLACK * n
@@ -436,7 +427,7 @@ def _repair_entry(name, text, spec, rows, measurements, rng):
     return gmod.start_parsing(grammar)
 
 
-def _greedy_entry(name, text, spec, rows, measurements, rng):
+def _greedy_entry(name, text, spec, rows, measurements, hk_totals):
     if len(text) > GREEDY_CAP:
         raise ValueError(f"input exceeds the Greedy cap of 2^24 symbols")
     policy = _greedy_policy(spec.policy, len(text), spec.iter_exponent)
@@ -493,9 +484,7 @@ def _greedy_entry(name, text, spec, rows, measurements, rng):
         "rhs_size_full": m.rhs_size_full,
         "stopped_by": trace.stopped_by,
     }
-    measurements["encodings"] = _encoding_rows(
-        rows, grammar, spec.encodings, text, spec.k_list
-    )
+    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, hk_totals)
     return gmod.start_parsing(grammar)
 
 
@@ -503,8 +492,10 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
     rng = random.Random((spec.seed, name, algorithm).__repr__())
     rows: list[BoundRow] = []
     measurements: dict = {"n": len(text), "sigma": text.sigma}
+    hk_totals: dict[int, float] = {}
     for k in spec.k_list:
         total, per = empirical_entropy(text, k)
+        hk_totals[k] = total
         measurements[f"hk_total[k={k}]"] = total
         measurements[f"hk_bits_per_symbol[k={k}]"] = per
     _cyclic_rows(rows, text, [k for k in spec.k_list if k < len(text)])
@@ -519,9 +510,9 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
             if 1 <= l <= len(text):
                 parsings.append((f"l={l}:", pmod.best_offset_parsing(text, l)))
     elif algorithm == "repair":
-        parsings.append(("", _repair_entry(name, text, spec, rows, measurements, rng)))
+        parsings.append(("", _repair_entry(name, text, spec, rows, measurements, hk_totals)))
     elif algorithm == "greedy":
-        parsings.append(("", _greedy_entry(name, text, spec, rows, measurements, rng)))
+        parsings.append(("", _greedy_entry(name, text, spec, rows, measurements, hk_totals)))
 
     gdb = _gdb_params_of(name)
     for prefix, parsing in parsings:
@@ -555,9 +546,7 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
             # offset parsings may exceed z = k+l+1 legitimately; the lower
             # bound applies to natural parsers only
             sub = debruijn.lower_bound_check(text, parsing, gdb)
-            for row in sub.rows:
-                rows.append(BoundRow(prefix + row.name, row.lhs_bits, row.rhs_bits,
-                                     row.passed, row.slack_used, row.detail))
+            rows.extend(_prefixed(row, prefix) for row in sub.rows)
         measurements[f"parsing{prefix or ':'}phrases"] = len(parsing)
 
     if gdb is not None and algorithm == spec.algorithms[0]:

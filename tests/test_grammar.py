@@ -92,6 +92,59 @@ def test_expansion_lengths_without_materializing():
     assert g.expansion_lengths() == [2, 4]
 
 
+def stack_expand(g: FullGrammar, seq) -> tuple:
+    """Reference expander: depth-first with an explicit stack, no caching."""
+    out = []
+    stack = list(reversed(seq))
+    while stack:
+        s = stack.pop()
+        if s < g.sigma:
+            out.append(s)
+        else:
+            stack.extend(reversed(g.rhs(s)))
+    return tuple(out)
+
+
+def expansion_cases(golden_grammars):
+    yield from golden_grammars.items()
+    yield ("badgrammar", "fixture"), bad_grammar_fixture(6)
+
+
+def test_expansions_match_stack_expander(golden_grammars):
+    for key, g in expansion_cases(golden_grammars):
+        nonterminals = range(g.sigma, g.sigma + len(g.rules))
+        for x in nonterminals:
+            assert g.expand(x) == stack_expand(g, (x,)), (key, x)
+        assert g.expand_start() == stack_expand(g, g.start), key
+        mixed = (*reversed(nonterminals), 0, *g.start[:5])
+        assert g.expand_sequence(mixed) == stack_expand(g, mixed), key
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_expansion_order_does_not_matter(golden_grammars, order):
+    import random
+
+    for key, g in expansion_cases(golden_grammars):
+        fresh = FullGrammar(g.sigma, g.start, g.rules)
+        ids = list(range(g.sigma, g.sigma + len(g.rules)))
+        if order == "descending":
+            ids.reverse()
+        elif order == "shuffled":
+            random.Random(len(ids)).shuffle(ids)
+        for x in ids:
+            assert fresh.expand(x) == stack_expand(g, (x,)), (key, order, x)
+        assert fresh.expand_start() == g.expand_start(), (key, order)
+
+
+def test_repeated_expand_returns_the_same_object():
+    g = bad_grammar_fixture(4)
+    top = g.sigma + len(g.rules) - 1
+    first = g.expand(top)
+    g.expand_start()
+    assert g.expand(top) is first
+    assert g.expand(g.sigma) is g.expand(g.sigma)
+
+
 def test_deep_chain_expansion():
     # rule i -> (rule i-1, letter): linear depth must not recurse
     rules = [(0, 1)]
@@ -305,6 +358,7 @@ def test_small_files_cannot_start_huge_expansions(fmt):
         with pytest.raises(ExpansionTooLargeError):
             call()
     assert time.perf_counter() - t0 < 1.0
+    assert decoded._expansions == []  # refused before any rule was built
 
 
 def test_expansion_total_over_cap_is_refused():
@@ -313,6 +367,7 @@ def test_expansion_total_over_cap_is_refused():
     assert max(g.expansion_lengths()) == 1 << 20
     with pytest.raises(ExpansionTooLargeError):
         g.expand_start()
+    assert g._expansions == []
 
 
 def test_binary_invalid_grammar_is_malformed():
