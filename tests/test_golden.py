@@ -1,16 +1,23 @@
 """Golden digests: the exact GCL1 and GCB1 bytes and SizeBreakdown fields of
-Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py).
+Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py), and
+Greedy's full traces (every GreedyStep, the stop reason and the GCL1 bytes)
+under each stopping policy.
 
-A refactor of the grammar serialization or the coders must leave every value
-here unchanged; formula_bound_bits is a float and is compared to 1e-9.
+A refactor of the grammar serialization, the coders or Greedy must leave
+every value here unchanged; formula_bound_bits is a float and is compared to
+1e-9.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from gclab import coders
+from gclab.greedy import GreedyPolicy, greedy_run
 from gclab.grammar import to_binary
+from gclab.labcli import fixture_text
+from gclab.textcore import Text
 
 # {(input, algorithm): {"gcl1": sha256, encoding: (sha256 of the GCB1 container,
 #   (payload_bits, dictionary_bits, lengths_side_bits, total_bits, formula_bound_bits))}}
@@ -166,3 +173,99 @@ def test_golden_digests(golden_grammars, key):
         assert (br.payload_bits, br.dictionary_bits, br.lengths_side_bits, br.total_bits) \
             == fields[:4], enc
         assert br.formula_bound_bits == pytest.approx(fields[4], abs=1e-9), enc
+
+
+# -- Greedy traces ------------------------------------------------------------
+
+GREEDY_POLICIES = {
+    "run_to_end": GreedyPolicy.run_to_end(),
+    "full_threshold": GreedyPolicy.full_threshold(),
+    "maxiter:50": GreedyPolicy.max_iterations(50),
+}
+
+
+def greedy_trace_corpus():
+    """Report inputs plus periodic words, whose windows overlap themselves."""
+    for selector in ("random:4,20000,1", "worst:1024", "gdb:2,3,1"):
+        yield selector, fixture_text(selector)
+    for name, word, reps in (("a^512", "a", 512), ("(ab)^300", "ab", 300),
+                             ("(aab)^200", "aab", 200)):
+        yield name, Text.from_string(word * reps, 2)
+
+
+def _trace_digests(text, policy_name):
+    """(sha256 of the GreedyStep dicts, stopped_by, sha256 of the GCL1 bytes)."""
+    grammar, trace = greedy_run(text, GREEDY_POLICIES[policy_name])
+    steps = json.dumps([s.as_dict() for s in trace.steps]).encode()
+    return _sha256(steps), trace.stopped_by, _sha256(to_binary(grammar))
+
+
+# {(input, policy): (steps sha256, stopped_by, GCL1 sha256)}
+GREEDY_TRACES = {
+    ('random:4,20000,1', 'run_to_end'): (
+        '5d00774c9abd310cdd6b416caca836877be6ad512bf39f6c661ab6500b1ae67c', 'exhausted',
+        '44ca08a8d1fe5753b399a3fbda2dfe15a8dbf537924d05e08fa90206c749bc48'),
+    ('random:4,20000,1', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        'e5b461ea1e25f068c96b8e342d235cd2416239fd42781d3f806de9a4d24203e2'),
+    ('random:4,20000,1', 'maxiter:50'): (
+        '3d5a15c427cae16588dc326a023369de1541cd0ce41d390a13ac535a6d53e1b1', 'max_iterations',
+        '3a23a3353c9e15258fa30db7c34251ca2a597674207ea9553c45ca2101825bef'),
+    ('worst:1024', 'run_to_end'): (
+        '8203e76875287e0ae429e05c14e3011775c425e03ada4dc9dd69c36f9b4eb663', 'exhausted',
+        '2d45e8daa5b372827d6b5383a6912b9a9ec1e4f637a4e45780bf172ff241c61a'),
+    ('worst:1024', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        'bebe52f3e414b7adc4d5a97256d834e099bf86f3abfc12d17a7be0c769a3996e'),
+    ('worst:1024', 'maxiter:50'): (
+        '093bbb0ff0912c714e6466fb1991428a9c1d789f50e9e4e66d6b50876efc2280', 'max_iterations',
+        'f1134d8ef84e29b5bf3a8586fa7935a86765a4643eb699241cd877be0131992d'),
+    ('gdb:2,3,1', 'run_to_end'): (
+        'bc11760c9fde283d2dd49eaa660998d19538a27fa4475d23a04bd6efadef4c32', 'exhausted',
+        'c9428878681db882e8ed70f638eef6eeaef98da3ecca6ccc25ef669d47bba691'),
+    ('gdb:2,3,1', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '946754ef2934225797dddf59a239e6d848ccc1a2284bae9aa9cde6bf706ad85d'),
+    ('gdb:2,3,1', 'maxiter:50'): (
+        'bc11760c9fde283d2dd49eaa660998d19538a27fa4475d23a04bd6efadef4c32', 'exhausted',
+        'c9428878681db882e8ed70f638eef6eeaef98da3ecca6ccc25ef669d47bba691'),
+    ('a^512', 'run_to_end'): (
+        'b8b074c90e5d9f58aa5eceb79bfc22cae90cc19940f505eb9d6d077da21e9c6b', 'exhausted',
+        '619655f8e6ea056ae852d0dacc2227b9f25f581666c4c3f071a0b6a037376405'),
+    ('a^512', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '371d4e2eb31e17fb1acac11551b58b2b670c5aed11c60884cccc9aba3b7ffbde'),
+    ('a^512', 'maxiter:50'): (
+        'b8b074c90e5d9f58aa5eceb79bfc22cae90cc19940f505eb9d6d077da21e9c6b', 'exhausted',
+        '619655f8e6ea056ae852d0dacc2227b9f25f581666c4c3f071a0b6a037376405'),
+    ('(ab)^300', 'run_to_end'): (
+        '4a770d94a4ec268102037bb2863c8a50528791d5e9471358672696a3f96ca2a0', 'exhausted',
+        '51196093a372bfe3cd806e11b3e6b62b785e6cfdbbafc601ab79b2d2fea13b30'),
+    ('(ab)^300', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '37270f5ee3c971cdaf19a4f97d92d395837d40bf2c914f544961e0d242581078'),
+    ('(ab)^300', 'maxiter:50'): (
+        '4a770d94a4ec268102037bb2863c8a50528791d5e9471358672696a3f96ca2a0', 'exhausted',
+        '51196093a372bfe3cd806e11b3e6b62b785e6cfdbbafc601ab79b2d2fea13b30'),
+    ('(aab)^200', 'run_to_end'): (
+        '9a50d209eed1b00bf3092354c40ccd34465b0918dbb0c9c9b7580c7426e080f5', 'exhausted',
+        '40e71eda3718c3ce68fcb7d05cae208c7a660045aaaf6770e671e79c12fb7b48'),
+    ('(aab)^200', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '1f75e04b5161f1d2984e7bb92acc3d5f49dd2c133d65e88feaa4dba32695e39b'),
+    ('(aab)^200', 'maxiter:50'): (
+        '9a50d209eed1b00bf3092354c40ccd34465b0918dbb0c9c9b7580c7426e080f5', 'exhausted',
+        '40e71eda3718c3ce68fcb7d05cae208c7a660045aaaf6770e671e79c12fb7b48'),
+}
+
+
+def test_greedy_traces_cover_corpus():
+    names = [name for name, _ in greedy_trace_corpus()]
+    assert set(GREEDY_TRACES) == {(n, p) for n in names for p in GREEDY_POLICIES}
+
+
+@pytest.mark.parametrize("name,text", list(greedy_trace_corpus()),
+                         ids=[name for name, _ in greedy_trace_corpus()])
+def test_greedy_trace_digests(name, text):
+    for policy_name in GREEDY_POLICIES:
+        assert _trace_digests(text, policy_name) == GREEDY_TRACES[name, policy_name], policy_name
