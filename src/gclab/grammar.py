@@ -17,16 +17,18 @@ from .textcore import Text
 
 _MAGIC = b"GCL1"
 MAX_EXPANSION = 1 << 26  # symbols one expansion may build
+MAX_FILL = 1 << 28  # tuple slots the cached rule expansions may hold in all
 
 
 class ExpansionTooLargeError(ValueError):
-    """An expansion would build more than MAX_EXPANSION symbols."""
+    """An expansion would build more than MAX_EXPANSION symbols, or fill the
+    rule cache with more than MAX_FILL."""
 
 
 class FullGrammar:
     """Starting string S' plus ordered rules; immutable after construction."""
 
-    __slots__ = ("sigma", "start", "rules", "_expansions", "_len_cache", "_largest_rule")
+    __slots__ = ("sigma", "start", "rules", "_expansions", "_len_cache", "_rule_bounds")
 
     def __init__(self, sigma: int, start, rules):
         if sigma < 1:
@@ -50,7 +52,7 @@ class FullGrammar:
         self.rules = rules
         self._expansions: list[tuple] = []  # exp(rule i) for i < len, built in id order
         self._len_cache: list[int] | None = None
-        self._largest_rule: int | None = None
+        self._rule_bounds: tuple[int, int] | None = None  # max and sum of |exp(X)|
 
     # -- basic views --------------------------------------------------------
 
@@ -108,15 +110,23 @@ class FullGrammar:
     def _check_expansion(self, total: int):
         """Refuse an expansion of ``total`` symbols before building any of it.
 
-        expand() caches every rule up to the one asked for, so any expansion
-        is refused while some rule is over the cap.
+        expand() caches every rule up to the one asked for, and
+        check_irreducible() every rule, so any expansion is refused while some
+        rule is over the cap or the rules' expansions together are over
+        MAX_FILL.
         """
-        if self._largest_rule is None:
-            self._largest_rule = max(self.expansion_lengths(), default=0)
-        largest = max(total, self._largest_rule)
+        if self._rule_bounds is None:
+            lens = self.expansion_lengths()
+            self._rule_bounds = (max(lens, default=0), sum(lens))
+        largest_rule, fill = self._rule_bounds
+        largest = max(total, largest_rule)
         if largest > MAX_EXPANSION:
             raise ExpansionTooLargeError(
                 f"expansion of {largest} symbols exceeds the cap of {MAX_EXPANSION}"
+            )
+        if fill > MAX_FILL:
+            raise ExpansionTooLargeError(
+                f"rule expansions of {fill} symbols in all exceed the budget of {MAX_FILL}"
             )
 
     def _fill(self, top: int):

@@ -7,11 +7,17 @@ and |w| >= 2 (zero-gain pair rounds included, which is what makes the final
 grammar irreducible).  Ties: maximum gain, then longer substring, then
 leftmost first occurrence; candidates live in S' and all rule right-hand
 sides, matches never span two of them.
+
+The working text is one int64 array: S' and then every rule's right-hand
+side in creation order, segment i followed by its separator -(i+1), so no
+window that matches another can contain a separator.  A round scans the
+array (_scan), replaces the winner's occurrences with a keep-mask and
+appends the new rule and its separator (_apply); lists are built only for
+the pair endgame, on_step and the final grammar.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -94,107 +100,122 @@ class _Candidate:
         self.count = count
         self.positions = positions
 
-    def key(self):
-        return (self.gain, self.length, -self.first)
 
-
-def _scan(segments) -> tuple[_Candidate | None, int]:
-    """Best candidate over all segment substrings, plus the exact max pair count.
-
-    Windows are coded level by level (length l = pair of the length l-1 code
-    and one more symbol), so equal windows share a code at every length; the
-    greedy non-overlapping count of each repeated code is computed from its
-    sorted positions.
-    """
+def _join(segments) -> np.ndarray:
+    """The working array of the given segments: each followed by -(i+1)."""
     parts = []
     for i, seg in enumerate(segments):
         parts.append(np.asarray(seg, dtype=np.int64))
-        parts.append(np.asarray([-(i + 1)], dtype=np.int64))  # unique separator
-    arr = np.concatenate(parts)[:-1] if parts else np.zeros(0, dtype=np.int64)
-    total = len(arr)
-    if total < 2:
+        parts.append(np.array([-(i + 1)], dtype=np.int64))
+    return np.concatenate(parts)
+
+
+def _split(work: np.ndarray) -> list[list[int]]:
+    """The segments of a working array, as lists."""
+    values = work.tolist()
+    segments = []
+    start = 0
+    for end in np.flatnonzero(work < 0).tolist():
+        segments.append(values[start:end])
+        start = end + 1
+    return segments
+
+
+def _greedy_occurrences(positions, length: int) -> list[int]:
+    """Left-to-right non-overlapping occurrences among ascending positions."""
+    taken = []
+    limit = -1
+    for p in positions:
+        if p >= limit:
+            taken.append(p)
+            limit = p + length
+    return taken
+
+
+def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
+    """Best candidate over all segment substrings, plus the exact max pair count.
+
+    ``work`` is the working array: S' and every rule's right-hand side, each
+    followed by its own negative separator.  Level l groups the length-l
+    windows that start where a length-(l-1) window has occurrences at least
+    l apart (so two disjoint length-l windows fit): one stable argsort of the
+    (level l-1 group, next symbol) codes puts each group's positions in
+    ascending order; windows that reach a separator are dropped.
+
+    Gap test: a group whose consecutive positions are all >= l apart counts
+    every occurrence; only a group with a gap < l runs the left-to-right
+    count.  The level's best (maximum count, then leftmost first occurrence)
+    is compared with the running best by (gain, length, -first); the
+    winner's taken positions and word are built once, at the end.
+    """
+    if len(work) < 3:
         return None, 0
-    _, ids = np.unique(arr, return_inverse=True)
-    ids = ids.astype(np.int64)
-    pack = total + 1
-    best: _Candidate | None = None
-    max_pair = 0
-    prev = ids
+    width = int(work.max()) + 1
+    pos = np.flatnonzero(work[:-1] >= 0)
+    code = work[pos]
+    if width > 1 << 31:
+        # symbol * width + symbol would overflow int64 (sigma may be 2^32);
+        # group codes at later levels stay below len(work)
+        code = np.unique(code, return_inverse=True)[1].reshape(-1)
+    best = None  # ((gain, length, -first), count, group positions, has a gap < length)
+    max_pair = 1
     length = 1
     while True:
         length += 1
-        m = total - length + 1
-        if m < 1:
+        ext = work[pos + (length - 1)]
+        inside = ext >= 0
+        pos, code, ext = pos[inside], code[inside], ext[inside]
+        if not len(pos):
             break
-        packed = prev[:m] * pack + ids[length - 1 : length - 1 + m]
-        _, inv, counts = np.unique(packed, return_inverse=True, return_counts=True)
-        inv = inv.astype(np.int64)
+        key = code * width + ext
+        order = np.argsort(key, kind="stable")
+        key, pos = key[order], pos[order]
+        head = np.ones(len(key), dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        counts = np.diff(starts, append=len(key))
+        short = np.zeros(len(pos), dtype=bool)
+        np.less(pos[1:] - pos[:-1], length, out=short[1:])
+        short[starts] = False
+        overlapping = np.logical_or.reduceat(short, starts)
+        freq = counts.copy()
+        for g in np.flatnonzero(overlapping).tolist():
+            s = starts[g]
+            freq[g] = len(_greedy_occurrences(pos[s : s + counts[g]].tolist(), length))
+        top = int(freq.max())
         if length == 2:
-            max_pair = 1 if m else 0
-        repeated = counts >= 2
-        if not repeated.any():
+            max_pair = max(max_pair, top)
+        if top >= 2:
+            tied = np.flatnonzero(freq == top)
+            g = tied[np.argmin(pos[starts[tied]])]
+            first = int(pos[starts[g]])
+            rank = ((top - 1) * (length - 1) - 1, length, -first)
+            if best is None or rank > best[0]:
+                s = starts[g]
+                best = (rank, top, pos[s : s + counts[g]], bool(overlapping[g]))
+        alive = pos[starts + counts - 1] - pos[starts] > length
+        if not alive.any():
             break
-        order = np.argsort(inv, kind="stable")
-        starts = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=starts[1:])
-        max_f = 1
-        for g in np.flatnonzero(repeated):
-            pos = order[starts[g] : starts[g + 1]]
-            f = 0
-            first = -1
-            taken = []
-            limit = -1
-            for p in pos:
-                if p >= limit:
-                    f += 1
-                    limit = p + length
-                    taken.append(int(p))
-                    if first < 0:
-                        first = int(p)
-            if f > max_f:
-                max_f = f
-            if f >= 2:
-                gain = (f - 1) * (length - 1) - 1
-                cand = _Candidate(gain, length, first, None, f, taken)
-                if best is None or cand.key() > best.key():
-                    cand.word = tuple(int(x) for x in arr[first : first + length])
-                    best = cand
-        if length == 2:
-            max_pair = max_f
-        if max_f < 2:
-            break
-        prev = inv
-    return best, max_pair
+        code = np.repeat(np.arange(int(alive.sum())), counts[alive])
+        pos = pos[np.repeat(alive, counts)]
+    if best is None:
+        return None, max_pair
+    (gain, length, negfirst), count, group, overlapping = best
+    if overlapping:
+        group = np.array(_greedy_occurrences(group.tolist(), length), dtype=np.int64)
+    word = tuple(work[-negfirst : -negfirst + length].tolist())
+    return _Candidate(gain, length, -negfirst, word, count, group), max_pair
 
 
-def _apply(segments, offsets, cand: _Candidate, new_symbol: int):
-    """Replace the candidate's occurrences (global positions) with new_symbol."""
-    per_seg: dict[int, list[int]] = {}
-    for p in cand.positions:
-        si = bisect.bisect_right(offsets, p) - 1
-        per_seg.setdefault(si, []).append(p - offsets[si])
-    for si, starts in per_seg.items():
-        seg = segments[si]
-        out = []
-        i = 0
-        hit = set(starts)
-        while i < len(seg):
-            if i in hit:
-                out.append(new_symbol)
-                i += cand.length
-            else:
-                out.append(seg[i])
-                i += 1
-        segments[si] = out
-
-
-def _offsets(segments) -> list[int]:
-    offs = []
-    base = 0
-    for seg in segments:
-        offs.append(base)
-        base += len(seg) + 1
-    return offs
+def _apply(work: np.ndarray, cand: _Candidate, new_symbol: int, separator: int):
+    """The working array with the candidate's occurrences replaced by
+    new_symbol, then the new rule and its separator appended."""
+    starts = cand.positions
+    keep = np.ones(len(work), dtype=bool)
+    keep[(starts[:, None] + np.arange(1, cand.length)).ravel()] = False
+    out = work.copy()
+    out[starts] = new_symbol
+    return np.concatenate((out[keep], np.array([*cand.word, separator], dtype=np.int64)))
 
 
 def greedy_run(
@@ -218,18 +239,16 @@ def greedy_run(
     threshold = greedy_threshold(n, text.sigma) if policy.kind == FULL_THRESHOLD else None
     sigma = text.sigma
 
-    segments: list[list[int]] = [list(text.symbols)]
+    work = _join([text.symbols])
+    n_segments = 1
     steps: list[GreedyStep] = []
     stopped_by = "exhausted"
     size = n
 
-    def next_symbol() -> int:
-        return sigma + len(segments) - 1
-
     def record(word, freq, gain, max_pair):
         steps.append(GreedyStep(len(steps) + 1, word, freq, gain, size, max_pair))
         if on_step is not None:
-            on_step(grammar_from_segments(sigma, segments))
+            on_step(grammar_from_segments(sigma, _split(work)))
 
     def policy_stop() -> str | None:
         if threshold is not None and size < threshold:
@@ -240,32 +259,34 @@ def greedy_run(
 
     stop = policy_stop()
     while stop is None:
-        cand, max_pair = _scan(segments)
+        cand, max_pair = _scan(work)
         if cand is None:
             stopped_by = "exhausted"
             break
         if cand.gain <= 0:
             # only pairs with two occurrences remain; replace them
             # incrementally (no new candidates can appear)
+            segments = _split(work)
             stop = _pair_endgame(segments, sigma, steps, policy, threshold, on_step)
+            work = _join(segments)
+            n_segments = len(segments)
             if stop is not None:
                 stopped_by = stop
                 break
-            size = sum(len(s) for s in segments)
-            cand, max_pair = _scan(segments)  # defensive: expect None
+            size = len(work) - n_segments
+            cand, max_pair = _scan(work)  # defensive: expect None
             if cand is None:
                 stopped_by = "exhausted"
                 break
-        x = next_symbol()
-        _apply(segments, _offsets(segments), cand, x)
-        segments.append(list(cand.word))
+        work = _apply(work, cand, sigma + n_segments - 1, -(n_segments + 1))
+        n_segments += 1
         size -= cand.gain
         record(cand.word, cand.count, cand.gain, max_pair)
         stop = policy_stop()
     if stop is not None:
         stopped_by = stop
 
-    grammar = grammar_from_segments(sigma, segments)
+    grammar = grammar_from_segments(sigma, _split(work))
     trace = GreedyTrace(steps, policy, n, sigma, threshold, stopped_by)
     return grammar, trace
 

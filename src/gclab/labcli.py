@@ -199,13 +199,28 @@ def _natural_row(rows, parsing, prefix=""):
     )
 
 
-def _cyclic_rows(rows, text, k_list):
-    n = len(text)
+class _Entropies:
+    """empirical_entropy of one report input by (k, cyclic), each computed
+    once and shared by every cell of that input."""
+
+    def __init__(self, text: Text):
+        self.text = text
+        self._values: dict[tuple[int, bool], tuple[float, float]] = {}
+
+    def __call__(self, k: int, cyclic: bool = False) -> tuple[float, float]:
+        key = (k, cyclic)
+        if key not in self._values:
+            self._values[key] = empirical_entropy(self.text, k, cyclic=cyclic)
+        return self._values[key]
+
+
+def _cyclic_rows(rows, entropy, k_list):
+    n = len(entropy.text)
     for k in k_list:
         if k >= n:
             continue
-        lin, _ = empirical_entropy(text, k, cyclic=False)
-        cyc, _ = empirical_entropy(text, k, cyclic=True)
+        lin, _ = entropy(k)
+        cyc, _ = entropy(k, cyclic=True)
         rows.append(
             BoundRow.check(
                 f"cyclic_vs_normal_entropy_lower[k={k}]", lin, cyc,
@@ -225,9 +240,9 @@ def _cyclic_rows(rows, text, k_list):
         )
 
 
-def _encoding_rows(rows, grammar, encodings, hk_totals):
-    """Size, roundtrip and Huffman sandwich rows per encoding; ``hk_totals``
-    maps each k to |S|H_k(S) of the cell's text."""
+def _encoding_rows(rows, grammar, encodings, entropy, k_list):
+    """Size, roundtrip and Huffman sandwich rows per encoding, with each
+    encoding's ratio to |S|H_k(S) of the cell's text for k in ``k_list``."""
     measurements = {}
     for enc in encodings:
         if enc == "incremental" and not grammar.is_cnf:
@@ -255,7 +270,8 @@ def _encoding_rows(rows, grammar, encodings, hk_totals):
             )
         )
         entry = br.as_dict()
-        for k, hk in hk_totals.items():
+        for k in k_list:
+            hk, _ = entropy(k)
             entry[f"ratio_vs_hk[k={k}]"] = (br.total_bits / hk) if hk > 0 else None
         measurements[enc] = entry
         if enc in ("naive", "entropy", "incremental"):
@@ -320,15 +336,16 @@ def _grammar_rows(rows, grammar, text, check_irreducible: bool):
     return ig
 
 
-def _entropy_concat_rows(rows, grammar, text, k):
+def _entropy_concat_rows(rows, grammar, entropy, k):
     """Exact chain bounding the entropy coding of ||S',G||."""
+    text = entropy.text
     s_double, ind = gmod.induced_parsing(grammar)
     s_g = grammar.rhs_concat()
     if not s_g:
         return
     n = len(text)
     lhs = coders.sequence_entropy_bits(s_g)
-    hk, _ = empirical_entropy(text, k)
+    hk, _ = entropy(k)
     y_h0 = ind.entropy_bits()
     l_h0 = ind.lengths_entropy_bits()
     g_count = len(grammar.rules)
@@ -360,7 +377,8 @@ def _entropy_concat_rows(rows, grammar, text, k):
     )
 
 
-def _repair_entry(name, text, spec, rows, measurements, hk_totals):
+def _repair_entry(name, entropy, spec, rows, measurements):
+    text = entropy.text
     if len(text) > REPAIR_CAP:
         raise ValueError(f"input exceeds the Re-Pair cap of 2^26 symbols")
     policy = _repair_policy(spec.policy)
@@ -400,7 +418,7 @@ def _repair_entry(name, text, spec, rows, measurements, hk_totals):
         rows.extend(srep.rows)
         measurements["stop_point"] = srep.measurements
     k_mid = spec.k_list[len(spec.k_list) // 2] if spec.k_list else 0
-    _entropy_concat_rows(rows, grammar, text, k_mid)
+    _entropy_concat_rows(rows, grammar, entropy, k_mid)
     m = gmod.metrics(grammar)
     measurements["compressor"] = {
         "iterations": len(trace.steps),
@@ -409,7 +427,7 @@ def _repair_entry(name, text, spec, rows, measurements, hk_totals):
         "working_len": len(grammar.start),
         "stopped_by": trace.stopped_by,
     }
-    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, hk_totals)
+    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, entropy, spec.k_list)
     if name.startswith("worst:") and "incremental" in spec.encodings:
         _, br = coders.encode(grammar, "incremental")
         bound = 0.75 * n * math.log2(n) - WORST_CASE_LINEAR_SLACK * n
@@ -422,12 +440,13 @@ def _repair_entry(name, text, spec, rows, measurements, hk_totals):
                 "incremental total >= (3/4)|S| log|S| - 6|S|",
             )
         )
-        h0, _ = empirical_entropy(text, 0)
+        h0, _ = entropy(0)
         measurements["worst_case_ratio"] = br.total_bits / h0 if h0 else None
     return gmod.start_parsing(grammar)
 
 
-def _greedy_entry(name, text, spec, rows, measurements, hk_totals):
+def _greedy_entry(name, entropy, spec, rows, measurements):
+    text = entropy.text
     if len(text) > GREEDY_CAP:
         raise ValueError(f"input exceeds the Greedy cap of 2^24 symbols")
     policy = _greedy_policy(spec.policy, len(text), spec.iter_exponent)
@@ -476,7 +495,7 @@ def _greedy_entry(name, text, spec, rows, measurements, hk_totals):
         rows.extend(srep.rows)
         measurements["stop_point"] = srep.measurements
     k_mid = spec.k_list[len(spec.k_list) // 2] if spec.k_list else 0
-    _entropy_concat_rows(rows, grammar, text, k_mid)
+    _entropy_concat_rows(rows, grammar, entropy, k_mid)
     m = gmod.metrics(grammar)
     measurements["compressor"] = {
         "iterations": len(trace.steps),
@@ -484,21 +503,20 @@ def _greedy_entry(name, text, spec, rows, measurements, hk_totals):
         "rhs_size_full": m.rhs_size_full,
         "stopped_by": trace.stopped_by,
     }
-    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, hk_totals)
+    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, entropy, spec.k_list)
     return gmod.start_parsing(grammar)
 
 
-def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
+def _entry(name: str, entropy: _Entropies, algorithm: str, spec: RunSpec) -> dict:
+    text = entropy.text
     rng = random.Random((spec.seed, name, algorithm).__repr__())
     rows: list[BoundRow] = []
     measurements: dict = {"n": len(text), "sigma": text.sigma}
-    hk_totals: dict[int, float] = {}
     for k in spec.k_list:
-        total, per = empirical_entropy(text, k)
-        hk_totals[k] = total
+        total, per = entropy(k)
         measurements[f"hk_total[k={k}]"] = total
         measurements[f"hk_bits_per_symbol[k={k}]"] = per
-    _cyclic_rows(rows, text, [k for k in spec.k_list if k < len(text)])
+    _cyclic_rows(rows, entropy, [k for k in spec.k_list if k < len(text)])
 
     parsings: list[tuple[str, pmod.Parsing]] = []
     if algorithm == "lz78":
@@ -510,9 +528,9 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
             if 1 <= l <= len(text):
                 parsings.append((f"l={l}:", pmod.best_offset_parsing(text, l)))
     elif algorithm == "repair":
-        parsings.append(("", _repair_entry(name, text, spec, rows, measurements, hk_totals)))
+        parsings.append(("", _repair_entry(name, entropy, spec, rows, measurements)))
     elif algorithm == "greedy":
-        parsings.append(("", _greedy_entry(name, text, spec, rows, measurements, hk_totals)))
+        parsings.append(("", _greedy_entry(name, entropy, spec, rows, measurements)))
 
     gdb = _gdb_params_of(name)
     for prefix, parsing in parsings:
@@ -522,9 +540,7 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
         if algorithm == "offset-parse" and prefix:
             l = int(prefix[2:-1])
             rep = pmod.parsing_cost(parsing)
-            means = [
-                empirical_entropy(text, i)[0] / len(text) for i in range(l)
-            ]
+            means = [entropy(i)[0] / len(text) for i in range(l)]
             n = len(text)
             rows.append(
                 BoundRow.check(
@@ -605,9 +621,10 @@ def run(spec: RunSpec) -> Report:
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
     for name, text in sorted(spec.inputs, key=lambda it: it[0]):
+        entropy = _Entropies(text)
         for algorithm in spec.algorithms:
             try:
-                entry = _entry(name, text, algorithm, spec)
+                entry = _entry(name, entropy, algorithm, spec)
             except Exception as exc:  # isolate per-input failures
                 entry = {
                     "input": name,

@@ -6,6 +6,7 @@ from conftest import random_text
 from gclab.coders import from_container, to_container
 from gclab.grammar import (
     MAX_EXPANSION,
+    MAX_FILL,
     ExpansionTooLargeError,
     FullGrammar,
     bad_grammar_fixture,
@@ -368,6 +369,26 @@ def test_expansion_total_over_cap_is_refused():
     with pytest.raises(ExpansionTooLargeError):
         g.expand_start()
     assert g._expansions == []
+
+
+def test_expansion_fill_over_budget_is_refused():
+    # a chain (rule i = rule i-1 and a letter): the largest rule is 65 537
+    # symbols, within the cap, but the rules' expansions sum to about 2^31
+    n_rules = 1 << 16
+    rules = [(0, 1)] + [(2 + i, i % 2) for i in range(n_rules - 1)]
+    data = to_binary(FullGrammar(2, (1 + n_rules,), rules))
+    assert 300_000 < len(data) < 330_000
+    g = from_binary(data)
+    lens = g.expansion_lengths()
+    assert max(lens) == n_rules + 1 <= MAX_EXPANSION
+    assert sum(lens) > MAX_FILL
+    t0 = time.perf_counter()
+    for call in (g.expand_start, g.text, lambda: check_irreducible(g),
+                 lambda: g.expand(1 + n_rules)):
+        with pytest.raises(ExpansionTooLargeError, match="budget"):
+            call()
+    assert time.perf_counter() - t0 < 1.0
+    assert g._expansions == []  # refused before any rule was built
 
 
 def test_binary_invalid_grammar_is_malformed():

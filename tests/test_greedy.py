@@ -4,40 +4,54 @@ import pytest
 
 from conftest import random_text
 from gclab.grammar import check_irreducible, check_weakly_nonredundant, metrics
-from gclab.greedy import GreedyPolicy, greedy_run, greedy_stop_report, greedy_threshold
+from gclab.greedy import (
+    GreedyPolicy, _join, _scan, _split, greedy_run, greedy_stop_report, greedy_threshold,
+)
 from gclab.textcore import Text
 
 
-def reference_best_candidate(segments):
-    """Exhaustive substring-gain oracle over all segment substrings.
-
-    Returns (gain, length, first, word, count) for the winner under the
-    tie-break (max gain, longer word, leftmost first occurrence), or None.
-    """
+def _occurrences(segments):
+    """{word: taken positions} of every substring of length >= 2, counted
+    greedily left to right, positions global with one separator slot after
+    each segment."""
     occ = {}
     base = 0
     for seg in segments:
         seg = tuple(seg)
         for ln in range(2, len(seg) + 1):
             for i in range(len(seg) - ln + 1):
-                w = seg[i : i + ln]
-                rec = occ.setdefault(w, [0, base + i, -1])
-                if base + i >= rec[2]:
-                    rec[0] += 1
-                    rec[2] = base + i + ln
+                taken = occ.setdefault(seg[i : i + ln], [])
+                if not taken or base + i >= taken[-1] + ln:
+                    taken.append(base + i)
         base += len(seg) + 1
+    return occ
+
+
+def reference_best_candidate(segments):
+    """Exhaustive substring-gain oracle over all segment substrings.
+
+    Returns (gain, length, first, word, count, positions) for the winner under
+    the tie-break (max gain, longer word, leftmost first occurrence), or None.
+    """
     best = None
-    for w, (count, first, _) in occ.items():
+    for w, taken in _occurrences(segments).items():
+        count = len(taken)
         if count < 2:
             continue
         gain = (count - 1) * (len(w) - 1) - 1
-        key = (gain, len(w), -first)
+        key = (gain, len(w), -taken[0])
         if best is None or key > best[0]:
-            best = (key, w, count)
+            best = (key, w, taken)
     if best is None:
         return None
-    (gain, length, negfirst), w, count = best
-    return gain, length, -negfirst, w, count
+    (gain, length, negfirst), w, taken = best
+    return gain, length, -negfirst, w, len(taken), taken
+
+
+def reference_max_pair(segments):
+    """Non-overlapping count of the most frequent pair; 1 when none repeats."""
+    pairs = [len(t) for w, t in _occurrences(segments).items() if len(w) == 2]
+    return max(pairs, default=1)
 
 
 def reference_greedy(text):
@@ -46,11 +60,10 @@ def reference_greedy(text):
         cand = reference_best_candidate(segments)
         if cand is None:
             return segments
-        gain, length, first, w, count = cand
+        length, w = cand[1], cand[3]
         x = text.sigma + len(segments) - 1
         # replace greedy left-to-right occurrences in all segments
         new_segments = []
-        budget = None
         for seg in segments:
             out = []
             i = 0
@@ -64,6 +77,44 @@ def reference_greedy(text):
             new_segments.append(out)
         new_segments.append(list(w))
         segments = new_segments
+
+
+def scan_inputs(rng):
+    """Multi-segment working texts (S' of at least two symbols, as in every
+    Greedy round): random S' over sigma <= 8 and rules that hold nonterminal
+    ids, then runs and periodic words within and across segments."""
+    for _ in range(200):
+        sigma = rng.randrange(2, 9)
+        n_rules = rng.randrange(0, 6)
+        ids = sigma + n_rules
+        segments = [[rng.randrange(ids) for _ in range(rng.randrange(2, 90))]]
+        for _ in range(n_rules):
+            segments.append([rng.randrange(ids) for _ in range(rng.randrange(1, 8))])
+        yield segments
+    for m in (2, 3, 4, 7, 16, 33):
+        yield [[0] * m]
+        yield [[0, 1] * m]
+        yield [[0, 0, 1] * m + [1]]
+        yield [[0] * m, [1, 0] * m, [0] * (m + 1)]
+        yield [[2, 0, 1] * m, [0, 1] * m + [0], [3] * m]
+    big = 1 << 32  # the largest alphabet a Text allows; rule ids go above it
+    yield [[big - 1, 7, big - 1, 7, big - 2, big - 1, 7], [big + 1, big - 1], [7, big - 1, 7]]
+    yield [[1, 5, big, 6], [0, 1]]  # (1, 5) and (big, 6) pack alike modulo 2^64
+
+
+def test_scan_matches_oracle(rng):
+    for segments in scan_inputs(rng):
+        work = _join(segments)
+        assert _split(work) == segments
+        cand, max_pair = _scan(work)
+        assert max_pair == reference_max_pair(segments), segments
+        ref = reference_best_candidate(segments)
+        if ref is None:
+            assert cand is None, segments
+            continue
+        got = (cand.gain, cand.length, cand.first, cand.word, cand.count,
+               cand.positions.tolist())
+        assert got == ref, segments
 
 
 # -- spec examples ------------------------------------------------------------
@@ -90,11 +141,18 @@ def test_abcabcabc_prefers_longer():
     assert tr.steps[0].gain == 3
 
 
+PERIODIC_WORDS = [("a", 100), ("ab", 77), ("aab", 40)]
+
+
 def test_matches_reference(rng):
     from gclab.grammar import grammar_from_segments
 
-    for _ in range(20):
-        t = random_text(rng, rng.choice([2, 3]), rng.randrange(2, 60))
+    texts = [random_text(rng, rng.choice([2, 3]), rng.randrange(2, 60)) for _ in range(20)]
+    texts += [Text.from_string(w * m, 2) for w, m in PERIODIC_WORDS]
+    texts.append(Text.from_string("aab" * 40 + "b"))
+    big = 1 << 32
+    texts.append(Text([big - 1, 0, big - 2] * 9 + [big - 1, 0] * 5, big))
+    for t in texts:
         g, _ = greedy_run(t)
         ref = grammar_from_segments(t.sigma, reference_greedy(t))
         assert g == ref

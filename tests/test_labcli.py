@@ -4,7 +4,7 @@ import pytest
 
 from gclab import labcli
 from gclab.labcli import Report, RunSpec, emit, fixture_text, main, run
-from gclab.textcore import Text
+from gclab.textcore import Text, empirical_entropy
 
 
 def small_spec(**kw):
@@ -119,6 +119,28 @@ def test_required_bound_rows_present():
     }
     missing = required - flat
     assert not missing, missing
+
+
+def test_each_entropy_computed_once_per_input(monkeypatch):
+    # the five algorithms' cells, their cyclic rows, the offset-parse rows and
+    # the entropy-coding chain all share one value per (input, k, cyclic)
+    calls = []
+
+    def counting(text, k, cyclic=False):
+        calls.append((text.symbols, k, cyclic))
+        return empirical_entropy(text, k, cyclic=cyclic)
+
+    monkeypatch.setattr(labcli, "empirical_entropy", counting)
+    spec = small_spec(
+        inputs=(("worst:16", fixture_text("worst:16")), ("gdb:2,1,1", fixture_text("gdb:2,1,1"))),
+        algorithms=("repair", "greedy", "lz78", "lz77ns", "offset-parse"),
+        offsets=(2, 4, 8),
+    )
+    report = run(spec)
+    assert all("error" not in e for e in report.entries)
+    assert len(calls) == len(set(calls))
+    # k = 0..7 for the offset rows (l = 8), linear, plus k = 0..2 cyclic
+    assert len(calls) == 2 * (8 + 3)
 
 
 def test_row_names_unique_per_entry():
