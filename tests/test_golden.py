@@ -1,11 +1,12 @@
 """Golden digests: the exact GCL1 and GCB1 bytes and SizeBreakdown fields of
-Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py), and
+Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py),
 Greedy's full traces (every GreedyStep, the stop reason and the GCL1 bytes)
-under each stopping policy.
+under each stopping policy, de Bruijn certificates and entropy profiles.
 
-A refactor of the grammar serialization, the coders or Greedy must leave
-every value here unchanged; formula_bound_bits is a float and is compared to
-1e-9.
+A refactor of the grammar serialization, the coders, Greedy or the window
+counting must leave every value here unchanged; formula_bound_bits is a float
+and is compared to 1e-9.  Certificates and profiles are pinned exactly: their
+digests cover the floats' shortest round-trip reprs.
 """
 
 import hashlib
@@ -13,11 +14,13 @@ import json
 
 import pytest
 
+from conftest import golden_corpus
 from gclab import coders
+from gclab.debruijn import GdBParams, generalized_word, verify_gdb
 from gclab.greedy import GreedyPolicy, greedy_run
 from gclab.grammar import to_binary
 from gclab.labcli import fixture_text
-from gclab.textcore import Text
+from gclab.textcore import Text, entropy_profile
 
 # {(input, algorithm): {"gcl1": sha256, encoding: (sha256 of the GCB1 container,
 #   (payload_bits, dictionary_bits, lengths_side_bits, total_bits, formula_bound_bits))}}
@@ -269,3 +272,88 @@ def test_greedy_traces_cover_corpus():
 def test_greedy_trace_digests(name, text):
     for policy_name in GREEDY_POLICIES:
         assert _trace_digests(text, policy_name) == GREEDY_TRACES[name, policy_name], policy_name
+
+
+# -- de Bruijn certificates and entropy profiles -----------------------------
+
+
+def certificate_corpus():
+    """(name, word, params): three generated words and both reference words."""
+    for k, l, p in ((1, 9, 1), (2, 3, 1), (1, 5, 2)):
+        params = GdBParams(k, l, p)
+        yield f"gdb:{k},{l},{p}", generalized_word(params), params
+    yield "example32", fixture_text("example32"), GdBParams(2, 0, 1)
+    yield "example16", fixture_text("example16"), GdBParams(1, 1, 1)
+
+
+def _certificate_digest(cert):
+    """sha256 of every certificate field: flags, count tables, both entropy
+    windows and the slack constant."""
+    fields = {
+        "params": [cert.params.k, cert.params.l, cert.params.p],
+        "flags": [cert.db1, cert.db2, cert.db3, cert.tables_consistent,
+                  cert.entropy_cyclic_ok, cert.entropy_linear_ok, cert.all_ok],
+        "count_tables": [[i, sorted(hist.items())] for i, hist in sorted(cert.count_tables.items())],
+        "entropy_cyclic": sorted(cert.entropy_cyclic.items()),
+        "entropy_linear": sorted(cert.entropy_linear.items()),
+        "slack_constant": cert.slack_constant,
+    }
+    return _sha256(json.dumps(fields).encode())
+
+
+# {word: sha256 of its certificate}
+CERTIFICATES = {
+    'gdb:1,9,1': '98c35932a56ca86f5870e14b442b1f070478a3b8a8d468c3721e843859060ed8',
+    'gdb:2,3,1': 'b850f084136f37bc9deb7ef741f2be9ff304099f69295bea35afb75c49782d36',
+    'gdb:1,5,2': 'b472ad9f729f14af958aecf471385c90e5b19b380494b50496ca89547a1b3208',
+    'example32': 'f2e3d86c399b941d0709e58ac24dd3b9e789fb9f7c93e4de01787e30835971e9',
+    'example16': 'fc299d0a4a6428d3fa88d54340b16be7091a01a3fefc1a3dd5c5bd6f2f695f0c',
+}
+
+
+def test_certificates_cover_corpus():
+    assert set(CERTIFICATES) == {name for name, _, _ in certificate_corpus()}
+
+
+@pytest.mark.parametrize("name,word,params", list(certificate_corpus()),
+                         ids=[name for name, _, _ in certificate_corpus()])
+def test_certificate_digests(name, word, params):
+    assert _certificate_digest(verify_gdb(word, params)) == CERTIFICATES[name]
+
+
+PROFILE_K_MAX = 9
+
+
+def _profile_digest(text, cyclic):
+    """sha256 of entropy_profile's per-order rows and running means."""
+    prof = entropy_profile(text, min(PROFILE_K_MAX, len(text) - 1) if cyclic else PROFILE_K_MAX,
+                           cyclic)
+    return _sha256(json.dumps([prof.per_order, sorted(prof.mean_up_to.items())]).encode())
+
+
+# {(input, cyclic): sha256 of its entropy profile to order 9}
+PROFILES = {
+    ('example32', False): 'b19c53fc066dcedfc346a5993299cc3c80c3875ad9d2dc0f5b0422f90ac8dad1',
+    ('example32', True): '9f28b384e811c970eb69ad9207451bc19468996a27335cc01317b9b4941b4704',
+    ('example16', False): '652d1911d6ad48cc188d1fc0418ea5023f39658767c6e975500fb0564fa26fe3',
+    ('example16', True): '622331718976a04b31cf81220ecda28e16e27b144727c039ffb7a44123cec435',
+    ('worst:64', False): '65e1b39c8ddb4b1fec1ce6847d2c32ac1d3b118e2f1b5cf955c9352e8a5ad8f5',
+    ('worst:64', True): 'e6c6e8f121373b4f37e9abaa40f7c4801a8cfc4bbd6a39e9d139d24977513522',
+    ('random:4,2000,1', False): 'f58156bf4311b0993f6bca2267abac2f37bce72352abeb3e3478eaffdbdeb583',
+    ('random:4,2000,1', True): 'da7eaab8939f66ec1b8ac5c580fd11424231e7263bbb155f0a95226302b740a7',
+    ('bytes:4096', False): 'd9a686783333a017dea8824737e1b64ad2de23b8f127c246228143e2390f38e1',
+    ('bytes:4096', True): '6697076ce70b4b395bfd60bc35e2d85cebc5462f27c38db6fe6258276dae3fbb',
+    ('badgrammar:5', False): '5fc0d1673bade6e7637e5971710da4c0f121d98ce1456a899ea533bc236d7ea1',
+    ('badgrammar:5', True): '857ff679c95ba197733b8b8e96ba158da4db9f042177b29d6f39dfbd86441f59',
+}
+
+
+def test_profiles_cover_corpus():
+    assert set(PROFILES) == {(name, c) for name, _ in golden_corpus() for c in (False, True)}
+
+
+@pytest.mark.parametrize("name,text", list(golden_corpus()),
+                         ids=[name for name, _ in golden_corpus()])
+def test_profile_digests(name, text):
+    for cyclic in (False, True):
+        assert _profile_digest(text, cyclic) == PROFILES[name, cyclic], cyclic
