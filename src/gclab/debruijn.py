@@ -23,7 +23,7 @@ import numpy as np
 
 from .parsing import Parsing
 from .reporting import BoundRow, CheckReport
-from .textcore import LOG2E, Text, empirical_entropy
+from .textcore import LOG2E, Text, _count_histogram, _hk_total, _position_counts, empirical_entropy
 
 ENTROPY_TOL = 1e-9
 
@@ -37,8 +37,8 @@ class GdBParams:
     def __post_init__(self):
         if self.k < 1 or self.l < 0 or self.p < 1:
             raise ValueError("need k >= 1, l >= 0, p >= 1")
-        # both the word length sigma^(k+(l+1)/2) and the certificate's window
-        # codes (base sigma, up to length k+l+1) must fit in 64 bits
+        # both the word length sigma^(k+(l+1)/2) and the construction's
+        # overlap-graph codes (base sigma, up to length k+l+1) must fit in 64 bits
         if self.p * (2 * self.k + self.l + 1) > 62:
             raise OverflowError("word length does not fit in 64 bits")
         if 2 * self.p * (self.k + self.l + 1) > 62:
@@ -211,12 +211,22 @@ def verify_gdb(text: Text, params: GdBParams) -> GdBCertificate:
         raise ValueError("alphabet size does not match the parameters")
     sigma = params.sigma
     z = params.z
+    log_sigma2 = math.log2(sigma)
+    logn = math.log2(n)
 
     tables = {}
     ok = {1: True, 2: True, 3: True}
     consistent = True
-    for i in range(1, z + 1):
-        hist = text.window_count_histogram(i, cyclic=True)
+    ent_cyc = {}
+    ent_lin = {}
+    cyc_ok = True
+    lin_ok = True
+    slack = 0.0
+    # one walk: level i gives the count table of length i and, with level
+    # i-1, the order-(i-1) entropies in both modes
+    d_cyc = d_lin = np.full(n, n)
+    for i, ranks in text._rank_ladder(z):
+        hist = _count_histogram(ranks)
         tables[i] = hist
         consistent &= sum(c * m for c, m in hist.items()) == n
         expected = params.expected_count(i)
@@ -229,30 +239,26 @@ def verify_gdb(text: Text, params: GdBParams) -> GdBCertificate:
             if i == z:
                 ok[3] &= set(hist) <= {1}
 
-    log_sigma2 = math.log2(sigma)
-    ent_cyc = {}
-    ent_lin = {}
-    cyc_ok = True
-    lin_ok = True
-    slack = 0.0
-    logn = math.log2(n)
-    for i in range(0, params.k + params.l + 1):
-        target = log_sigma2 if i < params.k else log_sigma2 / 2
-        _, per_cyc = empirical_entropy(text, i, cyclic=True)
-        ent_cyc[i] = per_cyc
+        order = i - 1
+        c_cyc = _position_counts(ranks)
+        c_lin = _position_counts(ranks[: n - order])
+        target = log_sigma2 if order < params.k else log_sigma2 / 2
+        per_cyc = _hk_total(d_cyc, c_cyc) / n
+        ent_cyc[order] = per_cyc
         cyc_ok &= abs(per_cyc - target) <= ENTROPY_TOL
-        _, per_lin = empirical_entropy(text, i, cyclic=False)
-        ent_lin[i] = per_lin
+        per_lin = _hk_total(d_lin, c_lin) / n
+        ent_lin[order] = per_lin
         # the last window of the text is counted in context denominators but
         # has no successor, which can push the linear value above the cyclic
         # one by up to log2(e) bits in total; allow exactly that
         lin_ok &= per_lin <= target + LOG2E / n + ENTROPY_TOL
-        if i == 0:
+        if order == 0:
             lin_ok &= per_lin >= target - ENTROPY_TOL
         else:
             deficit = target - per_lin
             if deficit > 0:
-                slack = max(slack, deficit * n / (i * logn))
+                slack = max(slack, deficit * n / (order * logn))
+        d_cyc, d_lin = c_cyc, c_lin
 
     return GdBCertificate(
         params=params,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reporting import BoundRow, CheckReport
-from .textcore import LOG2E, SuffixAutomaton, Text, empirical_entropy
+from .textcore import LOG2E, SuffixAutomaton, Text, _context_counts, empirical_entropy
 
 VERIFY_SLACK = 1e-6
 
@@ -149,13 +149,9 @@ def _k_cost_prefix(text: Text, k: int) -> np.ndarray:
     """Prefix sums of log2(count of k-gram at p) - log2(count of (k+1)-gram at p)."""
     cache = text.__dict__.setdefault("_k_cost_cache", {})
     if k not in cache:
-        n = len(text)
-        c = text.position_counts(k + 1, cyclic=False).astype(np.float64)
-        if k == 0:
-            d = np.full(len(c), float(n))
-        else:
-            d = text.position_counts(k, cyclic=False).astype(np.float64)[: len(c)]
-        terms = np.log2(d) - np.log2(c)
+        terms = np.zeros(0)
+        for d, c in _context_counts(text, k, k, cyclic=False):  # none when k >= |text|
+            terms = np.log2(d[: len(c)].astype(np.float64)) - np.log2(c.astype(np.float64))
         pref = np.zeros(len(terms) + 1)
         np.cumsum(terms, out=pref[1:])
         cache[k] = pref

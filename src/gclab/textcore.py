@@ -3,26 +3,22 @@ empirical entropy.
 
 A Text is an immutable sequence of integer symbol ids over a declared
 alphabet of size sigma.  Counting has two backends: a suffix automaton for
-ad-hoc pattern queries (built lazily, O(|pattern|) per query) and
-numpy-coded fixed-length window tables used by the entropy and certificate
+ad-hoc pattern queries (built lazily, O(|pattern|) per query) and a ladder
+of cyclic window ranks for fixed-length counts: the length-g ranks come from
+the length-(g-1) ranks plus the next symbol by one numpy sort, so one walk
+counts every order, linear and cyclic, for the entropy and certificate
 machinery.  All logarithms are base 2.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 LOG2E = math.log2(math.e)
-
-# Window codes are kept as int64; fall back to tuple hashing when sigma**g
-# would overflow.
-_CODE_LIMIT = 1 << 62
-
 
 class SuffixAutomaton:
     """Suffix automaton with occurrence counts (endpos sizes).
@@ -72,15 +68,6 @@ class SuffixAutomaton:
                 self.link[q] = cl
                 self.link[cur] = cl
         self._last = cur
-
-    def walk(self, pattern) -> bool:
-        """True iff pattern is a substring of the indexed sequence."""
-        s = 0
-        for ch in pattern:
-            s = self.trans[s].get(ch)
-            if s is None:
-                return False
-        return True
 
     def longest_prefix_match(self, seq, start: int) -> int:
         """Length of the longest prefix of seq[start:] that is a substring."""
@@ -183,85 +170,103 @@ class Text:
     def _automaton(self) -> SuffixAutomaton:
         return SuffixAutomaton(self.symbols)
 
-    @cached_property
-    def _doubled_automaton(self) -> SuffixAutomaton:
-        return SuffixAutomaton(self.symbols + self.symbols)
-
     # -- fixed-length window machinery -------------------------------------
 
     @cached_property
     def _remap(self) -> tuple[np.ndarray, int]:
         """Array re-coded over the observed alphabet, plus its size."""
-        if len(self.symbols) == 0:
-            return self._array, 1
         uniq, inv = np.unique(self._array, return_inverse=True)
         return inv.astype(np.int64), max(1, len(uniq))
 
-    def window_codes(self, g: int, cyclic: bool) -> np.ndarray | None:
-        """int64 codes of all length-g windows, or None when coding overflows.
+    def _rank_ladder(self, g_max: int):
+        """Yield (g, ranks) for g = 1..min(g_max, n).
+
+        ranks[p] is the dense lexicographic rank of the cyclic window of
+        length g starting at p, so equal windows have equal ranks, and the
+        linear windows of length g are ranks[: n-g+1].  Level g ranks the
+        keys (level g-1 rank, next symbol) by one sort, as Manber & Myers'
+        suffix sorting (1993) refines ranks by prefix extension; ranks stay
+        below n, so the keys stay below n * sigma_obs and never overflow.
+        No level is cached.
+        """
+        arr, base = self._remap
+        ranks = arr
+        for g in range(1, min(g_max, len(self.symbols)) + 1):
+            if g > 1:
+                ranks = np.unique(ranks * base + np.roll(arr, 1 - g), return_inverse=True)[1]
+            yield g, ranks
+
+    def window_codes(self, g: int, cyclic: bool) -> np.ndarray:
+        """Ranks of all length-g windows: equal windows, equal ranks.
 
         Linear mode yields n-g+1 windows (empty when g > n), cyclic mode
-        n windows with wraparound.  Codes of equal windows are equal.
+        n windows with wraparound.
         """
         if g < 0:
             raise ValueError("window length must be >= 0")
         n = len(self.symbols)
-        arr, base = self._remap
         if g == 0:
-            count = n if cyclic else n + 1
-            return np.zeros(count, dtype=np.int64)
-        if base**g >= _CODE_LIMIT:
-            return None
-        if cyclic:
-            if g > n:
+            return np.zeros(n if cyclic else n + 1, dtype=np.int64)
+        if g > n:
+            if cyclic:
                 raise ValueError("cyclic windows require pattern length <= |text|")
-            ext = np.concatenate([arr, arr[: g - 1]])
-            m = n
-        else:
-            ext = arr
-            m = n - g + 1
-            if m <= 0:
-                return np.zeros(0, dtype=np.int64)
-        codes = ext[:m].copy()
-        for j in range(1, g):
-            codes *= base
-            codes += ext[j : j + m]
-        return codes
-
-    def _window_tuples(self, g: int, cyclic: bool) -> list:
-        n = len(self.symbols)
-        s = self.symbols
-        if cyclic:
-            if g > n:
-                raise ValueError("cyclic windows require pattern length <= |text|")
-            ext = s + s[: g - 1]
-            return [ext[i : i + g] for i in range(n)]
-        return [s[i : i + g] for i in range(n - g + 1)]
+            return np.zeros(0, dtype=np.int64)
+        for _, ranks in self._rank_ladder(g):
+            pass
+        return ranks if cyclic else ranks[: n - g + 1]
 
     def window_count_histogram(self, g: int, cyclic: bool) -> dict[int, int]:
         """Map occurrence-count -> number of distinct length-g words with it."""
-        codes = self.window_codes(g, cyclic)
-        if codes is not None:
-            if len(codes) == 0:
-                return {}
-            _, counts = np.unique(codes, return_counts=True)
-            vals, mult = np.unique(counts, return_counts=True)
-            return {int(v): int(m) for v, m in zip(vals, mult)}
-        counter = Counter(self._window_tuples(g, cyclic))
-        hist: Counter = Counter(counter.values())
-        return dict(hist)
+        return _count_histogram(self.window_codes(g, cyclic))
 
     def position_counts(self, g: int, cyclic: bool) -> np.ndarray:
         """counts[p] = occurrences of the length-g window starting at p."""
-        codes = self.window_codes(g, cyclic)
-        if codes is not None:
-            if len(codes) == 0:
-                return np.zeros(0, dtype=np.int64)
-            _, inv, counts = np.unique(codes, return_inverse=True, return_counts=True)
-            return counts[inv]
-        windows = self._window_tuples(g, cyclic)
-        counter = Counter(windows)
-        return np.asarray([counter[w] for w in windows], dtype=np.int64)
+        return _position_counts(self.window_codes(g, cyclic))
+
+
+def _position_counts(ranks: np.ndarray) -> np.ndarray:
+    """Occurrences of each position's window among the windows ranked."""
+    return np.bincount(ranks)[ranks]
+
+
+def _count_histogram(ranks: np.ndarray) -> dict[int, int]:
+    """Map occurrence-count -> number of distinct windows with it."""
+    counts = np.bincount(ranks)
+    vals, mult = np.unique(counts[counts > 0], return_counts=True)
+    return {int(v): int(m) for v, m in zip(vals, mult)}
+
+
+def _context_counts(text: Text, k_lo: int, k_hi: int, cyclic: bool):
+    """Yield (d, c) for k = k_lo..k_hi from one walk of the rank ladder.
+
+    c[p] counts the (k+1)-window at p, d[p] the k-window at p (n for k = 0,
+    as |w|_eps = |w|); linear d has one more entry than c.  Orders whose
+    (k+1)-windows exceed the text are not yielded.
+    """
+    n = len(text)
+    d = np.full(n, n)
+    for g, ranks in text._rank_ladder(k_hi + 1):
+        if g < k_lo:
+            continue
+        c = _position_counts(ranks if cyclic else ranks[: n - g + 1])
+        if g > k_lo:
+            yield d, c
+        d = c
+
+
+def _hk_total(d: np.ndarray, c: np.ndarray) -> float:
+    """|S|H_k from the per-position counts of _context_counts."""
+    total = float(np.sum(np.log2(d[: len(c)].astype(np.float64) / c.astype(np.float64))))
+    return max(total, 0.0)
+
+
+def _hk_totals(text: Text, k_lo: int, k_hi: int, cyclic: bool) -> list[float]:
+    """|S|H_k for k = k_lo..k_hi from one walk; linear orders k >= |S| give 0."""
+    n = len(text)
+    if cyclic and 0 < n <= k_hi:
+        raise ValueError("cyclic entropy requires k < |text|")
+    totals = [_hk_total(d, c) for d, c in _context_counts(text, k_lo, k_hi, cyclic)]
+    return totals + [0.0] * (k_hi - k_lo + 1 - len(totals))
 
 
 def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
@@ -279,11 +284,13 @@ def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
         if len(pattern) > n:
             return 0
         return text._automaton.count(pattern)
-    if len(pattern) > n:
+    m = len(pattern)
+    if m > n:
         raise ValueError("cyclic counting requires pattern length <= |text|")
-    # starts in [0, n) of the doubled text are exactly the cyclic starts;
-    # starts in [n, 2n - |p|] replicate the linear occurrences
-    return text._doubled_automaton.count(pattern) - text._automaton.count(pattern)
+    # the cyclic starts n-m+1..n-1 are the linear occurrences in the 2m-2
+    # symbols around the wrap point
+    wrap = Text(text.symbols[n - m + 1 :] + text.symbols[: m - 1], text.sigma)
+    return text._automaton.count(pattern) + count_occurrences(wrap, pattern)
 
 
 def empirical_entropy(text: Text, k: int, cyclic: bool = False) -> tuple[float, float]:
@@ -295,21 +302,8 @@ def empirical_entropy(text: Text, k: int, cyclic: bool = False) -> tuple[float, 
     """
     if k < 0:
         raise ValueError("entropy order must be >= 0")
-    n = len(text)
-    if n == 0:
-        return 0.0, 0.0
-    if cyclic and k >= n:
-        raise ValueError("cyclic entropy requires k < |text|")
-    if not cyclic and k + 1 > n:
-        return 0.0, 0.0
-    c = text.position_counts(k + 1, cyclic).astype(np.float64)
-    if k == 0:
-        total = float(np.sum(np.log2(n / c)))
-        return total, total / n
-    d = text.position_counts(k, cyclic).astype(np.float64)
-    m = len(c)
-    total = float(np.sum(np.log2(d[:m] / c)))
-    return max(total, 0.0), max(total, 0.0) / n
+    (total,) = _hk_totals(text, k, k, cyclic)
+    return total, total / max(len(text), 1)
 
 
 @dataclass(frozen=True)
@@ -330,10 +324,8 @@ class EntropyProfile:
 def entropy_profile(text: Text, k_max: int, cyclic: bool = False) -> EntropyProfile:
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
-    rows = []
-    for k in range(k_max + 1):
-        total, per = empirical_entropy(text, k, cyclic)
-        rows.append((k, total, per))
+    n = max(len(text), 1)
+    rows = [(k, total, total / n) for k, total in enumerate(_hk_totals(text, 0, k_max, cyclic))]
     means = {}
     acc = 0.0
     for l in range(1, k_max + 2):

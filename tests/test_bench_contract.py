@@ -1,0 +1,55 @@
+"""The benchmark's tracer wraps gclab from outside (bench/tracing.py): every
+method it names must exist, or a traced run fails before its first round."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import gclab
+import gclab.labcli  # noqa: F401  (the tracer wraps every layer module, as bench/run.py imports them)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load_tracing():
+    """Import bench/tracing.py (and the checks module it imports) without
+    writing bytecode next to them or leaving bench/ on sys.path."""
+    saved_path, saved_flag, saved_modules = list(sys.path), sys.dont_write_bytecode, set(sys.modules)
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module
+    finally:
+        sys.path[:] = saved_path
+        sys.dont_write_bytecode = saved_flag
+        for name in set(sys.modules) - saved_modules:
+            if Path(getattr(sys.modules[name], "__file__", None) or "/").parent == BENCH:
+                del sys.modules[name]
+
+
+def test_traced_methods_exist():
+    tracing = _load_tracing()
+    for layer, cls_name, meth in tracing.METHODS:
+        cls = getattr(sys.modules[f"gclab.{layer}"], cls_name)
+        assert meth in cls.__dict__, f"{layer}.{cls_name}.{meth}"
+
+
+def test_tracer_installs_and_uninstalls():
+    tracing = _load_tracing()
+    originals = {(layer, cls_name, meth): getattr(sys.modules[f"gclab.{layer}"], cls_name).__dict__[meth]
+                 for layer, cls_name, meth in tracing.METHODS}
+    entropy = gclab.empirical_entropy
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(gclab)
+        assert gclab.empirical_entropy is not entropy
+        gclab.empirical_entropy(gclab.Text.from_string("abab"), 1)
+        assert [s[0] for s in tracer.spans] == ["textcore.empirical_entropy"]
+    finally:
+        tracer.uninstall()
+    assert gclab.empirical_entropy is entropy
+    for (layer, cls_name, meth), fn in originals.items():
+        assert getattr(sys.modules[f"gclab.{layer}"], cls_name).__dict__[meth] is fn

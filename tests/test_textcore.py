@@ -55,9 +55,9 @@ def entropy_oracle(symbols, k, cyclic):
 
 
 def test_text_validation():
+    assert Text([0, 2], 3).symbols == (0, 2)
     with pytest.raises(ValueError):
-        Text([0, 3], 3).symbols  # ok
-        pass
+        Text([0, 3], 3)
     with pytest.raises(ValueError):
         Text([3], 3)
     with pytest.raises(ValueError):
@@ -120,6 +120,39 @@ def test_count_linear_vs_cyclic_bracket(rng):
             assert lin <= cyc <= lin + plen - 1
 
 
+def window_oracle(symbols, g, cyclic):
+    """All length-g windows as tuples: n cyclic starts (g <= n) or n-g+1
+    linear ones."""
+    n = len(symbols)
+    if cyclic:
+        ext = symbols + symbols
+        return [ext[i : i + g] for i in range(n)]
+    return [symbols[i : i + g] for i in range(n - g + 1)]
+
+
+def test_window_counts_match_counter_oracle(rng):
+    texts = [Text([], 1), Text([0], 1), Text.from_string("abab"), Text.from_string("aaaa")]
+    texts += [random_text(rng, sigma, rng.randrange(1, 40))
+              for sigma in (2, 3, 5, 256, 1 << 32) for _ in range(6)]
+    texts += [random_text(rng, sigma, 12) for sigma in (256, 1 << 32)]
+    for t in texts:
+        n = len(t)
+        for g in range(n + 2):
+            for cyclic in (False, True):
+                if cyclic and g > n:
+                    with pytest.raises(ValueError):
+                        t.position_counts(g, cyclic)
+                    with pytest.raises(ValueError):
+                        t.window_count_histogram(g, cyclic)
+                    continue
+                # linear g > n: no windows, so both results are empty
+                windows = window_oracle(t.symbols, g, cyclic)
+                counter = Counter(windows)
+                got = t.position_counts(g, cyclic).tolist()
+                assert got == [counter[w] for w in windows], (t, g, cyclic)
+                assert t.window_count_histogram(g, cyclic) == dict(Counter(counter.values()))
+
+
 # -- entropy ------------------------------------------------------------------------
 
 
@@ -149,10 +182,10 @@ def test_entropy_rejects_bad_orders():
 
 
 def test_entropy_matches_oracle_randomized(rng):
-    for _ in range(30):
-        sigma = rng.choice([2, 4, 7])
+    for _ in range(40):
+        sigma = rng.choice([2, 4, 7, 256, 1 << 32])
         t = random_text(rng, sigma, rng.randrange(2, 80))
-        for k in range(0, 5):
+        for k in range(0, 10):
             got, _ = empirical_entropy(t, k)
             assert got == pytest.approx(entropy_oracle(t.symbols, k, False), abs=1e-9)
             if k < len(t):
