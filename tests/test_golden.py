@@ -1,12 +1,16 @@
 """Golden digests: the exact GCL1 and GCB1 bytes and SizeBreakdown fields of
 Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py),
 Greedy's full traces (every GreedyStep, the stop reason and the GCL1 bytes)
-under each stopping policy, de Bruijn certificates and entropy profiles.
+under each stopping policy, de Bruijn certificates, entropy profiles, and the
+parsings of LZ78, LZ77ns and the best-offset parser with every cost figure,
+natural-parser verdict and de Bruijn lower-bound row computed from them.
 
-A refactor of the grammar serialization, the coders, Greedy or the window
-counting must leave every value here unchanged; formula_bound_bits is a float
-and is compared to 1e-9.  Certificates and profiles are pinned exactly: their
-digests cover the floats' shortest round-trip reprs.
+A refactor of the grammar serialization, the coders, Greedy, the window
+counting or the substring counting behind the parsers must leave every value
+here unchanged; formula_bound_bits is a float
+and is compared to 1e-9.  Certificates, profiles and parsing
+costs are pinned exactly: their digests cover the floats' shortest round-trip
+reprs.
 """
 
 import hashlib
@@ -16,10 +20,17 @@ import pytest
 
 from conftest import golden_corpus
 from gclab import coders
-from gclab.debruijn import GdBParams, generalized_word, verify_gdb
+from gclab.debruijn import GdBParams, generalized_word, lower_bound_check, verify_gdb
 from gclab.greedy import GreedyPolicy, greedy_run
 from gclab.grammar import to_binary
 from gclab.labcli import fixture_text
+from gclab.parsing import (
+    best_offset_parsing,
+    is_natural_parsing,
+    lz77_parse_nonself,
+    lz78_parse,
+    parsing_cost,
+)
 from gclab.textcore import Text, entropy_profile
 
 # {(input, algorithm): {"gcl1": sha256, encoding: (sha256 of the GCB1 container,
@@ -357,3 +368,117 @@ def test_profiles_cover_corpus():
 def test_profile_digests(name, text):
     for cyclic in (False, True):
         assert _profile_digest(text, cyclic) == PROFILES[name, cyclic], cyclic
+
+
+# -- parsings and their costs ------------------------------------------------
+
+PARSERS = {
+    "lz78": lz78_parse,
+    "lz77ns": lz77_parse_nonself,
+    **{f"offset:{l}": (lambda text, l=l: best_offset_parsing(text, l)) for l in (2, 4, 8)},
+}
+
+
+def parsing_corpus():
+    """(name, text, gdb params or None): the golden corpus, three generated
+    words and two periodic words."""
+    for name, text in golden_corpus():
+        yield name, text, None
+    for name, word, params in certificate_corpus():
+        if name.startswith("gdb:"):
+            yield name, word, params
+    yield "a^512", Text.from_string("a" * 512, 2), None
+    yield "(ab)^300", Text.from_string("ab" * 300, 2), None
+
+
+def _parsing_digest(text, parser, params):
+    """sha256 of the phrase lengths, every parsing_cost field for k in
+    {None, 0, 1, 2}, the natural-parser verdict and, on gdb words, the
+    lower-bound rows and measurements."""
+    parsing = PARSERS[parser](text)
+    costs = []
+    for k in (None, 0, 1, 2):
+        rep = parsing_cost(parsing, k)
+        costs.append([rep.parsing_entropy_bits, rep.cost_bits, rep.k_cost_bits,
+                      rep.lengths_entropy_bits, rep.k])
+    fields = {
+        "lengths": parsing.lengths,
+        "costs": costs,
+        "natural": is_natural_parsing(parsing) if text.sigma >= 2 else None,
+    }
+    if params is not None:
+        check = lower_bound_check(text, parsing, params)
+        fields["lower_bound"] = [[r.as_dict() for r in check.rows],
+                                 sorted(check.measurements.items())]
+    return _sha256(json.dumps(fields).encode())
+
+
+# {(input, parser): sha256 of its parsing, costs, natural verdict and bound rows}
+PARSINGS = {
+    ('example32', 'lz78'): 'a51dfbd2fab78d1bc6d5e3c534501ec78e31a313434cad0e4e078af30602a4a4',
+    ('example32', 'lz77ns'): 'ed32d2016826b00609c3944ef2d3d8baa7bd776375c607fdc96f79f910ff6be2',
+    ('example32', 'offset:2'): '6bd20a9c1c4019e29e0a72c7382caf6de69213345499556286db6f1ed6216990',
+    ('example32', 'offset:4'): 'c6357b9c73d36deddce0fa17d6d387328fcb4c3029065dcf94f1b295958cf0be',
+    ('example32', 'offset:8'): '4bee83e2c191f8b1b0bb497d5945d42b0e13b0e99b3a5511e3497b0fbba2a5f0',
+    ('example16', 'lz78'): '43397c852fc83674f10fda745d68e675f1447e6c0196598d0f0b2f537a204239',
+    ('example16', 'lz77ns'): 'bb6edadf4964b96c1cea0bc5cb634a4521a545abd8a849c9bac900a04190558d',
+    ('example16', 'offset:2'): '6f1b94c22983a965cdd92868174d0c8224dbee022f81193aa9c5de460e1d809e',
+    ('example16', 'offset:4'): '00f7065d56a21e3363ccfa896ee0c935532c70a037e4e19461a48b26714b65df',
+    ('example16', 'offset:8'): 'eaa56711565342acfcf308b62cacef4dd87aaa77d7d8a8ab2d73bf4ec5731d52',
+    ('worst:64', 'lz78'): 'c1b0fd1de0f65bfc343232832b6c80ebccbcf09a4d682fd70bb30415e8819d17',
+    ('worst:64', 'lz77ns'): '6dc9ea50abb6b4ae3fa17f0d11f9293e0a1097774a7360d3bbd7382f0913e4ac',
+    ('worst:64', 'offset:2'): '144d54c13531551136c45afb78f6c7b4c1dc935860a1c1bbe47826210d55c597',
+    ('worst:64', 'offset:4'): 'f0a3a28377865cdd4c0571a2bc1e7f68a16f97a965e6036b89b7b0960190c91b',
+    ('worst:64', 'offset:8'): 'd8f59b193b4e4af116fdfffe8be94bed0c5bbaff78ba0eaeefd6916fe0d26694',
+    ('random:4,2000,1', 'lz78'): 'a51836222e02690b4651a959187f70f171c0cf7f222f0411064ec008700bc65c',
+    ('random:4,2000,1', 'lz77ns'): '6e60b3f69d8df0ffce078111ae1f5431b65e839968a6c90a726ed0cb64de7257',
+    ('random:4,2000,1', 'offset:2'): '2b8f96bfe1d46975ed200b5355cfe8bfc2746e0c00d4d2a3bd2f2625b236c487',
+    ('random:4,2000,1', 'offset:4'): 'ba724e7e61a79c135bd9ed41e6d1b0837711c1be3a3802ba6270f7d769ee9009',
+    ('random:4,2000,1', 'offset:8'): 'cd768b668fbb46cbb47390c117f60c3dd65976cec8fb83b2dd765524d56b1a46',
+    ('bytes:4096', 'lz78'): 'e2409f6b3e12ebadf0ddb41f34e117efae6f0a15e8b6ba89d6a190559d8aa238',
+    ('bytes:4096', 'lz77ns'): '02ac0cc90e44ecfa136f6215cd122c6d6f9eefcf8935b47f0718dd54c80874be',
+    ('bytes:4096', 'offset:2'): 'bae05edc0750e78b9329e1345f00031c1797708f54c742c8b90f91b11d4025a4',
+    ('bytes:4096', 'offset:4'): '252a677a6f49c583f91367c22cfa55ae538ba2423cd50a95f945e34cfabb978f',
+    ('bytes:4096', 'offset:8'): 'ba047d42ebaca321fe257104e1d5e19c1dd1b179e48969152016ecdc4637f54a',
+    ('badgrammar:5', 'lz78'): '78ccc684838ea2ea688405f50be045b767085ee4388d1b40155ba8f989bbf780',
+    ('badgrammar:5', 'lz77ns'): '92c0dc3760caab9c33caad145ff709ff327205b03b6af475fb655a8538c50991',
+    ('badgrammar:5', 'offset:2'): 'a3cffcb5f534be7009d06d74281d5196ae6a3fae0d4433350ca2e337f8cd87a1',
+    ('badgrammar:5', 'offset:4'): '286a2250f2d5c5eaf28475eaf66903e873227ca46e76477c35f6a99f1ec0b2f0',
+    ('badgrammar:5', 'offset:8'): '0df9f9d053938164c71b03094375b248770e68d01dd3042cee88ca41a10d422c',
+    ('gdb:1,9,1', 'lz78'): 'db5b676420dd60565e634a35e1346cac13bd1647c57ead8ef244698dc1db1c16',
+    ('gdb:1,9,1', 'lz77ns'): '96184ff3de7f097003cc81010c9e66f5bab5c07d8cc058fcd4f04ee127ee0147',
+    ('gdb:1,9,1', 'offset:2'): 'cab6f76bc7f19b58043fdf3753e175c28aa48bec4bee64a920fb9953b3bdae4c',
+    ('gdb:1,9,1', 'offset:4'): '1586d68d550e41ef230ba1a281de141da583bd15adaba8999728e8af8aed1c83',
+    ('gdb:1,9,1', 'offset:8'): 'b0cca4a78c0a1149c9224a310ec8fcb9337215353eeaa668aa6fcd6b6d55493c',
+    ('gdb:2,3,1', 'lz78'): 'd73dfe093086bcc78786b8ce32b879fd7b9048b7e87a862410fc9d75e01d218c',
+    ('gdb:2,3,1', 'lz77ns'): '03caa17d45ed5f4771970f9c5bbe78cd122b874a1481bf9d586c97f299a72a7e',
+    ('gdb:2,3,1', 'offset:2'): '278242a9f63b82f8eac348874c34d837dc976ec1731eb803ec65b351c589ebc4',
+    ('gdb:2,3,1', 'offset:4'): '9592858db47b693ecf2242765b25919d679bf0c01cf24a7f3e72e120a83d6635',
+    ('gdb:2,3,1', 'offset:8'): '0c1623f67c7c5fdcca0534316fcb1cfb9c3a81394678a2725689d81626cd517f',
+    ('gdb:1,5,2', 'lz78'): 'b624f3a07ab261f290cf0e43ffd82f3a7aae7bebeb92ece0c7f0750bfc3688aa',
+    ('gdb:1,5,2', 'lz77ns'): '4798cf09b6f1875252e94a863ce4b9d5c2fa33a2d1bdb3eabc4c3a07279bcf7a',
+    ('gdb:1,5,2', 'offset:2'): '7fb800f06d0c82fcf1c6493b2b3d171b8ad7267a722b977e0c8a6bea098f4a76',
+    ('gdb:1,5,2', 'offset:4'): '241c90b013b1447e9ce33017d3e833865f8287a20e873cd35720bed745bfe95d',
+    ('gdb:1,5,2', 'offset:8'): 'cd046b8c644f205bd1697f96edfab443a724e6199b043c50ce5745edc8af9b48',
+    ('a^512', 'lz78'): '40ccbd1d778b974fb3a1c9b3409a9f517ba6e8aa3da3efa5e3d1668834c6b436',
+    ('a^512', 'lz77ns'): 'f9e7d05646ce4b97bc47cdf885c71c3dd5f08e5a706e16f7c48d00b3c6519492',
+    ('a^512', 'offset:2'): 'fd77dac2caf18125103617d61568e5ba3c133b7da109d790f6589072ee138b56',
+    ('a^512', 'offset:4'): '7eeeb77c340cbf2539e00befaea5edab75b50760800ae0cad7a73db8749336d8',
+    ('a^512', 'offset:8'): 'e8a34519aa0f6a9e35e72489d9b1ddc359d9fe1869d03f57f29ccc352daa8627',
+    ('(ab)^300', 'lz78'): '73c0134cd86c88fe9b3d319896312e47314521b2ee8b812f61e63e1197e0a917',
+    ('(ab)^300', 'lz77ns'): '698fc1366c758ffe70ba211d98263c97e346e3e5632f76cabdb6f36b75a0fb7a',
+    ('(ab)^300', 'offset:2'): '5866cd75321ac9e8a4b5d5996b54690dfe360918ea3008a76ac111e5e96539cb',
+    ('(ab)^300', 'offset:4'): '843ede6ef289ab42bd094450f5eb3791680c29db8e4714a2d2a6ab3ef50ce5e9',
+    ('(ab)^300', 'offset:8'): '5d5cddda9bf42b6856f8626d4362f1c65fdb4fcb538797cc3f44a78e34fc6af6',
+}
+
+
+def test_parsings_cover_corpus():
+    assert set(PARSINGS) == {(name, p) for name, _, _ in parsing_corpus() for p in PARSERS}
+
+
+@pytest.mark.parametrize("name,text,params", list(parsing_corpus()),
+                         ids=[name for name, _, _ in parsing_corpus()])
+def test_parsing_digests(name, text, params):
+    for parser in PARSERS:
+        assert _parsing_digest(text, parser, params) == PARSINGS[name, parser], parser
