@@ -28,7 +28,7 @@ class ExpansionTooLargeError(ValueError):
 class FullGrammar:
     """Starting string S' plus ordered rules; immutable after construction."""
 
-    __slots__ = ("sigma", "start", "rules", "_expansions", "_len_cache", "_rule_bounds")
+    __slots__ = ("sigma", "start", "rules", "_expansions", "_len_cache", "_rule_bounds", "_text")
 
     def __init__(self, sigma: int, start, rules):
         if sigma < 1:
@@ -53,14 +53,12 @@ class FullGrammar:
         self._expansions: list[tuple] = []  # exp(rule i) for i < len, built in id order
         self._len_cache: list[int] | None = None
         self._rule_bounds: tuple[int, int] | None = None  # max and sum of |exp(X)|
+        self._text: Text | None = None
 
     # -- basic views --------------------------------------------------------
 
     def n_nonterminals(self) -> int:
         return len(self.rules)
-
-    def is_terminal(self, sym: int) -> bool:
-        return sym < self.sigma
 
     def rhs(self, sym: int) -> tuple:
         return self.rules[sym - self.sigma]
@@ -178,7 +176,11 @@ class FullGrammar:
         return self.expand_sequence(self.start)
 
     def text(self) -> Text:
-        return Text(self.expand_start(), self.sigma)
+        """The generated text, built once: its counting index and cost caches
+        are shared by every parsing of it."""
+        if self._text is None:
+            self._text = Text(self.expand_start(), self.sigma)
+        return self._text
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .reporting import BoundRow, CheckReport
-from .textcore import LOG2E, SuffixAutomaton, Text, _context_counts, empirical_entropy
+from .textcore import (
+    LOG2E,
+    Text,
+    _context_counts,
+    _min_table,
+    _range_min,
+    _runs,
+    empirical_entropy,
+)
 
 VERIFY_SLACK = 1e-6
 
@@ -28,9 +36,14 @@ class InfiniteCostError(ValueError):
 
 
 class Parsing:
-    """A partition of a Text into nonempty phrases."""
+    """A partition of a Text into nonempty phrases.
 
-    __slots__ = ("source", "boundaries", "_phrases")
+    Immutable: the phrases, their occurrence counts in the source and both
+    entropies are computed once, on first use.
+    """
+
+    __slots__ = ("source", "boundaries", "_phrases", "_counts", "_entropy_bits",
+                 "_lengths_entropy_bits")
 
     def __init__(self, source: Text, boundaries):
         boundaries = tuple(boundaries)
@@ -48,6 +61,9 @@ class Parsing:
         self.source = source
         self.boundaries = boundaries
         self._phrases = None
+        self._counts = None
+        self._entropy_bits = None
+        self._lengths_entropy_bits = None
 
     @classmethod
     def from_lengths(cls, source: Text, lengths) -> "Parsing":
@@ -55,13 +71,6 @@ class Parsing:
         for l in lengths:
             cuts.append(cuts[-1] + l)
         return cls(source, cuts)
-
-    @classmethod
-    def from_phrases(cls, source: Text, phrases) -> "Parsing":
-        flat = tuple(s for p in phrases for s in p)
-        if flat != source.symbols:
-            raise ValueError("phrases do not concatenate to the source text")
-        return cls.from_lengths(source, [len(p) for p in phrases])
 
     def __len__(self):
         return len(self.boundaries) - 1
@@ -79,13 +88,24 @@ class Parsing:
     def lengths(self) -> tuple:
         return tuple(b - a for a, b in zip(self.boundaries, self.boundaries[1:]))
 
+    def _phrase_counts(self) -> tuple:
+        """Occurrences of each phrase in the source text, overlapping allowed."""
+        if self._counts is None:
+            cuts = np.asarray(self.boundaries, dtype=np.int64)
+            self._counts = tuple(self.source._index.count_windows(cuts[:-1], np.diff(cuts)).tolist())
+        return self._counts
+
     def entropy_bits(self) -> float:
         """|Y| H_0(Y): the phrase sequence viewed as a word."""
-        return _multiset_entropy_bits(Counter(self.phrases), len(self))
+        if self._entropy_bits is None:
+            self._entropy_bits = _multiset_entropy_bits(Counter(self.phrases), len(self))
+        return self._entropy_bits
 
     def lengths_entropy_bits(self) -> float:
         """|L| H_0(L) for L the sequence of phrase lengths."""
-        return _multiset_entropy_bits(Counter(self.lengths), len(self))
+        if self._lengths_entropy_bits is None:
+            self._lengths_entropy_bits = _multiset_entropy_bits(Counter(self.lengths), len(self))
+        return self._lengths_entropy_bits
 
     def dumps(self) -> str:
         return f"n={len(self.source)}\n" + "\n".join(map(str, self.lengths)) + "\n"
@@ -131,17 +151,17 @@ def phrase_probability(text: Text, phrase, k: int | None = None) -> float:
         raise ValueError("probabilities need a nonempty text")
     if len(phrase) == 0:
         return 1.0
-    aut = text._automaton
+    index = text._index
     if k is None:
-        return aut.count(phrase) / n
+        return index.count(phrase) / n
     if k < 0:
         raise ValueError("order must be >= 0")
     prob = text.sigma ** -float(min(len(phrase), k))
     for j in range(k, len(phrase)):
-        num = aut.count(phrase[j - k : j + 1])
+        num = index.count(phrase[j - k : j + 1])
         if num == 0:
             return 0.0
-        prob *= num / aut.count(phrase[j - k : j])
+        prob *= num / index.count(phrase[j - k : j])
     return prob
 
 
@@ -169,18 +189,10 @@ def parsing_cost(parsing: Parsing, k: int | None = None) -> CostReport:
     """C(Y), optionally C_k(Y), plus the entropy figures of the parsing."""
     text = parsing.source
     n = len(text)
-    aut = text._automaton if n else None
     log2n = math.log2(n) if n else 0.0
     cost = 0.0
-    memo: dict[tuple, float] = {}
-    for ph in parsing.phrases:
-        c = memo.get(ph)
-        if c is None:
-            occ = aut.count(ph)
-            if occ == 0:
-                raise InfiniteCostError(f"phrase {ph!r} does not occur in the text")
-            memo[ph] = c = log2n - math.log2(occ)
-        cost += c
+    for occ in parsing._phrase_counts():
+        cost += log2n - math.log2(occ)
 
     k_cost = None
     if k is not None:
@@ -214,29 +226,27 @@ def best_offset_parsing(text: Text, l: int) -> Parsing:
     n = len(text)
     if not 1 <= l <= n:
         raise ValueError("phrase length out of range")
-    aut = text._automaton
     log2n = math.log2(n)
-    memo: dict[tuple, float] = {}
-
-    def cost_of(bounds):
-        total = 0.0
-        s = text.symbols
-        for a, b in zip(bounds, bounds[1:]):
-            ph = s[a:b]
-            c = memo.get(ph)
-            if c is None:
-                memo[ph] = c = log2n - math.log2(aut.count(ph))
-            total += c
-        return total
-
-    best = None
+    candidates = []
     for off in range(l):
-        bounds = list(range(off, n + 1, l)) if off else list(range(0, n + 1, l))
+        bounds = list(range(off, n + 1, l))
         if off:
             bounds.insert(0, 0)
         if bounds[-1] != n:
             bounds.append(n)
-        cost = cost_of(bounds)
+        candidates.append(bounds)
+    cuts = [np.asarray(bounds, dtype=np.int64) for bounds in candidates]
+    occ = text._index.count_windows(
+        np.concatenate([c[:-1] for c in cuts]), np.concatenate([np.diff(c) for c in cuts])
+    ).tolist()
+
+    best = None
+    pos = 0
+    for bounds in candidates:
+        cost = 0.0
+        for o in occ[pos : pos + len(bounds) - 1]:
+            cost += log2n - math.log2(o)
+        pos += len(bounds) - 1
         if best is None or cost < best[0] - 1e-12:
             best = (cost, bounds)
     return Parsing(text, best[1])
@@ -270,17 +280,46 @@ def lz77_parse_nonself(text: Text) -> Parsing:
 
     Each phrase is the longest string occurring entirely inside the already
     parsed prefix, plus one fresh letter (the final phrase may lack it).
+    The copy at i is s[j : j+L] with j + L <= i, so L is the maximum over
+    j < i of min(lcp(i, j), i - j).  The best j lies on the chain of
+    previous-smaller, or of next-smaller, text positions around rank[i] in
+    the suffix array (Crochemore & Ilie, IPL 2008): along a chain lcp only
+    falls and i - j only grows, so each walk stops once i - j >= lcp, after
+    at most one step more than the phrase is long.
     """
-    s = text.symbols
-    n = len(s)
-    aut = SuffixAutomaton()
+    n = len(text)
+    index = text._index
+    ranks = np.arange(n)
+    # the nearest rank on each side whose suffix starts earlier in the text,
+    # and the lcp with it; lcp 0 past the end of a chain ends the walk
+    left, right = _runs(_min_table(index.sa), ranks, ranks + 1, index.sa + 1)
+    prev, nxt = ranks - 1 - left, ranks + 1 + right
+    lcp_table = _min_table(index.lcp)
+    prev_lcp = np.zeros(n, dtype=np.int64)
+    linked = prev >= 0
+    prev_lcp[linked] = _range_min(lcp_table, prev[linked] + 1, ranks[linked] + 1)
+    next_lcp = np.zeros(n, dtype=np.int64)
+    linked = nxt < n
+    next_lcp[linked] = _range_min(lcp_table, ranks[linked] + 1, nxt[linked] + 1)
+    # memoryviews read numpy memory as Python ints, without a list per array
+    walks = ((memoryview(prev), memoryview(prev_lcp)), (memoryview(nxt), memoryview(next_lcp)))
+    sa, rank = memoryview(index.sa), memoryview(index.rank)
     lengths = []
     i = 0
     while i < n:
-        m = aut.longest_prefix_match(s, i)
-        take = min(m + 1, n - i)
-        for ch in s[i : i + take]:
-            aut.extend(ch)
+        best = 0
+        for chain, chain_lcp in walks:
+            p = chain[rank[i]]
+            common = chain_lcp[rank[i]]
+            while common > best:
+                gap = i - sa[p]
+                if gap >= common:
+                    best = common
+                    break
+                best = max(best, gap)
+                common = min(common, chain_lcp[p])
+                p = chain[p]
+        take = min(best + 1, n - i)
         lengths.append(take)
         i += take
     return Parsing.from_lengths(text, lengths)
@@ -297,13 +336,11 @@ def is_natural_parsing(parsing: Parsing) -> tuple[bool, list[int]]:
         raise ValueError("natural-parser predicate needs sigma >= 2")
     n = len(text)
     limit = math.log(n) / math.log(text.sigma) if n else 0.0
-    aut = text._automaton
-    violations = []
-    for idx, ph in enumerate(parsing.phrases):
-        if len(ph) <= limit + 1e-12:
-            continue
-        if aut.count(ph[:-1]) <= 1:
-            violations.append(idx)
+    cuts = np.asarray(parsing.boundaries, dtype=np.int64)
+    lengths = np.diff(cuts)
+    long = np.flatnonzero(lengths > limit + 1e-12)
+    counts = text._index.count_windows(cuts[long], lengths[long] - 1)
+    violations = long[counts <= 1].tolist()
     return not violations, violations
 
 

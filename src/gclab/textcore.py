@@ -2,10 +2,13 @@
 empirical entropy.
 
 A Text is an immutable sequence of integer symbol ids over a declared
-alphabet of size sigma.  Counting has two backends: a suffix automaton for
-ad-hoc pattern queries (built lazily, O(|pattern|) per query) and a ladder
-of cyclic window ranks for fixed-length counts: the length-g ranks come from
-the length-(g-1) ranks plus the next symbol by one numpy sort, so one walk
+alphabet of size sigma.  Counting has two backends.  One suffix index per
+text, built lazily (suffix array, its inverse and LCP, by prefix doubling),
+answers ad-hoc pattern counts by binary search, O(|pattern| log n), counts
+many of the text's own windows at once as LCP-interval widths, and gives
+the parsers their longest previous factors.  A ladder of cyclic window
+ranks serves fixed-length counts: the length-g ranks come from the
+length-(g-1) ranks plus the next symbol by one numpy sort, so one walk
 counts every order, linear and cyclic, for the entropy and certificate
 machinery.  All logarithms are base 2.
 """
@@ -13,6 +16,7 @@ machinery.  All logarithms are base 2.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -20,86 +24,107 @@ import numpy as np
 
 LOG2E = math.log2(math.e)
 
-class SuffixAutomaton:
-    """Suffix automaton with occurrence counts (endpos sizes).
 
-    Supports online extension; occurrence counts are (re)computed lazily on
-    the first count() after an extension.
+class _SuffixIndex:
+    """Suffix array, inverse suffix array and LCP array of one text.
+
+    sa lists the suffix start positions in lexicographic order of the
+    suffixes (a proper prefix sorts first), rank is its inverse and lcp[r]
+    is the length of the longest common prefix of the suffixes at sa[r-1]
+    and sa[r] (lcp[0] = 0).  The suffixes are sorted by prefix doubling
+    (Manber & Myers, SIAM J. Comput. 1993) over the observed-alphabet codes,
+    so any alphabet up to 2^32 works, and lcp comes from the doubling levels
+    by binary lifting.  The symbols tuple is kept, not copied, for pattern
+    search.
     """
 
-    def __init__(self, seq=()):
-        self.link = [-1]
-        self.length = [0]
-        self.trans = [{}]
-        self.clone = [False]
-        self._last = 0
-        self._n = 0
-        self._cnt = None
-        for ch in seq:
-            self.extend(ch)
+    __slots__ = ("symbols", "sa", "rank", "lcp")
 
-    def extend(self, ch):
-        self._cnt = None
-        self._n += 1
-        cur = len(self.length)
-        self.length.append(self.length[self._last] + 1)
-        self.link.append(-1)
-        self.trans.append({})
-        self.clone.append(False)
-        p = self._last
-        while p != -1 and ch not in self.trans[p]:
-            self.trans[p][ch] = cur
-            p = self.link[p]
-        if p == -1:
-            self.link[cur] = 0
-        else:
-            q = self.trans[p][ch]
-            if self.length[p] + 1 == self.length[q]:
-                self.link[cur] = q
-            else:
-                cl = len(self.length)
-                self.length.append(self.length[p] + 1)
-                self.link.append(self.link[q])
-                self.trans.append(dict(self.trans[q]))
-                self.clone.append(True)
-                while p != -1 and self.trans[p].get(ch) == q:
-                    self.trans[p][ch] = cl
-                    p = self.link[p]
-                self.link[q] = cl
-                self.link[cur] = cl
-        self._last = cur
+    def __init__(self, symbols: tuple, codes: np.ndarray):
+        n = len(codes)
+        dtype = np.int32 if n < 1 << 31 else np.int64
+        # level t ranks every suffix by its first 2^t symbols (padded below
+        # every symbol past the end); ranks stay below n, so keys stay below
+        # (n + 1)^2 and never overflow
+        rank = codes
+        distinct = int(codes.max()) + 1 if n else 0
+        levels = [rank.astype(dtype)]
+        h = 1
+        while distinct < n:
+            key = rank * (n + 1)
+            key[: n - h] += rank[h:] + 1
+            uniq, rank = np.unique(key, return_inverse=True)
+            distinct = len(uniq)
+            levels.append(rank.astype(dtype))
+            h *= 2
+        self.symbols = symbols
+        self.rank = levels[-1]
+        self.sa = np.empty(n, dtype=dtype)
+        self.sa[self.rank] = np.arange(n, dtype=dtype)
+        # equal ranks at level t on two distinct positions mean equal windows
+        # of 2^t symbols (a padded window is unique), and every pair differs
+        # within the last level's length, so descending levels sum the LCP;
+        # the suffix at b sorts first, so only it can run out
+        a, b = self.sa[1:], self.sa[:-1]
+        self.lcp = np.zeros(n, dtype=dtype)
+        common = self.lcp[1:]
+        for t in range(len(levels) - 2, -1, -1):
+            ia, ib = a + common, b + common
+            same = (ib < n) & (levels[t][ia] == levels[t][np.minimum(ib, n - 1)])
+            common += same.astype(dtype) << t
 
-    def longest_prefix_match(self, seq, start: int) -> int:
-        """Length of the longest prefix of seq[start:] that is a substring."""
-        s = 0
-        m = 0
-        for i in range(start, len(seq)):
-            s = self.trans[s].get(seq[i])
-            if s is None:
-                break
-            m += 1
-        return m
+    def count(self, pattern: tuple) -> int:
+        """Occurrences of pattern (any symbols), by binary search of the
+        suffix array: O(|pattern| log n)."""
+        s, m = self.symbols, len(pattern)
 
-    def count(self, pattern) -> int:
-        """Number of (possibly overlapping) occurrences of pattern."""
-        if len(pattern) == 0:
-            return self._n
-        if self._cnt is None:
-            # occurrence count = endpos size, propagated along suffix links
-            cnt = [0 if c else 1 for c in self.clone]
-            cnt[0] = 0
-            order = sorted(
-                range(1, len(self.length)), key=self.length.__getitem__, reverse=True
-            )
-            for v in order:
-                cnt[self.link[v]] += cnt[v]
-            self._cnt = cnt
-        s = 0
-        for ch in pattern:
-            s = self.trans[s].get(ch)
-            if s is None:
-                return 0
-        return self._cnt[s]
+        def window(p):
+            return s[p : p + m]
+
+        return bisect_right(self.sa, pattern, key=window) - bisect_left(self.sa, pattern, key=window)
+
+    def count_windows(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Occurrences of text[a : a + m] for each (a, m) at once: the width of
+        the LCP interval of depth m around rank[a]."""
+        r = self.rank[starts].astype(np.int64)
+        left, right = _runs(_min_table(self.lcp[1:]), r, r, lengths)
+        return left + right + 1
+
+
+def _min_table(values: np.ndarray) -> list[np.ndarray]:
+    """Sparse table: level j holds the minimum of values[x : x + 2^j] at x."""
+    table = [values]
+    w = 1
+    while 2 * w <= len(values):
+        table.append(np.minimum(table[-1][:-w], table[-1][w:]))
+        w *= 2
+    return table
+
+
+def _runs(table, left_from, right_from, floor):
+    """Per query, how many consecutive values from values[left_from - 1]
+    leftwards, and from values[right_from] rightwards, are >= floor; by
+    binary lifting over the sparse table of values."""
+    n = len(table[0])
+    lo = np.array(left_from, dtype=np.int64)
+    hi = np.array(right_from, dtype=np.int64)
+    for j in range(len(table) - 1, -1, -1) if n else ():  # an empty table has nothing to read
+        w, level = 1 << j, table[j]
+        ok = (lo >= w) & (level[np.maximum(lo - w, 0)] >= floor)
+        lo -= ok.astype(np.int64) << j
+        ok = (hi + w <= n) & (level[np.minimum(hi, n - w)] >= floor)
+        hi += ok.astype(np.int64) << j
+    return left_from - lo, hi - right_from
+
+
+def _range_min(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(values[a : b]) per query (a < b), from the sparse table of values."""
+    length = b - a
+    out = np.empty(len(a), dtype=np.int64)
+    for j, level in enumerate(table):
+        sel = (length >> j) == 1
+        out[sel] = np.minimum(level[a[sel]], level[b[sel] - (1 << j)])
+    return out
 
 
 class Text:
@@ -167,8 +192,8 @@ class Text:
         return np.asarray(self.symbols, dtype=np.int64)
 
     @cached_property
-    def _automaton(self) -> SuffixAutomaton:
-        return SuffixAutomaton(self.symbols)
+    def _index(self) -> _SuffixIndex:
+        return _SuffixIndex(self.symbols, self._remap[0])
 
     # -- fixed-length window machinery -------------------------------------
 
@@ -281,16 +306,14 @@ def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
     if len(pattern) == 0:
         return n
     if not cyclic:
-        if len(pattern) > n:
-            return 0
-        return text._automaton.count(pattern)
+        return text._index.count(pattern)
     m = len(pattern)
     if m > n:
         raise ValueError("cyclic counting requires pattern length <= |text|")
     # the cyclic starts n-m+1..n-1 are the linear occurrences in the 2m-2
     # symbols around the wrap point
     wrap = Text(text.symbols[n - m + 1 :] + text.symbols[: m - 1], text.sigma)
-    return text._automaton.count(pattern) + count_occurrences(wrap, pattern)
+    return text._index.count(pattern) + count_occurrences(wrap, pattern)
 
 
 def empirical_entropy(text: Text, k: int, cyclic: bool = False) -> tuple[float, float]:

@@ -142,7 +142,7 @@ def test_counts_match_cyclic_counter():
             assert len(seen) == params.sigma**i
         else:
             assert set(seen.values()) == {expected}
-        # spot-check the suffix-automaton cyclic counter agrees
+        # spot-check the suffix-array cyclic counter agrees
         some = list(seen)[:5]
         for pat in some:
             assert count_occurrences(w, pat, cyclic=True) == seen[pat]

@@ -144,6 +144,9 @@ def test_repeated_expand_returns_the_same_object():
     g.expand_start()
     assert g.expand(top) is first
     assert g.expand(g.sigma) is g.expand(g.sigma)
+    # one Text, hence one suffix index, per grammar
+    assert g.text() is g.text()
+    assert g.text().symbols == g.expand_start()
 
 
 def test_deep_chain_expansion():

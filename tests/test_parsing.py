@@ -1,4 +1,5 @@
 import math
+import time
 from collections import Counter
 
 import pytest
@@ -15,7 +16,7 @@ from gclab.parsing import (
     phrase_probability,
     verify_parsing_bounds,
 )
-from gclab.textcore import Text, empirical_entropy
+from gclab.textcore import Text, count_occurrences, empirical_entropy
 
 
 # -- oracles ------------------------------------------------------------------
@@ -58,6 +59,42 @@ def cost_oracle(parsing, k=None):
     return sum(
         -math.log2(prob_oracle(parsing.source, ph, k)) for ph in parsing.phrases
     )
+
+
+def lz77ns_oracle(symbols):
+    """Phrase lengths from the definition: at i, the longest L such that
+    symbols[i : i+L] occurs inside symbols[:i], plus one fresh letter."""
+    symbols = tuple(symbols)
+    n = len(symbols)
+    lengths = []
+    i = 0
+    while i < n:
+        copy = 0
+        while i + copy < n and count(symbols[:i], symbols[i : i + copy + 1]):
+            copy += 1
+        lengths.append(min(copy + 1, n - i))
+        i += lengths[-1]
+    return lengths
+
+
+def lz77ns_texts(rng, count):
+    """Seeded texts over sigma in {1, 2, 3, 4, 2^32}: uniform draws, runs and
+    periodic words, each over at most four distinct symbols."""
+    for t in range(count):
+        sigma = (1, 2, 3, 4, 1 << 32)[t % 5]
+        letters = rng.sample(range(sigma), min(sigma, 4))
+        n = rng.randrange(1, 120)
+        kind = t // 5 % 3
+        if kind == 0:
+            symbols = [rng.choice(letters) for _ in range(n)]
+        elif kind == 1:
+            symbols = []
+            while len(symbols) < n:
+                symbols += [rng.choice(letters)] * rng.randrange(1, 12)
+        else:
+            unit = [rng.choice(letters) for _ in range(rng.randrange(1, 6))]
+            symbols = unit * (n // len(unit) + 1)
+        yield Text(symbols[:n], sigma)
 
 
 def entropy_of_word(seq):
@@ -118,6 +155,34 @@ def test_phrase_probability_matches_oracle(rng):
                 assert phrase_probability(t, ph, k) == pytest.approx(
                     prob_oracle(t, ph, k), rel=1e-12
                 )
+
+
+def test_count_and_probability_edge_cases():
+    # suffix-array search corners: symbols absent from the text or above its
+    # observed alphabet, a 2^32 alphabet, whole-text, over-long and empty
+    # patterns, and cyclic windows across the wrap point
+    big = 1 << 32
+    cases = [
+        (Text([0, 2, 2, 0, 2], 5), [(1,), (4,), (2, 3), (0, 4), (2, 2, 4), (3, 3, 3)]),
+        (Text([big - 1, 0, big - 1, big - 1, 7], big),
+         [(big - 2,), (big - 1, big - 1), (7, big - 1), (1,), (big - 1, 8)]),
+        (Text.from_string("abaababa"), [(2,), (0, 0, 0)]),
+    ]
+    for text, patterns in cases:
+        s, n = text.symbols, len(text)
+        patterns += [(), s, s + s[:1], s[n - 2 :] + s[:2], s[n - 1 :] + s[: n - 1], s[1:] + s[:1]]
+        for pat in patterns:
+            assert count_occurrences(text, pat) == count(s, pat), pat
+            if len(pat) <= n:
+                wrapped = count(s + s[: len(pat) - 1], pat) if pat else n
+                assert count_occurrences(text, pat, cyclic=True) == wrapped, pat
+            else:
+                with pytest.raises(ValueError):
+                    count_occurrences(text, pat, cyclic=True)
+            for k in (None, 0, 1, 2):
+                assert phrase_probability(text, pat, k) == pytest.approx(
+                    prob_oracle(text, pat, k), rel=1e-12
+                ), (pat, k)
 
 
 def test_probability_sum_over_fixed_length_at_most_one(rng):
@@ -186,6 +251,23 @@ def test_parsing_cost_matches_oracle(rng):
         assert rep.lengths_entropy_bits == pytest.approx(
             entropy_of_word(p.lengths), abs=1e-9
         )
+
+
+def test_each_parsing_counted_once(rng, monkeypatch):
+    from gclab.textcore import _SuffixIndex
+
+    calls = []
+    count_windows = _SuffixIndex.count_windows
+
+    def counting(self, starts, lengths):
+        calls.append(len(starts))
+        return count_windows(self, starts, lengths)
+
+    monkeypatch.setattr(_SuffixIndex, "count_windows", counting)
+    p = lz78_parse(random_text(rng, 3, 500))
+    reports = [(parsing_cost(p, k), verify_parsing_bounds(p, k or 0)) for k in (None, 0, 1, 2)]
+    assert calls == [len(p)]
+    assert all(rep.cost_bits == reports[0][0].cost_bits for rep, _ in reports)
 
 
 def test_zero_probability_phrase_error():
@@ -290,16 +372,27 @@ def test_lz77ns_traces():
 
 
 def test_lz77ns_nonoverlap_property(rng):
-    for _ in range(10):
-        t = random_text(rng, 2, rng.randrange(2, 150))
-        p = lz77_parse_nonself(t)
+    # each copy is the longest prefix of the rest that occurs inside the
+    # parsed prefix, not merely one that does
+    for t in lz77ns_texts(rng, 300):
+        assert list(lz77_parse_nonself(t).lengths) == lz77ns_oracle(t.symbols), t
+
+
+def test_lz77ns_runs_and_periods_in_bounded_time():
+    # a walk per repeat length would be quadratic on these
+    for unit, reps in (("a", 1 << 16), ("ab", 1 << 15), ("aab", 1 << 14)):
+        text = Text.from_string(unit * reps, 2)
+        start = time.perf_counter()
+        p = lz77_parse_nonself(text)
+        assert time.perf_counter() - start < 10, unit
+        data = bytes(text.symbols)
         pos = 0
-        for i, ph in enumerate(p.phrases):
-            w = ph[:-1] if pos + len(ph) < len(t) or len(ph) > 1 else ph[:-1]
-            if w:
-                # w occurs fully inside the already parsed prefix
-                assert count(t.symbols[:pos], w) >= 1
-            pos += len(ph)
+        for ln in p.lengths:
+            # the copy occurs inside the parsed prefix, one symbol more does not
+            assert data.find(data[pos : pos + ln - 1], 0, pos) >= 0 or ln == 1
+            if pos + ln < len(data):
+                assert data.find(data[pos : pos + ln], 0, pos) < 0
+            pos += ln
 
 
 # -- natural parser predicate ----------------------------------------------------------

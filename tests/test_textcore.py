@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import random_text
@@ -118,6 +119,42 @@ def test_count_linear_vs_cyclic_bracket(rng):
             lin = count_occurrences(t, pat)
             cyc = count_occurrences(t, pat, cyclic=True)
             assert lin <= cyc <= lin + plen - 1
+
+
+def test_suffix_index_matches_oracle(rng):
+    # suffix array, LCP and LCP-interval window counts against sorted
+    # suffixes, direct comparison and a scan, on random, run-heavy and
+    # periodic texts, sigma up to 2^32
+    for trial in range(200):
+        sigma = (1, 2, 3, 4, 1 << 32)[trial % 5]
+        letters = rng.sample(range(sigma), min(sigma, 3))
+        n = rng.randrange(0, 60)
+        if trial % 3 == 0:
+            unit = [rng.choice(letters) for _ in range(rng.randrange(1, 4))]
+            symbols = (unit * 60)[:n]
+        else:
+            symbols = []
+            while len(symbols) < n:
+                symbols += [rng.choice(letters)] * rng.randrange(1, 4 if trial % 3 == 1 else 2)
+            symbols = symbols[:n]
+        index = Text(symbols, sigma)._index
+        sa = sorted(range(n), key=lambda i: symbols[i:])
+        assert index.sa.tolist() == sa
+        assert index.rank.tolist() == sorted(range(n), key=sa.__getitem__)
+
+        def lcp(a, b):
+            k = 0
+            while a + k < n and b + k < n and symbols[a + k] == symbols[b + k]:
+                k += 1
+            return k
+
+        assert index.lcp.tolist() == [0][:n] + [lcp(sa[r - 1], sa[r]) for r in range(1, n)]
+        if n:
+            starts = [rng.randrange(n) for _ in range(20)]
+            lengths = [rng.randrange(n - a + 1) for a in starts]
+            got = index.count_windows(np.array(starts), np.array(lengths)).tolist()
+            assert got == [count_oracle(symbols, symbols[a : a + m], False)
+                           for a, m in zip(starts, lengths)]
 
 
 def window_oracle(symbols, g, cyclic):
