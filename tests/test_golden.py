@@ -1,20 +1,21 @@
 """Golden digests: the exact GCL1 and GCB1 bytes and SizeBreakdown fields of
 Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py),
-Greedy's full traces (every GreedyStep, the stop reason and the GCL1 bytes)
-under each stopping policy, de Bruijn certificates, entropy profiles, and the
-parsings of LZ78, LZ77ns and the best-offset parser with every cost figure,
-natural-parser verdict and de Bruijn lower-bound row computed from them.
+Re-Pair's and Greedy's full traces (every RepairStep or GreedyStep, the stop
+reason and the GCL1 bytes) under each stopping policy, de Bruijn
+certificates, entropy profiles, and the parsings of LZ78, LZ77ns and the
+best-offset parser with every cost figure, natural-parser verdict and de
+Bruijn lower-bound row computed from them.
 
-A refactor of the grammar serialization, the coders, Greedy, the window
-counting or the substring counting behind the parsers must leave every value
-here unchanged; formula_bound_bits is a float
-and is compared to 1e-9.  Certificates, profiles and parsing
-costs are pinned exactly: their digests cover the floats' shortest round-trip
-reprs.
+A refactor of the grammar serialization, the coders, Re-Pair's pair engine,
+Greedy, the window counting or the substring counting behind the parsers
+must leave every value here unchanged; formula_bound_bits is a float and is
+compared to 1e-9.  Certificates, profiles and parsing costs are pinned
+exactly: their digests cover the floats' shortest round-trip reprs.
 """
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -31,6 +32,7 @@ from gclab.parsing import (
     lz78_parse,
     parsing_cost,
 )
+from gclab.repair import StopPolicy, repair_run
 from gclab.textcore import Text, entropy_profile
 
 # {(input, algorithm): {"gcl1": sha256, encoding: (sha256 of the GCB1 container,
@@ -283,6 +285,172 @@ def test_greedy_traces_cover_corpus():
 def test_greedy_trace_digests(name, text):
     for policy_name in GREEDY_POLICIES:
         assert _trace_digests(text, policy_name) == GREEDY_TRACES[name, policy_name], policy_name
+
+
+# -- Re-Pair traces -----------------------------------------------------------
+
+REPAIR_POLICIES = {
+    "run_to_end": lambda n: StopPolicy.run_to_end(),
+    "working_threshold": lambda n: StopPolicy.working_threshold(),
+    "maxnt:8": lambda n: StopPolicy.max_nonterminals(8),
+    "custom:n/3": lambda n: StopPolicy.custom_threshold(max(1, n // 3)),
+}
+
+
+def repair_trace_corpus():
+    """The golden corpus, Re-Pair's worst case, one sigma=2 text of the
+    stop-point criterion and two runs, where a pair overlaps itself."""
+    yield from golden_corpus()
+    yield "worst:1024", fixture_text("worst:1024")
+    rng = random.Random(20240811 + 4)  # test_acceptance's SEED + 4
+    yield "s2/n70000", Text([rng.randrange(2) for _ in range(70000)], 2)
+    yield "a^511", Text.from_string("a" * 511, 2)
+    yield "(aab)^200", Text.from_string("aab" * 200, 2)
+
+
+def _repair_trace_digests(text, policy_name):
+    """(sha256 of the RepairStep dicts, stopped_by, sha256 of the GCL1 bytes)."""
+    grammar, trace = repair_run(text, REPAIR_POLICIES[policy_name](len(text)))
+    steps = json.dumps([s.as_dict() for s in trace.steps]).encode()
+    return _sha256(steps), trace.stopped_by, _sha256(to_binary(grammar))
+
+
+# {(input, policy): (steps sha256, stopped_by, GCL1 sha256)}
+REPAIR_TRACES = {
+    ('example32', 'run_to_end'): (
+        '5a1f8f3bb6b6d983f9ec4ca082f0a5ee4b7aba80fcbdd413899daf8d7d7c6791', 'exhausted',
+        'f433d4c04070c2660ed9e0f969c16fa7501aec930804caceb7f883d1c35c4f20'),
+    ('example32', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        'e0ccc14ae82456ef710119911ae836d88370dc359959bc17d16ad88ff3df49af'),
+    ('example32', 'maxnt:8'): (
+        '5a1f8f3bb6b6d983f9ec4ca082f0a5ee4b7aba80fcbdd413899daf8d7d7c6791', 'exhausted',
+        'f433d4c04070c2660ed9e0f969c16fa7501aec930804caceb7f883d1c35c4f20'),
+    ('example32', 'custom:n/3'): (
+        '5a1f8f3bb6b6d983f9ec4ca082f0a5ee4b7aba80fcbdd413899daf8d7d7c6791', 'exhausted',
+        'f433d4c04070c2660ed9e0f969c16fa7501aec930804caceb7f883d1c35c4f20'),
+    ('example16', 'run_to_end'): (
+        '11a81db649a6ba5359e0daea8dc6b4bc5afc308cd4659c8cf2aa06eb99a0c431', 'exhausted',
+        '681b2a53945c918b15f24ed8bbd844acc1b2328bde35d72557c04a60776f0ce6'),
+    ('example16', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '3d7f6e37fd075870529b3728e456d3d21b0bae8bbf1ee8530d6d15f249de4eb0'),
+    ('example16', 'maxnt:8'): (
+        '11a81db649a6ba5359e0daea8dc6b4bc5afc308cd4659c8cf2aa06eb99a0c431', 'exhausted',
+        '681b2a53945c918b15f24ed8bbd844acc1b2328bde35d72557c04a60776f0ce6'),
+    ('example16', 'custom:n/3'): (
+        '11a81db649a6ba5359e0daea8dc6b4bc5afc308cd4659c8cf2aa06eb99a0c431', 'exhausted',
+        '681b2a53945c918b15f24ed8bbd844acc1b2328bde35d72557c04a60776f0ce6'),
+    ('worst:64', 'run_to_end'): (
+        '9c5fe3c5dccc5754a0d734bab5a57829361449860b1af47beeaca7ca03c88947', 'exhausted',
+        'c7bc2b2e0d9edea0cee83bcfc0643e5f6b11dc41889f1f5c071a701c51e10dde'),
+    ('worst:64', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '4029bcf595e96d779f918e14a4408c4554fdf00dad080d4dbed563ed024cd465'),
+    ('worst:64', 'maxnt:8'): (
+        'af1eb62287136ae9b30de51bb3a98fc53617d7ed6bdf5ec3eac93fe0f8746339', 'max_nonterminals',
+        'd9c7c8cfa70a632eb472930b78b2a13e46a4821e5d87f5c5db4a440d41fdb76b'),
+    ('worst:64', 'custom:n/3'): (
+        '9c5fe3c5dccc5754a0d734bab5a57829361449860b1af47beeaca7ca03c88947', 'exhausted',
+        'c7bc2b2e0d9edea0cee83bcfc0643e5f6b11dc41889f1f5c071a701c51e10dde'),
+    ('random:4,2000,1', 'run_to_end'): (
+        'e044dbc8390284081bf5ddd338866280ed78669f876737c05e2d6f40e01b3d2a', 'exhausted',
+        '81dd4ac05fa957a2bdb4120564cf0a764b64c34cfe3f9609748a08557ae042ea'),
+    ('random:4,2000,1', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        'f1172d14e2365adb356616480bee8e0ce0df3a67578f48781e14eb092d355e2b'),
+    ('random:4,2000,1', 'maxnt:8'): (
+        '2e156f11db3527c5b00417bc4baa2edaf787e1fe53c0a7f82ac68c7d1a8eafcd', 'max_nonterminals',
+        '8bcfb733bc4a1e0cda917a6cbd4019dcf10c076add78489273ca56f957564601'),
+    ('random:4,2000,1', 'custom:n/3'): (
+        '0833660a6309d119b04634783a5eebaf7e6f884f5309f51b7ad8c382c09ba3ed', 'threshold',
+        'af1e80c93d5effdfb977d3115a29dcbbd687acd72037d391eed1f5d37baac7b6'),
+    ('bytes:4096', 'run_to_end'): (
+        'f18be71434918e8916a8b5e33b2cfd537289ca8b18da84196eb4a1ec2cabc386', 'exhausted',
+        'ae6c0133fcbe6be132afd356dfb674cfc70b5aecda1d6548ee07225e1f0135fd'),
+    ('bytes:4096', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        'd70b4e16289131adf680efb67a41bb67346021c4e3daf073f01926d3baf61cea'),
+    ('bytes:4096', 'maxnt:8'): (
+        'cf5938891e684337959159e36cdefc3d3260004fd5bbd6d84931ce1d08b57689', 'max_nonterminals',
+        'eb0cf980e085b20f82599479bd3bdfbf2392faa22e78cd57315512e77348ee25'),
+    ('bytes:4096', 'custom:n/3'): (
+        'f18be71434918e8916a8b5e33b2cfd537289ca8b18da84196eb4a1ec2cabc386', 'exhausted',
+        'ae6c0133fcbe6be132afd356dfb674cfc70b5aecda1d6548ee07225e1f0135fd'),
+    ('badgrammar:5', 'run_to_end'): (
+        '921ce3672545b260e414814c03b7ff4f41f5be710064e142b4ba46f148d63441', 'exhausted',
+        '5a8e719331a66adbc2097b5fc1e29acb958639c4aa4cd3f13f0bcdaedaa5b2fb'),
+    ('badgrammar:5', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '327ab76ada829b165187eff2f82d8c3d704cd2e7e737945268c8987d56989fa6'),
+    ('badgrammar:5', 'maxnt:8'): (
+        '2f381770e362b25f74e4d4fae990edf4ce0926ed5bcac9dd1e10708312fcca7f', 'max_nonterminals',
+        '352fb5b2548edd1b20267c3a4c467263d7a02d45ee139e2433f676cd7bf777d2'),
+    ('badgrammar:5', 'custom:n/3'): (
+        'e2638f8fd1961b138c9e85501f7773cae3bae85972f01ce048aa42756631f16c', 'threshold',
+        'f6b191b9b5be0611ea623753a83dd668c6abf5dc598680984b64af73120f8cd1'),
+    ('worst:1024', 'run_to_end'): (
+        '9b053f620fb0c61f97a1a06e43a1f5ac433d897403d1a7af5532857fe1f4785c', 'exhausted',
+        'be9972ee5503d23829a112dd6a691b2b60ec2e5ac756c130d5c3c6c01e1ff2eb'),
+    ('worst:1024', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        'bebe52f3e414b7adc4d5a97256d834e099bf86f3abfc12d17a7be0c769a3996e'),
+    ('worst:1024', 'maxnt:8'): (
+        '9cd0eadcec1126a4f4fd0d73573356dbd7692d84d5b12325882053058a4fe1dc', 'max_nonterminals',
+        'a57c50f8a5b9a4cf47f9bc6628607cf7a377bff60a1d750fafc197d0be4c22f6'),
+    ('worst:1024', 'custom:n/3'): (
+        '9b053f620fb0c61f97a1a06e43a1f5ac433d897403d1a7af5532857fe1f4785c', 'exhausted',
+        'be9972ee5503d23829a112dd6a691b2b60ec2e5ac756c130d5c3c6c01e1ff2eb'),
+    ('s2/n70000', 'run_to_end'): (
+        'c22023d4a8644902a2dca683f51c85d473988fd805c5f9847d53f799faf8b86b', 'exhausted',
+        'f3ed9753370ce679e4d9e680226705dcdd8f41201327011e571a24f67563aae2'),
+    ('s2/n70000', 'working_threshold'): (
+        'ed8fcbd06e524ce4405ef5ad63579343a4ec49a8913d7e30b9de1ed4c0ffa013', 'threshold',
+        '359cb4707c1ecd88d3988a494df554f33da9c7008c3d3ab5b0626b577ce88bce'),
+    ('s2/n70000', 'maxnt:8'): (
+        'd5f1206c2682ef9c5d60aa71b10d552bccefaf36563ae88e1efaff3e16a29fb4', 'max_nonterminals',
+        'ecdd1e45e41e9dc6a9c24648e40546e83399c23563cb0949e59d0a3b175352a1'),
+    ('s2/n70000', 'custom:n/3'): (
+        'e7a8026fcfbc7a9d1ab7126e6dd80f7e8cb1d0246c00e4b2adc231998ee587c9', 'threshold',
+        '3719709a21e835e6fca7a71596f64853a3ca3ed1d782a013659c80a000f48fb5'),
+    ('a^511', 'run_to_end'): (
+        'bfffda0d22335f898a695c47c25a6c2b865e335dff4da4fd3b88414abaf37695', 'exhausted',
+        'a37364274e2530f32ce2ccc9d39a5a1139c7a45f371543b626acd6861514c298'),
+    ('a^511', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '9f3b7d5fab2b1a5fc6607c2c07553d80d623689d3b65d5547da064c462746130'),
+    ('a^511', 'maxnt:8'): (
+        'bfffda0d22335f898a695c47c25a6c2b865e335dff4da4fd3b88414abaf37695', 'exhausted',
+        'a37364274e2530f32ce2ccc9d39a5a1139c7a45f371543b626acd6861514c298'),
+    ('a^511', 'custom:n/3'): (
+        '2e5f2067c6a187d4d809abe226d95e4afec5a627bbfddc988626d78f6527fd42', 'threshold',
+        '616ea98ca47ed8bee05640560d69a3201dcd604ff92e971beb09c23cb8b3ee15'),
+    ('(aab)^200', 'run_to_end'): (
+        'b8c149bfbe6c03e2a5754fd52f25812ce4077db9c7bb1349073075bb49f8f325', 'exhausted',
+        '2ada7ff60c9a6d19181844166d5947b8f644b7b93a6273d46ce7d516c084b031'),
+    ('(aab)^200', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '1f75e04b5161f1d2984e7bb92acc3d5f49dd2c133d65e88feaa4dba32695e39b'),
+    ('(aab)^200', 'maxnt:8'): (
+        'b8c149bfbe6c03e2a5754fd52f25812ce4077db9c7bb1349073075bb49f8f325', 'max_nonterminals',
+        '2ada7ff60c9a6d19181844166d5947b8f644b7b93a6273d46ce7d516c084b031'),
+    ('(aab)^200', 'custom:n/3'): (
+        '673a6610ea6ebadb0ffd7911099694c01898501b2dbfec799480642acd4a1fa2', 'threshold',
+        '3c30dca1fbec4f0e244ef2654e1a3315536b0f4b12171f0e299452ac3156c4a6'),
+}
+
+
+def test_repair_traces_cover_corpus():
+    names = [name for name, _ in repair_trace_corpus()]
+    assert set(REPAIR_TRACES) == {(n, p) for n in names for p in REPAIR_POLICIES}
+
+
+@pytest.mark.parametrize("name,text", list(repair_trace_corpus()),
+                         ids=[name for name, _ in repair_trace_corpus()])
+def test_repair_trace_digests(name, text):
+    for policy_name in REPAIR_POLICIES:
+        assert _repair_trace_digests(text, policy_name) == REPAIR_TRACES[name, policy_name], \
+            policy_name
 
 
 # -- de Bruijn certificates and entropy profiles -----------------------------
