@@ -283,7 +283,8 @@ def elias_delta_length(n: int) -> int:
 
 
 def symbol_width(sigma: int, n_rules: int) -> int:
-    return max(1, math.ceil(math.log2(sigma + n_rules))) if sigma + n_rules > 1 else 1
+    """Bits of the largest symbol id, sigma + n_rules - 1; at least 1."""
+    return max(1, (sigma + n_rules - 1).bit_length())
 
 
 def _overhead_slack(rhs_full: int, domain: int, distinct: int) -> float:

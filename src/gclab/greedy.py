@@ -314,7 +314,7 @@ def _pair_endgame(segments, sigma, steps, policy, threshold, on_step) -> str | N
         pair, count, _first, positions = sel
         x = sigma + len(engine.heads) - 1
         engine.replace(pair, positions, x)
-        engine.add_segment(list(pair))
+        engine.add_rule_segment(pair)
         gain = count - 2
         steps.append(
             GreedyStep(len(steps) + 1, pair, count, gain, engine.alive, count)

@@ -39,8 +39,11 @@ from .reporting import BoundRow
 from .textcore import Text, empirical_entropy, entropy_profile, load_text
 
 SCHEMA_VERSION = "1"
+# input caps in symbols.  Re-Pair's is the largest power of two that runs to
+# the end within 10 minutes and 4 GB by extrapolation from measured runs at
+# 2^20-2^22 symbols (README); Greedy's is not measured yet
 GREEDY_CAP = 1 << 24
-REPAIR_CAP = gmod.MAX_EXPANSION
+REPAIR_CAP = 1 << 25
 ALGORITHMS = ("repair", "greedy", "lz78", "lz77ns", "offset-parse")
 
 EXAMPLE_WORD_32 = "aababcbbadccdbddaacadaccbdbbcddc"  # (k=2, l=0, p=1)
@@ -377,10 +380,16 @@ def _entropy_concat_rows(rows, grammar, entropy, k):
     )
 
 
+def _check_cap(text: Text, cap: int, algorithm: str) -> None:
+    if len(text) > cap:
+        raise ValueError(
+            f"input of {len(text)} symbols exceeds the {algorithm} cap of {cap} symbols"
+        )
+
+
 def _repair_entry(name, entropy, spec, rows, measurements):
     text = entropy.text
-    if len(text) > REPAIR_CAP:
-        raise ValueError(f"input exceeds the Re-Pair cap of 2^26 symbols")
+    _check_cap(text, REPAIR_CAP, "Re-Pair")
     policy = _repair_policy(spec.policy)
     grammar, trace = rp.repair_run(text, policy)
     freqs = [s.frequency for s in trace.steps]
@@ -447,8 +456,7 @@ def _repair_entry(name, entropy, spec, rows, measurements):
 
 def _greedy_entry(name, entropy, spec, rows, measurements):
     text = entropy.text
-    if len(text) > GREEDY_CAP:
-        raise ValueError(f"input exceeds the Greedy cap of 2^24 symbols")
+    _check_cap(text, GREEDY_CAP, "Greedy")
     policy = _greedy_policy(spec.policy, len(text), spec.iter_exponent)
     grammar, trace = gr.greedy_run(text, policy)
     n = len(text)
@@ -817,6 +825,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "repair":
         _, text = _load_input(args.input)
+        _check_cap(text, REPAIR_CAP, "Re-Pair")
         grammar, trace = rp.repair_run(text, _repair_policy(args.policy))
         if args.trace_out:
             with open(args.trace_out, "w") as fh:
@@ -827,6 +836,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "greedy":
         _, text = _load_input(args.input)
+        _check_cap(text, GREEDY_CAP, "Greedy")
         policy = _greedy_policy(args.policy, len(text), args.iter_exponent)
         grammar, trace = gr.greedy_run(text, policy)
         if args.trace_out:

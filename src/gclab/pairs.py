@@ -4,90 +4,109 @@ Maintains, over a set of symbol segments, the exact greedy left-to-right
 non-overlapping occurrence count of every adjacent pair, under batched
 pair-to-nonterminal replacements.  Pairs never span two segments.
 
+Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
+IEEE 88(11), 2000).  The segments live in flat per-position arrays: symbol,
+next and previous live position.  Every active pair is one record, its
+occurrence count and the head of its occurrence thread; the
+occurrences are threaded in position order through per-position
+next-occurrence, previous-occurrence and pair-id arrays.  All of it is held
+in stdlib ``array`` typed arrays, built by one numpy pass over the segments.
+
+Only pairs that occur at least twice are active.  Replacing the pair (a, b)
+by a fresh symbol X uses up every occurrence of (a, b), and every pair it
+creates contains X: so a pair that occurs once never occurs again, and the
+new pairs (c, X) and (X, d) are found in two per-replacement dicts keyed by
+the neighbour c or d, with no global pair dictionary.
+
 Selection is deterministic: maximum count first, then leftmost first
 occurrence (global position order, segments in creation order).  A lazy
-max-heap holds (count upper bound, first-position lower bound) keys; popped
-entries are revalidated against exact counts, so stale keys cost extra pops
-but never a wrong answer.
+max-heap holds (count upper bound, first-position lower bound) keys.
+Counts of existing pairs only fall and their first occurrences only move
+right, so an old key stays a valid bound and only new pairs get a push; the
+entry at the top is revalidated against the exact count, which differs from
+the raw occurrence count only in runs such as ``aaaa``.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
+from itertools import chain
+
+import numpy as np
 
 
 class PairEngine:
     def __init__(self, segments):
-        self.sym: list = []
-        self.nxt: list[int] = []
-        self.prv: list[int] = []
-        self.heads: list[int] = []
-        self.alive = 0
-        self._occ: dict[tuple, dict[int, None]] = {}
-        self._minpos: dict[tuple, int] = {}
-        self._heap: list = []
-        for seg in segments:
-            self.add_segment(seg)
-
-    def add_segment(self, seg):
-        seg = list(seg)
-        if not seg:
+        segments = list(segments)
+        if not all(len(seg) for seg in segments):
             raise ValueError("segments must be nonempty")
-        base = len(self.sym)
-        m = len(seg)
-        self.heads.append(base)
-        self.sym.extend(seg)
-        self.nxt.extend(range(base + 1, base + m))
-        self.nxt.append(-1)
-        self.prv.append(-1)
-        self.prv.extend(range(base, base + m - 1))
-        self.alive += m
-        touched = set()
-        for i in range(m - 1):
-            self._add_occ((seg[i], seg[i + 1]), base + i, touched)
-        self._push_touched(touched)
+        lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
+        total = int(lengths.sum())
+        # positions (Greedy's endgame appends two per step) and pair ids
+        # stay far below 4 * total
+        self._typecode = "i" if 4 * total < 1 << 31 else "q"
+        dt = np.int32 if self._typecode == "i" else np.int64
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        self.heads: list[int] = starts.tolist()
+        self.alive = total
 
-    # -- occurrence bookkeeping ---------------------------------------------
+        flat = np.fromiter(chain.from_iterable(segments), dtype=np.int64, count=total)
+        nxt = np.arange(1, total + 1, dtype=dt)
+        nxt[ends - 1] = -1
+        prv = np.arange(-1, total - 1, dtype=dt)
+        prv[starts] = -1
+        self.sym = array("q", flat.tobytes())
+        self.nxt = self._array(nxt)
+        self.prv = self._array(prv)
+        del prv
 
-    def _add_occ(self, pair, pos, touched):
-        occ = self._occ.get(pair)
-        if occ is None:
-            occ = self._occ[pair] = {}
-            self._minpos[pair] = pos
-        elif pos < self._minpos[pair]:
-            self._minpos[pair] = pos
-        occ[pos] = None
-        touched.add(pair)
+        # occurrences sorted by (a, b, position): one group per pair
+        occ = np.flatnonzero(nxt != -1).astype(dt)
+        del nxt
+        a = flat[occ]
+        b = flat[occ + 1]
+        del flat
+        order = np.lexsort((b, a))  # stable, so positions stay ascending
+        occ = occ[order]
+        a = a[order]
+        b = b[order]
+        del order
+        m = len(occ)
+        fresh = np.ones(m, dtype=bool)  # first occurrence of its pair
+        fresh[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+        del a, b
+        first = np.flatnonzero(fresh)
+        size = np.diff(np.append(first, m))
+        active = size >= 2
+        rec = np.full(len(first), -1, dtype=dt)
+        rec[active] = np.arange(int(active.sum()), dtype=dt)
+        pid = np.full(total, -1, dtype=dt)
+        pid[occ] = rec[np.cumsum(fresh) - 1]
+        del rec
+        # a single occurrence threads to nothing on either side
+        onx = np.full(total, -1, dtype=dt)
+        onx[occ[:-1]] = np.where(fresh[1:], -1, occ[1:])
+        opv = np.full(total, -1, dtype=dt)
+        opv[occ[1:]] = np.where(fresh[1:], -1, occ[:-1])
+        del fresh
+        self._pid = self._array(pid)
+        self._onx = self._array(onx)
+        self._opv = self._array(opv)
+        del pid, onx, opv
 
-    def _del_occ(self, pair, pos, touched):
-        occ = self._occ.get(pair)
-        if occ is not None:
-            occ.pop(pos, None)
-            if not occ:
-                del self._occ[pair]
-                del self._minpos[pair]
-            touched.add(pair)
+        first = first[active]
+        count = size[active]
+        head = occ[first]
+        self._cnt = self._array(count)
+        self._head = self._array(head)
+        self._heap = list(zip((-count).tolist(), head.tolist(), range(len(count))))
+        heapq.heapify(self._heap)
+        self._replaced = None
 
-    def _push_touched(self, touched):
-        for pair in touched:
-            occ = self._occ.get(pair)
-            if occ and len(occ) >= 2:
-                heapq.heappush(self._heap, (-len(occ), self._minpos[pair], pair))
-
-    def exact(self, pair):
-        """(greedy non-overlapping count, first counted position, positions)."""
-        occ = self._occ.get(pair)
-        if not occ:
-            return 0, -1, []
-        positions = sorted(occ)
-        taken = []
-        prev = -1
-        for p in positions:
-            if prev != -1 and self.nxt[prev] == p:
-                continue
-            taken.append(p)
-            prev = p
-        return len(taken), taken[0], taken
+    def _array(self, values) -> array:
+        return array(self._typecode, np.ascontiguousarray(values, dtype=self._typecode).tobytes())
 
     def select(self):
         """Most frequent pair with count >= 2, ties to leftmost first occurrence.
@@ -95,61 +114,158 @@ class PairEngine:
         Returns (pair, count, first, positions) or None.
         """
         heap = self._heap
+        cnt, head, onx, sym, nxt = self._cnt, self._head, self._onx, self.sym, self.nxt
         while heap:
-            negub, fp, pair = heap[0]
-            occ = self._occ.get(pair)
-            if not occ or len(occ) < 2:
+            negub, fp, k = heap[0]
+            c = cnt[k]
+            if c < 2:
                 heapq.heappop(heap)
                 continue
-            count, first, positions = self.exact(pair)
+            h = head[k]
+            if c < -negub or h != fp:
+                heapq.heapreplace(heap, (-c, h, k))
+                continue
+            a = sym[h]
+            b = sym[nxt[h]]
+            positions = []
+            p = h
+            if a != b:
+                while p != -1:
+                    positions.append(p)
+                    p = onx[p]
+            else:
+                # greedy left-to-right: skip an occurrence that overlaps
+                # the last one taken
+                last = -1
+                while p != -1:
+                    if last == -1 or nxt[last] != p:
+                        positions.append(p)
+                        last = p
+                    p = onx[p]
+            count = len(positions)
             if count < 2:
                 heapq.heappop(heap)
                 continue
-            if -negub == count and fp == first:
-                return pair, count, first, positions
-            heapq.heappop(heap)
-            heapq.heappush(heap, (-count, first, pair))
+            if count == -negub:
+                return (a, b), count, h, positions
+            heapq.heapreplace(heap, (-count, h, k))
         return None
 
-    # -- replacement ----------------------------------------------------------
-
     def replace(self, pair, positions, new_symbol):
-        """Replace the given disjoint occurrences of pair with new_symbol."""
+        """Replace the given disjoint occurrences of pair, in position order,
+        with new_symbol."""
         a, b = pair
         sym, nxt, prv = self.sym, self.nxt, self.prv
-        touched = set()
-        for p in positions:
-            q = nxt[p]
-            if sym[p] != a or q == -1 or sym[q] != b:
+        pid, onx, opv, cnt, head = self._pid, self._onx, self._opv, self._cnt, self._head
+        p = positions[0]
+        sel = pid[p]
+        if sel == -1 or sym[p] != a or sym[nxt[p]] != b:
+            raise AssertionError("stale replacement position")
+        left: dict = {}   # c -> positions of (c, new_symbol)
+        right: dict = {}  # d -> positions of (new_symbol, d)
+        following = positions[1:]
+        following.append(-1)
+        for p, p_next in zip(positions, following):
+            if pid[p] != sel:
                 raise AssertionError("stale replacement position")
+            q = nxt[p]
             pl = prv[p]
             nr = nxt[q]
-            if pl != -1:
-                self._del_occ((sym[pl], a), pl, touched)
-            self._del_occ(pair, p, touched)
-            if nr != -1:
-                self._del_occ((b, sym[nr]), q, touched)
+            # unlink the occurrences at q, (b, sym[nr]) or in a run the
+            # selected pair's own, and at pl, (sym[pl], a); q dies
+            k = pid[q]
+            if k != -1:
+                pid[q] = -1
+                o = onx[q]
+                v = opv[q]
+                if v == -1:
+                    head[k] = o
+                else:
+                    onx[v] = o
+                if o != -1:
+                    opv[o] = v
+                cnt[k] -= 1
             sym[p] = new_symbol
-            sym[q] = None
             nxt[p] = nr
+            if pl != -1:
+                k = pid[pl]
+                if k != -1:
+                    o = onx[pl]
+                    v = opv[pl]
+                    if v == -1:
+                        head[k] = o
+                    else:
+                        onx[v] = o
+                    if o != -1:
+                        opv[o] = v
+                    cnt[k] -= 1
+                c = sym[pl]
+                at = left.get(c)
+                if at is None:
+                    left[c] = [pl]
+                else:
+                    at.append(pl)
             if nr != -1:
                 prv[nr] = p
-            if pl != -1:
-                self._add_occ((sym[pl], new_symbol), pl, touched)
-            if nr != -1:
-                self._add_occ((new_symbol, sym[nr]), p, touched)
-            self.alive -= 1
-        self._push_touched(touched)
+            if nr == -1 or nr == p_next:
+                # (new_symbol, a) at p would become (new_symbol, new_symbol)
+                # when the next occurrence is replaced
+                pid[p] = -1
+            else:
+                d = sym[nr]
+                at = right.get(d)
+                if at is None:
+                    right[d] = [p]
+                else:
+                    at.append(p)
+        self.alive -= len(positions)
+        cnt[sel] = 0
+        for at in chain(left.values(), right.values()):
+            prev = at[0]
+            if len(at) == 1:
+                pid[prev] = -1
+                continue
+            k = len(cnt)
+            cnt.append(len(at))
+            head.append(prev)
+            heapq.heappush(self._heap, (-len(at), prev, k))
+            pid[prev] = k
+            opv[prev] = -1
+            for p in at[1:]:
+                onx[prev] = p
+                opv[p] = prev
+                pid[p] = k
+                prev = p
+            onx[prev] = -1
+        self._replaced = (a, b)
 
-    # -- readout ---------------------------------------------------------------
+    def add_rule_segment(self, pair):
+        """Append the pair just replaced as a segment of its own, the way
+        Greedy keeps each rule's right-hand side in its working text.
+
+        The replacement used up every occurrence of the pair and made none,
+        so this one stays the pair's only occurrence, and untracked.
+        """
+        if tuple(pair) != self._replaced:
+            raise ValueError("only the pair just replaced can become a segment")
+        base = len(self.sym)
+        self.heads.append(base)
+        self.sym.extend(pair)
+        self.nxt.extend((base + 1, -1))
+        self.prv.extend((-1, base))
+        for links in (self._pid, self._onx, self._opv):
+            links.extend((-1, -1))
+        self.alive += 2
+        self._replaced = None
 
     def segment_symbols(self) -> list[list]:
         out = []
+        sym, nxt = self.sym, self.nxt
         for head in self.heads:
             seg = []
             i = head
             while i != -1:
-                seg.append(self.sym[i])
-                i = self.nxt[i]
+                seg.append(sym[i])
+                i = nxt[i]
             out.append(seg)
         return out

@@ -53,3 +53,18 @@ def test_tracer_installs_and_uninstalls():
     assert gclab.empirical_entropy is entropy
     for (layer, cls_name, meth), fn in originals.items():
         assert getattr(sys.modules[f"gclab.{layer}"], cls_name).__dict__[meth] is fn
+
+
+def test_traced_counters_read_engine_results():
+    """The tracer's counters read Re-Pair's and Greedy's traces as
+    ``result[1].steps``: a change of the result shape fails here."""
+    tracing = _load_tracing()
+    text = gclab.Text.from_string("abracadabra" * 4)
+    for name, run in (("repair.repair_run", gclab.repair.repair_run),
+                      ("greedy.greedy_run", gclab.greedy.greedy_run)):
+        result = run(text)
+        grammar, trace = result
+        assert grammar.expand_start() == text.symbols
+        assert len(trace.steps) > 0
+        for counter, count in tracing._COUNTS[name]:
+            assert count(result) == len(trace.steps), counter

@@ -20,6 +20,7 @@ from gclab.coders import (
     huffman_encode,
     incremental_order,
     sequence_entropy_bits,
+    symbol_width,
     to_container,
 )
 from gclab.grammar import FullGrammar, canonicalized
@@ -189,6 +190,20 @@ def test_fully_naive_example():
     assert br.lengths_side_bits == 2  # unary(2)
     g2 = decode("fully_naive", stream, 2, 1, 2)
     assert g2 == g
+
+
+@pytest.mark.parametrize("sigma", [2**53 + 1, 2**64 + 3])
+def test_fully_naive_round_trip_beyond_float_precision(sigma):
+    # the top id, sigma, needs one bit more than float log2(sigma + 1) says
+    g = FullGrammar(sigma, (sigma, sigma - 1, 0, sigma), [(sigma - 1, 0)])
+    assert symbol_width(sigma, 1) == sigma.bit_length()
+    assert from_container(to_container(g, "fully_naive")) == (g, "fully_naive")
+
+
+def test_symbol_width_small():
+    widths = [symbol_width(sigma, n_rules) for sigma, n_rules in
+              ((1, 0), (2, 0), (2, 1), (3, 1), (4, 1), (255, 1), (256, 1))]
+    assert widths == [1, 1, 2, 2, 3, 8, 9]
 
 
 def test_rule_free_grammar():

@@ -293,3 +293,19 @@ def test_cli_greedy(tmp_path):
 
     g = from_binary(gfile.read_bytes())
     assert g.expand_start() == (0, 1, 2) * 3
+
+
+def test_cli_size_caps(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(labcli, "REPAIR_CAP", 16)
+    monkeypatch.setattr(labcli, "GREEDY_CAP", 16)
+    out = str(tmp_path / "g.gcl")
+    for cmd, name in (("repair", "Re-Pair"), ("greedy", "Greedy")):
+        assert main([cmd, "random:4,17,1", "--out", out]) == 2
+        assert f"exceeds the {name} cap of 16 symbols" in capsys.readouterr().err
+        assert main([cmd, "random:4,16,1", "--out", out]) == 0
+    report = run(RunSpec(inputs=(("r", fixture_text("random:4,17,1")),),
+                         algorithms=("repair", "greedy")))
+    assert [e["error"] for e in report.entries] == [
+        "ValueError: input of 17 symbols exceeds the Re-Pair cap of 16 symbols",
+        "ValueError: input of 17 symbols exceeds the Greedy cap of 16 symbols",
+    ]
