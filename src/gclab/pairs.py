@@ -7,10 +7,10 @@ pair-to-nonterminal replacements.  Pairs never span two segments.
 Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
 IEEE 88(11), 2000).  The segments live in flat per-position arrays: symbol,
 next and previous live position.  Every active pair is one record, its
-occurrence count and the head of its occurrence thread; the
-occurrences are threaded in position order through per-position
-next-occurrence, previous-occurrence and pair-id arrays.  All of it is held
-in stdlib ``array`` typed arrays, built by one numpy pass over the segments.
+occurrence count and the head of its occurrence thread; the occurrences are
+threaded in position order through per-position next-occurrence,
+previous-occurrence and pair-id arrays.  All of it is held in stdlib
+``array`` typed arrays, built by one numpy pass over the segments.
 
 Only pairs that occur at least twice are active.  Replacing the pair (a, b)
 by a fresh symbol X uses up every occurrence of (a, b), and every pair it
