@@ -2,15 +2,17 @@
 Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py),
 Re-Pair's and Greedy's full traces (every RepairStep or GreedyStep, the stop
 reason and the GCL1 bytes) under each stopping policy, de Bruijn
-certificates, entropy profiles, and the parsings of LZ78, LZ77ns and the
+certificates, entropy profiles, the parsings of LZ78, LZ77ns and the
 best-offset parser with every cost figure, natural-parser verdict and de
-Bruijn lower-bound row computed from them.
+Bruijn lower-bound row computed from them, and every entry of the lab's
+report (all five algorithms, all four encodings, three policies).
 
 A refactor of the grammar serialization, the coders, Re-Pair's pair engine,
-Greedy, the window counting or the substring counting behind the parsers
-must leave every value here unchanged; formula_bound_bits is a float and is
-compared to 1e-9.  Certificates, profiles and parsing costs are pinned
-exactly: their digests cover the floats' shortest round-trip reprs.
+Greedy, the window counting, the substring counting behind the parsers or
+the report must leave every value here unchanged; formula_bound_bits is a
+float and is compared to 1e-9.  Certificates, profiles and parsing costs are
+pinned exactly: their digests cover the floats' shortest round-trip reprs.
+Report entries are pinned with their floats rounded to 1e-9.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ from gclab import coders
 from gclab.debruijn import GdBParams, generalized_word, lower_bound_check, verify_gdb
 from gclab.greedy import GreedyPolicy, greedy_run
 from gclab.grammar import to_binary
-from gclab.labcli import fixture_text
+from gclab.labcli import ALGORITHMS, RunSpec, fixture_text, run
 from gclab.parsing import (
     best_offset_parsing,
     is_natural_parsing,
@@ -650,3 +652,166 @@ def test_parsings_cover_corpus():
 def test_parsing_digests(name, text, params):
     for parser in PARSERS:
         assert _parsing_digest(text, parser, params) == PARSINGS[name, parser], parser
+
+
+# -- report entries -----------------------------------------------------------
+
+REPORT_POLICIES = ("end", "threshold", "maxiter:5")
+
+
+def report_corpus():
+    """The golden corpus plus a de Bruijn word, whose cells also carry the
+    certificate and lower-bound rows."""
+    yield from golden_corpus()
+    yield "gdb:2,1,1", fixture_text("gdb:2,1,1")
+
+
+def _rounded(value):
+    """value with every float rounded to 1e-9, containers walked in order."""
+    if isinstance(value, float):
+        return round(value, 9)
+    if isinstance(value, dict):
+        return {key: _rounded(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
+
+
+def _entry_digest(entry):
+    """sha256 of one report entry: each row's name, pass flag, lhs and rhs in
+    row order, the measurements in key order, floats to 1e-9, and the error
+    string of a failed cell."""
+    fields = {
+        "rows": [_rounded([r["name"], r["pass"], r["lhs_bits"], r["rhs_bits"]])
+                 for r in entry.get("bound_rows", ())],
+        "measurements": _rounded(entry.get("measurements")),
+        "error": entry.get("error"),
+    }
+    return _sha256(json.dumps(fields).encode())
+
+
+def _report_digests(policy):
+    spec = RunSpec(inputs=tuple(report_corpus()), algorithms=ALGORITHMS, policy=policy,
+                   encodings=tuple(coders.ENCODINGS))
+    return {(policy, e["input"], e["algorithm"]): _entry_digest(e) for e in run(spec).entries}
+
+
+# {(policy, input, algorithm): sha256 of its report entry}
+REPORT = {
+    ('end', 'badgrammar:5', 'repair'): 'c0ed0e7b3ed5f0786c1f23403adabfc2fc6874fc38c535a7bb4e8e275dc108f4',
+    ('end', 'badgrammar:5', 'greedy'): 'de555f38ffe5ac27c5c3ec0e62cbe90bac6f2988bfc7344e0f48251b276a846c',
+    ('end', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
+    ('end', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
+    ('end', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
+    ('end', 'bytes:4096', 'repair'): '3d697373519bbb65c56ec57c88c4fbf2c8451c043464d19e0b2f50e1bc205504',
+    ('end', 'bytes:4096', 'greedy'): '0c2549c36e00e6c16ccaa7d00f90d84287294b8c44003ef2f8a324d26320a819',
+    ('end', 'bytes:4096', 'lz78'): '0a57c07d60148d36dfc5f58939c9113b72209ee4732f1d54305a58874de860fb',
+    ('end', 'bytes:4096', 'lz77ns'): 'a5eb780efcadb516a0b317dfae688bcf50fcee72cc1bdc2924405a2c2c068462',
+    ('end', 'bytes:4096', 'offset-parse'): 'baae4ebc148d03173bc900410db25929f044a2aeb9b04e39f10899910fb9601b',
+    ('end', 'example16', 'repair'): '29aa1c421b105c9a2491ed03487cf69f73801886dd35c8e47d98b040707eae31',
+    ('end', 'example16', 'greedy'): '726ac9e3aa3fbf8a00019c8676769e30592d7e5b2181b6bde1399dd1201b4d23',
+    ('end', 'example16', 'lz78'): '827704e5303e0a5c304f50a44aea66a435933fe67797ae5fb8566d62814dff26',
+    ('end', 'example16', 'lz77ns'): '9db138130cb1c88c0d2e6c4d4cbbfaa6dbfb6c9e6d6549c7aff0302302bbce9f',
+    ('end', 'example16', 'offset-parse'): '497c4719c82f7a57417fe1d5722364660982c02e0a66c9bd87b67e798dfb5e6e',
+    ('end', 'example32', 'repair'): '30a0149acd7464f7fe8ccdce6e625ccf07c96537ec0f18c5073449cd6d0ae1dd',
+    ('end', 'example32', 'greedy'): 'e0fcb11d53207bba8e893c88a2259c0cb306099172b7256ea7e7476224c13d13',
+    ('end', 'example32', 'lz78'): 'd4f13c6b35fde5aa64500f21df801a96610192a10ab82d6e1b307c970e745d4e',
+    ('end', 'example32', 'lz77ns'): '5b1be8e9714d6a530de54670f58215b2c9d0631b71b9fee3102858179aba14ad',
+    ('end', 'example32', 'offset-parse'): '38308344ee6a2f0e90dd1ebc577aa99d030c563727ee94fa3e60b7d7fad787dd',
+    ('end', 'gdb:2,1,1', 'repair'): '795cf4287e352d1c1dd3cd6de8065eec87461211ff804e7da02acc8b5e8d8c2d',
+    ('end', 'gdb:2,1,1', 'greedy'): '1a30525e0f3bc508f495528dc746f66a5c46e3725cce87d58bd956308fec3f74',
+    ('end', 'gdb:2,1,1', 'lz78'): '9f919f82d6b2034df8c01c974242dfc2397bceff52eceba36da551c7ae57b790',
+    ('end', 'gdb:2,1,1', 'lz77ns'): 'fc442051e2192adfd2c8df91438f008ac46a82d2159c32f3593a97a4685491ad',
+    ('end', 'gdb:2,1,1', 'offset-parse'): '2d862e6b5cbf8a8ecd95f9bbdfaea7aa79f2753ae6d91c85218d2e7a269a310c',
+    ('end', 'random:4,2000,1', 'repair'): 'aeea8a110441a1c42e65cfb64d8028d0ce014d597c43fb210ce5caa909f2a40f',
+    ('end', 'random:4,2000,1', 'greedy'): '9727e2b3ed654212d45334b33be145f7b67ddaa7c41d9f8568d898c5617d21ef',
+    ('end', 'random:4,2000,1', 'lz78'): 'e7327cd2df7a89f2c8b58602ab2c5276a54167ae46b8f200358e37f81bf7e3f2',
+    ('end', 'random:4,2000,1', 'lz77ns'): '8262daa500ca9fb30a2ed48fbf4bce8c70801c667376c42319499ba04d06999e',
+    ('end', 'random:4,2000,1', 'offset-parse'): 'edc6db4c0668cec64b80317a19bda8929cb115e488a2419ecacc00cc9c0032b0',
+    ('end', 'worst:64', 'repair'): '2bacfb7d66fbe9c59c60a60cb5cbdb580b32f1cd71a58cab39940c7b39904bfd',
+    ('end', 'worst:64', 'greedy'): '4968d6e6bad5e851122609d8790437a2f59adc598f37e3240cb98fa6da5c12ec',
+    ('end', 'worst:64', 'lz78'): '58a04a4dc65a7337da2242baee847961604c21c1b8bea50953e8a85e741e6198',
+    ('end', 'worst:64', 'lz77ns'): '861401cae0926623f187feffa2a58b2145f96d00564e8b5eee612e7f0845ede2',
+    ('end', 'worst:64', 'offset-parse'): '393bc51c3bd8800c39af5b213421ac54eff12c6ca69a9c80de1830f4adf5e037',
+    ('threshold', 'badgrammar:5', 'repair'): 'fca119b798255a09afa042e4af7b9f999ac48cb935d06e56924eea6353f897eb',
+    ('threshold', 'badgrammar:5', 'greedy'): '1a8c593c4f77425c88b914f5c769cd0875331f3a319ee33af70ceec80539e440',
+    ('threshold', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
+    ('threshold', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
+    ('threshold', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
+    ('threshold', 'bytes:4096', 'repair'): 'e2a74bd1f40d73daccf1e597018cfa1bdec6f4a89107db8adf2c88e5d6d45ecc',
+    ('threshold', 'bytes:4096', 'greedy'): 'a8c71e5a6b0507b8ade6b555bd68f3b27a03747e6260bf0594c4731515c1936a',
+    ('threshold', 'bytes:4096', 'lz78'): '0a57c07d60148d36dfc5f58939c9113b72209ee4732f1d54305a58874de860fb',
+    ('threshold', 'bytes:4096', 'lz77ns'): 'a5eb780efcadb516a0b317dfae688bcf50fcee72cc1bdc2924405a2c2c068462',
+    ('threshold', 'bytes:4096', 'offset-parse'): 'baae4ebc148d03173bc900410db25929f044a2aeb9b04e39f10899910fb9601b',
+    ('threshold', 'example16', 'repair'): '20dbbdb991c23841f4ccbef2eb5bc6636fd24cd5af5a443bdd606e163fb4e604',
+    ('threshold', 'example16', 'greedy'): 'a7dd43b373fca642024637679886dc9b16a99fe8957ff4343f3c9d092f65591a',
+    ('threshold', 'example16', 'lz78'): '827704e5303e0a5c304f50a44aea66a435933fe67797ae5fb8566d62814dff26',
+    ('threshold', 'example16', 'lz77ns'): '9db138130cb1c88c0d2e6c4d4cbbfaa6dbfb6c9e6d6549c7aff0302302bbce9f',
+    ('threshold', 'example16', 'offset-parse'): '497c4719c82f7a57417fe1d5722364660982c02e0a66c9bd87b67e798dfb5e6e',
+    ('threshold', 'example32', 'repair'): '3fddae24ddfcac1798e76409d0b6f1c70c6c7358969a5b4bc901b9b7387efaa4',
+    ('threshold', 'example32', 'greedy'): '3df0f9261667416bf12f67d35b677ba23064df46d5fbf0bece3847440a82c1a0',
+    ('threshold', 'example32', 'lz78'): 'd4f13c6b35fde5aa64500f21df801a96610192a10ab82d6e1b307c970e745d4e',
+    ('threshold', 'example32', 'lz77ns'): '5b1be8e9714d6a530de54670f58215b2c9d0631b71b9fee3102858179aba14ad',
+    ('threshold', 'example32', 'offset-parse'): '38308344ee6a2f0e90dd1ebc577aa99d030c563727ee94fa3e60b7d7fad787dd',
+    ('threshold', 'gdb:2,1,1', 'repair'): 'b0d4c4244ffedcab213388986084b182ddaf8a9c9535c9625edee67b4d91fc10',
+    ('threshold', 'gdb:2,1,1', 'greedy'): 'cd2c2acf0b3cc4ba1bcaf415e0e542f33158da80db550347d65234d2cb0299d5',
+    ('threshold', 'gdb:2,1,1', 'lz78'): '9f919f82d6b2034df8c01c974242dfc2397bceff52eceba36da551c7ae57b790',
+    ('threshold', 'gdb:2,1,1', 'lz77ns'): 'fc442051e2192adfd2c8df91438f008ac46a82d2159c32f3593a97a4685491ad',
+    ('threshold', 'gdb:2,1,1', 'offset-parse'): '2d862e6b5cbf8a8ecd95f9bbdfaea7aa79f2753ae6d91c85218d2e7a269a310c',
+    ('threshold', 'random:4,2000,1', 'repair'): '8a1689ca4aef27cf3f710bde510725199a85017b834c0332caa7bce96caaebd4',
+    ('threshold', 'random:4,2000,1', 'greedy'): 'a3fdb260fbe9f926c303d266e3f99ca7f836f9c455bd5fdb43471924b6965099',
+    ('threshold', 'random:4,2000,1', 'lz78'): 'e7327cd2df7a89f2c8b58602ab2c5276a54167ae46b8f200358e37f81bf7e3f2',
+    ('threshold', 'random:4,2000,1', 'lz77ns'): '8262daa500ca9fb30a2ed48fbf4bce8c70801c667376c42319499ba04d06999e',
+    ('threshold', 'random:4,2000,1', 'offset-parse'): 'edc6db4c0668cec64b80317a19bda8929cb115e488a2419ecacc00cc9c0032b0',
+    ('threshold', 'worst:64', 'repair'): '5066ae20c2103aaeb6a9056bdf9df4abe7d5ac70e5d9aabbdbc6760098b36238',
+    ('threshold', 'worst:64', 'greedy'): 'a6469081582524c578470bd25d57aaed33742d71bf00e76a84b690fb7e502a2c',
+    ('threshold', 'worst:64', 'lz78'): '58a04a4dc65a7337da2242baee847961604c21c1b8bea50953e8a85e741e6198',
+    ('threshold', 'worst:64', 'lz77ns'): '861401cae0926623f187feffa2a58b2145f96d00564e8b5eee612e7f0845ede2',
+    ('threshold', 'worst:64', 'offset-parse'): '393bc51c3bd8800c39af5b213421ac54eff12c6ca69a9c80de1830f4adf5e037',
+    ('maxiter:5', 'badgrammar:5', 'repair'): '7a323557be6c3879fa7fc151790140a80fa25ba190d31fce0a1da7cd68ed0665',
+    ('maxiter:5', 'badgrammar:5', 'greedy'): 'b5b70de51f26f915bac83ed38df8b8c7c7c97ce3c0e8dd50a31b51b13040ee85',
+    ('maxiter:5', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
+    ('maxiter:5', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
+    ('maxiter:5', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
+    ('maxiter:5', 'bytes:4096', 'repair'): 'f7237e0f7b42e5fd67a95486fb89a54546743bfeef0d17ecf27d1b8ab9597eaf',
+    ('maxiter:5', 'bytes:4096', 'greedy'): 'b402037a6addf224a11f7e57760d6d1f282f15ff566be47f99d0efd7c3ac03e6',
+    ('maxiter:5', 'bytes:4096', 'lz78'): '0a57c07d60148d36dfc5f58939c9113b72209ee4732f1d54305a58874de860fb',
+    ('maxiter:5', 'bytes:4096', 'lz77ns'): 'a5eb780efcadb516a0b317dfae688bcf50fcee72cc1bdc2924405a2c2c068462',
+    ('maxiter:5', 'bytes:4096', 'offset-parse'): 'baae4ebc148d03173bc900410db25929f044a2aeb9b04e39f10899910fb9601b',
+    ('maxiter:5', 'example16', 'repair'): '29aa1c421b105c9a2491ed03487cf69f73801886dd35c8e47d98b040707eae31',
+    ('maxiter:5', 'example16', 'greedy'): '93574880e6e1f4d98890bb71391a0c1c4555f65d44d9aee5174b598010a1c3dc',
+    ('maxiter:5', 'example16', 'lz78'): '827704e5303e0a5c304f50a44aea66a435933fe67797ae5fb8566d62814dff26',
+    ('maxiter:5', 'example16', 'lz77ns'): '9db138130cb1c88c0d2e6c4d4cbbfaa6dbfb6c9e6d6549c7aff0302302bbce9f',
+    ('maxiter:5', 'example16', 'offset-parse'): '497c4719c82f7a57417fe1d5722364660982c02e0a66c9bd87b67e798dfb5e6e',
+    ('maxiter:5', 'example32', 'repair'): 'e2307068d2b53677e3fa30fbb893704f5ae1101a7318e06f403f9fe78da5c6ef',
+    ('maxiter:5', 'example32', 'greedy'): 'd2d2e3aa4c0c629bbe171aa1615d5b46f3a1a65cfad10eeed63a06a827895cfc',
+    ('maxiter:5', 'example32', 'lz78'): 'd4f13c6b35fde5aa64500f21df801a96610192a10ab82d6e1b307c970e745d4e',
+    ('maxiter:5', 'example32', 'lz77ns'): '5b1be8e9714d6a530de54670f58215b2c9d0631b71b9fee3102858179aba14ad',
+    ('maxiter:5', 'example32', 'offset-parse'): '38308344ee6a2f0e90dd1ebc577aa99d030c563727ee94fa3e60b7d7fad787dd',
+    ('maxiter:5', 'gdb:2,1,1', 'repair'): '6c7785e75ecf060cae0df06802037de0cc62173698516255305280fff9e4db1c',
+    ('maxiter:5', 'gdb:2,1,1', 'greedy'): 'f247270fbc7a1dd581e21158ac596731ec4a042eac5eb3523a13146eda785c12',
+    ('maxiter:5', 'gdb:2,1,1', 'lz78'): '9f919f82d6b2034df8c01c974242dfc2397bceff52eceba36da551c7ae57b790',
+    ('maxiter:5', 'gdb:2,1,1', 'lz77ns'): 'fc442051e2192adfd2c8df91438f008ac46a82d2159c32f3593a97a4685491ad',
+    ('maxiter:5', 'gdb:2,1,1', 'offset-parse'): '2d862e6b5cbf8a8ecd95f9bbdfaea7aa79f2753ae6d91c85218d2e7a269a310c',
+    ('maxiter:5', 'random:4,2000,1', 'repair'): '34b3937d5ec6f345bf87be8636158eceabe3bf7c90830f94b5d7fe55b15964d2',
+    ('maxiter:5', 'random:4,2000,1', 'greedy'): 'ba57036f10f721672a542c0ddbc1ca359a8f31df0b5ed8a4638719c5f329c3eb',
+    ('maxiter:5', 'random:4,2000,1', 'lz78'): 'e7327cd2df7a89f2c8b58602ab2c5276a54167ae46b8f200358e37f81bf7e3f2',
+    ('maxiter:5', 'random:4,2000,1', 'lz77ns'): '8262daa500ca9fb30a2ed48fbf4bce8c70801c667376c42319499ba04d06999e',
+    ('maxiter:5', 'random:4,2000,1', 'offset-parse'): 'edc6db4c0668cec64b80317a19bda8929cb115e488a2419ecacc00cc9c0032b0',
+    ('maxiter:5', 'worst:64', 'repair'): '2a5de6f1d0c7296e79ba05bda1fb0b6f431e57a7160364844966ddee4cfd8c21',
+    ('maxiter:5', 'worst:64', 'greedy'): 'abbddb318906fc8b710faff19ecbd6a98158ef794599325b0aa82b4b7c9ae309',
+    ('maxiter:5', 'worst:64', 'lz78'): '58a04a4dc65a7337da2242baee847961604c21c1b8bea50953e8a85e741e6198',
+    ('maxiter:5', 'worst:64', 'lz77ns'): '861401cae0926623f187feffa2a58b2145f96d00564e8b5eee612e7f0845ede2',
+    ('maxiter:5', 'worst:64', 'offset-parse'): '393bc51c3bd8800c39af5b213421ac54eff12c6ca69a9c80de1830f4adf5e037',
+}
+
+
+def test_report_covers_corpus():
+    assert set(REPORT) == {(policy, name, alg) for policy in REPORT_POLICIES
+                           for name, _ in report_corpus() for alg in ALGORITHMS}
+
+
+@pytest.mark.parametrize("policy", REPORT_POLICIES)
+def test_report_digests(policy):
+    got = _report_digests(policy)
+    assert got == {key: want for key, want in REPORT.items() if key[0] == policy}
