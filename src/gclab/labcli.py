@@ -202,28 +202,13 @@ def _natural_row(rows, parsing, prefix=""):
     )
 
 
-class _Entropies:
-    """empirical_entropy of one report input by (k, cyclic), each computed
-    once and shared by every cell of that input."""
-
-    def __init__(self, text: Text):
-        self.text = text
-        self._values: dict[tuple[int, bool], tuple[float, float]] = {}
-
-    def __call__(self, k: int, cyclic: bool = False) -> tuple[float, float]:
-        key = (k, cyclic)
-        if key not in self._values:
-            self._values[key] = empirical_entropy(self.text, k, cyclic=cyclic)
-        return self._values[key]
-
-
-def _cyclic_rows(rows, entropy, k_list):
-    n = len(entropy.text)
+def _cyclic_rows(rows, text, k_list):
+    n = len(text)
     for k in k_list:
         if k >= n:
             continue
-        lin, _ = entropy(k)
-        cyc, _ = entropy(k, cyclic=True)
+        lin, _ = empirical_entropy(text, k)
+        cyc, _ = empirical_entropy(text, k, cyclic=True)
         rows.append(
             BoundRow.check(
                 f"cyclic_vs_normal_entropy_lower[k={k}]", lin, cyc,
@@ -243,7 +228,7 @@ def _cyclic_rows(rows, entropy, k_list):
         )
 
 
-def _encoding_rows(rows, grammar, encodings, entropy, k_list):
+def _encoding_rows(rows, grammar, encodings, text, k_list):
     """Size, roundtrip and Huffman sandwich rows per encoding, with each
     encoding's ratio to |S|H_k(S) of the cell's text for k in ``k_list``."""
     measurements = {}
@@ -263,18 +248,12 @@ def _encoding_rows(rows, grammar, encodings, entropy, k_list):
             )
         )
         rows.append(
-            BoundRow(
-                f"roundtrip[{enc}]",
-                0.0,
-                0.0,
-                decoded.expand_start() == grammar.expand_start(),
-                0.0,
-                "decode(encode(g)) expands to the same text",
-            )
+            BoundRow.flag(f"roundtrip[{enc}]", decoded.expand_start() == grammar.expand_start(),
+                          "decode(encode(g)) expands to the same text")
         )
         entry = br.as_dict()
         for k in k_list:
-            hk, _ = entropy(k)
+            hk, _ = empirical_entropy(text, k)
             entry[f"ratio_vs_hk[k={k}]"] = (br.total_bits / hk) if hk > 0 else None
         measurements[enc] = entry
         if enc in ("naive", "entropy", "incremental"):
@@ -304,16 +283,15 @@ def _encoding_rows(rows, grammar, encodings, entropy, k_list):
 def _grammar_rows(rows, grammar, text, check_irreducible: bool):
     ok_expand = grammar.expand_start() == text.symbols
     rows.append(
-        BoundRow("decompression_identity", 0.0, 0.0, ok_expand, 0.0,
-                 "expand(start) equals the input text")
+        BoundRow.flag("decompression_identity", ok_expand, "expand(start) equals the input text")
     )
     ig = gmod.check_irreducible(grammar)
     weak = gmod.check_weakly_nonredundant(grammar)
     n = len(text)
     if check_irreducible:
         rows.append(
-            BoundRow("irreducible_predicates", 0.0, 0.0, ig.all_ok, 0.0,
-                     f"IG1={ig.ig1} IG2={ig.ig2} IG3={ig.ig3}")
+            BoundRow.flag("irreducible_predicates", ig.all_ok,
+                          f"IG1={ig.ig1} IG2={ig.ig2} IG3={ig.ig3}")
         )
         if n >= 16 and text.sigma >= 2:
             m = gmod.metrics(grammar)
@@ -325,8 +303,8 @@ def _grammar_rows(rows, grammar, text, check_irreducible: bool):
                 )
             )
     rows.append(
-        BoundRow("weakly_nonredundant", 0.0, 0.0, weak.ok, 0.0,
-                 f"underused={len(weak.underused)} short={len(weak.short_rules)}")
+        BoundRow.flag("weakly_nonredundant", weak.ok,
+                      f"underused={len(weak.underused)} short={len(weak.short_rules)}")
     )
     es = gmod.expansion_sum_check(grammar)
     if es.applicable:
@@ -339,24 +317,21 @@ def _grammar_rows(rows, grammar, text, check_irreducible: bool):
     return ig
 
 
-def _entropy_concat_rows(rows, grammar, entropy, k):
+def _entropy_concat_rows(rows, grammar, text, k):
     """Exact chain bounding the entropy coding of ||S',G||."""
-    text = entropy.text
     s_double, ind = gmod.induced_parsing(grammar)
     s_g = grammar.rhs_concat()
     if not s_g:
         return
-    n = len(text)
     lhs = coders.sequence_entropy_bits(s_g)
-    hk, _ = entropy(k)
-    y_h0 = ind.entropy_bits()
+    hk, _ = empirical_entropy(text, k)
     l_h0 = ind.lengths_entropy_bits()
     g_count = len(grammar.rules)
     rhs = (
         hk
         + len(ind) * k * math.log2(text.sigma)
         + l_h0
-        + g_count * (math.log2(len(s_g)) + ENTROPY_CONCAT_ADD if s_g else 0.0)
+        + g_count * (math.log2(len(s_g)) + ENTROPY_CONCAT_ADD)
     )
     rows.append(
         BoundRow.check(
@@ -367,125 +342,71 @@ def _entropy_concat_rows(rows, grammar, entropy, k):
             "|S_G|H0(S_G) <= |S|Hk + |Y''|k log sigma + |L''|H0(L'') + |G|(log|S_G|+c)",
         )
     )
+    size = len(s_g) - g_count  # s_g is S' followed by every right-hand side
     rows.append(
-        BoundRow(
-            "induced_parsing_size",
-            float(len(s_double)),
-            float(len(grammar.start) + sum(len(r) for r in grammar.rules) - g_count),
-            len(s_double)
-            == len(grammar.start) + sum(len(r) for r in grammar.rules) - g_count,
-            0.0,
-            "|S''| = |S'| + ||G|| - |G|",
-        )
+        BoundRow("induced_parsing_size", float(len(s_double)), float(size),
+                 len(s_double) == size, 0.0, "|S''| = |S'| + ||G|| - |G|")
     )
 
 
-def _check_cap(text: Text, cap: int, algorithm: str) -> None:
+def _compress(algorithm: str, text: Text, policy: str, iter_exponent: float | None):
+    """Re-Pair or Greedy on ``text`` under the named policy: (grammar, trace).
+
+    An input over the algorithm's size cap is refused before any work;
+    ``iter_exponent`` is read by Greedy's bare ``maxiter`` policy only.
+    """
+    label, cap = ("Re-Pair", REPAIR_CAP) if algorithm == "repair" else ("Greedy", GREEDY_CAP)
     if len(text) > cap:
-        raise ValueError(
-            f"input of {len(text)} symbols exceeds the {algorithm} cap of {cap} symbols"
-        )
+        raise ValueError(f"input of {len(text)} symbols exceeds the {label} cap of {cap} symbols")
+    if algorithm == "repair":
+        return rp.repair_run(text, _repair_policy(policy))
+    return gr.greedy_run(text, _greedy_policy(policy, len(text), iter_exponent))
 
 
-def _repair_entry(name, entropy, spec, rows, measurements):
-    text = entropy.text
-    _check_cap(text, REPAIR_CAP, "Re-Pair")
-    policy = _repair_policy(spec.policy)
-    grammar, trace = rp.repair_run(text, policy)
+def _repair_rows(rows, grammar, trace, text):
+    """Re-Pair's own rows around the grammar rows; returns its stop-point
+    report under a threshold policy, else None."""
     freqs = [s.frequency for s in trace.steps]
     rows.append(
-        BoundRow(
-            "repair_pair_monotonicity",
-            0.0,
-            0.0,
-            all(a >= b for a, b in zip(freqs, freqs[1:])),
-            0.0,
-            "selected frequencies never increase",
-        )
+        BoundRow.flag("repair_pair_monotonicity", all(a >= b for a, b in zip(freqs, freqs[1:])),
+                      "selected frequencies never increase")
     )
     n = len(text)
     ok_mf = all(
         (step.nonterminals - 1) < n / step.frequency for step in trace.steps
     )
     rows.append(
-        BoundRow(
-            "repair_pair_freq_nonterminals",
-            0.0,
-            0.0,
-            ok_mf,
-            0.0,
-            "|G| < n/z whenever the most frequent pair occurs z times",
-        )
+        BoundRow.flag("repair_pair_freq_nonterminals", ok_mf,
+                      "|G| < n/z whenever the most frequent pair occurs z times")
     )
     ig = _grammar_rows(rows, grammar, text, check_irreducible=False)
     rows.append(
-        BoundRow("repair_expansions_distinct", 0.0, 0.0, ig.ig1, 0.0,
-                 "no two nonterminals share an expansion")
+        BoundRow.flag("repair_expansions_distinct", ig.ig1,
+                      "no two nonterminals share an expansion")
     )
     if trace.policy.kind in (rp.WORKING_THRESHOLD, rp.CUSTOM_THRESHOLD):
-        srep = rp.stop_point_report(trace, text)
-        rows.extend(srep.rows)
-        measurements["stop_point"] = srep.measurements
-    k_mid = spec.k_list[len(spec.k_list) // 2] if spec.k_list else 0
-    _entropy_concat_rows(rows, grammar, entropy, k_mid)
-    m = gmod.metrics(grammar)
-    measurements["compressor"] = {
-        "iterations": len(trace.steps),
-        "nonterminals": m.n_nonterminals,
-        "rhs_size_full": m.rhs_size_full,
-        "working_len": len(grammar.start),
-        "stopped_by": trace.stopped_by,
-    }
-    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, entropy, spec.k_list)
-    if name.startswith("worst:") and "incremental" in spec.encodings:
-        _, br = coders.encode(grammar, "incremental")
-        bound = 0.75 * n * math.log2(n) - WORST_CASE_LINEAR_SLACK * n
-        rows.append(
-            BoundRow.check(
-                "repair_worst_case_incremental",
-                bound,
-                br.total_bits,
-                0.0,
-                "incremental total >= (3/4)|S| log|S| - 6|S|",
-            )
-        )
-        h0, _ = entropy(0)
-        measurements["worst_case_ratio"] = br.total_bits / h0 if h0 else None
-    return gmod.start_parsing(grammar)
+        return rp.stop_point_report(trace, text)
+    return None
 
 
-def _greedy_entry(name, entropy, spec, rows, measurements):
-    text = entropy.text
-    _check_cap(text, GREEDY_CAP, "Greedy")
-    policy = _greedy_policy(spec.policy, len(text), spec.iter_exponent)
-    grammar, trace = gr.greedy_run(text, policy)
+def _greedy_rows(rows, grammar, trace, text):
+    """Greedy's own rows, then the grammar rows with the IG predicates when
+    it ran to the end; returns its stop-point report under the threshold
+    policy, else None."""
     n = len(text)
     sizes = [s.full_size_after for s in trace.steps]
+    ok_gain = all(
+        before - step.gain == after
+        for before, step, after in zip([trace.initial_size] + sizes, trace.steps, sizes)
+    )
     rows.append(
-        BoundRow(
-            "greedy_gain_accounting",
-            0.0,
-            0.0,
-            all(
-                before - step.gain == after
-                for before, step, after in zip(
-                    [trace.initial_size] + sizes, trace.steps, sizes
-                )
-            ),
-            0.0,
-            "||S',G|| drops by exactly the gain each round",
-        )
+        BoundRow.flag("greedy_gain_accounting", ok_gain,
+                      "||S',G|| drops by exactly the gain each round")
     )
     pf = [s.max_pair_freq for s in trace.steps]
     rows.append(
-        BoundRow(
-            "greedy_pair_monotonicity",
-            0.0,
-            0.0,
-            all(a >= b for a, b in zip(pf, pf[1:])),
-            0.0,
-            "most frequent pair count never increases",
-        )
+        BoundRow.flag("greedy_pair_monotonicity", all(a >= b for a, b in zip(pf, pf[1:])),
+                      "most frequent pair count never increases")
     )
     ok_size = all(
         (step.iteration - 1) <= n / (step.max_pair_freq - 2)
@@ -493,62 +414,89 @@ def _greedy_entry(name, entropy, spec, rows, measurements):
         if step.max_pair_freq >= 3
     )
     rows.append(
-        BoundRow("greedy_pair_freq_size", 0.0, 0.0, ok_size, 0.0,
-                 "|G| <= n/(z-2) when the top pair occurs z >= 3 times")
+        BoundRow.flag("greedy_pair_freq_size", ok_size,
+                      "|G| <= n/(z-2) when the top pair occurs z >= 3 times")
     )
-    run_to_end = trace.policy.kind == gr.RUN_TO_END
-    _grammar_rows(rows, grammar, text, check_irreducible=run_to_end)
+    _grammar_rows(rows, grammar, text, check_irreducible=trace.policy.kind == gr.RUN_TO_END)
     if trace.policy.kind == gr.FULL_THRESHOLD:
-        srep = gr.greedy_stop_report(trace, text)
-        rows.extend(srep.rows)
-        measurements["stop_point"] = srep.measurements
+        return gr.greedy_stop_report(trace, text)
+    return None
+
+
+def _compressor_parsing(name, text, algorithm, spec, rows, measurements) -> pmod.Parsing:
+    """A Re-Pair or Greedy cell: the algorithm's own rows, then the stop-point,
+    entropy-chain and encoding rows every grammar gets; returns the parsing
+    induced by the starting string."""
+    grammar, trace = _compress(algorithm, text, spec.policy, spec.iter_exponent)
+    own_rows = _repair_rows if algorithm == "repair" else _greedy_rows
+    stop = own_rows(rows, grammar, trace, text)
+    if stop is not None:
+        rows.extend(stop.rows)
+        measurements["stop_point"] = stop.measurements
     k_mid = spec.k_list[len(spec.k_list) // 2] if spec.k_list else 0
-    _entropy_concat_rows(rows, grammar, entropy, k_mid)
+    _entropy_concat_rows(rows, grammar, text, k_mid)
     m = gmod.metrics(grammar)
-    measurements["compressor"] = {
+    compressor = {
         "iterations": len(trace.steps),
         "nonterminals": m.n_nonterminals,
         "rhs_size_full": m.rhs_size_full,
-        "stopped_by": trace.stopped_by,
     }
-    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, entropy, spec.k_list)
+    if algorithm == "repair":
+        compressor["working_len"] = len(grammar.start)
+    compressor["stopped_by"] = trace.stopped_by
+    measurements["compressor"] = compressor
+    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, text, spec.k_list)
+    if algorithm == "repair" and name.startswith("worst:") and "incremental" in spec.encodings:
+        n = len(text)
+        total_bits = measurements["encodings"]["incremental"]["total_bits"]
+        bound = 0.75 * n * math.log2(n) - WORST_CASE_LINEAR_SLACK * n
+        rows.append(
+            BoundRow.check(
+                "repair_worst_case_incremental",
+                bound,
+                total_bits,
+                0.0,
+                "incremental total >= (3/4)|S| log|S| - 6|S|",
+            )
+        )
+        h0, _ = empirical_entropy(text, 0)
+        measurements["worst_case_ratio"] = total_bits / h0 if h0 else None
     return gmod.start_parsing(grammar)
 
 
-def _entry(name: str, entropy: _Entropies, algorithm: str, spec: RunSpec) -> dict:
-    text = entropy.text
+def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
     rng = random.Random((spec.seed, name, algorithm).__repr__())
     rows: list[BoundRow] = []
     measurements: dict = {"n": len(text), "sigma": text.sigma}
     for k in spec.k_list:
-        total, per = entropy(k)
+        total, per = empirical_entropy(text, k)
         measurements[f"hk_total[k={k}]"] = total
         measurements[f"hk_bits_per_symbol[k={k}]"] = per
-    _cyclic_rows(rows, entropy, [k for k in spec.k_list if k < len(text)])
+    _cyclic_rows(rows, text, [k for k in spec.k_list if k < len(text)])
 
-    parsings: list[tuple[str, pmod.Parsing]] = []
+    # (row prefix, parsing, phrase length l of an offset parsing or None)
+    parsings: list[tuple[str, pmod.Parsing, int | None]] = []
     if algorithm == "lz78":
-        parsings.append(("", pmod.lz78_parse(text)))
+        parsings.append(("", pmod.lz78_parse(text), None))
     elif algorithm == "lz77ns":
-        parsings.append(("", pmod.lz77_parse_nonself(text)))
+        parsings.append(("", pmod.lz77_parse_nonself(text), None))
     elif algorithm == "offset-parse":
-        for l in spec.offsets:
-            if 1 <= l <= len(text):
-                parsings.append((f"l={l}:", pmod.best_offset_parsing(text, l)))
-    elif algorithm == "repair":
-        parsings.append(("", _repair_entry(name, entropy, spec, rows, measurements)))
-    elif algorithm == "greedy":
-        parsings.append(("", _greedy_entry(name, entropy, spec, rows, measurements)))
+        parsings.extend(
+            (f"l={l}:", pmod.best_offset_parsing(text, l), l)
+            for l in spec.offsets
+            if 1 <= l <= len(text)
+        )
+    else:
+        parsings.append(
+            ("", _compressor_parsing(name, text, algorithm, spec, rows, measurements), None)
+        )
 
     gdb = _gdb_params_of(name)
-    for prefix, parsing in parsings:
+    for prefix, parsing, l in parsings:
         _parsing_rows(rows, parsing, spec.k_list, rng, prefix)
-        if algorithm != "offset-parse":
-            _natural_row(rows, parsing, prefix)
-        if algorithm == "offset-parse" and prefix:
-            l = int(prefix[2:-1])
+        if l is not None:
             rep = pmod.parsing_cost(parsing)
-            means = [entropy(i)[0] / len(text) for i in range(l)]
+            means = [empirical_entropy(text, i)[0] / len(text) for i in range(l)]
             n = len(text)
             rows.append(
                 BoundRow.check(
@@ -566,22 +514,21 @@ def _entry(name: str, entropy: _Entropies, algorithm: str, spec: RunSpec) -> dic
                     math.ceil(n / l) + 1,
                 )
             )
-        if gdb is not None and algorithm != "offset-parse":
-            # offset parsings may exceed z = k+l+1 legitimately; the lower
-            # bound applies to natural parsers only
-            sub = debruijn.lower_bound_check(text, parsing, gdb)
-            rows.extend(_prefixed(row, prefix) for row in sub.rows)
+        else:
+            _natural_row(rows, parsing, prefix)
+            if gdb is not None:
+                # offset parsings may exceed z = k+l+1 legitimately; the
+                # lower bound applies to natural parsers only
+                sub = debruijn.lower_bound_check(text, parsing, gdb)
+                rows.extend(_prefixed(row, prefix) for row in sub.rows)
         measurements[f"parsing{prefix or ':'}phrases"] = len(parsing)
 
     if gdb is not None and algorithm == spec.algorithms[0]:
         cert = debruijn.verify_gdb(text, gdb)
         rows.append(
-            BoundRow(
+            BoundRow.flag(
                 "debruijn_counts",
-                0.0,
-                0.0,
                 cert.db1 and cert.db2 and cert.db3 and cert.tables_consistent,
-                0.0,
                 f"dB1={cert.db1} dB2={cert.db2} dB3={cert.db3}",
             )
         )
@@ -595,14 +542,8 @@ def _entry(name: str, entropy: _Entropies, algorithm: str, spec: RunSpec) -> dic
             )
         )
         rows.append(
-            BoundRow(
-                "gdb_entropy_cyclic_exact",
-                0.0,
-                0.0,
-                cert.entropy_cyclic_ok,
-                0.0,
-                "cyclic entropies hit log sigma / (log sigma)/2 exactly",
-            )
+            BoundRow.flag("gdb_entropy_cyclic_exact", cert.entropy_cyclic_ok,
+                          "cyclic entropies hit log sigma / (log sigma)/2 exactly")
         )
 
     return {
@@ -629,10 +570,9 @@ def run(spec: RunSpec) -> Report:
         generated_at=datetime.now(timezone.utc).isoformat(),
     )
     for name, text in sorted(spec.inputs, key=lambda it: it[0]):
-        entropy = _Entropies(text)
         for algorithm in spec.algorithms:
             try:
-                entry = _entry(name, entropy, algorithm, spec)
+                entry = _entry(name, text, algorithm, spec)
             except Exception as exc:  # isolate per-input failures
                 entry = {
                     "input": name,
@@ -702,7 +642,9 @@ def _write_out(args, data: bytes):
         with open(args.out, "wb") as fh:
             fh.write(data)
     else:
-        sys.stdout.write(data.decode())
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.flush()
 
 
 def main(argv=None) -> int:
@@ -725,7 +667,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("repair", help="run Re-Pair")
     p.add_argument("input")
     p.add_argument("--policy", default="end",
-                   help="end | threshold | maxnt:N | custom:T")
+                   help="end | threshold | maxnt:N | maxiter:N | custom:T")
     p.add_argument("--trace-out", help="JSON-lines trace output")
     _add_common(p)
 
@@ -776,7 +718,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return _dispatch(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError) as exc:
         print(f"gclab: error: {exc}", file=sys.stderr)
         return 2
 
@@ -823,22 +765,10 @@ def _dispatch(args) -> int:
         )
         return 0
 
-    if args.cmd == "repair":
+    if args.cmd in ("repair", "greedy"):
         _, text = _load_input(args.input)
-        _check_cap(text, REPAIR_CAP, "Re-Pair")
-        grammar, trace = rp.repair_run(text, _repair_policy(args.policy))
-        if args.trace_out:
-            with open(args.trace_out, "w") as fh:
-                for step in trace.steps:
-                    fh.write(json.dumps(step.as_dict()) + "\n")
-        _write_out(args, gmod.to_binary(grammar))
-        return 0
-
-    if args.cmd == "greedy":
-        _, text = _load_input(args.input)
-        _check_cap(text, GREEDY_CAP, "Greedy")
-        policy = _greedy_policy(args.policy, len(text), args.iter_exponent)
-        grammar, trace = gr.greedy_run(text, policy)
+        # --iter-exponent is an option of the greedy command only
+        grammar, trace = _compress(args.cmd, text, args.policy, getattr(args, "iter_exponent", None))
         if args.trace_out:
             with open(args.trace_out, "w") as fh:
                 for step in trace.steps:

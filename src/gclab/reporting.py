@@ -21,6 +21,11 @@ class BoundRow:
         return cls(name, float(lhs), float(rhs), float(lhs) <= float(rhs) + slack,
                    float(slack), detail)
 
+    @classmethod
+    def flag(cls, name, ok, detail="") -> "BoundRow":
+        """A yes/no check: lhs, rhs and slack are 0, and it passes iff ok."""
+        return cls(name, 0.0, 0.0, ok, 0.0, detail)
+
     def as_dict(self) -> dict:
         return {
             "name": self.name,

@@ -322,10 +322,14 @@ def empirical_entropy(text: Text, k: int, cyclic: bool = False) -> tuple[float, 
     Context counts are plain substring counts (the occurrence of a context
     at the very end of the string is included), zero-count terms contribute
     nothing.  Cyclic mode uses wraparound counts and requires k < |S|.
+    Each (k, cyclic) is computed once per Text and kept on it.
     """
     if k < 0:
         raise ValueError("entropy order must be >= 0")
-    (total,) = _hk_totals(text, k, k, cyclic)
+    cache = text.__dict__.setdefault("_entropy_cache", {})
+    if (k, cyclic) not in cache:
+        (cache[k, cyclic],) = _hk_totals(text, k, k, cyclic)
+    total = cache[k, cyclic]
     return total, total / max(len(text), 1)
 
 

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from gclab import labcli
+from gclab import labcli, textcore
+from gclab.greedy import GreedyPolicy, greedy_run
+from gclab.grammar import from_binary, to_binary
 from gclab.labcli import Report, RunSpec, emit, fixture_text, main, run
-from gclab.textcore import Text, empirical_entropy
+from gclab.repair import StopPolicy, repair_run
+from gclab.textcore import Text
 
 
 def small_spec(**kw):
@@ -122,15 +125,17 @@ def test_required_bound_rows_present():
 
 
 def test_each_entropy_computed_once_per_input(monkeypatch):
-    # the five algorithms' cells, their cyclic rows, the offset-parse rows and
-    # the entropy-coding chain all share one value per (input, k, cyclic)
-    calls = []
+    # the report cells, the parsing verifier and the de Bruijn lower bound all
+    # read empirical_entropy's memo on each Text: one computation per
+    # (Text, k, cyclic) across the whole run
+    computed = []
+    hk_totals = textcore._hk_totals
 
-    def counting(text, k, cyclic=False):
-        calls.append((text.symbols, k, cyclic))
-        return empirical_entropy(text, k, cyclic=cyclic)
+    def counting(text, k_lo, k_hi, cyclic):
+        computed.append((text, k_lo, k_hi, cyclic))
+        return hk_totals(text, k_lo, k_hi, cyclic)
 
-    monkeypatch.setattr(labcli, "empirical_entropy", counting)
+    monkeypatch.setattr(textcore, "_hk_totals", counting)
     spec = small_spec(
         inputs=(("worst:16", fixture_text("worst:16")), ("gdb:2,1,1", fixture_text("gdb:2,1,1"))),
         algorithms=("repair", "greedy", "lz78", "lz77ns", "offset-parse"),
@@ -138,9 +143,14 @@ def test_each_entropy_computed_once_per_input(monkeypatch):
     )
     report = run(spec)
     assert all("error" not in e for e in report.entries)
-    assert len(calls) == len(set(calls))
-    # k = 0..7 for the offset rows (l = 8), linear, plus k = 0..2 cyclic
-    assert len(calls) == 2 * (8 + 3)
+    assert all(k_lo == k_hi for _, k_lo, k_hi, _ in computed)
+    # computed keeps every text alive, so no two of them share an id
+    keys = [(id(text), k, cyclic) for text, k, _, cyclic in computed]
+    assert len(keys) == len(set(keys))
+    # per input: k = 0..7 linear for the offset rows (l = 8) plus k = 0..2
+    # cyclic on the input, and k = 0..2 on the text generated by each of the
+    # Re-Pair and Greedy grammars, the source of their start parsings
+    assert len(computed) == 2 * (8 + 3 + 3 + 3)
 
 
 def test_row_names_unique_per_entry():
@@ -233,8 +243,6 @@ def test_cli_repair_encode_decode_round_trip(tmp_path, capsys):
     dec = tmp_path / "g2.gcl"
     rc = main(["decode", str(enc), "--out", str(dec)])
     assert rc == 0
-    from gclab.grammar import from_binary
-
     g1 = from_binary(gfile.read_bytes())
     g2 = from_binary(dec.read_bytes())
     assert g1.expand_start() == g2.expand_start()
@@ -289,8 +297,6 @@ def test_cli_greedy(tmp_path):
     gfile = tmp_path / "g.gcl"
     rc = main(["greedy", str(word), "--out", str(gfile), "--policy", "end"])
     assert rc == 0
-    from gclab.grammar import from_binary
-
     g = from_binary(gfile.read_bytes())
     assert g.expand_start() == (0, 1, 2) * 3
 
@@ -309,3 +315,49 @@ def test_cli_size_caps(monkeypatch, capsys, tmp_path):
         "ValueError: input of 17 symbols exceeds the Re-Pair cap of 16 symbols",
         "ValueError: input of 17 symbols exceeds the Greedy cap of 16 symbols",
     ]
+
+
+def test_cli_binary_stdout_matches_out_file(tmp_path, capsysbinary):
+    # GCL1 and GCB1 bytes >= 0x80 go to stdout unchanged
+    gfile, cfile = tmp_path / "g.gcl", tmp_path / "g.gcb"
+    assert main(["repair", "random:256,3000,1", "--out", str(gfile)]) == 0
+    assert main(["repair", "random:256,3000,1"]) == 0
+    assert capsysbinary.readouterr().out == gfile.read_bytes()
+    assert max(gfile.read_bytes()) >= 0x80
+    assert main(["encode", str(gfile), "--encoding", "naive", "--out", str(cfile)]) == 0
+    capsysbinary.readouterr()
+    assert main(["encode", str(gfile), "--encoding", "naive"]) == 0
+    assert capsysbinary.readouterr().out == cfile.read_bytes()
+
+
+def test_cli_overflow_is_a_usage_error(capsys):
+    # exit 1 would mean a failed bound
+    for argv in (["debruijn", "--k", "40"], ["report", "gdb:40,0,1"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("gclab: error: ")
+
+
+def test_cli_greedy_trace_out(tmp_path):
+    text = fixture_text("random:3,400,2")
+    trace_file = tmp_path / "trace.jsonl"
+    assert main(["greedy", "random:3,400,2", "--out", str(tmp_path / "g.gcl"),
+                 "--trace-out", str(trace_file)]) == 0
+    _, trace = greedy_run(text, GreedyPolicy.run_to_end())
+    assert trace.steps
+    lines = trace_file.read_text().splitlines()
+    assert [json.loads(ln) for ln in lines] == [
+        json.loads(json.dumps(step.as_dict())) for step in trace.steps
+    ]
+
+
+@pytest.mark.parametrize("policy,repair_policy,greedy_policy", [
+    ("threshold", StopPolicy.working_threshold(), GreedyPolicy.full_threshold()),
+    ("maxiter:3", StopPolicy.max_nonterminals(3), GreedyPolicy.max_iterations(3)),
+])
+def test_cli_compressors_write_their_grammar(tmp_path, policy, repair_policy, greedy_policy):
+    text = fixture_text("random:3,400,2")
+    for cmd, grammar in (("repair", repair_run(text, repair_policy)[0]),
+                         ("greedy", greedy_run(text, greedy_policy)[0])):
+        out = tmp_path / f"{cmd}.gcl"
+        assert main([cmd, "random:3,400,2", "--policy", policy, "--out", str(out)]) == 0
+        assert out.read_bytes() == to_binary(grammar), cmd
