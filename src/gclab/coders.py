@@ -18,6 +18,12 @@ present symbol, in id order.  Container files: magic "GCB1", a tag byte,
 varints sigma / |G| / |S'| / payload bit count, then the payload bits
 MSB-first.
 
+Each encoder collects its fields as arrays of (value, width) in a BitWriter,
+which packs them in one pass; each decoder gathers whole sections of fields
+at once from a BitReader and walks one by one only what fixes the next
+field's position: rule lengths interleaved with symbols, Elias delta codes
+and the chain of Huffman code starts.
+
 Every SizeBreakdown carries formula_bound_bits: the corresponding upper
 bound with all hidden constants instantiated explicitly (see _overhead_slack
 and _delta_budget); totals are asserted against these bounds in the tests.
@@ -29,14 +35,19 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
+
+import numpy as np
 
 from .bits import (
+    WINDOW_BITS,
     BitReader,
     BitStream,
     BitWriter,
     MalformedStreamError,
     read_uvarint,
     uvarint_bytes,
+    uvarints,
 )
 from .grammar import FullGrammar, renumber_segments
 
@@ -91,34 +102,27 @@ class Codebook:
 
 
 def _code_lengths(freqs: dict[int, int]) -> dict[int, int]:
+    """Huffman code lengths: merge the two lightest nodes until one is left,
+    ties to the node made first (leaves in symbol order, then merges)."""
     if not freqs:
         raise ValueError("cannot build a code for an empty sequence")
-    if len(freqs) == 1:
-        return {next(iter(freqs)): 1}
-    heap = []
-    for order, (sym, f) in enumerate(sorted(freqs.items())):
-        heap.append((f, order, (sym,)))
+    syms = sorted(freqs)
+    if len(syms) == 1:
+        return {syms[0]: 1}
+    heap = [(freqs[s], i) for i, s in enumerate(syms)]
     heapq.heapify(heap)
-    tick = len(heap)
-    merged: dict[tuple, list] = {}
+    parent = [0] * (2 * len(syms) - 1)
+    node = len(syms)
     while len(heap) > 1:
-        fa, _, a = heapq.heappop(heap)
-        fb, _, b = heapq.heappop(heap)
-        node = a + b
-        heapq.heappush(heap, (fa + fb, tick, node))
-        tick += 1
-        merged[node] = [a, b]
-    lengths = {}
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, d = stack.pop()
-        kids = merged.get(node)
-        if kids is None or len(node) == 1:
-            lengths[node[0]] = max(d, 1)
-        else:
-            stack.append((kids[0], d + 1))
-            stack.append((kids[1], d + 1))
-    return lengths
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (fa + fb, node))
+        node += 1
+    depth = [0] * node
+    for i in range(node - 2, -1, -1):  # parents are made after their children
+        depth[i] = depth[parent[i]] + 1
+    return {s: depth[i] for i, s in enumerate(syms)}
 
 
 def _canonical(lengths: dict[int, int], domain: int) -> Codebook:
@@ -135,8 +139,7 @@ def _canonical(lengths: dict[int, int], domain: int) -> Codebook:
     for sym in lengths:
         bitmap[sym >> 3] |= 1 << (7 - (sym & 7))
     out += bitmap
-    for sym in sorted(lengths):
-        out += uvarint_bytes(lengths[sym])
+    out += uvarints([lengths[sym] for sym in sorted(lengths)])
     return Codebook(dict(lengths), codes, domain, bytes(out))
 
 
@@ -149,55 +152,83 @@ def build_codebook(seq, domain: int) -> Codebook:
 
 
 def parse_codebook(reader: BitReader) -> Codebook:
-    """Read a codebook serialization (see _canonical) at the reader's position."""
-    domain = reader.read_uvarint()
+    """Read a codebook serialization (see _canonical) at the reader's position.
+
+    Code lengths must lie in 1..min(57, m - 1) for m present symbols, so
+    that one 64-bit window holds any code, and satisfy the Kraft inequality.
+    """
+    (domain,) = reader.read_uvarints(1)
     nbytes = (domain + 7) // 8
     if 8 * nbytes > reader.remaining():
         raise MalformedStreamError("truncated codebook bitmap")
-    bitmap = reader.read_bits(8 * nbytes).to_bytes(nbytes, "big")
-    present = [sym for sym in range(domain) if bitmap[sym >> 3] & (1 << (7 - (sym & 7)))]
+    present = np.flatnonzero(np.unpackbits(reader.read_bytes(nbytes))[:domain]).tolist()
     if not present:
         raise MalformedStreamError("empty codebook")
     # a Huffman code over m >= 2 symbols is at most m - 1 bits deep
-    max_len = max(1, len(present) - 1)
-    lengths = {}
-    for sym in present:
-        l = reader.read_uvarint()
+    max_len = min(WINDOW_BITS, max(1, len(present) - 1))
+    lengths = reader.read_uvarints(len(present))
+    for l in lengths:
         if not 1 <= l <= max_len:
             raise MalformedStreamError(f"code length {l} outside 1..{max_len}")
-        lengths[sym] = l
-    return _canonical(lengths, domain)
+    if sum(1 << (max_len - l) for l in lengths) > 1 << max_len:
+        raise MalformedStreamError("code lengths violate the Kraft inequality")
+    return _canonical(dict(zip(present, lengths)), domain)
 
 
-def _write_huffman(writer: BitWriter, seq, codebook: Codebook):
-    for s in seq:
-        writer.write_bits(codebook.codes[s], codebook.lengths[s])
+def _huffman_fields(seq, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
+    """(code, code length) of each symbol of ``seq``."""
+    syms = sorted(codebook.lengths)
+    at = np.searchsorted(np.array(syms, dtype=np.int64), np.asarray(seq, dtype=np.int64))
+    codes = np.array([codebook.codes[s] for s in syms], dtype=np.uint64)
+    lengths = np.array([codebook.lengths[s] for s in syms], dtype=np.int64)
+    return codes[at], lengths[at]
 
 
 def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> list[int]:
-    # canonical decoding: the codes of one length are consecutive integers,
-    # assigned in symbol order, so each length needs only its first code
-    order = sorted(codebook.lengths, key=lambda s: (codebook.lengths[s], s))
-    table = []  # [length, first code, symbols of that length, index in order]
-    for i, sym in enumerate(order):
-        length = codebook.lengths[sym]
-        if table and table[-1][0] == length:
-            table[-1][2] += 1
-        else:
-            table.append([length, codebook.codes[sym], 1, i])
-    max_len = table[-1][0]
-    out = []
-    for _ in range(count):
-        window = reader.peek_bits(max_len)
-        for length, first, n, base in table:
-            offset = (window >> (max_len - length)) - first
-            if 0 <= offset < n:
-                reader.skip(length)
-                out.append(order[base + offset])
-                break
-        else:
-            raise MalformedStreamError("invalid Huffman code")
-    return out
+    """``count`` Huffman-coded symbols from the reader's position.
+
+    Canonical decoding (Moffat & Turpin 1997): the codes of one length are
+    consecutive integers assigned in symbol order, so, left-justified to the
+    longest length L, each length owns one interval of L-bit windows, the
+    intervals ascending with the length.  One ``searchsorted`` of every bit
+    position's window over the interval limits gives the code length a code
+    starting there would have; the symbols' positions are then a chain of
+    code lengths from the first, and their windows give the symbols.
+    """
+    if count > reader.remaining():
+        raise MalformedStreamError(f"{count} symbols cannot fit in {reader.remaining()} bits")
+    if not count:
+        return []
+    syms = np.fromiter(codebook.lengths, dtype=np.int64, count=len(codebook.lengths))
+    lens = np.fromiter(codebook.lengths.values(), dtype=np.int64, count=len(syms))
+    order = np.lexsort((syms, lens))
+    syms = syms[order]
+    # one row per code length: its first code and symbol index, its symbol count
+    length, base, n = np.unique(lens[order], return_index=True, return_counts=True)
+    first = np.array([codebook.codes[s] for s in syms[base].tolist()], dtype=np.int64)
+    top = int(length[-1])
+    if top > WINDOW_BITS:
+        raise MalformedStreamError(f"code length {top} over {WINDOW_BITS}")
+    limits = ((first + n) << (top - length)).astype(np.uint64)
+    step = np.append(length, 0).astype(np.uint8)  # past the last limit: no code
+    start, end = reader.pos, min(reader.length_bits, reader.pos + count * top)
+    steps = b"".join(step[np.searchsorted(limits, w, "right")].tobytes() for w in reader.scan(start, end, top))
+    at = [0] * count
+    p = 0
+    try:
+        for i in range(count):
+            at[i] = p
+            p += steps[p]
+    except IndexError:
+        raise MalformedStreamError("bit stream exhausted") from None
+    reader.require(start + p)
+    window = reader.windows(np.array(at) + start, top)
+    row = np.searchsorted(limits, window, "right")
+    if (row == len(length)).any():
+        raise MalformedStreamError("invalid Huffman code")
+    reader.pos = start + p
+    code = (window >> (top - length[row]).astype(np.uint64)).astype(np.int64)
+    return syms[base[row] + code - first[row]].tolist()
 
 
 def sequence_entropy_bits(seq) -> float:
@@ -219,7 +250,7 @@ def huffman_encode(seq, domain: int | None = None):
         domain = max(seq) + 1
     cb = build_codebook(seq, domain)
     w = BitWriter()
-    _write_huffman(w, seq, cb)
+    w.write_fields(*_huffman_fields(seq, cb))
     stream = w.freeze()
     bound = sequence_entropy_bits(seq) + len(seq) + cb.serialized_bits
     br = _breakdown(stream.length_bits, cb.serialized_bits, 0, bound)
@@ -237,29 +268,31 @@ def huffman_decode(stream: BitStream, codebook: Codebook, count: int) -> list[in
 # -- Elias delta ----------------------------------------------------------------
 
 
-def _write_delta(writer: BitWriter, n: int):
+def _delta_fields(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """(values, widths) of the two fields of delta(n): the bit length N of n
+    in 2 floor(log2 N) + 1 bits (its leading zeros, then N), then n without
+    its top bit."""
     if n < 1:
         raise ValueError("Elias delta is defined for n >= 1")
     nbits = n.bit_length()
-    lbits = nbits.bit_length()
-    # lbits - 1 zeros, then nbits in lbits bits
-    writer.write_bits(nbits, 2 * lbits - 1)
-    writer.write_bits(n - (1 << (nbits - 1)), nbits - 1)
+    return (nbits, n - (1 << (nbits - 1))), (2 * nbits.bit_length() - 1, nbits - 1)
 
 
 def _read_delta(reader: BitReader) -> int:
-    window = reader.peek_bits(64)
-    if not window:
+    p = reader.pos
+    one = reader.next_bit(p, 1)
+    zeros = one - p
+    reader.require(one + 1)
+    if zeros >= WINDOW_BITS:  # a bit length of 2^57 bits or more
         raise MalformedStreamError("bad Elias delta prefix")
-    zeros = 64 - window.bit_length()
-    nbits = reader.read_bits(2 * zeros + 1)
-    rest = reader.read_bits(nbits - 1)
-    return (1 << (nbits - 1)) | rest
+    nbits = reader.peek(one, zeros + 1)
+    reader.pos = one + zeros + 1
+    return (1 << (nbits - 1)) | reader.read_bits(nbits - 1)
 
 
 def elias_delta_encode(n: int) -> BitStream:
     w = BitWriter()
-    _write_delta(w, n)
+    w.write_fields(*_delta_fields(n))
     return w.freeze()
 
 
@@ -308,32 +341,56 @@ def _check_unary(length: int):
         raise ValueError(f"rule length {length} exceeds the unary cap {MAX_UNARY}")
 
 
+def _fit(r: BitReader, count: int, bits: int, what: str):
+    """Refuse a declared count of items of at least ``bits`` bits each that
+    the rest of the stream cannot hold, before anything is allocated."""
+    if count * bits > r.remaining():
+        raise MalformedStreamError(f"{count} {what} cannot fit in {r.remaining()} bits")
+
+
+def _split(seq, lengths) -> list[tuple]:
+    it = iter(seq)
+    return [tuple(islice(it, n)) for n in lengths]
+
+
 def _write_rules(w: BitWriter, grammar: FullGrammar, width: int) -> int:
     """Each rule as its unary length, then its symbols in ``width`` bits;
     returns the bits spent on lengths."""
-    lengths_side = 0
+    lengths = np.array([len(rhs) for rhs in grammar.rules], dtype=np.int64)
+    _check_unary(int(lengths.max(initial=0)))
+    values = []
     for rhs in grammar.rules:
-        _check_unary(len(rhs))
-        w.write_unary(len(rhs))
-        lengths_side += len(rhs)
-        for s in rhs:
-            w.write_bits(s, width)
-    return lengths_side
+        values.append((1 << len(rhs)) - 2)
+        values.extend(rhs)
+    widths = np.full(len(values), width, dtype=np.int64)
+    widths[np.cumsum(lengths) - lengths + np.arange(len(lengths))] = lengths
+    w.write_fields(values, widths)
+    return int(lengths.sum())
 
 
 def _read_rules(r: BitReader, n_rules: int, width: int) -> list[tuple]:
-    rules = []
+    _fit(r, n_rules, 1 + width, "rules")
+    starts, lengths = [], []
+    p = r.pos
     for _ in range(n_rules):
-        ln = r.read_unary()
-        rules.append(tuple(r.read_bits(width) for _ in range(ln)))
-    return rules
+        zero = r.next_bit(p, 0)
+        n = zero + 1 - p
+        p = zero + 1 + n * width
+        r.require(p)
+        starts.append(zero + 1)
+        lengths.append(n)
+    r.pos = p
+    lengths = np.array(lengths, dtype=np.int64)
+    offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    symbols = r.fields(np.repeat(np.array(starts, dtype=np.int64), lengths) + width * offsets, width)
+    return _split(symbols, lengths.tolist())
 
 
 def _write_coded(w: BitWriter, seq, domain: int) -> Codebook:
     """The codebook of ``seq``, then ``seq`` Huffman-coded."""
     cb = build_codebook(seq, domain)
     w.write_bytes(cb.serialized)
-    _write_huffman(w, seq, cb)
+    w.write_fields(*_huffman_fields(seq, cb))
     return cb
 
 
@@ -348,8 +405,7 @@ def encode_fully_naive(grammar: FullGrammar):
     w = BitWriter()
     width = symbol_width(grammar.sigma, len(grammar.rules))
     lengths_side = _write_rules(w, grammar, width)
-    for s in grammar.start:
-        w.write_bits(s, width)
+    w.write_fields(grammar.start, width)
     stream = w.freeze()
     rhs_full = len(grammar.start) + sum(len(r) for r in grammar.rules)
     payload = stream.length_bits - lengths_side
@@ -361,7 +417,7 @@ def encode_fully_naive(grammar: FullGrammar):
 def _read_fully_naive(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
     rules = _read_rules(r, n_rules, width)
-    return [r.read_bits(width) for _ in range(start_len)], rules
+    return r.read_fields(start_len, width), rules
 
 
 # -- naive -------------------------------------------------------------------------
@@ -399,11 +455,10 @@ def encode_entropy(grammar: FullGrammar):
     if not s_g:
         raise ValueError("entropy encoding needs a nonempty grammar")
     w = BitWriter()
-    lengths_side = 0
-    for rhs in grammar.rules:
-        _check_unary(len(rhs))
-        w.write_unary(len(rhs))
-        lengths_side += len(rhs)
+    lengths = [len(rhs) for rhs in grammar.rules]
+    _check_unary(max(lengths, default=0))
+    w.write_unaries(lengths)
+    lengths_side = sum(lengths)
     domain = grammar.sigma + len(grammar.rules)
     cb = _write_coded(w, s_g, domain)
     stream = w.freeze()
@@ -417,14 +472,10 @@ def encode_entropy(grammar: FullGrammar):
 
 
 def _read_entropy(r: BitReader, sigma, n_rules, start_len):
-    rule_lens = [r.read_unary() for _ in range(n_rules)]
+    _fit(r, n_rules, 2, "rules")  # a unary length and a code each
+    rule_lens = r.read_unaries(n_rules)
     symbols = _read_coded(r, start_len + sum(rule_lens))
-    rules = []
-    at = start_len
-    for ln in rule_lens:
-        rules.append(tuple(symbols[at : at + ln]))
-        at += ln
-    return symbols[:start_len], rules
+    return symbols[:start_len], _split(symbols[start_len:], rule_lens)
 
 
 # -- incremental (CNF) ----------------------------------------------------------------
@@ -474,17 +525,18 @@ def encode_incremental(grammar: FullGrammar):
 
     w = BitWriter()
     width = symbol_width(sigma, n_rules)
+    values, widths = [], []
     prev = 0
-    delta_bits = 0
     for old in order:
         first, second = (new_id(s) for s in grammar.rules[old])
         if first < prev:
             raise AssertionError("first components not sorted")
-        before = len(w)
-        _write_delta(w, first - prev + 1)
-        delta_bits += len(w) - before
-        w.write_bits(second, width)
+        v, wd = _delta_fields(first - prev + 1)
+        values += (*v, second)
+        widths += (*wd, width)
         prev = first
+    w.write_fields(values, widths)
+    delta_bits = sum(widths) - n_rules * width
     start = [new_id(s) for s in grammar.start]
     cb = _write_coded(w, start, sigma + n_rules)
     stream = w.freeze()
@@ -501,12 +553,16 @@ def encode_incremental(grammar: FullGrammar):
 
 def _read_incremental(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
-    pairs = []
+    _fit(r, n_rules, 1 + width, "rules")
+    firsts, at = [], []
     prev = 0
     for _ in range(n_rules):
-        prev = prev + _read_delta(r) - 1
-        second = r.read_bits(width)
-        pairs.append((prev, second))
+        prev += _read_delta(r) - 1
+        firsts.append(prev)
+        at.append(r.pos)
+        r.pos += width
+    r.require(r.pos)
+    pairs = list(zip(firsts, r.fields(at, width)))
     start = _read_coded(r, start_len)
     # rules arrive in permuted order; rebuild a topologically ordered grammar
     limit = sigma + n_rules

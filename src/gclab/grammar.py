@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import bits
 from .parsing import Parsing
 from .textcore import Text
@@ -495,42 +497,42 @@ def canonicalized(grammar: FullGrammar) -> FullGrammar:
 
 def to_binary(grammar: FullGrammar) -> bytes:
     """GCL1 format: magic, varint sigma, varint rule count, rules, start."""
-    out = bytearray(_MAGIC)
-    bits.write_uvarint(out, grammar.sigma)
-    bits.write_uvarint(out, len(grammar.rules))
+    values = [grammar.sigma, len(grammar.rules)]
     for rhs in grammar.rules:
-        bits.write_uvarint(out, len(rhs))
-        for s in rhs:
-            bits.write_uvarint(out, s)
-    bits.write_uvarint(out, len(grammar.start))
-    for s in grammar.start:
-        bits.write_uvarint(out, s)
-    return bytes(out)
+        values.append(len(rhs))
+        values.extend(rhs)
+    values.append(len(grammar.start))
+    values.extend(grammar.start)
+    return _MAGIC + bits.uvarints(values)
 
 
 def from_binary(data: bytes) -> FullGrammar:
+    """Parse a GCL1 file: every varint is decoded at once, then each count is
+    checked against the varints left before its symbols are taken."""
     if data[:4] != _MAGIC:
         raise bits.MalformedStreamError("bad magic for grammar file")
-    pos = 4
-    sigma, pos = bits.read_uvarint(data, pos)
-    n_rules, pos = bits.read_uvarint(data, pos)
+    values, _ = bits.uvarint_values(np.frombuffer(data, dtype=np.uint8, offset=4))
+    if len(values) < 3:
+        raise bits.MalformedStreamError("truncated grammar")
+    sigma, n_rules = values[0], values[1]
+    # each rule takes at least its length varint, S' at least its length
+    if n_rules > len(values) - 3:
+        raise bits.MalformedStreamError(f"{n_rules} rules cannot fit in {len(data)} bytes")
     rules = []
+    at = 2
     for _ in range(n_rules):
-        ln, pos = bits.read_uvarint(data, pos)
-        rhs = []
-        for _ in range(ln):
-            s, pos = bits.read_uvarint(data, pos)
-            rhs.append(s)
-        rules.append(tuple(rhs))
-    ln, pos = bits.read_uvarint(data, pos)
-    start = []
-    for _ in range(ln):
-        s, pos = bits.read_uvarint(data, pos)
-        start.append(s)
-    if pos != len(data):
+        n = values[at]
+        if n > len(values) - at - 2:
+            raise bits.MalformedStreamError(f"rule of {n} symbols cannot fit in {len(data)} bytes")
+        rules.append(tuple(values[at + 1:at + 1 + n]))
+        at += 1 + n
+    n = values[at]
+    if n > len(values) - at - 1:
+        raise bits.MalformedStreamError(f"|S'| = {n} cannot fit in {len(data)} bytes")
+    if n < len(values) - at - 1:
         raise bits.MalformedStreamError("trailing bytes after grammar")
     try:
-        return FullGrammar(sigma, start, rules)
+        return FullGrammar(sigma, values[at + 1:], rules)
     except ValueError as e:
         raise bits.MalformedStreamError(f"decoded grammar is invalid: {e}") from e
 

@@ -232,6 +232,7 @@ def _encoding_rows(rows, grammar, encodings, text, k_list):
     """Size, roundtrip and Huffman sandwich rows per encoding, with each
     encoding's ratio to |S|H_k(S) of the cell's text for k in ``k_list``."""
     measurements = {}
+    sandwiches = {}  # "start" or "s_g" -> (H0 bits, Huffman payload bits, length)
     for enc in encodings:
         if enc == "incremental" and not grammar.is_cnf:
             measurements[enc] = {"skipped": "grammar not in CNF"}
@@ -258,22 +259,24 @@ def _encoding_rows(rows, grammar, encodings, text, k_list):
         measurements[enc] = entry
         if enc in ("naive", "entropy", "incremental"):
             # sandwich the Huffman component alone (payload also carries the
-            # fixed-width rule symbols for naive/incremental)
-            seq = grammar.rhs_concat() if enc == "entropy" else grammar.start
-            _, _, hbr = coders.huffman_encode(
-                seq, grammar.sigma + len(grammar.rules)
-            )
-            h0 = coders.sequence_entropy_bits(seq)
+            # fixed-width rule symbols for naive/incremental); naive and
+            # incremental sandwich the same S', so each sequence is coded once
+            key = "s_g" if enc == "entropy" else "start"
+            if key not in sandwiches:
+                seq = grammar.rhs_concat() if key == "s_g" else grammar.start
+                _, _, hbr = coders.huffman_encode(seq, grammar.sigma + len(grammar.rules))
+                sandwiches[key] = (coders.sequence_entropy_bits(seq), hbr.payload_bits, len(seq))
+            h0, payload_bits, n_seq = sandwiches[key]
             rows.append(
                 BoundRow.check(
-                    f"huffman_sandwich_lower[{enc}]", h0, hbr.payload_bits, 1e-9
+                    f"huffman_sandwich_lower[{enc}]", h0, payload_bits, 1e-9
                 )
             )
             rows.append(
                 BoundRow.check(
                     f"huffman_sandwich_upper[{enc}]",
-                    hbr.payload_bits,
-                    h0 + len(seq),
+                    payload_bits,
+                    h0 + n_seq,
                     1e-9,
                 )
             )

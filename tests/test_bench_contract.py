@@ -2,6 +2,7 @@
 method it names must exist, or a traced run fails before its first round."""
 
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -68,3 +69,28 @@ def test_traced_counters_read_engine_results():
         assert len(trace.steps) > 0
         for counter, count in tracing._COUNTS[name]:
             assert count(result) == len(trace.steps), counter
+
+
+def test_bit_and_coder_public_functions():
+    """The tracer wraps every public function of a layer module, ``coders``
+    among them, and makes one span per call: a per-field helper made public
+    would add a span per field.  ``bits`` is no layer and stays unwrapped;
+    both public surfaces are pinned here."""
+    tracing = _load_tracing()
+    assert "coders" in tracing.LAYERS and "bits" not in tracing.LAYERS
+    want = {
+        "bits": {"read_uvarint", "uvarint_bytes", "uvarint_values", "uvarints"},
+        "coders": {
+            "build_codebook", "parse_codebook", "sequence_entropy_bits",
+            "huffman_encode", "huffman_decode",
+            "elias_delta_encode", "elias_delta_decode", "elias_delta_length",
+            "symbol_width", "incremental_order",
+            "encode_fully_naive", "encode_naive", "encode_entropy", "encode_incremental",
+            "encode", "decode", "frame_container", "to_container", "from_container",
+        },
+    }
+    for name, expected in want.items():
+        module = sys.modules[f"gclab.{name}"]
+        public = {attr for attr, fn in vars(module).items()
+                  if not attr.startswith("_") and inspect.isfunction(fn) and fn.__module__ == module.__name__}
+        assert public == expected, name

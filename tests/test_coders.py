@@ -1,13 +1,26 @@
 import itertools
 import math
 import random
+import time
 
+import numpy as np
 import pytest
 
-from gclab.bits import BitReader, BitStream, BitWriter, MalformedStreamError
+from gclab.bits import (
+    BitReader,
+    BitStream,
+    BitWriter,
+    MalformedStreamError,
+    read_uvarint,
+    uvarint_bytes,
+    uvarints,
+)
 from gclab.coders import (
     ENCODINGS,
+    MAGIC,
     Codebook,
+    _delta_fields,
+    _read_delta,
     build_codebook,
     decode,
     elias_delta_decode,
@@ -19,6 +32,7 @@ from gclab.coders import (
     huffman_decode,
     huffman_encode,
     incremental_order,
+    parse_codebook,
     sequence_entropy_bits,
     symbol_width,
     to_container,
@@ -77,6 +91,125 @@ def test_bitwriter_round_trip():
         r.read_bit()
 
 
+def leb128_oracle(v):
+    out = bytearray()
+    while True:
+        b, v = v & 0x7F, v >> 7
+        out.append(b | (0x80 if v else 0))
+        if not v:
+            return bytes(out)
+
+
+def random_field_groups(rng):
+    """Seeded groups of fields: (kind, payload) with kinds fixed, mixed,
+    unary, delta, bytes and varint; the first group shifts the rest to a
+    random bit offset."""
+    shift = rng.randrange(1, 12)
+    groups = [("fixed", ([rng.getrandbits(shift)], shift))]
+    for _ in range(rng.randrange(4, 12)):
+        kind = rng.choice(("fixed", "mixed", "unary", "delta", "bytes", "varint"))
+        n = rng.randrange(1, 8)
+        if kind == "fixed":
+            w = rng.randrange(1, 71)
+            # widths over 64 carry values of 2^64 and more
+            payload = ([rng.getrandbits(w) | (rng.random() < 0.5) << (w - 1) for _ in range(n)], w)
+        elif kind == "mixed":
+            widths = [rng.randrange(1, 71) for _ in range(n)]
+            payload = ([rng.getrandbits(w) for w in widths], widths)
+        elif kind == "unary":
+            payload = [rng.choice((1, 2, 3, rng.randrange(1, 64), rng.randrange(1, 5001))) for _ in range(n)]
+        elif kind == "delta":
+            payload = [rng.randrange(1, 1 << rng.randrange(1, 71)) for _ in range(n)]
+        elif kind == "bytes":
+            payload = bytes(rng.getrandbits(8) for _ in range(n))
+        else:  # up to 2^70, 10-byte varints included
+            payload = [rng.choice((rng.getrandbits(rng.randrange(1, 64)), rng.randrange(1 << 63, 1 << 70)))
+                       for _ in range(n)]
+        groups.append((kind, payload))
+    return groups
+
+
+def reference_bits(groups) -> str:
+    """The groups as a 0/1 string, written field by field from the formats'
+    definitions."""
+    out = []
+    for kind, payload in groups:
+        if kind == "fixed":
+            values, w = payload
+            out += [format(v, f"0{w}b") for v in values]
+        elif kind == "mixed":
+            out += [format(v, f"0{w}b") for v, w in zip(*payload)]
+        elif kind == "unary":
+            out += ["1" * (m - 1) + "0" for m in payload]
+        elif kind == "delta":
+            out += [delta_oracle(n) for n in payload]
+        else:
+            data = payload if kind == "bytes" else b"".join(leb128_oracle(v) for v in payload)
+            out += [format(b, "08b") for b in data]
+    return "".join(out)
+
+
+def test_packer_and_readers_match_reference(rng=random.Random(2026)):
+    for trial in range(60):
+        groups = random_field_groups(rng)
+        w = BitWriter()
+        for kind, payload in groups:
+            if kind in ("fixed", "mixed"):
+                w.write_fields(*payload)
+            elif kind == "unary":
+                w.write_unaries(payload)
+            elif kind == "delta":
+                for n in payload:
+                    w.write_fields(*_delta_fields(n))
+            elif kind == "bytes":
+                w.write_bytes(payload)
+            else:
+                w.write_bytes(uvarints(payload))
+        stream = w.freeze()
+        bits = reference_bits(groups)
+        padded = bits + "0" * (-len(bits) % 8)
+        want = bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8))
+        assert (stream.data, stream.length_bits) == (want, len(bits)), trial
+        assert stream.to01() == bits
+
+        r = BitReader(stream)
+        for kind, payload in groups:
+            at = r.pos
+            if kind == "fixed":
+                values, width = payload
+                assert r.fields(at + width * np.arange(len(values)), width) == values
+                got = r.read_fields(len(values), width) if trial % 2 else [r.read_bits(width) for _ in values]
+                assert got == values
+            elif kind == "mixed":
+                assert [r.read_bits(w_) for w_ in payload[1]] == payload[0]
+            elif kind == "unary":
+                got = r.read_unaries(len(payload)) if trial % 2 else [r.read_unary() for _ in payload]
+                assert got == payload
+            elif kind == "delta":
+                assert [_read_delta(r) for _ in payload] == payload
+            elif kind == "bytes":
+                assert r.read_bytes(len(payload)).tobytes() == payload
+            else:
+                assert r.read_uvarints(len(payload)) == payload
+        assert r.remaining() == 0
+        with pytest.raises(MalformedStreamError):
+            r.read_bit()
+
+
+def test_varint_of_eleven_bytes_is_too_long():
+    eleven = bytes([0x80] * 10 + [0x01])
+    assert read_uvarint(bytes([0xFF] * 9 + [0x7F]), 0) == ((1 << 70) - 1, 10)
+    with pytest.raises(MalformedStreamError, match="too long"):
+        read_uvarint(eleven, 0)
+    w = BitWriter()
+    w.write_bits(5, 3)
+    w.write_bytes(eleven)
+    r = BitReader(w.freeze())
+    r.read_bits(3)
+    with pytest.raises(MalformedStreamError, match="too long"):
+        r.read_uvarints(1)
+
+
 # -- Huffman -----------------------------------------------------------------------
 
 
@@ -130,6 +263,32 @@ def test_huffman_decode_round_trip(rng=random.Random(7)):
         seq = [rng.randrange(6) for _ in range(rng.randrange(1, 120))]
         stream, cb, _ = huffman_encode(seq)
         assert huffman_decode(stream, cb, len(seq)) == seq
+
+
+def crafted_codebook(lengths) -> BitReader:
+    """A reader over a codebook serialization giving symbol i length lengths[i]."""
+    domain = len(lengths)
+    bitmap = bytes([0xFF] * (domain // 8) + ([(0xFF00 >> (domain % 8)) & 0xFF] if domain % 8 else []))
+    w = BitWriter()
+    w.write_bytes(uvarint_bytes(domain) + bitmap + uvarints(lengths))
+    return BitReader(w.freeze())
+
+
+def test_codebook_rejects_kraft_sum_over_one():
+    with pytest.raises(MalformedStreamError, match="Kraft"):
+        parse_codebook(crafted_codebook([1, 1, 2]))
+
+
+def test_codebook_depth_capped_at_57():
+    # depths 1..56 and two of 57 make a complete code over 58 symbols
+    cb = parse_codebook(crafted_codebook(list(range(1, 57)) + [57, 57]))
+    w = BitWriter()
+    for sym in (57, 0, 56, 57):
+        w.write_bits(cb.codes[sym], cb.lengths[sym])
+    assert huffman_decode(w.freeze(), cb, 4) == [57, 0, 56, 57]
+    # one level deeper: 59 symbols allow depth 58 by the m - 1 rule
+    with pytest.raises(MalformedStreamError, match="outside 1..57"):
+        parse_codebook(crafted_codebook(list(range(1, 58)) + [58, 58]))
 
 
 # -- Elias delta --------------------------------------------------------------------
@@ -306,6 +465,18 @@ def test_truncated_payload_is_malformed():
     cut = BitStream(stream.data[: (nbits + 7) // 8], nbits)
     with pytest.raises((MalformedStreamError, ValueError)):
         decode("entropy", cut, 3, 2, 12)
+
+
+@pytest.mark.parametrize("enc", ENCODINGS)
+def test_declared_start_length_checked_before_allocating(enc):
+    # sigma 2, no rules, |S'| = 2^40 over a 16-byte payload that opens with a
+    # valid codebook
+    payload = build_codebook([0, 1], 2).serialized.ljust(16, b"\0")
+    header = MAGIC + bytes([ENCODINGS.index(enc)]) + uvarints([2, 0, 1 << 40, 8 * len(payload)])
+    t0 = time.perf_counter()
+    with pytest.raises(MalformedStreamError, match="cannot fit"):
+        from_container(header + payload)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_unary_length_cap():

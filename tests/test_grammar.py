@@ -331,6 +331,23 @@ def test_binary_rejects_garbage():
     g = FullGrammar(2, (0, 1), [(0, 1)])
     with pytest.raises(MalformedStreamError):
         from_binary(to_binary(g) + b"\x00")
+    with pytest.raises(MalformedStreamError, match="too long"):
+        from_binary(to_binary(g) + bytes([0x80] * 10 + [0x01]))
+
+
+def test_binary_counts_checked_before_allocating():
+    import time
+
+    from gclab.bits import MalformedStreamError, uvarints
+
+    # 2^60 rules, then |S'| = 2^40, each declared in a 20-byte file
+    for head in ([2, 1 << 60], [2, 0, 1 << 40]):
+        data = (b"GCL1" + uvarints(head)).ljust(20, b"\0")
+        assert len(data) == 20
+        t0 = time.perf_counter()
+        with pytest.raises(MalformedStreamError, match="cannot fit"):
+            from_binary(data)
+        assert time.perf_counter() - t0 < 1.0
 
 
 def doubling_grammar(n_rules: int, copies: int = 1) -> FullGrammar:
