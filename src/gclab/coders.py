@@ -35,6 +35,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 
 import numpy as np
@@ -91,7 +92,18 @@ class Codebook:
     lengths: dict[int, int]
     codes: dict[int, int]
     domain: int
-    serialized: bytes
+
+    @cached_property
+    def serialized(self) -> bytes:
+        """Varint domain size, presence bitmap, then the code lengths in id
+        order; only an encoder needs it."""
+        out = bytearray(uvarint_bytes(self.domain))
+        bitmap = bytearray((self.domain + 7) // 8)
+        for sym in self.lengths:
+            bitmap[sym >> 3] |= 1 << (7 - (sym & 7))
+        out += bitmap
+        out += uvarints([self.lengths[sym] for sym in sorted(self.lengths)])
+        return bytes(out)
 
     @property
     def serialized_bits(self) -> int:
@@ -126,6 +138,8 @@ def _code_lengths(freqs: dict[int, int]) -> dict[int, int]:
 
 
 def _canonical(lengths: dict[int, int], domain: int) -> Codebook:
+    """The canonical code of the given lengths: the codes of one length are
+    consecutive integers in symbol order."""
     codes = {}
     code = 0
     prev_len = 0
@@ -134,13 +148,7 @@ def _canonical(lengths: dict[int, int], domain: int) -> Codebook:
         codes[sym] = code
         code += 1
         prev_len = length
-    out = bytearray(uvarint_bytes(domain))
-    bitmap = bytearray((domain + 7) // 8)
-    for sym in lengths:
-        bitmap[sym >> 3] |= 1 << (7 - (sym & 7))
-    out += bitmap
-    out += uvarints([lengths[sym] for sym in sorted(lengths)])
-    return Codebook(dict(lengths), codes, domain, bytes(out))
+    return Codebook(lengths, codes, domain)
 
 
 def build_codebook(seq, domain: int) -> Codebook:
@@ -152,7 +160,8 @@ def build_codebook(seq, domain: int) -> Codebook:
 
 
 def parse_codebook(reader: BitReader) -> Codebook:
-    """Read a codebook serialization (see _canonical) at the reader's position.
+    """Read a codebook serialization (see Codebook.serialized) at the
+    reader's position.
 
     Code lengths must lie in 1..min(57, m - 1) for m present symbols, so
     that one 64-bit window holds any code, and satisfy the Kraft inequality.

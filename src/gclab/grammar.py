@@ -8,6 +8,7 @@ previously defined nonterminals (the grammar is acyclic by construction).
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 
@@ -178,8 +179,7 @@ class FullGrammar:
         return self.expand_sequence(self.start)
 
     def text(self) -> Text:
-        """The generated text, built once: its counting index and cost caches
-        are shared by every parsing of it."""
+        """The generated text as a Text, built once."""
         if self._text is None:
             self._text = Text(self.expand_start(), self.sigma)
         return self._text
@@ -343,12 +343,12 @@ def expansion_sum_check(grammar: FullGrammar) -> ExpansionSumResult:
 # -- induced parsing -----------------------------------------------------------
 
 
-def induced_parsing(grammar: FullGrammar) -> tuple[tuple, Parsing]:
+def induced_parsing(grammar: FullGrammar, text: Text) -> tuple[tuple, Parsing]:
     """Expand each reachable nonterminal exactly once, leftmost-first.
 
     Returns the intermediate string S'' (over terminals and nonterminals)
-    and the parsing of the generated text it induces; |S''| equals
-    |S'| + ||G|| - |G| when every nonterminal is reachable.
+    and the parsing it induces of ``text``, the text the grammar generates;
+    |S''| equals |S'| + ||G|| - |G| when every nonterminal is reachable.
     """
     sigma = grammar.sigma
     processed = set()
@@ -363,18 +363,18 @@ def induced_parsing(grammar: FullGrammar) -> tuple[tuple, Parsing]:
             out.append(s)
     lengths = grammar.expansion_lengths()
     phrase_lengths = [1 if s < sigma else lengths[s - sigma] for s in out]
-    text = grammar.text()
     return tuple(out), Parsing.from_lengths(text, phrase_lengths)
 
 
-def start_parsing(grammar: FullGrammar) -> Parsing:
-    """Parsing of the generated text induced by the starting string alone:
-    one phrase per S' symbol, each the symbol's expansion."""
+def start_parsing(grammar: FullGrammar, text: Text) -> Parsing:
+    """Parsing of ``text``, the text the grammar generates, induced by the
+    starting string alone: one phrase per S' symbol, each the symbol's
+    expansion."""
     lengths = grammar.expansion_lengths()
     phrase_lengths = [
         1 if s < grammar.sigma else lengths[s - grammar.sigma] for s in grammar.start
     ]
-    return Parsing.from_lengths(grammar.text(), phrase_lengths)
+    return Parsing.from_lengths(text, phrase_lengths)
 
 
 # -- fixtures -------------------------------------------------------------------
@@ -423,21 +423,18 @@ def grammar_from_segments(sigma: int, segments) -> FullGrammar:
 def renumber_segments(sigma: int, segments) -> tuple[tuple, tuple]:
     """(start, rules) of grammar_from_segments, before validation; every id
     must be below sigma + the number of rules."""
-    import heapq
-
     n_rules = len(segments) - 1
-    deps: list[set[int]] = [set() for _ in range(n_rules)]
-    users: list[set[int]] = [set() for _ in range(n_rules)]
+    # references counted with multiplicity: rule i is ready once every
+    # reference in its right-hand side is placed
+    remaining = [0] * n_rules
+    users: list[list[int]] = [[] for _ in range(n_rules)]
     for i in range(n_rules):
         for s in segments[1 + i]:
             if s >= sigma:
-                j = s - sigma
-                deps[i].add(j)
-                users[j].add(i)
-    ready = [i for i in range(n_rules) if not deps[i]]
-    heapq.heapify(ready)
+                users[s - sigma].append(i)
+                remaining[i] += 1
+    ready = [i for i in range(n_rules) if not remaining[i]]  # ascending: a heap
     topo: list[int] = []
-    remaining = [len(d) for d in deps]
     while ready:
         i = heapq.heappop(ready)
         topo.append(i)

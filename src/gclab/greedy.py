@@ -12,8 +12,9 @@ The working text is one int64 array: S' and then every rule's right-hand
 side in creation order, segment i followed by its separator -(i+1), so no
 window that matches another can contain a separator.  A round scans the
 array (_scan), replaces the winner's occurrences with a keep-mask and
-appends the new rule and its separator (_apply); lists are built only for
-the pair endgame, on_step and the final grammar.
+appends the new rule and its separator (_apply); once no round gains,
+_pair_rounds makes the remaining zero-gain pair rounds in one pass.  Lists
+are built only for on_step and the final grammar.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grammar import FullGrammar, grammar_from_segments
-from .pairs import PairEngine
 from .repair import log_sigma
 from .reporting import BoundRow, CheckReport
 from .textcore import Text
@@ -218,6 +218,54 @@ def _apply(work: np.ndarray, cand: _Candidate, new_symbol: int, separator: int):
     return np.concatenate((out[keep], np.array([*cand.word, separator], dtype=np.int64)))
 
 
+def _pair_rounds(work: np.ndarray, new_symbol: int):
+    """Greedy's zero-gain rounds: yields each round's pair and the working
+    array after it, the round's rule and separator appended.
+
+    Once no round gains, every repeat left is a pair occurring exactly twice,
+    and a round X -> a b makes no new one: a pair (c, X) occurring twice
+    would be the length-3 repeat c a b.  A round only uses up the
+    occurrences it overlaps, and a pair's first live occurrence moves only
+    from q to q + 1 inside a run aaa, where no other pair starts.  So one
+    pass over the pairs in order of first occurrence makes the rounds Greedy
+    would, each pair taking its greedy occurrences among the positions that
+    earlier rounds left.
+    """
+    pos = np.flatnonzero((work[:-1] >= 0) & (work[1:] >= 0))
+    a, b = work[pos], work[pos + 1]
+    order = np.lexsort((b, a))  # stable, so each pair's positions ascend
+    pos, a, b = pos[order], a[order], b[order]
+    head = np.ones(len(pos), dtype=bool)
+    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    counts = np.diff(starts, append=len(pos))
+    repeated = counts >= 2
+    starts, counts = starts[repeated], counts[repeated]
+    by_first = np.argsort(pos[starts])
+    positions = pos.tolist()
+    used = set()  # positions an earlier round replaced or removed
+    # the working array in place, with room for one rule per repeated pair
+    end = len(work)
+    out = np.concatenate((work, np.zeros(3 * len(starts), dtype=np.int64)))
+    keep = np.ones(len(out), dtype=bool)
+    separator = int(work[-1]) - 1
+    for s, c in zip(starts[by_first].tolist(), counts[by_first].tolist()):
+        live = [p for p in positions[s : s + c] if p not in used and p + 1 not in used]
+        taken = _greedy_occurrences(live, 2)
+        if len(taken) < 2:
+            continue
+        p, q = taken
+        used.update((p, p + 1, q, q + 1))
+        pair = (int(work[p]), int(work[p + 1]))
+        out[p] = out[q] = new_symbol
+        keep[p + 1] = keep[q + 1] = False
+        out[end : end + 3] = (*pair, separator)
+        end += 3
+        yield pair, out[:end][keep[:end]]
+        new_symbol += 1
+        separator -= 1
+
+
 def greedy_run(
     text: Text,
     policy: GreedyPolicy | None = None,
@@ -227,8 +275,9 @@ def greedy_run(
 
     Strictly-positive-gain rounds are found by rescanning all candidate
     substrings; once only zero-gain pairs remain (each occurring exactly
-    twice), the run switches to incremental pair replacement, which cannot
-    create new candidates, and finishes with a defensive rescan.
+    twice), _pair_rounds makes them all, and the next scan finds nothing.
+    ``on_step(grammar)`` is invoked with the full grammar after every round
+    when given.
     """
     policy = policy or GreedyPolicy.run_to_end()
     n = len(text)
@@ -239,10 +288,8 @@ def greedy_run(
     threshold = greedy_threshold(n, text.sigma) if policy.kind == FULL_THRESHOLD else None
     sigma = text.sigma
 
-    work = _join([text.symbols])
-    n_segments = 1
+    work = _join([text.symbols])  # rule i is segment i + 1, separated by -(i + 2)
     steps: list[GreedyStep] = []
-    stopped_by = "exhausted"
     size = n
 
     def record(word, freq, gain, max_pair):
@@ -251,6 +298,7 @@ def greedy_run(
             on_step(grammar_from_segments(sigma, _split(work)))
 
     def policy_stop() -> str | None:
+        # the zero-gain rounds keep the size, so they never cross the threshold
         if threshold is not None and size < threshold:
             return "threshold"
         if policy.kind == MAX_ITERATIONS and len(steps) >= policy.param:
@@ -261,67 +309,22 @@ def greedy_run(
     while stop is None:
         cand, max_pair = _scan(work)
         if cand is None:
-            stopped_by = "exhausted"
             break
-        if cand.gain <= 0:
-            # only pairs with two occurrences remain; replace them
-            # incrementally (no new candidates can appear)
-            segments = _split(work)
-            stop = _pair_endgame(segments, sigma, steps, policy, threshold, on_step)
-            work = _join(segments)
-            n_segments = len(segments)
+        if cand.gain > 0:
+            work = _apply(work, cand, sigma + len(steps), -(len(steps) + 2))
+            size -= cand.gain
+            record(cand.word, cand.count, cand.gain, max_pair)
+            stop = policy_stop()
+            continue
+        for pair, work in _pair_rounds(work, sigma + len(steps)):
+            record(pair, 2, 0, 2)
+            stop = policy_stop()
             if stop is not None:
-                stopped_by = stop
                 break
-            size = len(work) - n_segments
-            cand, max_pair = _scan(work)  # defensive: expect None
-            if cand is None:
-                stopped_by = "exhausted"
-                break
-        work = _apply(work, cand, sigma + n_segments - 1, -(n_segments + 1))
-        n_segments += 1
-        size -= cand.gain
-        record(cand.word, cand.count, cand.gain, max_pair)
-        stop = policy_stop()
-    if stop is not None:
-        stopped_by = stop
 
     grammar = grammar_from_segments(sigma, _split(work))
-    trace = GreedyTrace(steps, policy, n, sigma, threshold, stopped_by)
+    trace = GreedyTrace(steps, policy, n, sigma, threshold, stop or "exhausted")
     return grammar, trace
-
-
-def _pair_endgame(segments, sigma, steps, policy, threshold, on_step) -> str | None:
-    """Replace remaining twice-occurring pairs via the incremental engine."""
-    engine = PairEngine(segments)
-
-    def sync():
-        segs = engine.segment_symbols()
-        segments.clear()
-        segments.extend(segs)
-
-    while True:
-        if threshold is not None and engine.alive < threshold:
-            sync()
-            return "threshold"
-        if policy.kind == MAX_ITERATIONS and len(steps) >= policy.param:
-            sync()
-            return "max_iterations"
-        sel = engine.select()
-        if sel is None:
-            sync()
-            return None
-        pair, count, _first, positions = sel
-        x = sigma + len(engine.heads) - 1
-        engine.replace(pair, positions, x)
-        engine.add_rule_segment(pair)
-        gain = count - 2
-        steps.append(
-            GreedyStep(len(steps) + 1, pair, count, gain, engine.alive, count)
-        )
-        if on_step is not None:
-            sync()
-            on_step(grammar_from_segments(sigma, segments))
 
 
 def greedy_stop_report(trace: GreedyTrace, text: Text) -> CheckReport:

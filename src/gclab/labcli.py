@@ -322,7 +322,7 @@ def _grammar_rows(rows, grammar, text, check_irreducible: bool):
 
 def _entropy_concat_rows(rows, grammar, text, k):
     """Exact chain bounding the entropy coding of ||S',G||."""
-    s_double, ind = gmod.induced_parsing(grammar)
+    s_double, ind = gmod.induced_parsing(grammar, text)
     s_g = grammar.rhs_concat()
     if not s_g:
         return
@@ -464,7 +464,7 @@ def _compressor_parsing(name, text, algorithm, spec, rows, measurements) -> pmod
         )
         h0, _ = empirical_entropy(text, 0)
         measurements["worst_case_ratio"] = total_bits / h0 if h0 else None
-    return gmod.start_parsing(grammar)
+    return gmod.start_parsing(grammar, text)
 
 
 def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:

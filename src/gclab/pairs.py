@@ -1,16 +1,16 @@
-"""Incremental most-frequent-pair machinery shared by Re-Pair and Greedy.
+"""Incremental most-frequent-pair machinery of Re-Pair.
 
-Maintains, over a set of symbol segments, the exact greedy left-to-right
+Maintains, over one working string, the exact greedy left-to-right
 non-overlapping occurrence count of every adjacent pair, under batched
-pair-to-nonterminal replacements.  Pairs never span two segments.
+pair-to-nonterminal replacements.
 
 Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
-IEEE 88(11), 2000).  The segments live in flat per-position arrays: symbol,
+IEEE 88(11), 2000).  The string lives in flat per-position arrays: symbol,
 next and previous live position.  Every active pair is one record, its
 occurrence count and the head of its occurrence thread; the occurrences are
 threaded in position order through per-position next-occurrence,
 previous-occurrence and pair-id arrays.  All of it is held in stdlib
-``array`` typed arrays, built by one numpy pass over the segments.
+``array`` typed arrays, built by one numpy pass over the string.
 
 Only pairs that occur at least twice are active.  Replacing the pair (a, b)
 by a fresh symbol X uses up every occurrence of (a, b), and every pair it
@@ -19,12 +19,11 @@ new pairs (c, X) and (X, d) are found in two per-replacement dicts keyed by
 the neighbour c or d, with no global pair dictionary.
 
 Selection is deterministic: maximum count first, then leftmost first
-occurrence (global position order, segments in creation order).  A lazy
-max-heap holds (count upper bound, first-position lower bound) keys.
-Counts of existing pairs only fall and their first occurrences only move
-right, so an old key stays a valid bound and only new pairs get a push; the
-entry at the top is revalidated against the exact count, which differs from
-the raw occurrence count only in runs such as ``aaaa``.
+occurrence.  A lazy max-heap holds (count upper bound, first-position lower
+bound) keys.  Counts of existing pairs only fall and their first occurrences
+only move right, so an old key stays a valid bound and only new pairs get a
+push; the entry at the top is revalidated against the exact count, which
+differs from the raw occurrence count only in runs such as ``aaaa``.
 """
 
 from __future__ import annotations
@@ -37,26 +36,20 @@ import numpy as np
 
 
 class PairEngine:
-    def __init__(self, segments):
-        segments = list(segments)
-        if not all(len(seg) for seg in segments):
-            raise ValueError("segments must be nonempty")
-        lengths = np.array([len(seg) for seg in segments], dtype=np.int64)
-        total = int(lengths.sum())
-        # positions (Greedy's endgame appends two per step) and pair ids
-        # stay far below 4 * total
-        self._typecode = "i" if 4 * total < 1 << 31 else "q"
+    def __init__(self, symbols):
+        total = len(symbols)
+        if not total:
+            raise ValueError("the string must be nonempty")
+        # positions and pair ids (one per pair occurring twice when built,
+        # at most one per replaced occurrence after) stay below 2 * total
+        self._typecode = "i" if 2 * total < 1 << 31 else "q"
         dt = np.int32 if self._typecode == "i" else np.int64
-        ends = np.cumsum(lengths)
-        starts = ends - lengths
-        self.heads: list[int] = starts.tolist()
         self.alive = total
 
-        flat = np.fromiter(chain.from_iterable(segments), dtype=np.int64, count=total)
+        flat = np.fromiter(symbols, dtype=np.int64, count=total)
         nxt = np.arange(1, total + 1, dtype=dt)
-        nxt[ends - 1] = -1
+        nxt[-1] = -1
         prv = np.arange(-1, total - 1, dtype=dt)
-        prv[starts] = -1
         self.sym = array("q", flat.tobytes())
         self.nxt = self._array(nxt)
         self.prv = self._array(prv)
@@ -103,7 +96,6 @@ class PairEngine:
         self._head = self._array(head)
         self._heap = list(zip((-count).tolist(), head.tolist(), range(len(count))))
         heapq.heapify(self._heap)
-        self._replaced = None
 
     def _array(self, values) -> array:
         return array(self._typecode, np.ascontiguousarray(values, dtype=self._typecode).tobytes())
@@ -237,35 +229,13 @@ class PairEngine:
                 pid[p] = k
                 prev = p
             onx[prev] = -1
-        self._replaced = (a, b)
 
-    def add_rule_segment(self, pair):
-        """Append the pair just replaced as a segment of its own, the way
-        Greedy keeps each rule's right-hand side in its working text.
-
-        The replacement used up every occurrence of the pair and made none,
-        so this one stays the pair's only occurrence, and untracked.
-        """
-        if tuple(pair) != self._replaced:
-            raise ValueError("only the pair just replaced can become a segment")
-        base = len(self.sym)
-        self.heads.append(base)
-        self.sym.extend(pair)
-        self.nxt.extend((base + 1, -1))
-        self.prv.extend((-1, base))
-        for links in (self._pid, self._onx, self._opv):
-            links.extend((-1, -1))
-        self.alive += 2
-        self._replaced = None
-
-    def segment_symbols(self) -> list[list]:
+    def symbols(self) -> list:
+        """The working string."""
         out = []
         sym, nxt = self.sym, self.nxt
-        for head in self.heads:
-            seg = []
-            i = head
-            while i != -1:
-                seg.append(sym[i])
-                i = nxt[i]
-            out.append(seg)
+        i = 0
+        while i != -1:
+            out.append(sym[i])
+            i = nxt[i]
         return out

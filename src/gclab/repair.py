@@ -117,7 +117,7 @@ def repair_run(
     threshold = _resolve_threshold(text, policy)
     sigma = text.sigma
 
-    engine = PairEngine([text.symbols])
+    engine = PairEngine(text.symbols)
     rules: list[tuple[int, int]] = []
     steps: list[RepairStep] = []
     stopped_by = "exhausted"
@@ -141,13 +141,13 @@ def repair_run(
                 RepairStep(len(rules), pair, count, engine.alive, len(rules))
             )
             if on_step is not None:
-                working = engine.segment_symbols()[0]
+                working = engine.symbols()
                 on_step(FullGrammar(sigma, working, rules))
             if threshold is not None and engine.alive < threshold:
                 stopped_by = "threshold"
                 break
 
-    working = engine.segment_symbols()[0]
+    working = engine.symbols()
     grammar = FullGrammar(sigma, working, rules)
     trace = RepairTrace(steps, policy, n, sigma, threshold, stopped_by)
     return grammar, trace

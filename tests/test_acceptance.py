@@ -137,7 +137,7 @@ def test_criterion_01_parsing_bound_suite(corpus, compressed):
     for name, text in corpus:
         _, (g_r, _), (g_g, _) = runs[name]
         parsings = [lz78_parse(text), lz77_parse_nonself(text),
-                    start_parsing(g_r), start_parsing(g_g)]
+                    start_parsing(g_r, text), start_parsing(g_g, text)]
         parsings += [best_offset_parsing(text, l) for l in (2, 4, 8) if l <= len(text)]
         n = len(text)
         logsig = math.log2(text.sigma)
@@ -363,9 +363,9 @@ def test_criterion_08_lower_bound_suite(gdb_words):
         if len(word) <= 1 << 16:
             parser_runs.append(("lz78", lz78_parse(word)))
             parser_runs.append(("lz77ns", lz77_parse_nonself(word)))
-            parser_runs.append(("repair", start_parsing(repair_run(word)[0])))
+            parser_runs.append(("repair", start_parsing(repair_run(word)[0], word)))
         if len(word) <= 1 << 12:
-            parser_runs.append(("greedy", start_parsing(greedy_run(word)[0])))
+            parser_runs.append(("greedy", start_parsing(greedy_run(word)[0], word)))
         for pname, parsing in parser_runs:
             assert max(parsing.lengths) <= params.z, (k, l, p, pname)
             ok, violations = is_natural_parsing(parsing)

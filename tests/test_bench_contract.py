@@ -73,11 +73,12 @@ def test_traced_counters_read_engine_results():
 
 def test_bit_and_coder_public_functions():
     """The tracer wraps every public function of a layer module, ``coders``
-    among them, and makes one span per call: a per-field helper made public
-    would add a span per field.  ``bits`` is no layer and stays unwrapped;
-    both public surfaces are pinned here."""
+    and ``greedy`` among them, and makes one span per call: a per-field
+    helper made public would add a span per field, and Greedy's zero-gain
+    rounds a span per round.  ``bits`` is no layer and stays unwrapped; the
+    three public surfaces are pinned here."""
     tracing = _load_tracing()
-    assert "coders" in tracing.LAYERS and "bits" not in tracing.LAYERS
+    assert {"coders", "greedy"} <= set(tracing.LAYERS) and "bits" not in tracing.LAYERS
     want = {
         "bits": {"read_uvarint", "uvarint_bytes", "uvarint_values", "uvarints"},
         "coders": {
@@ -88,6 +89,7 @@ def test_bit_and_coder_public_functions():
             "encode_fully_naive", "encode_naive", "encode_entropy", "encode_incremental",
             "encode", "decode", "frame_container", "to_container", "from_container",
         },
+        "greedy": {"greedy_threshold", "greedy_run", "greedy_stop_report"},
     }
     for name, expected in want.items():
         module = sys.modules[f"gclab.{name}"]

@@ -184,7 +184,7 @@ def test_lower_bound_repair_induced():
     params = GdBParams(2, 1, 1)
     w = generalized_word(params)
     g, _ = repair_run(w)
-    parsing = start_parsing(g)
+    parsing = start_parsing(g, w)
     assert max(parsing.lengths) <= params.z
     rep = lower_bound_check(w, parsing, params)
     assert rep.all_pass

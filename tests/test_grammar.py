@@ -234,7 +234,7 @@ def test_expansion_sum():
 
 def test_induced_parsing_example():
     g = FullGrammar(2, (2, 2), [(0, 1)])
-    s2, parsing = induced_parsing(g)
+    s2, parsing = induced_parsing(g, g.text())
     assert s2 == (0, 1, 2)  # leftmost occurrence expanded
     assert parsing.phrases == ((0,), (1,), (0, 1))
     assert len(s2) == len(g.start) + 2 - 1
@@ -242,7 +242,7 @@ def test_induced_parsing_example():
 
 def test_induced_parsing_rule_free():
     g = FullGrammar(2, (0, 1, 0), [])
-    s2, parsing = induced_parsing(g)
+    s2, parsing = induced_parsing(g, g.text())
     assert parsing.lengths == (1, 1, 1)
 
 
@@ -257,7 +257,7 @@ def test_induced_parsing_size_formula(rng):
                 continue
             reachable.add(x)
             stack.extend(s for s in g.rhs(x) if s >= g.sigma)
-        s2, parsing = induced_parsing(g)
+        s2, parsing = induced_parsing(g, g.text())
         expect = len(g.start) + sum(
             len(g.rhs(x)) - 1 for x in reachable
         )
@@ -267,7 +267,7 @@ def test_induced_parsing_size_formula(rng):
 
 def test_start_parsing():
     g = FullGrammar(2, (2, 2), [(0, 1)])
-    assert start_parsing(g).phrases == ((0, 1), (0, 1))
+    assert start_parsing(g, g.text()).phrases == ((0, 1), (0, 1))
 
 
 # -- fixture ------------------------------------------------------------------------

@@ -143,6 +143,11 @@ def test_abcabcabc_prefers_longer():
 
 PERIODIC_WORDS = [("a", 100), ("ab", 77), ("aab", 40)]
 
+# shapes of the zero-gain rounds: a^4 and a^5 after a pair (c, a) that
+# occurs twice, whose round uses up the run's first (a, a) (a^5 keeps two
+# occurrences, from the next position on), aaa plus aa, and babab
+ZERO_GAIN_WORDS = ["caaaadca", "caaaaadca", "baaacaad", "bcaaadcaeaa", "cbababd"]
+
 
 def test_matches_reference(rng):
     from gclab.grammar import grammar_from_segments
@@ -150,6 +155,7 @@ def test_matches_reference(rng):
     texts = [random_text(rng, rng.choice([2, 3]), rng.randrange(2, 60)) for _ in range(20)]
     texts += [Text.from_string(w * m, 2) for w, m in PERIODIC_WORDS]
     texts.append(Text.from_string("aab" * 40 + "b"))
+    texts += [Text.from_string(w) for w in ZERO_GAIN_WORDS]
     big = 1 << 32
     texts.append(Text([big - 1, 0, big - 2] * 9 + [big - 1, 0] * 5, big))
     for t in texts:
@@ -210,13 +216,17 @@ def test_threshold_policy():
 
 
 def test_max_iterations_policy(rng):
-    t = random_text(rng, 2, 150)
-    g_full, tr_full = greedy_run(t)
-    m = min(3, len(tr_full.steps))
-    g_m, tr_m = greedy_run(t, GreedyPolicy.max_iterations(m))
-    assert len(tr_m.steps) == m
-    assert tr_m.steps == tr_full.steps[:m]
-    assert g_m.expand_start() == t.symbols
+    # every budget, through the zero-gain rounds at the end: a budget that
+    # runs out on the last round still stops by max_iterations
+    for t in (random_text(rng, 4, 150), Text.from_string("cbababdcaaaaadca")):
+        g_full, tr_full = greedy_run(t)
+        assert tr_full.steps[-1].gain == 0
+        for m in range(len(tr_full.steps) + 1):
+            g_m, tr_m = greedy_run(t, GreedyPolicy.max_iterations(m))
+            assert tr_m.steps == tr_full.steps[:m]
+            assert tr_m.stopped_by == "max_iterations"
+            assert g_m.expand_start() == t.symbols
+        assert g_m == g_full
 
 
 def test_degenerate():

@@ -148,9 +148,9 @@ def test_each_entropy_computed_once_per_input(monkeypatch):
     keys = [(id(text), k, cyclic) for text, k, _, cyclic in computed]
     assert len(keys) == len(set(keys))
     # per input: k = 0..7 linear for the offset rows (l = 8) plus k = 0..2
-    # cyclic on the input, and k = 0..2 on the text generated by each of the
-    # Re-Pair and Greedy grammars, the source of their start parsings
-    assert len(computed) == 2 * (8 + 3 + 3 + 3)
+    # cyclic, all on the input itself, which the Re-Pair and Greedy start
+    # parsings parse too
+    assert len(computed) == 2 * (8 + 3)
 
 
 def test_row_names_unique_per_entry():
