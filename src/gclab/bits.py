@@ -136,15 +136,8 @@ class BitWriter:
         """Write ``value`` in ``width`` bits, most significant bit first."""
         self.write_fields((value,), width)
 
-    def write_bit(self, b: int):
-        self.write_bits(1 if b else 0, 1)
-
-    def write_unary(self, m: int):
-        """Unary code for m >= 1: (m - 1) one-bits then a zero; m bits total."""
-        self.write_unaries((m,))
-
     def write_unaries(self, lengths):
-        """One unary field per length."""
+        """One unary field per length m >= 1: (m - 1) one-bits then a zero."""
         lengths = [int(m) for m in lengths]
         if any(m < 1 for m in lengths):
             raise ValueError("unary code defined for m >= 1")

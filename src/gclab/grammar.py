@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -444,12 +445,19 @@ def renumber_segments(sigma: int, segments) -> tuple[tuple, tuple]:
                 heapq.heappush(ready, u)
     if len(topo) != n_rules:
         raise ValueError("segments contain a reference cycle")
-    rename = {sigma + old: sigma + new for new, old in enumerate(topo)}
-
-    def mapped(seq):
-        return tuple(s if s < sigma else rename[s] for s in seq)
-
-    return mapped(segments[0]), tuple(mapped(segments[1 + old]) for old in topo)
+    # one lookup table renames the nonterminals of S' and of the rules in
+    # their new order; ids past int64 (sigma may be any int) stay objects
+    placed = [segments[0], *(segments[1 + old] for old in topo)]
+    ends = np.cumsum([len(seq) for seq in placed]).tolist()
+    dtype = np.int64 if sigma + n_rules <= 1 << 63 else object
+    flat = np.fromiter(chain.from_iterable(placed), dtype=dtype, count=ends[-1])
+    rename = np.empty(n_rules, dtype=np.int64)
+    rename[topo] = np.arange(n_rules)
+    nonterminal = flat >= sigma
+    flat[nonterminal] = rename[(flat[nonterminal] - sigma).astype(np.int64)].astype(dtype) + sigma
+    values = flat.tolist()
+    out = tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
+    return out[0], out[1:]
 
 
 def canonicalized(grammar: FullGrammar) -> FullGrammar:

@@ -10,11 +10,15 @@ sides, matches never span two of them.
 
 The working text is one int64 array: S' and then every rule's right-hand
 side in creation order, segment i followed by its separator -(i+1), so no
-window that matches another can contain a separator.  A round scans the
-array (_scan), replaces the winner's occurrences with a keep-mask and
-appends the new rule and its separator (_apply); once no round gains,
-_pair_rounds makes the remaining zero-gain pair rounds in one pass.  Lists
-are built only for on_step and the final grammar.
+window that matches another can contain a separator.  A scan (_scan) finds
+the round's winner and ``bound``, the best gain of any word of length >= 3.
+A winner of length >= 3 replaces its occurrences with a keep-mask and
+appends the new rule and its separator (_apply); the next round scans
+again.  A pair winner hands the array to a PairEngine, which makes the
+following rounds without a scan for as long as its best pair gains more
+than ``bound`` (zero-gain pair rounds included, once ``bound`` is -1):
+between scans no word of length >= 3 can gain more than ``bound`` (see
+greedy_run).  Lists are built only for on_step and the final grammar.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grammar import FullGrammar, grammar_from_segments
+from .pairs import PairEngine
 from .repair import log_sigma
 from .reporting import BoundRow, CheckReport
 from .textcore import Text
@@ -132,8 +137,9 @@ def _greedy_occurrences(positions, length: int) -> list[int]:
     return taken
 
 
-def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
-    """Best candidate over all segment substrings, plus the exact max pair count.
+def _scan(work: np.ndarray) -> tuple[_Candidate | None, int, int]:
+    """Best candidate over all segment substrings, the exact max pair count,
+    and the best gain of any word of length >= 3 (-1 when none repeats).
 
     ``work`` is the working array: S' and every rule's right-hand side, each
     followed by its own negative separator.  Level l groups the length-l
@@ -149,7 +155,7 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
     winner's taken positions and word are built once, at the end.
     """
     if len(work) < 3:
-        return None, 0
+        return None, 0, -1
     width = int(work.max()) + 1
     pos = np.flatnonzero(work[:-1] >= 0)
     code = work[pos]
@@ -159,6 +165,7 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
         code = np.unique(code, return_inverse=True)[1].reshape(-1)
     best = None  # ((gain, length, -first), count, group positions, has a gap < length)
     max_pair = 1
+    bound = -1
     length = 1
     while True:
         length += 1
@@ -186,10 +193,13 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
         if length == 2:
             max_pair = max(max_pair, top)
         if top >= 2:
+            gain = (top - 1) * (length - 1) - 1
+            if length >= 3:
+                bound = max(bound, gain)
             tied = np.flatnonzero(freq == top)
             g = tied[np.argmin(pos[starts[tied]])]
             first = int(pos[starts[g]])
-            rank = ((top - 1) * (length - 1) - 1, length, -first)
+            rank = (gain, length, -first)
             if best is None or rank > best[0]:
                 s = starts[g]
                 best = (rank, top, pos[s : s + counts[g]], bool(overlapping[g]))
@@ -199,12 +209,12 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
         code = np.repeat(np.arange(int(alive.sum())), counts[alive])
         pos = pos[np.repeat(alive, counts)]
     if best is None:
-        return None, max_pair
+        return None, max_pair, bound
     (gain, length, negfirst), count, group, overlapping = best
     if overlapping:
         group = np.array(_greedy_occurrences(group.tolist(), length), dtype=np.int64)
     word = tuple(work[-negfirst : -negfirst + length].tolist())
-    return _Candidate(gain, length, -negfirst, word, count, group), max_pair
+    return _Candidate(gain, length, -negfirst, word, count, group), max_pair, bound
 
 
 def _apply(work: np.ndarray, cand: _Candidate, new_symbol: int, separator: int):
@@ -218,54 +228,6 @@ def _apply(work: np.ndarray, cand: _Candidate, new_symbol: int, separator: int):
     return np.concatenate((out[keep], np.array([*cand.word, separator], dtype=np.int64)))
 
 
-def _pair_rounds(work: np.ndarray, new_symbol: int):
-    """Greedy's zero-gain rounds: yields each round's pair and the working
-    array after it, the round's rule and separator appended.
-
-    Once no round gains, every repeat left is a pair occurring exactly twice,
-    and a round X -> a b makes no new one: a pair (c, X) occurring twice
-    would be the length-3 repeat c a b.  A round only uses up the
-    occurrences it overlaps, and a pair's first live occurrence moves only
-    from q to q + 1 inside a run aaa, where no other pair starts.  So one
-    pass over the pairs in order of first occurrence makes the rounds Greedy
-    would, each pair taking its greedy occurrences among the positions that
-    earlier rounds left.
-    """
-    pos = np.flatnonzero((work[:-1] >= 0) & (work[1:] >= 0))
-    a, b = work[pos], work[pos + 1]
-    order = np.lexsort((b, a))  # stable, so each pair's positions ascend
-    pos, a, b = pos[order], a[order], b[order]
-    head = np.ones(len(pos), dtype=bool)
-    np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=head[1:])
-    starts = np.flatnonzero(head)
-    counts = np.diff(starts, append=len(pos))
-    repeated = counts >= 2
-    starts, counts = starts[repeated], counts[repeated]
-    by_first = np.argsort(pos[starts])
-    positions = pos.tolist()
-    used = set()  # positions an earlier round replaced or removed
-    # the working array in place, with room for one rule per repeated pair
-    end = len(work)
-    out = np.concatenate((work, np.zeros(3 * len(starts), dtype=np.int64)))
-    keep = np.ones(len(out), dtype=bool)
-    separator = int(work[-1]) - 1
-    for s, c in zip(starts[by_first].tolist(), counts[by_first].tolist()):
-        live = [p for p in positions[s : s + c] if p not in used and p + 1 not in used]
-        taken = _greedy_occurrences(live, 2)
-        if len(taken) < 2:
-            continue
-        p, q = taken
-        used.update((p, p + 1, q, q + 1))
-        pair = (int(work[p]), int(work[p + 1]))
-        out[p] = out[q] = new_symbol
-        keep[p + 1] = keep[q + 1] = False
-        out[end : end + 3] = (*pair, separator)
-        end += 3
-        yield pair, out[:end][keep[:end]]
-        new_symbol += 1
-        separator -= 1
-
-
 def greedy_run(
     text: Text,
     policy: GreedyPolicy | None = None,
@@ -273,11 +235,22 @@ def greedy_run(
 ) -> tuple[FullGrammar, GreedyTrace]:
     """Run Greedy under the given stopping policy.
 
-    Strictly-positive-gain rounds are found by rescanning all candidate
-    substrings; once only zero-gain pairs remain (each occurring exactly
-    twice), _pair_rounds makes them all, and the next scan finds nothing.
-    ``on_step(grammar)`` is invoked with the full grammar after every round
-    when given.
+    A scan finds each round whose winner has length >= 3.  After a scan
+    whose winner is a pair, a PairEngine over the working array makes that
+    round and the following ones, its rules and separators kept on a
+    pending list, for as long as the best pair's gain, count - 2, is
+    strictly greater than the scan's ``bound``; then the array is rebuilt
+    and scanned again.  This is exact: between scans a word of length >= 3
+    without a new symbol only loses occurrences (a pair's rule segment holds
+    none), and one that contains new symbols expands to a longer word, with
+    at least as many disjoint occurrences at the scan, that gained more.  So
+    no word of length >= 3 gains more than ``bound``, and one that gains
+    exactly ``bound`` beats an equal pair by length.  The pairs tie as in the
+    scan: maximum count, then leftmost first occurrence.  Separators are
+    symbols that occur once, so the engine never counts a pair across one.
+    Once nothing gains, ``bound`` is -1 and the engine makes the zero-gain
+    pair rounds.  ``on_step(grammar)`` is invoked with the full grammar
+    after every round when given.
     """
     policy = policy or GreedyPolicy.run_to_end()
     n = len(text)
@@ -289,13 +262,20 @@ def greedy_run(
     sigma = text.sigma
 
     work = _join([text.symbols])  # rule i is segment i + 1, separated by -(i + 2)
+    engine = None  # the pair rounds since the last scan, over work as it was
+    pending: list[int] = []  # their rules, each followed by its separator
     steps: list[GreedyStep] = []
     size = n
+
+    def working() -> np.ndarray:
+        if engine is None:
+            return work
+        return np.array(engine.symbols() + pending, dtype=np.int64)
 
     def record(word, freq, gain, max_pair):
         steps.append(GreedyStep(len(steps) + 1, word, freq, gain, size, max_pair))
         if on_step is not None:
-            on_step(grammar_from_segments(sigma, _split(work)))
+            on_step(grammar_from_segments(sigma, _split(working())))
 
     def policy_stop() -> str | None:
         # the zero-gain rounds keep the size, so they never cross the threshold
@@ -307,22 +287,31 @@ def greedy_run(
 
     stop = policy_stop()
     while stop is None:
-        cand, max_pair = _scan(work)
-        if cand is None:
-            break
-        if cand.gain > 0:
-            work = _apply(work, cand, sigma + len(steps), -(len(steps) + 2))
-            size -= cand.gain
-            record(cand.word, cand.count, cand.gain, max_pair)
-            stop = policy_stop()
-            continue
-        for pair, work in _pair_rounds(work, sigma + len(steps)):
-            record(pair, 2, 0, 2)
-            stop = policy_stop()
-            if stop is not None:
+        if engine is None:
+            cand, max_pair, bound = _scan(work)
+            if cand is None:
                 break
+            if cand.length > 2:
+                work = _apply(work, cand, sigma + len(steps), -(len(steps) + 2))
+                size -= cand.gain
+                record(cand.word, cand.count, cand.gain, max_pair)
+                stop = policy_stop()
+                continue
+            engine, pending = PairEngine(work), []
+        best = engine.select()
+        if best is None:
+            break
+        pair, count, _, positions = best
+        if count - 2 <= bound:
+            work, engine = working(), None
+            continue
+        engine.replace(pair, positions, sigma + len(steps))
+        pending += (*pair, -(len(steps) + 2))
+        size -= count - 2
+        record(pair, count, count - 2, count)
+        stop = policy_stop()
 
-    grammar = grammar_from_segments(sigma, _split(work))
+    grammar = grammar_from_segments(sigma, _split(working()))
     trace = GreedyTrace(steps, policy, n, sigma, threshold, stop or "exhausted")
     return grammar, trace
 

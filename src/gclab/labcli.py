@@ -39,9 +39,9 @@ from .reporting import BoundRow
 from .textcore import Text, empirical_entropy, entropy_profile, load_text
 
 SCHEMA_VERSION = "1"
-# input caps in symbols.  Re-Pair's is the largest power of two that runs to
-# the end within 10 minutes and 4 GB by extrapolation from measured runs at
-# 2^20-2^22 symbols (README); Greedy's is not measured yet
+# input caps in symbols: the largest power of two that runs to the end
+# within 10 minutes and 4 GB, with a margin, by extrapolation from measured
+# runs at 2^20-2^22 symbols (README; Greedy's on random text)
 GREEDY_CAP = 1 << 24
 REPAIR_CAP = 1 << 25
 ALGORITHMS = ("repair", "greedy", "lz78", "lz77ns", "offset-parse")

@@ -1,8 +1,15 @@
-"""Incremental most-frequent-pair machinery of Re-Pair.
+"""Incremental most-frequent-pair machinery of Re-Pair and of Greedy's
+pair rounds.
 
 Maintains, over one working string, the exact greedy left-to-right
 non-overlapping occurrence count of every adjacent pair, under batched
 pair-to-nonterminal replacements.
+
+Re-Pair builds one engine over its text.  Greedy builds a new one after
+each scan whose winner is a pair, over its whole working array: S' and
+every rule's right-hand side, each followed by a negative separator.  Each
+separator occurs once, so every pair that contains one occurs once and is
+never active: no counted pair crosses two segments.
 
 Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
 IEEE 88(11), 2000).  The string lives in flat per-position arrays: symbol,

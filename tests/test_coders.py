@@ -79,8 +79,8 @@ def random_grammar(rng, cnf, max_rules=10):
 def test_bitwriter_round_trip():
     w = BitWriter()
     w.write_bits(0b1011, 4)
-    w.write_unary(3)
-    w.write_bit(1)
+    w.write_unaries((3,))
+    w.write_bits(1, 1)
     s = w.freeze()
     assert s.to01() == "1011" + "110" + "1"
     r = BitReader(s)

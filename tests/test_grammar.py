@@ -18,6 +18,7 @@ from gclab.grammar import (
     induced_parsing,
     metrics,
     nonoverlapping_digram_counts,
+    renumber_segments,
     start_parsing,
     to_binary,
     to_text_dump,
@@ -417,6 +418,16 @@ def test_binary_invalid_grammar_is_malformed():
     data = to_binary(FullGrammar(2, (2,), [(0, 1)]))
     with pytest.raises(MalformedStreamError, match="start references undefined id 3"):
         from_binary(data[:-1] + b"\x03")
+
+
+@pytest.mark.parametrize("sigma", [3, 2**64 + 3])
+def test_renumber_segments_children_first(sigma):
+    # rule 0 uses rule 1, so rule 1 takes the first id; a GCB1 header may
+    # declare any sigma, ids past int64 included
+    segments = [[sigma + 1, 0, sigma], [sigma + 1, 1], [2, 2]]
+    assert renumber_segments(sigma, segments) == ((sigma, 0, sigma + 1), ((2, 2), (sigma, 1)))
+    with pytest.raises(ValueError):
+        renumber_segments(sigma, [[sigma], [sigma + 1], [sigma]])
 
 
 def test_text_dump():

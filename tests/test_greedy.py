@@ -3,10 +3,14 @@ import math
 import pytest
 
 from conftest import random_text
-from gclab.grammar import check_irreducible, check_weakly_nonredundant, metrics
+from gclab import greedy
+from gclab.grammar import (
+    check_irreducible, check_weakly_nonredundant, grammar_from_segments, metrics,
+)
 from gclab.greedy import (
     GreedyPolicy, _join, _scan, _split, greedy_run, greedy_stop_report, greedy_threshold,
 )
+from gclab.labcli import fixture_text
 from gclab.textcore import Text
 
 
@@ -52,6 +56,13 @@ def reference_max_pair(segments):
     """Non-overlapping count of the most frequent pair; 1 when none repeats."""
     pairs = [len(t) for w, t in _occurrences(segments).items() if len(w) == 2]
     return max(pairs, default=1)
+
+
+def reference_long_bound(segments):
+    """Best gain of a word of length >= 3 occurring twice; -1 when none does."""
+    gains = [(len(t) - 1) * (len(w) - 1) - 1
+             for w, t in _occurrences(segments).items() if len(w) >= 3 and len(t) >= 2]
+    return max(gains, default=-1)
 
 
 def reference_greedy(text):
@@ -106,8 +117,9 @@ def test_scan_matches_oracle(rng):
     for segments in scan_inputs(rng):
         work = _join(segments)
         assert _split(work) == segments
-        cand, max_pair = _scan(work)
+        cand, max_pair, bound = _scan(work)
         assert max_pair == reference_max_pair(segments), segments
+        assert bound == reference_long_bound(segments), segments
         ref = reference_best_candidate(segments)
         if ref is None:
             assert cand is None, segments
@@ -150,8 +162,6 @@ ZERO_GAIN_WORDS = ["caaaadca", "caaaaadca", "baaacaad", "bcaaadcaeaa", "cbababd"
 
 
 def test_matches_reference(rng):
-    from gclab.grammar import grammar_from_segments
-
     texts = [random_text(rng, rng.choice([2, 3]), rng.randrange(2, 60)) for _ in range(20)]
     texts += [Text.from_string(w * m, 2) for w, m in PERIODIC_WORDS]
     texts.append(Text.from_string("aab" * 40 + "b"))
@@ -163,6 +173,34 @@ def test_matches_reference(rng):
         ref = grammar_from_segments(t.sigma, reference_greedy(t))
         assert g == ref
         assert g.expand_start() == t.symbols
+
+
+def test_long_word_wins_a_tie_after_a_pair_round():
+    # the pair round (b, a) leaves the pair (b, b) at gain 1, the bound of
+    # the scan before it, and bbb, which also gains 1, wins by length: a
+    # pair equal to the bound must not be taken without a rescan
+    t = Text.from_string("baaababbbbbbbabaa")
+    g, tr = greedy_run(t)
+    assert [(s.substring, s.gain) for s in tr.steps] == [((1, 0), 2), ((1, 1, 1), 1), ((2, 0), 0)]
+    assert g == grammar_from_segments(t.sigma, reference_greedy(t))
+
+
+def test_pair_rounds_between_scans(monkeypatch):
+    # on random text nearly every round replaces a pair (717 of 721 here),
+    # and a scan is needed only where a longer word may win: 13 scans,
+    # against 426 with a scan for every positive-gain round
+    scans = []
+
+    def counted(work):
+        scans.append(len(work))
+        return _scan(work)
+
+    monkeypatch.setattr(greedy, "_scan", counted)
+    t = fixture_text("random:4,20000,1")
+    g, tr = greedy_run(t)
+    assert len(scans) <= 20, len(scans)
+    assert len(tr.steps) > 400 and tr.stopped_by == "exhausted"
+    assert g.expand_start() == t.symbols
 
 
 def test_gain_accounting_and_invariants(rng):
