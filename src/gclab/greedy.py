@@ -11,14 +11,15 @@ sides, matches never span two of them.
 The working text is one int64 array: S' and then every rule's right-hand
 side in creation order, segment i followed by its separator -(i+1), so no
 window that matches another can contain a separator.  A scan (_scan) finds
-the round's winner and ``bound``, the best gain of any word of length >= 3.
-A winner of length >= 3 replaces its occurrences with a keep-mask and
-appends the new rule and its separator (_apply); the next round scans
-again.  A pair winner hands the array to a PairEngine, which makes the
-following rounds without a scan for as long as its best pair gains more
-than ``bound`` (zero-gain pair rounds included, once ``bound`` is -1):
-between scans no word of length >= 3 can gain more than ``bound`` (see
-greedy_run).  Lists are built only for on_step and the final grammar.
+the best word of length >= 3, whose gain is ``bound`` (-1 if none), and the
+exact count of the most frequent pair.  A long word that gains at least as
+much as that pair replaces its occurrences with a keep-mask and appends the
+new rule and its separator (_apply); the next round scans again.  Else a
+PairEngine over the array makes the pair rounds without a scan for as long
+as its best pair gains more than ``bound`` (zero-gain rounds included, once
+``bound`` is -1): between scans no word of length >= 3 can gain more than
+``bound`` (see greedy_run).  Lists are built only for on_step and the
+final grammar.
 """
 
 from __future__ import annotations
@@ -137,9 +138,11 @@ def _greedy_occurrences(positions, length: int) -> list[int]:
     return taken
 
 
-def _scan(work: np.ndarray) -> tuple[_Candidate | None, int, int]:
-    """Best candidate over all segment substrings, the exact max pair count,
-    and the best gain of any word of length >= 3 (-1 when none repeats).
+def _scan(work: np.ndarray) -> tuple[_Candidate | None, int]:
+    """The best word of length >= 3 over all segment substrings (None when
+    none occurs twice) and the exact count of the most frequent pair (1 when
+    none repeats).  Pairs are counted but not ranked: greedy_run weighs the
+    pair count against the long word's gain.
 
     ``work`` is the working array: S' and every rule's right-hand side, each
     followed by its own negative separator.  Level l groups the length-l
@@ -150,12 +153,10 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int, int]:
 
     Gap test: a group whose consecutive positions are all >= l apart counts
     every occurrence; only a group with a gap < l runs the left-to-right
-    count.  The level's best (maximum count, then leftmost first occurrence)
-    is compared with the running best by (gain, length, -first); the
-    winner's taken positions and word are built once, at the end.
+    count.  From length 3 on, the level's best (maximum count, then leftmost
+    first occurrence) is compared with the running best by (gain, length,
+    -first); the winner's taken positions and word are built once, at the end.
     """
-    if len(work) < 3:
-        return None, 0, -1
     width = int(work.max()) + 1
     pos = np.flatnonzero(work[:-1] >= 0)
     code = work[pos]
@@ -165,7 +166,6 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int, int]:
         code = np.unique(code, return_inverse=True)[1].reshape(-1)
     best = None  # ((gain, length, -first), count, group positions, has a gap < length)
     max_pair = 1
-    bound = -1
     length = 1
     while True:
         length += 1
@@ -191,11 +191,9 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int, int]:
             freq[g] = len(_greedy_occurrences(pos[s : s + counts[g]].tolist(), length))
         top = int(freq.max())
         if length == 2:
-            max_pair = max(max_pair, top)
-        if top >= 2:
+            max_pair = top
+        elif top >= 2:
             gain = (top - 1) * (length - 1) - 1
-            if length >= 3:
-                bound = max(bound, gain)
             tied = np.flatnonzero(freq == top)
             g = tied[np.argmin(pos[starts[tied]])]
             first = int(pos[starts[g]])
@@ -209,12 +207,12 @@ def _scan(work: np.ndarray) -> tuple[_Candidate | None, int, int]:
         code = np.repeat(np.arange(int(alive.sum())), counts[alive])
         pos = pos[np.repeat(alive, counts)]
     if best is None:
-        return None, max_pair, bound
+        return None, max_pair
     (gain, length, negfirst), count, group, overlapping = best
     if overlapping:
         group = np.array(_greedy_occurrences(group.tolist(), length), dtype=np.int64)
     word = tuple(work[-negfirst : -negfirst + length].tolist())
-    return _Candidate(gain, length, -negfirst, word, count, group), max_pair, bound
+    return _Candidate(gain, length, -negfirst, word, count, group), max_pair
 
 
 def _apply(work: np.ndarray, cand: _Candidate, new_symbol: int, separator: int):
@@ -235,22 +233,21 @@ def greedy_run(
 ) -> tuple[FullGrammar, GreedyTrace]:
     """Run Greedy under the given stopping policy.
 
-    A scan finds each round whose winner has length >= 3.  After a scan
-    whose winner is a pair, a PairEngine over the working array makes that
-    round and the following ones, its rules and separators kept on a
-    pending list, for as long as the best pair's gain, count - 2, is
-    strictly greater than the scan's ``bound``; then the array is rebuilt
-    and scanned again.  This is exact: between scans a word of length >= 3
-    without a new symbol only loses occurrences (a pair's rule segment holds
-    none), and one that contains new symbols expands to a longer word, with
-    at least as many disjoint occurrences at the scan, that gained more.  So
-    no word of length >= 3 gains more than ``bound``, and one that gains
-    exactly ``bound`` beats an equal pair by length.  The pairs tie as in the
-    scan: maximum count, then leftmost first occurrence.  Separators are
-    symbols that occur once, so the engine never counts a pair across one.
-    Once nothing gains, ``bound`` is -1 and the engine makes the zero-gain
-    pair rounds.  ``on_step(grammar)`` is invoked with the full grammar
-    after every round when given.
+    One test decides each round: a pair round when the best pair's gain,
+    count - 2, is strictly greater than ``bound``, the gain of the last
+    scan's best word of length >= 3 (-1 if none); else that word's round,
+    or the end.  The first pair round after a scan builds a PairEngine,
+    whose first select() is the scan's best pair (same count and leftmost
+    tie-break); later rounds test its next select() and keep their rules
+    and separators on a pending list, and a failed test there rebuilds the
+    array for a new scan.  This is exact: between scans a word of length
+    >= 3 without a new symbol only loses occurrences (a pair's rule segment
+    holds none), and one that contains new symbols expands to a longer word,
+    with at least as many disjoint occurrences at the scan, that gained
+    more.  So no word of length >= 3 gains more than ``bound``, and one that
+    gains exactly ``bound`` beats an equal pair by length.  Separators occur
+    once, so the engine never counts a pair across one.  ``on_step(grammar)``
+    is invoked with the full grammar after every round when given.
     """
     policy = policy or GreedyPolicy.run_to_end()
     n = len(text)
@@ -270,7 +267,7 @@ def greedy_run(
     def working() -> np.ndarray:
         if engine is None:
             return work
-        return np.array(engine.symbols() + pending, dtype=np.int64)
+        return np.concatenate((engine.symbols(), np.array(pending, dtype=np.int64)))
 
     def record(word, freq, gain, max_pair):
         steps.append(GreedyStep(len(steps) + 1, word, freq, gain, size, max_pair))
@@ -288,13 +285,14 @@ def greedy_run(
     stop = policy_stop()
     while stop is None:
         if engine is None:
-            cand, max_pair, bound = _scan(work)
-            if cand is None:
-                break
-            if cand.length > 2:
-                work = _apply(work, cand, sigma + len(steps), -(len(steps) + 2))
-                size -= cand.gain
-                record(cand.word, cand.count, cand.gain, max_pair)
+            long, max_pair = _scan(work)
+            bound = -1 if long is None else long.gain
+            if max_pair - 2 <= bound:
+                if long is None:
+                    break
+                work = _apply(work, long, sigma + len(steps), -(len(steps) + 2))
+                size -= long.gain
+                record(long.word, long.count, long.gain, max_pair)
                 stop = policy_stop()
                 continue
             engine, pending = PairEngine(work), []

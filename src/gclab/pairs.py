@@ -6,7 +6,7 @@ non-overlapping occurrence count of every adjacent pair, under batched
 pair-to-nonterminal replacements.
 
 Re-Pair builds one engine over its text.  Greedy builds a new one after
-each scan whose winner is a pair, over its whole working array: S' and
+each scan that a pair wins, over its whole working array: S' and
 every rule's right-hand side, each followed by a negative separator.  Each
 separator occurs once, so every pair that contains one occurs once and is
 never active: no counted pair crosses two segments.
@@ -17,7 +17,13 @@ next and previous live position.  Every active pair is one record, its
 occurrence count and the head of its occurrence thread; the occurrences are
 threaded in position order through per-position next-occurrence,
 previous-occurrence and pair-id arrays.  All of it is held in stdlib
-``array`` typed arrays, built by one numpy pass over the string.
+``array`` typed arrays, built by one numpy pass over the string, which
+comes in and goes out as one int64 array.
+
+A replacement keeps the left position of each occurrence and links past
+the right one, which dies; no link ever returns to a dead position.  So
+the live positions are 0 and every p that its previous position links to
+(next[prev[p]] == p), and symbols() reads them with one mask.
 
 Only pairs that occur at least twice are active.  Replacing the pair (a, b)
 by a fresh symbol X uses up every occurrence of (a, b), and every pair it
@@ -44,7 +50,8 @@ import numpy as np
 
 class PairEngine:
     def __init__(self, symbols):
-        total = len(symbols)
+        flat = np.asarray(symbols, dtype=np.int64)
+        total = len(flat)
         if not total:
             raise ValueError("the string must be nonempty")
         # positions and pair ids (one per pair occurring twice when built,
@@ -53,7 +60,6 @@ class PairEngine:
         dt = np.int32 if self._typecode == "i" else np.int64
         self.alive = total
 
-        flat = np.fromiter(symbols, dtype=np.int64, count=total)
         nxt = np.arange(1, total + 1, dtype=dt)
         nxt[-1] = -1
         prv = np.arange(-1, total - 1, dtype=dt)
@@ -237,12 +243,11 @@ class PairEngine:
                 prev = p
             onx[prev] = -1
 
-    def symbols(self) -> list:
-        """The working string."""
-        out = []
-        sym, nxt = self.sym, self.nxt
-        i = 0
-        while i != -1:
-            out.append(sym[i])
-            i = nxt[i]
-        return out
+    def symbols(self) -> np.ndarray:
+        """The working string, as an int64 array."""
+        nxt = np.frombuffer(self.nxt, dtype=self._typecode)
+        prv = np.frombuffer(self.prv, dtype=self._typecode)
+        live = np.empty(len(nxt), dtype=bool)
+        live[0] = True
+        np.equal(nxt[prv[1:]], np.arange(1, len(nxt), dtype=nxt.dtype), out=live[1:])
+        return np.frombuffer(self.sym, dtype=np.int64)[live]

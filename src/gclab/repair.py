@@ -120,35 +120,29 @@ def repair_run(
     engine = PairEngine(text.symbols)
     rules: list[tuple[int, int]] = []
     steps: list[RepairStep] = []
-    stopped_by = "exhausted"
 
-    if threshold is not None and engine.alive < threshold:
-        stopped_by = "threshold"
-    else:
-        while True:
-            if policy.kind == MAX_NONTERMINALS and len(rules) >= policy.param:
-                stopped_by = "max_nonterminals"
-                break
-            sel = engine.select()
-            if sel is None:
-                stopped_by = "exhausted"
-                break
-            pair, count, _first, positions = sel
-            new_sym = sigma + len(rules)
-            rules.append(pair)
-            engine.replace(pair, positions, new_sym)
-            steps.append(
-                RepairStep(len(rules), pair, count, engine.alive, len(rules))
-            )
-            if on_step is not None:
-                working = engine.symbols()
-                on_step(FullGrammar(sigma, working, rules))
-            if threshold is not None and engine.alive < threshold:
-                stopped_by = "threshold"
-                break
+    while True:
+        if threshold is not None and engine.alive < threshold:
+            stopped_by = "threshold"
+            break
+        if policy.kind == MAX_NONTERMINALS and len(rules) >= policy.param:
+            stopped_by = "max_nonterminals"
+            break
+        sel = engine.select()
+        if sel is None:
+            stopped_by = "exhausted"
+            break
+        pair, count, _first, positions = sel
+        new_sym = sigma + len(rules)
+        rules.append(pair)
+        engine.replace(pair, positions, new_sym)
+        steps.append(
+            RepairStep(len(rules), pair, count, engine.alive, len(rules))
+        )
+        if on_step is not None:
+            on_step(FullGrammar(sigma, engine.symbols().tolist(), rules))
 
-    working = engine.symbols()
-    grammar = FullGrammar(sigma, working, rules)
+    grammar = FullGrammar(sigma, engine.symbols().tolist(), rules)
     trace = RepairTrace(steps, policy, n, sigma, threshold, stopped_by)
     return grammar, trace
 

@@ -49,7 +49,7 @@ def drive(symbols, first_symbol):
     while True:
         want = brute_select(model)
         assert engine.select() == want
-        assert engine.symbols() == [s for _, s in model]
+        assert engine.symbols().tolist() == [s for _, s in model]
         assert engine.alive == len(model)
         if want is None:
             return x - first_symbol
