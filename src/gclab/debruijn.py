@@ -308,11 +308,10 @@ def lower_bound_check(text: Text, parsing: Parsing, params: GdBParams) -> CheckR
     log_sigma2 = math.log2(params.sigma)
     main_rhs = n * (z + params.k) / (2 * z) * log_sigma2 - m * math.log2(n / m)
     out.add(
-        BoundRow(
+        BoundRow.check(
             "debruijn_entropy_lower",
             main_rhs,
             y_h0,
-            main_rhs <= y_h0 + 1e-6,
             1e-6,
             "lower bound: lhs must not exceed achieved |Y|H0(Y)",
         )
@@ -327,11 +326,10 @@ def lower_bound_check(text: Text, parsing: Parsing, params: GdBParams) -> CheckR
     eps = (lam * n + boundary) / hk_total if hk_total else math.inf
     ratio = y_h0 / hk_total if hk_total else math.inf
     out.add(
-        BoundRow(
+        BoundRow.check(
             "debruijn_ratio_lower",
             1 + rho - eps,
             ratio,
-            1 + rho - eps <= ratio + 1e-9,
             1e-9,
             f"ratio |Y|H0 / |S|H_k vs 1 + rho - eps; rho={rho:.6f} lam={lam:.6f} "
             f"boundary={boundary:.6f}",

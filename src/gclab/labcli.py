@@ -44,6 +44,12 @@ SCHEMA_VERSION = "1"
 # runs at 2^20-2^22 symbols (README; Greedy's on random text)
 GREEDY_CAP = 1 << 24
 REPAIR_CAP = 1 << 25
+# fixture lengths in symbols, checked before anything is built (README):
+# a de Bruijn word took 26 s and 2.2 GB at 2^24 symbols, 3.6x the memory of
+# 2^22, so 2^25 would not fit 4 GB; random, worst and badgrammar texts took
+# under 2.4 s and 190 MB per 2^22 symbols, so they go up to the Re-Pair cap
+GDB_LENGTH_CAP = 1 << 24
+FIXTURE_LENGTH_CAP = REPAIR_CAP
 ALGORITHMS = ("repair", "greedy", "lz78", "lz77ns", "offset-parse")
 
 EXAMPLE_WORD_32 = "aababcbbadccdbddaacadaccbdbbcddc"  # (k=2, l=0, p=1)
@@ -56,14 +62,28 @@ GDB_ENTROPY_SLACK_C = 4.0         # linear H_i >= target - c i log n / n
 WORST_CASE_LINEAR_SLACK = 6.0     # incremental >= 0.75 n log n - 6 n
 
 
+def _check_length(selector: str, length: int, cap: int):
+    if length > cap:
+        raise ValueError(f"fixture {selector} is over the cap of {cap} symbols")
+
+
+def _gdb_word(params: debruijn.GdBParams) -> Text:
+    _check_length(f"gdb:{params.k},{params.l},{params.p}", params.length, GDB_LENGTH_CAP)
+    return debruijn.generalized_word(params)
+
+
 def fixture_text(selector: str) -> Text:
+    """The text of a fixture selector; its length is checked before it is built."""
     kind, _, arg = selector.partition(":")
     if kind == "worst":
+        _check_length(selector, 4 * int(arg), FIXTURE_LENGTH_CAP)
         return rp.worst_case_family(int(arg))
     if kind == "gdb":
         k, l, p = (int(x) for x in arg.split(","))
-        return debruijn.generalized_word(debruijn.GdBParams(k, l, p))
+        return _gdb_word(debruijn.GdBParams(k, l, p))
     if kind == "badgrammar":
+        d = min(max(int(arg), 0), 64)  # d 2^(d+1) grows with d; 64 is over any cap
+        _check_length(selector, d << (d + 1), FIXTURE_LENGTH_CAP)
         return gmod.bad_grammar_fixture(int(arg)).text()
     if kind == "example32":
         return Text.from_string(EXAMPLE_WORD_32, 4)
@@ -71,6 +91,7 @@ def fixture_text(selector: str) -> Text:
         return Text.from_string(EXAMPLE_WORD_16, 4)
     if kind == "random":
         sigma, n, seed = (int(x) for x in arg.split(","))
+        _check_length(selector, n, FIXTURE_LENGTH_CAP)
         rng = random.Random(seed)
         return Text([rng.randrange(sigma) for _ in range(n)], sigma)
     raise ValueError(f"unknown fixture {selector!r}")
@@ -189,24 +210,16 @@ def _parsing_rows(rows, parsing, k_list, rng, prefix=""):
 def _natural_row(rows, parsing, prefix=""):
     if parsing.source.sigma < 2:
         return
-    ok, violations = pmod.is_natural_parsing(parsing)
+    _, violations = pmod.is_natural_parsing(parsing)
     rows.append(
-        BoundRow(
-            prefix + "natural_parsing",
-            float(len(violations)),
-            0.0,
-            ok,
-            0.0,
-            "phrase-condition violations must be zero",
-        )
+        BoundRow.check(prefix + "natural_parsing", len(violations), 0,
+                       detail="phrase-condition violations must be zero")
     )
 
 
 def _cyclic_rows(rows, text, k_list):
     n = len(text)
     for k in k_list:
-        if k >= n:
-            continue
         lin, _ = empirical_entropy(text, k)
         cyc, _ = empirical_entropy(text, k, cyclic=True)
         rows.append(
@@ -324,8 +337,6 @@ def _entropy_concat_rows(rows, grammar, text, k):
     """Exact chain bounding the entropy coding of ||S',G||."""
     s_double, ind = gmod.induced_parsing(grammar, text)
     s_g = grammar.rhs_concat()
-    if not s_g:
-        return
     lhs = coders.sequence_entropy_bits(s_g)
     hk, _ = empirical_entropy(text, k)
     l_h0 = ind.lengths_entropy_bits()
@@ -796,7 +807,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "debruijn":
         params = debruijn.GdBParams(args.k, args.l, args.p)
-        word = debruijn.generalized_word(params)
+        word = _gdb_word(params)
         if args.certificate:
             cert = debruijn.verify_gdb(word, params)
             payload = {

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import time
 
 import pytest
 
@@ -252,10 +255,11 @@ def test_cli_parse_and_verify(tmp_path, capsys):
     word = tmp_path / "in.tokens"
     word.write_text(Text([0, 1] * 20, 2).to_tokens())
     pfile = tmp_path / "p.txt"
-    rc = main(["parse", str(word), "--algorithm", "lz78", "--out", str(pfile)])
-    assert rc == 0
-    rc = main(["verify", "--text", str(word), "--parsing", str(pfile), "--k", "1"])
-    assert rc == 0
+    for algorithm in ("lz78", "lz77ns"):
+        rc = main(["parse", str(word), "--algorithm", algorithm, "--out", str(pfile)])
+        assert rc == 0
+        rc = main(["verify", "--text", str(word), "--parsing", str(pfile), "--k", "1"])
+        assert rc == 0
 
 
 def test_cli_report_exit_codes(tmp_path, capsys):
@@ -315,6 +319,61 @@ def test_cli_size_caps(monkeypatch, capsys, tmp_path):
         "ValueError: input of 17 symbols exceeds the Re-Pair cap of 16 symbols",
         "ValueError: input of 17 symbols exceeds the Greedy cap of 16 symbols",
     ]
+
+
+def test_fixture_lengths_at_the_caps(monkeypatch):
+    # each selector's length comes from its arguments: 4n, d 2^(d+1), the
+    # de Bruijn length and n
+    monkeypatch.setattr(labcli, "FIXTURE_LENGTH_CAP", 48)
+    monkeypatch.setattr(labcli, "GDB_LENGTH_CAP", 16)
+    for fits, over in (("worst:12", "worst:13"), ("badgrammar:3", "badgrammar:4"),
+                       ("random:2,48,1", "random:2,49,1"), ("gdb:1,1,1", "gdb:2,0,1")):
+        assert len(fixture_text(fits)) in (16, 48)
+        with pytest.raises(ValueError, match="over the cap"):
+            fixture_text(over)
+
+
+def test_cli_fixtures_over_the_caps_are_not_built(capsys):
+    over = labcli.FIXTURE_LENGTH_CAP + 1
+    for argv in (["entropy", "gdb:14,0,1"], ["debruijn", "--k", "14"], ["entropy", "gdb:1,22,1"],
+                 ["entropy", f"random:2,{over},1"], ["entropy", f"worst:{over // 4 + 1}"],
+                 ["entropy", "badgrammar:20"], ["entropy", f"badgrammar:{10**18}"]):
+        t0 = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 1, argv
+        assert "over the cap" in capsys.readouterr().err
+
+
+def test_report_custom_policy_and_csv_error_rows():
+    # custom:T is a Re-Pair policy; the Greedy cell of the same report is an
+    # error entry, which the CSV writes as a row with the error text
+    text = fixture_text("random:3,400,2")
+    report = run(small_spec(inputs=(("r", text),), algorithms=("repair", "greedy"),
+                            policy="custom:300", encodings=()))
+    repair_entry, greedy_entry = report.entries
+    _, trace = repair_run(text, StopPolicy.custom_threshold(300))
+    assert trace.stopped_by == "threshold"
+    assert repair_entry["measurements"]["stop_point"]["iterations"] == len(trace.steps)
+    assert greedy_entry["error"] == "ValueError: unknown policy 'custom:300' for greedy"
+    rows = list(csv.reader(io.StringIO(emit(report, "csv").decode())))
+    assert rows[2] == ["r", "greedy", "custom:300", "", "", "0", "0", "False", "",
+                       greedy_entry["error"]]
+
+
+def test_cli_greedy_bare_maxiter(tmp_path):
+    # bare maxiter runs ceil(n^c) rounds, c from --iter-exponent
+    trace_file = tmp_path / "trace.jsonl"
+    assert main(["greedy", "random:3,400,2", "--policy", "maxiter", "--iter-exponent", "0.5",
+                 "--out", str(tmp_path / "g.gcl"), "--trace-out", str(trace_file)]) == 0
+    assert len(trace_file.read_text().splitlines()) == 20
+
+
+def test_unary_input_has_no_natural_parsing_row():
+    # the natural-parser condition needs sigma >= 2
+    report = run(RunSpec(inputs=(("a^30", Text([0] * 30, 1)),), algorithms=("lz78", "repair")))
+    for e in report.entries:
+        names = [r["name"] for r in e["bound_rows"]]
+        assert names and "natural_parsing" not in names, e
 
 
 def test_cli_binary_stdout_matches_out_file(tmp_path, capsysbinary):
