@@ -326,9 +326,10 @@ def test_fixture_lengths_at_the_caps(monkeypatch):
     # de Bruijn length and n
     monkeypatch.setattr(labcli, "FIXTURE_LENGTH_CAP", 48)
     monkeypatch.setattr(labcli, "GDB_LENGTH_CAP", 16)
-    for fits, over in (("worst:12", "worst:13"), ("badgrammar:3", "badgrammar:4"),
-                       ("random:2,48,1", "random:2,49,1"), ("gdb:1,1,1", "gdb:2,0,1")):
-        assert len(fixture_text(fits)) in (16, 48)
+    for fits, length, over in (("worst:12", 48, "worst:13"), ("badgrammar:3", 48, "badgrammar:4"),
+                               ("random:2,48,1", 48, "random:2,49,1"),
+                               ("gdb:1,1,1", 16, "gdb:2,0,1")):
+        assert len(fixture_text(fits)) == length
         with pytest.raises(ValueError, match="over the cap"):
             fixture_text(over)
 
