@@ -27,6 +27,8 @@ and the chain of Huffman code starts.
 Every SizeBreakdown carries formula_bound_bits: the corresponding upper
 bound with all hidden constants instantiated explicitly (see _overhead_slack
 and _delta_budget); totals are asserted against these bounds in the tests.
+The naive, entropy and incremental ones also carry the Huffman sandwich
+figures of the sequence they code.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ MAGIC = b"GCB1"
 ENCODINGS = ("fully_naive", "naive", "entropy", "incremental")
 _TAGS = {name: i for i, name in enumerate(ENCODINGS)}
 MAX_UNARY = 1 << 20  # rule-length cap for unary fields
+# codebook domain cap in symbols (sigma + |G|): an encode's presence bitmap
+# costs about 16 B of memory per domain value, 2.2 GB at 2^27 (README)
+CODEBOOK_DOMAIN_CAP = 1 << 27
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,9 @@ class SizeBreakdown:
     lengths_side_bits: int
     total_bits: int
     formula_bound_bits: float
+    # (|Y|H0(Y), Huffman code bits, |Y|) of the sequence Y the encoding
+    # Huffman-codes, for the sandwich bounds; None when it codes none
+    huffman: tuple[float, int, int] | None = None
 
     def as_dict(self) -> dict:
         return {
@@ -76,9 +84,9 @@ class SizeBreakdown:
         }
 
 
-def _breakdown(payload, dictionary, lengths_side, bound) -> SizeBreakdown:
+def _breakdown(payload, dictionary, lengths_side, bound, huffman=None) -> SizeBreakdown:
     return SizeBreakdown(
-        payload, dictionary, lengths_side, payload + dictionary + lengths_side, bound
+        payload, dictionary, lengths_side, payload + dictionary + lengths_side, bound, huffman
     )
 
 
@@ -152,6 +160,8 @@ def _canonical(lengths: dict[int, int], domain: int) -> Codebook:
 
 
 def build_codebook(seq, domain: int) -> Codebook:
+    if domain > CODEBOOK_DOMAIN_CAP:
+        raise ValueError(f"codebook domain of {domain} symbols is over the cap of {CODEBOOK_DOMAIN_CAP}")
     freqs = Counter(seq)
     for sym in freqs:
         if not 0 <= sym < domain:
@@ -395,12 +405,14 @@ def _read_rules(r: BitReader, n_rules: int, width: int) -> list[tuple]:
     return _split(symbols, lengths.tolist())
 
 
-def _write_coded(w: BitWriter, seq, domain: int) -> Codebook:
-    """The codebook of ``seq``, then ``seq`` Huffman-coded."""
+def _write_coded(w: BitWriter, seq, domain: int) -> tuple[Codebook, int]:
+    """The codebook of ``seq``, then ``seq`` Huffman-coded; returns the
+    codebook and the bits of the codes."""
     cb = build_codebook(seq, domain)
     w.write_bytes(cb.serialized)
-    w.write_fields(*_huffman_fields(seq, cb))
-    return cb
+    codes, lengths = _huffman_fields(seq, cb)
+    w.write_fields(codes, lengths)
+    return cb, int(lengths.sum())
 
 
 def _read_coded(r: BitReader, count: int) -> list[int]:
@@ -438,17 +450,18 @@ def encode_naive(grammar: FullGrammar):
     w = BitWriter()
     lengths_side = _write_rules(w, grammar, symbol_width(grammar.sigma, len(grammar.rules)))
     domain = grammar.sigma + len(grammar.rules)
-    cb = _write_coded(w, grammar.start, domain)
+    cb, coded = _write_coded(w, grammar.start, domain)
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
     rhs_g = sum(len(r) for r in grammar.rules)
     rhs_full = len(grammar.start) + rhs_g
+    h0 = sequence_entropy_bits(grammar.start)
     bound = (
-        sequence_entropy_bits(grammar.start)
+        h0
         + rhs_g * math.log2(max(2, domain))
         + _overhead_slack(rhs_full, domain, len(set(grammar.start)))
     )
-    return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound)
+    return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound, (h0, coded, len(grammar.start)))
 
 
 def _read_naive(r: BitReader, sigma, n_rules, start_len):
@@ -469,15 +482,12 @@ def encode_entropy(grammar: FullGrammar):
     w.write_unaries(lengths)
     lengths_side = sum(lengths)
     domain = grammar.sigma + len(grammar.rules)
-    cb = _write_coded(w, s_g, domain)
+    cb, coded = _write_coded(w, s_g, domain)
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
-    bound = (
-        sequence_entropy_bits(s_g)
-        + len(s_g)
-        + _overhead_slack(len(s_g), domain, len(set(s_g)))
-    )
-    return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound)
+    h0 = sequence_entropy_bits(s_g)
+    bound = h0 + len(s_g) + _overhead_slack(len(s_g), domain, len(set(s_g)))
+    return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound, (h0, coded, len(s_g)))
 
 
 def _read_entropy(r: BitReader, sigma, n_rules, start_len):
@@ -547,17 +557,19 @@ def encode_incremental(grammar: FullGrammar):
     w.write_fields(values, widths)
     delta_bits = sum(widths) - n_rules * width
     start = [new_id(s) for s in grammar.start]
-    cb = _write_coded(w, start, sigma + n_rules)
+    cb, coded = _write_coded(w, start, sigma + n_rules)
     stream = w.freeze()
     payload = stream.length_bits - delta_bits - cb.serialized_bits
     rhs_full = len(grammar.start) + 2 * n_rules
+    # S' renamed has the frequencies of S', so the same H0 and optimal code total
+    h0 = sequence_entropy_bits(grammar.start)
     bound = (
-        sequence_entropy_bits(grammar.start)
+        h0
         + n_rules * math.log2(max(2, sigma + n_rules))
         + _delta_budget(sigma, n_rules)
         + _overhead_slack(rhs_full, sigma + n_rules, len(set(start)))
     )
-    return stream, _breakdown(payload, cb.serialized_bits, delta_bits, bound)
+    return stream, _breakdown(payload, cb.serialized_bits, delta_bits, bound, (h0, coded, len(start)))
 
 
 def _read_incremental(r: BitReader, sigma, n_rules, start_len):

@@ -336,8 +336,9 @@ def expansion_sum_check(grammar: FullGrammar) -> ExpansionSumResult:
     """Under IG2, the expansions of all rule right-hand sides sum to <= 2|S|."""
     if _ig2_witness(grammar) is not None:
         return ExpansionSumResult(False, None, None, None)
-    total = sum(grammar.expansion_lengths())
-    n = len(grammar.expand_start())
+    lens = grammar.expansion_lengths()
+    total = sum(lens)
+    n = sum(lens[s - grammar.sigma] if s >= grammar.sigma else 1 for s in grammar.start)
     return ExpansionSumResult(True, total, n, total <= 2 * n)
 
 

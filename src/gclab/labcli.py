@@ -26,7 +26,7 @@ import json
 import math
 import random
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -62,50 +62,67 @@ GDB_ENTROPY_SLACK_C = 4.0         # linear H_i >= target - c i log n / n
 WORST_CASE_LINEAR_SLACK = 6.0     # incremental >= 0.75 n log n - 6 n
 
 
-def _check_length(selector: str, length: int, cap: int):
-    if length > cap:
-        raise ValueError(f"fixture {selector} is over the cap of {cap} symbols")
+def _random_text(sigma: int, n: int, seed: int) -> Text:
+    rng = random.Random(seed)
+    return Text([rng.randrange(sigma) for _ in range(n)], sigma)
 
 
-def _gdb_word(params: debruijn.GdBParams) -> Text:
-    _check_length(f"gdb:{params.k},{params.l},{params.p}", params.length, GDB_LENGTH_CAP)
-    return debruijn.generalized_word(params)
+# a fixture kind: the number of integer arguments after "kind:" and, from
+# them, its length in symbols, its builder and its de Bruijn parameters
+_Fixture = namedtuple("_Fixture", "arity length build gdb", defaults=(None,))
+
+# lengths are computed before building (README "Size caps"), de Bruijn words
+# against GDB_LENGTH_CAP; d 2^(d+1) grows with d and 64 is over any cap.
+# Builders look their function up on its module at call time, so a function
+# replaced there (by a tracer, say) is the one called
+_FIXTURES = {
+    "worst": _Fixture(1, lambda n: 4 * n, lambda n: rp.worst_case_family(n)),
+    "gdb": _Fixture(3, lambda *a: debruijn.GdBParams(*a).length,
+                    lambda *a: debruijn.generalized_word(debruijn.GdBParams(*a)), debruijn.GdBParams),
+    "badgrammar": _Fixture(1, lambda d: min(max(d, 0), 64) << (min(max(d, 0), 64) + 1),
+                           lambda d: gmod.bad_grammar_fixture(d).text()),
+    "example32": _Fixture(0, lambda: len(EXAMPLE_WORD_32), lambda: Text.from_string(EXAMPLE_WORD_32, 4),
+                          lambda: debruijn.GdBParams(2, 0, 1)),
+    "example16": _Fixture(0, lambda: len(EXAMPLE_WORD_16), lambda: Text.from_string(EXAMPLE_WORD_16, 4),
+                          lambda: debruijn.GdBParams(1, 1, 1)),
+    "random": _Fixture(3, lambda sigma, n, seed: n, _random_text),
+}
+
+
+def _fixture(selector: str) -> tuple[_Fixture, tuple[int, ...]]:
+    """The kind of a fixture selector and its integer arguments."""
+    kind, _, arg = selector.partition(":")
+    if kind not in _FIXTURES:
+        raise ValueError(f"unknown fixture {selector!r}")
+    fx = _FIXTURES[kind]
+    args = tuple(int(x) for x in arg.split(",")) if arg else ()
+    if len(args) != fx.arity:
+        raise ValueError(f"fixture {kind} takes {fx.arity} integer argument(s)")
+    return fx, args
 
 
 def fixture_text(selector: str) -> Text:
     """The text of a fixture selector; its length is checked before it is built."""
-    kind, _, arg = selector.partition(":")
-    if kind == "worst":
-        _check_length(selector, 4 * int(arg), FIXTURE_LENGTH_CAP)
-        return rp.worst_case_family(int(arg))
-    if kind == "gdb":
-        k, l, p = (int(x) for x in arg.split(","))
-        return _gdb_word(debruijn.GdBParams(k, l, p))
-    if kind == "badgrammar":
-        d = min(max(int(arg), 0), 64)  # d 2^(d+1) grows with d; 64 is over any cap
-        _check_length(selector, d << (d + 1), FIXTURE_LENGTH_CAP)
-        return gmod.bad_grammar_fixture(int(arg)).text()
-    if kind == "example32":
-        return Text.from_string(EXAMPLE_WORD_32, 4)
-    if kind == "example16":
-        return Text.from_string(EXAMPLE_WORD_16, 4)
-    if kind == "random":
-        sigma, n, seed = (int(x) for x in arg.split(","))
-        _check_length(selector, n, FIXTURE_LENGTH_CAP)
-        rng = random.Random(seed)
-        return Text([rng.randrange(sigma) for _ in range(n)], sigma)
-    raise ValueError(f"unknown fixture {selector!r}")
+    fx, args = _fixture(selector)
+    cap = GDB_LENGTH_CAP if fx.gdb else FIXTURE_LENGTH_CAP
+    if fx.length(*args) > cap:
+        raise ValueError(f"fixture {selector} is over the cap of {cap} symbols")
+    return fx.build(*args)
 
 
 def _gdb_params_of(name: str) -> debruijn.GdBParams | None:
-    if name.startswith("gdb:"):
-        k, l, p = (int(x) for x in name[4:].split(","))
-        return debruijn.GdBParams(k, l, p)
-    if name == "example32":
-        return debruijn.GdBParams(2, 0, 1)
-    if name == "example16":
-        return debruijn.GdBParams(1, 1, 1)
-    return None
+    fx = _FIXTURES.get(name.partition(":")[0])
+    if fx is None or fx.gdb is None:
+        return None
+    return fx.gdb(*_fixture(name)[1])
+
+
+# `gclab parse --algorithm`: (text, phrase length l of an offset parsing) -> parsing
+_PARSERS = {
+    "lz78": lambda text, l: pmod.lz78_parse(text),
+    "lz77ns": lambda text, l: pmod.lz77_parse_nonself(text),
+    "offset": lambda text, l: pmod.best_offset_parsing(text, l),
+}
 
 
 @dataclass(frozen=True)
@@ -241,11 +258,11 @@ def _cyclic_rows(rows, text, k_list):
         )
 
 
-def _encoding_rows(rows, grammar, encodings, text, k_list):
+def _encoding_rows(rows, grammar, expanded, encodings, text, k_list):
     """Size, roundtrip and Huffman sandwich rows per encoding, with each
-    encoding's ratio to |S|H_k(S) of the cell's text for k in ``k_list``."""
+    encoding's ratio to |S|H_k(S) of the cell's text for k in ``k_list``;
+    ``expanded`` is the grammar's expansion."""
     measurements = {}
-    sandwiches = {}  # "start" or "s_g" -> (H0 bits, Huffman payload bits, length)
     for enc in encodings:
         if enc == "incremental" and not grammar.is_cnf:
             measurements[enc] = {"skipped": "grammar not in CNF"}
@@ -262,7 +279,7 @@ def _encoding_rows(rows, grammar, encodings, text, k_list):
             )
         )
         rows.append(
-            BoundRow.flag(f"roundtrip[{enc}]", decoded.expand_start() == grammar.expand_start(),
+            BoundRow.flag(f"roundtrip[{enc}]", decoded.expand_start() == expanded,
                           "decode(encode(g)) expands to the same text")
         )
         entry = br.as_dict()
@@ -270,34 +287,17 @@ def _encoding_rows(rows, grammar, encodings, text, k_list):
             hk, _ = empirical_entropy(text, k)
             entry[f"ratio_vs_hk[k={k}]"] = (br.total_bits / hk) if hk > 0 else None
         measurements[enc] = entry
-        if enc in ("naive", "entropy", "incremental"):
-            # sandwich the Huffman component alone (payload also carries the
-            # fixed-width rule symbols for naive/incremental); naive and
-            # incremental sandwich the same S', so each sequence is coded once
-            key = "s_g" if enc == "entropy" else "start"
-            if key not in sandwiches:
-                seq = grammar.rhs_concat() if key == "s_g" else grammar.start
-                _, _, hbr = coders.huffman_encode(seq, grammar.sigma + len(grammar.rules))
-                sandwiches[key] = (coders.sequence_entropy_bits(seq), hbr.payload_bits, len(seq))
-            h0, payload_bits, n_seq = sandwiches[key]
-            rows.append(
-                BoundRow.check(
-                    f"huffman_sandwich_lower[{enc}]", h0, payload_bits, 1e-9
-                )
-            )
-            rows.append(
-                BoundRow.check(
-                    f"huffman_sandwich_upper[{enc}]",
-                    payload_bits,
-                    h0 + n_seq,
-                    1e-9,
-                )
-            )
+        if br.huffman is not None:
+            # the Huffman component alone: the payload of naive and
+            # incremental also carries fixed-width rule symbols
+            h0, coded, n_seq = br.huffman
+            rows.append(BoundRow.check(f"huffman_sandwich_lower[{enc}]", h0, coded, 1e-9))
+            rows.append(BoundRow.check(f"huffman_sandwich_upper[{enc}]", coded, h0 + n_seq, 1e-9))
     return measurements
 
 
-def _grammar_rows(rows, grammar, text, check_irreducible: bool):
-    ok_expand = grammar.expand_start() == text.symbols
+def _grammar_rows(rows, grammar, expanded, text, check_irreducible: bool):
+    ok_expand = expanded == text.symbols
     rows.append(
         BoundRow.flag("decompression_identity", ok_expand, "expand(start) equals the input text")
     )
@@ -377,7 +377,7 @@ def _compress(algorithm: str, text: Text, policy: str, iter_exponent: float | No
     return gr.greedy_run(text, _greedy_policy(policy, len(text), iter_exponent))
 
 
-def _repair_rows(rows, grammar, trace, text):
+def _repair_rows(rows, grammar, expanded, trace, text):
     """Re-Pair's own rows around the grammar rows; returns its stop-point
     report under a threshold policy, else None."""
     freqs = [s.frequency for s in trace.steps]
@@ -393,7 +393,7 @@ def _repair_rows(rows, grammar, trace, text):
         BoundRow.flag("repair_pair_freq_nonterminals", ok_mf,
                       "|G| < n/z whenever the most frequent pair occurs z times")
     )
-    ig = _grammar_rows(rows, grammar, text, check_irreducible=False)
+    ig = _grammar_rows(rows, grammar, expanded, text, check_irreducible=False)
     rows.append(
         BoundRow.flag("repair_expansions_distinct", ig.ig1,
                       "no two nonterminals share an expansion")
@@ -403,7 +403,7 @@ def _repair_rows(rows, grammar, trace, text):
     return None
 
 
-def _greedy_rows(rows, grammar, trace, text):
+def _greedy_rows(rows, grammar, expanded, trace, text):
     """Greedy's own rows, then the grammar rows with the IG predicates when
     it ran to the end; returns its stop-point report under the threshold
     policy, else None."""
@@ -431,7 +431,7 @@ def _greedy_rows(rows, grammar, trace, text):
         BoundRow.flag("greedy_pair_freq_size", ok_size,
                       "|G| <= n/(z-2) when the top pair occurs z >= 3 times")
     )
-    _grammar_rows(rows, grammar, text, check_irreducible=trace.policy.kind == gr.RUN_TO_END)
+    _grammar_rows(rows, grammar, expanded, text, check_irreducible=trace.policy.kind == gr.RUN_TO_END)
     if trace.policy.kind == gr.FULL_THRESHOLD:
         return gr.greedy_stop_report(trace, text)
     return None
@@ -442,8 +442,9 @@ def _compressor_parsing(name, text, algorithm, spec, rows, measurements) -> pmod
     entropy-chain and encoding rows every grammar gets; returns the parsing
     induced by the starting string."""
     grammar, trace = _compress(algorithm, text, spec.policy, spec.iter_exponent)
+    expanded = grammar.expand_start()
     own_rows = _repair_rows if algorithm == "repair" else _greedy_rows
-    stop = own_rows(rows, grammar, trace, text)
+    stop = own_rows(rows, grammar, expanded, trace, text)
     if stop is not None:
         rows.extend(stop.rows)
         measurements["stop_point"] = stop.measurements
@@ -459,7 +460,7 @@ def _compressor_parsing(name, text, algorithm, spec, rows, measurements) -> pmod
         compressor["working_len"] = len(grammar.start)
     compressor["stopped_by"] = trace.stopped_by
     measurements["compressor"] = compressor
-    measurements["encodings"] = _encoding_rows(rows, grammar, spec.encodings, text, spec.k_list)
+    measurements["encodings"] = _encoding_rows(rows, grammar, expanded, spec.encodings, text, spec.k_list)
     if algorithm == "repair" and name.startswith("worst:") and "incremental" in spec.encodings:
         n = len(text)
         total_bits = measurements["encodings"]["incremental"]["total_bits"]
@@ -489,21 +490,13 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
     _cyclic_rows(rows, text, [k for k in spec.k_list if k < len(text)])
 
     # (row prefix, parsing, phrase length l of an offset parsing or None)
-    parsings: list[tuple[str, pmod.Parsing, int | None]] = []
-    if algorithm == "lz78":
-        parsings.append(("", pmod.lz78_parse(text), None))
-    elif algorithm == "lz77ns":
-        parsings.append(("", pmod.lz77_parse_nonself(text), None))
-    elif algorithm == "offset-parse":
-        parsings.extend(
-            (f"l={l}:", pmod.best_offset_parsing(text, l), l)
-            for l in spec.offsets
-            if 1 <= l <= len(text)
-        )
+    if algorithm == "offset-parse":
+        parsings = [(f"l={l}:", _PARSERS["offset"](text, l), l)
+                    for l in spec.offsets if 1 <= l <= len(text)]
+    elif algorithm in _PARSERS:
+        parsings = [("", _PARSERS[algorithm](text, None), None)]
     else:
-        parsings.append(
-            ("", _compressor_parsing(name, text, algorithm, spec, rows, measurements), None)
-        )
+        parsings = [("", _compressor_parsing(name, text, algorithm, spec, rows, measurements), None)]
 
     gdb = _gdb_params_of(name)
     for prefix, parsing, l in parsings:
@@ -640,10 +633,11 @@ def emit(report: Report, fmt: str = "json") -> bytes:
 
 
 def _load_input(spec: str) -> tuple[str, Text]:
-    if ":" in spec and not spec.startswith((".", "/")) or spec in ("example32", "example16"):
-        head = spec.split(":", 1)[0]
-        if head in ("worst", "gdb", "badgrammar", "random", "example32", "example16"):
-            return spec, fixture_text(spec)
+    """A fixture selector, or else a file: "kind:args" of a known kind, or the
+    bare name of a kind without arguments, is a selector."""
+    kind, colon, _ = spec.partition(":")
+    if kind in _FIXTURES and (colon or not _FIXTURES[kind].arity):
+        return spec, fixture_text(spec)
     return spec, load_text(spec)
 
 
@@ -673,7 +667,7 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("parse", help="produce a parsing and its cost figures")
     p.add_argument("input")
-    p.add_argument("--algorithm", choices=("lz78", "lz77ns", "offset"), default="lz78")
+    p.add_argument("--algorithm", choices=tuple(_PARSERS), default="lz78")
     p.add_argument("--l", type=int, default=4, help="phrase length for offset parsing")
     p.add_argument("--k", type=int, default=2, help="order for the cost report")
     _add_common(p)
@@ -756,12 +750,7 @@ def _dispatch(args) -> int:
 
     if args.cmd == "parse":
         _, text = _load_input(args.input)
-        if args.algorithm == "lz78":
-            parsing = pmod.lz78_parse(text)
-        elif args.algorithm == "lz77ns":
-            parsing = pmod.lz77_parse_nonself(text)
-        else:
-            parsing = pmod.best_offset_parsing(text, args.l)
+        parsing = _PARSERS[args.algorithm](text, args.l)
         _write_out(args, parsing.dumps().encode())
         rep = pmod.parsing_cost(parsing, args.k)
         print(
@@ -806,8 +795,8 @@ def _dispatch(args) -> int:
         return 0
 
     if args.cmd == "debruijn":
-        params = debruijn.GdBParams(args.k, args.l, args.p)
-        word = _gdb_word(params)
+        selector = f"gdb:{args.k},{args.l},{args.p}"
+        params, word = _gdb_params_of(selector), fixture_text(selector)
         if args.certificate:
             cert = debruijn.verify_gdb(word, params)
             payload = {

@@ -21,9 +21,9 @@ from .reporting import BoundRow, CheckReport
 from .textcore import (
     LOG2E,
     Text,
-    _context_counts,
     _min_table,
     _range_min,
+    _order,
     _runs,
     empirical_entropy,
 )
@@ -165,19 +165,6 @@ def phrase_probability(text: Text, phrase, k: int | None = None) -> float:
     return prob
 
 
-def _k_cost_prefix(text: Text, k: int) -> np.ndarray:
-    """Prefix sums of log2(count of k-gram at p) - log2(count of (k+1)-gram at p)."""
-    cache = text.__dict__.setdefault("_k_cost_cache", {})
-    if k not in cache:
-        terms = np.zeros(0)
-        for d, c in _context_counts(text, k, k, cyclic=False):  # none when k >= |text|
-            terms = np.log2(d[: len(c)].astype(np.float64)) - np.log2(c.astype(np.float64))
-        pref = np.zeros(len(terms) + 1)
-        np.cumsum(terms, out=pref[1:])
-        cache[k] = pref
-    return cache[k]
-
-
 def phrase_cost(text: Text, phrase, k: int | None = None) -> float:
     p = phrase_probability(text, phrase, k)
     if p == 0.0:
@@ -199,7 +186,7 @@ def parsing_cost(parsing: Parsing, k: int | None = None) -> CostReport:
         if k < 0:
             raise ValueError("order must be >= 0")
         log2sigma = math.log2(text.sigma)
-        pref = _k_cost_prefix(text, k)
+        _, pref = _order(text, k, False)
         k_cost = 0.0
         for a, b in zip(parsing.boundaries, parsing.boundaries[1:]):
             length = b - a
@@ -358,22 +345,9 @@ def verify_parsing_bounds(parsing: Parsing, k: int) -> CheckReport:
     out = CheckReport()
     out.add(BoundRow.check("parsing_entropy_le_cost", y_h0, rep.cost_bits + l_h0, VERIFY_SLACK))
     out.add(BoundRow.check("parsing_entropy_le_k_cost", y_h0, rep.k_cost_bits + l_h0, VERIFY_SLACK))
-    out.add(
-        BoundRow.check(
-            "k_cost_le_hk",
-            rep.k_cost_bits,
-            hk_total + len(parsing) * k * math.log2(text.sigma),
-            VERIFY_SLACK,
-        )
-    )
-    out.add(
-        BoundRow.check(
-            "parsing_entropy_vs_hk",
-            y_h0,
-            hk_total + len(parsing) * k * math.log2(text.sigma) + l_h0,
-            VERIFY_SLACK,
-        )
-    )
+    hk_side = hk_total + len(parsing) * k * math.log2(text.sigma)
+    out.add(BoundRow.check("k_cost_le_hk", rep.k_cost_bits, hk_side, VERIFY_SLACK))
+    out.add(BoundRow.check("parsing_entropy_vs_hk", y_h0, hk_side + l_h0, VERIFY_SLACK))
     m = len(parsing)
     if m:
         n = len(text)

@@ -192,6 +192,11 @@ class Text:
         return np.asarray(self.symbols, dtype=np.int64)
 
     @cached_property
+    def _orders(self) -> dict:
+        """(k, cyclic) -> (|S|H_k, k-cost prefix or None); _order alone fills it."""
+        return {}
+
+    @cached_property
     def _index(self) -> _SuffixIndex:
         return _SuffixIndex(self.symbols, self._remap[0])
 
@@ -266,9 +271,11 @@ def _context_counts(text: Text, k_lo: int, k_hi: int, cyclic: bool):
 
     c[p] counts the (k+1)-window at p, d[p] the k-window at p (n for k = 0,
     as |w|_eps = |w|); linear d has one more entry than c.  Orders whose
-    (k+1)-windows exceed the text are not yielded.
+    (k+1)-windows exceed the text are not yielded; cyclic ones need k < |S|.
     """
     n = len(text)
+    if cyclic and 0 < n <= k_hi:
+        raise ValueError("cyclic entropy requires k < |text|")
     d = np.full(n, n)
     for g, ranks in text._rank_ladder(k_hi + 1):
         if g < k_lo:
@@ -285,13 +292,22 @@ def _hk_total(d: np.ndarray, c: np.ndarray) -> float:
     return max(total, 0.0)
 
 
-def _hk_totals(text: Text, k_lo: int, k_hi: int, cyclic: bool) -> list[float]:
-    """|S|H_k for k = k_lo..k_hi from one walk; linear orders k >= |S| give 0."""
-    n = len(text)
-    if cyclic and 0 < n <= k_hi:
-        raise ValueError("cyclic entropy requires k < |text|")
-    totals = [_hk_total(d, c) for d, c in _context_counts(text, k_lo, k_hi, cyclic)]
-    return totals + [0.0] * (k_hi - k_lo + 1 - len(totals))
+def _order(text: Text, k: int, cyclic: bool) -> tuple[float, np.ndarray | None]:
+    """(|S|H_k, prefix) of one order, from one walk per (Text, k, cyclic) kept
+    in the Text's memo.  A linear prefix holds the prefix sums of log2 d -
+    log2 c, which price the k-bounded parsing cost (a linear k >= |S| gives
+    0.0 and [0.0]); a cyclic entry has none."""
+    memo = text._orders
+    if (k, cyclic) not in memo:
+        total, terms = 0.0, np.zeros(0)
+        for d, c in _context_counts(text, k, k, cyclic):  # none when a linear k >= |S|
+            total = _hk_total(d, c)
+            if not cyclic:
+                terms = np.log2(d[: len(c)].astype(np.float64)) - np.log2(c.astype(np.float64))
+        prefix = np.zeros(len(terms) + 1)
+        np.cumsum(terms, out=prefix[1:])
+        memo[k, cyclic] = total, None if cyclic else prefix
+    return memo[k, cyclic]
 
 
 def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
@@ -322,14 +338,11 @@ def empirical_entropy(text: Text, k: int, cyclic: bool = False) -> tuple[float, 
     Context counts are plain substring counts (the occurrence of a context
     at the very end of the string is included), zero-count terms contribute
     nothing.  Cyclic mode uses wraparound counts and requires k < |S|.
-    Each (k, cyclic) is computed once per Text and kept on it.
+    Each (k, cyclic) is computed once per Text, by _order.
     """
     if k < 0:
         raise ValueError("entropy order must be >= 0")
-    cache = text.__dict__.setdefault("_entropy_cache", {})
-    if (k, cyclic) not in cache:
-        (cache[k, cyclic],) = _hk_totals(text, k, k, cyclic)
-    total = cache[k, cyclic]
+    total, _ = _order(text, k, cyclic)
     return total, total / max(len(text), 1)
 
 
@@ -352,7 +365,9 @@ def entropy_profile(text: Text, k_max: int, cyclic: bool = False) -> EntropyProf
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     n = max(len(text), 1)
-    rows = [(k, total, total / n) for k, total in enumerate(_hk_totals(text, 0, k_max, cyclic))]
+    totals = [_hk_total(d, c) for d, c in _context_counts(text, 0, k_max, cyclic)]
+    totals += [0.0] * (k_max + 1 - len(totals))  # linear orders k >= |S|
+    rows = [(k, total, total / n) for k, total in enumerate(totals)]
     means = {}
     acc = 0.0
     for l in range(1, k_max + 2):

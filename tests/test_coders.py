@@ -16,6 +16,7 @@ from gclab.bits import (
     uvarints,
 )
 from gclab.coders import (
+    CODEBOOK_DOMAIN_CAP,
     ENCODINGS,
     MAGIC,
     Codebook,
@@ -483,6 +484,32 @@ def test_unary_length_cap():
     g = FullGrammar(2, (2,), [tuple([0] * ((1 << 20) + 1))])
     with pytest.raises(ValueError):
         encode(g, "fully_naive")
+
+
+def test_codebook_domain_cap():
+    # the presence bitmap grows with the domain, so a domain over the cap is
+    # refused before anything is serialized (the CLI case is in test_fuzz)
+    assert build_codebook([0, 1], CODEBOOK_DOMAIN_CAP).domain == CODEBOOK_DOMAIN_CAP
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="over the cap"):
+        build_codebook([0, 1], CODEBOOK_DOMAIN_CAP + 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_huffman_figures_match_a_standalone_code(golden_grammars):
+    # each encoder reports (|Y|H0(Y), code bits, |Y|) of the sequence it
+    # Huffman-codes; incremental codes S' renamed, which has the frequencies
+    # and so the H0 and optimal code total of S' itself
+    for g in golden_grammars.values():
+        domain = g.sigma + len(g.rules)
+        for enc, seq in (("naive", g.start), ("entropy", g.rhs_concat()), ("incremental", g.start)):
+            if enc == "incremental" and not g.is_cnf:
+                continue
+            _, br = encode(g, enc)
+            _, _, alone = huffman_encode(seq, domain)
+            assert br.huffman == (sequence_entropy_bits(seq), alone.payload_bits, len(seq)), enc
+        _, br = encode(g, "fully_naive")
+        assert br.huffman is None
 
 
 def test_compressor_outputs_round_trip(rng=random.Random(14)):

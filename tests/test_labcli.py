@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gclab import labcli, textcore
+from gclab import labcli
 from gclab.greedy import GreedyPolicy, greedy_run
 from gclab.grammar import from_binary, to_binary
 from gclab.labcli import Report, RunSpec, emit, fixture_text, main, run
@@ -129,16 +129,16 @@ def test_required_bound_rows_present():
 
 def test_each_entropy_computed_once_per_input(monkeypatch):
     # the report cells, the parsing verifier and the de Bruijn lower bound all
-    # read empirical_entropy's memo on each Text: one computation per
-    # (Text, k, cyclic) across the whole run
-    computed = []
-    hk_totals = textcore._hk_totals
+    # read one memo per Text: one rank-ladder walk per (Text, k, cyclic) gives
+    # |S|H_k and, for a linear order, the k-cost prefix
+    walks = []
+    rank_ladder = Text._rank_ladder
 
-    def counting(text, k_lo, k_hi, cyclic):
-        computed.append((text, k_lo, k_hi, cyclic))
-        return hk_totals(text, k_lo, k_hi, cyclic)
+    def counting(text, g_max):
+        walks.append((text, g_max))
+        return rank_ladder(text, g_max)
 
-    monkeypatch.setattr(textcore, "_hk_totals", counting)
+    monkeypatch.setattr(Text, "_rank_ladder", counting)
     spec = small_spec(
         inputs=(("worst:16", fixture_text("worst:16")), ("gdb:2,1,1", fixture_text("gdb:2,1,1"))),
         algorithms=("repair", "greedy", "lz78", "lz77ns", "offset-parse"),
@@ -146,14 +146,11 @@ def test_each_entropy_computed_once_per_input(monkeypatch):
     )
     report = run(spec)
     assert all("error" not in e for e in report.entries)
-    assert all(k_lo == k_hi for _, k_lo, k_hi, _ in computed)
-    # computed keeps every text alive, so no two of them share an id
-    keys = [(id(text), k, cyclic) for text, k, _, cyclic in computed]
-    assert len(keys) == len(set(keys))
-    # per input: k = 0..7 linear for the offset rows (l = 8) plus k = 0..2
-    # cyclic, all on the input itself, which the Re-Pair and Greedy start
-    # parsings parse too
-    assert len(computed) == 2 * (8 + 3)
+    # per input: k = 0..7 linear for the offset rows (l = 8), whose walks for
+    # k = 0..2 also price every parsing's k-cost, plus k = 0..2 cyclic, all on
+    # the input itself, which the Re-Pair and Greedy start parsings parse too;
+    # then the one walk of the de Bruijn certificate
+    assert len(walks) == 2 * (8 + 3) + 1
 
 
 def test_row_names_unique_per_entry():

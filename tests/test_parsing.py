@@ -270,6 +270,30 @@ def test_each_parsing_counted_once(rng, monkeypatch):
     assert all(rep.cost_bits == reports[0][0].cost_bits for rep, _ in reports)
 
 
+def test_entropy_and_k_cost_share_one_walk(rng, monkeypatch):
+    # |S|H_k and the k-cost prefix of one order come from one rank-ladder
+    # walk of the Text, whichever is asked for first
+    walks = []
+    rank_ladder = Text._rank_ladder
+
+    def counting(text, g_max):
+        walks.append(g_max)
+        return rank_ladder(text, g_max)
+
+    source = random_text(rng, 3, 300)
+    p = lz78_parse(source)
+    expected = [(parsing_cost(p, k).k_cost_bits, empirical_entropy(source, k)) for k in (0, 2)]
+    monkeypatch.setattr(Text, "_rank_ladder", counting)
+    for k, (k_cost, hk) in zip((0, 2), expected):
+        for entropy_first in (True, False):
+            q = Parsing(Text(source.symbols, source.sigma), p.boundaries)
+            if entropy_first:
+                assert empirical_entropy(q.source, k) == hk
+            assert parsing_cost(q, k).k_cost_bits == k_cost
+            assert empirical_entropy(q.source, k) == hk
+    assert walks == [1, 1, 3, 3]
+
+
 def test_zero_probability_phrase_error():
     t = Text.from_string("abab")
     with pytest.raises(InfiniteCostError):
