@@ -33,16 +33,21 @@ def header_varints(data: bytes) -> list[tuple[int, int]]:
     return spans
 
 
-def mutate(rng: random.Random, data: bytes) -> bytes:
-    kind = rng.randrange(4)
+def mutate_bytes(rng: random.Random, data: bytes, kind: int) -> bytes:
     if kind == 0:  # flip one bit
         i = rng.randrange(len(data))
         return data[:i] + bytes([data[i] ^ (1 << rng.randrange(8))]) + data[i + 1 :]
     if kind == 1:  # cut the tail
         return data[: rng.randrange(len(data))]
-    if kind == 2:  # insert one byte
-        i = rng.randrange(len(data) + 1)
-        return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+    # insert one byte
+    i = rng.randrange(len(data) + 1)
+    return data[:i] + bytes([rng.randrange(256)]) + data[i:]
+
+
+def mutate(rng: random.Random, data: bytes) -> bytes:
+    kind = rng.randrange(4)
+    if kind < 3:
+        return mutate_bytes(rng, data, kind)
     # rewrite a header varint: off by one, or any value up to 64 bits
     start, end = rng.choice(header_varints(data))
     old, _ = read_uvarint(data, start)
@@ -77,12 +82,12 @@ CASE_LIMIT_S = 2.0
 
 
 def mutate_tokens(rng: random.Random, data: bytes) -> bytes:
-    """A byte mutation, or one whitespace-separated token replaced: the
-    sigma header by an edge of the alphabet range, a number by junk, a
-    negative, zero or a long number."""
+    """A byte mutation, or one whitespace-separated token replaced: a header
+    value by an edge of its range, a number by junk, a negative, zero or a
+    long number."""
+    if rng.randrange(2):
+        return mutate_bytes(rng, data, rng.randrange(3))
     tokens = data.split()
-    if rng.randrange(2) or not tokens:
-        return mutate(rng, data) if rng.randrange(3) else data[: rng.randrange(len(data) + 1)]
     i = rng.randrange(len(tokens))
     if tokens[i].startswith((b"sigma=", b"n=")):
         head = tokens[i].split(b"=")[0]
