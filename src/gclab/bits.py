@@ -144,8 +144,17 @@ class BitWriter:
         self.write_fields([(1 << m) - 2 for m in lengths], lengths)
 
     def write_bytes(self, data: bytes):
-        """Splice whole bytes into the stream (no alignment padding)."""
-        self.write_fields(np.frombuffer(data, dtype=np.uint8), 8)
+        """Splice whole bytes into the stream (no alignment padding), as
+        56-bit fields of 7 bytes each and a shorter last field."""
+        pad = -len(data) % 7
+        rows = np.zeros(((len(data) + pad) // 7, 8), dtype=np.uint8)
+        rows[:, 1:] = np.frombuffer(data + bytes(pad), dtype=np.uint8).reshape(-1, 7)
+        values = rows.view(">u8").ravel().astype(np.uint64)
+        widths = np.full(len(values), 56, dtype=np.int64)
+        if pad:
+            values[-1] >>= np.uint64(8 * pad)
+            widths[-1] -= 8 * pad
+        self.write_fields(values, widths)
 
     def freeze(self) -> BitStream:
         if not self._values:

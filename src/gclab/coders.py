@@ -59,7 +59,7 @@ ENCODINGS = ("fully_naive", "naive", "entropy", "incremental")
 _TAGS = {name: i for i, name in enumerate(ENCODINGS)}
 MAX_UNARY = 1 << 20  # rule-length cap for unary fields
 # codebook domain cap in symbols (sigma + |G|): an encode's presence bitmap
-# costs about 16 B of memory per domain value, 2.2 GB at 2^27 (README)
+# costs about 2.6 B of memory per domain value, 376 MB at 2^27 (README)
 CODEBOOK_DOMAIN_CAP = 1 << 27
 
 

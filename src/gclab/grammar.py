@@ -61,9 +61,6 @@ class FullGrammar:
 
     # -- basic views --------------------------------------------------------
 
-    def n_nonterminals(self) -> int:
-        return len(self.rules)
-
     def rhs(self, sym: int) -> tuple:
         return self.rules[sym - self.sigma]
 

@@ -25,7 +25,7 @@ final grammar.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -75,14 +75,7 @@ class GreedyStep:
     max_pair_freq: int        # most frequent pair before the round
 
     def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "substring": list(self.substring),
-            "frequency": self.frequency,
-            "gain": self.gain,
-            "full_size_after": self.full_size_after,
-            "max_pair_freq": self.max_pair_freq,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -26,7 +26,7 @@ import json
 import math
 import random
 import sys
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 
@@ -51,6 +51,7 @@ REPAIR_CAP = 1 << 25
 GDB_LENGTH_CAP = 1 << 24
 FIXTURE_LENGTH_CAP = REPAIR_CAP
 ALGORITHMS = ("repair", "greedy", "lz78", "lz77ns", "offset-parse")
+GREEDY_MAXITER_EXPONENT = 0.5  # Greedy's bare "maxiter" policy runs ceil(n^0.5) rounds
 
 EXAMPLE_WORD_32 = "aababcbbadccdbddaacadaccbdbbcddc"  # (k=2, l=0, p=1)
 EXAMPLE_WORD_16 = "abbbdacdcacabdcd"                  # (k=1, l=1, p=1)
@@ -134,7 +135,6 @@ class RunSpec:
     k_list: tuple[int, ...] = (0, 1, 2)
     offsets: tuple[int, ...] = (2, 4, 8)
     seed: int = 0
-    iter_exponent: float = 0.5
 
     def __post_init__(self):
         names = [n for n, _ in self.inputs]
@@ -188,7 +188,7 @@ def _repair_policy(policy: str) -> rp.StopPolicy:
     raise ValueError(f"unknown policy {policy!r} for repair")
 
 
-def _greedy_policy(policy: str, n: int, exponent: float) -> gr.GreedyPolicy:
+def _greedy_policy(policy: str, n: int) -> gr.GreedyPolicy:
     if policy == "end":
         return gr.GreedyPolicy.run_to_end()
     if policy == "threshold":
@@ -196,12 +196,12 @@ def _greedy_policy(policy: str, n: int, exponent: float) -> gr.GreedyPolicy:
     if policy.startswith(("maxiter:", "maxnt:")):
         return gr.GreedyPolicy.max_iterations(int(policy.split(":", 1)[1]))
     if policy == "maxiter":
-        return gr.GreedyPolicy.max_iterations(max(1, math.ceil(n**exponent)))
+        return gr.GreedyPolicy.max_iterations(max(1, math.ceil(n**GREEDY_MAXITER_EXPONENT)))
     raise ValueError(f"unknown policy {policy!r} for greedy")
 
 
 def _gibbs_row(parsing: pmod.Parsing, rng: random.Random) -> BoundRow:
-    counts = Counter(parsing.phrases)
+    counts = parsing.multiset
     weights = {ph: rng.random() + 1e-9 for ph in counts}
     scale = sum(weights.values()) / 0.9999  # keep the valuation strictly sub-unit
     lhs = parsing.entropy_bits()
@@ -363,18 +363,17 @@ def _entropy_concat_rows(rows, grammar, text, k):
     )
 
 
-def _compress(algorithm: str, text: Text, policy: str, iter_exponent: float | None):
+def _compress(algorithm: str, text: Text, policy: str):
     """Re-Pair or Greedy on ``text`` under the named policy: (grammar, trace).
 
-    An input over the algorithm's size cap is refused before any work;
-    ``iter_exponent`` is read by Greedy's bare ``maxiter`` policy only.
+    An input over the algorithm's size cap is refused before any work.
     """
     label, cap = ("Re-Pair", REPAIR_CAP) if algorithm == "repair" else ("Greedy", GREEDY_CAP)
     if len(text) > cap:
         raise ValueError(f"input of {len(text)} symbols exceeds the {label} cap of {cap} symbols")
     if algorithm == "repair":
         return rp.repair_run(text, _repair_policy(policy))
-    return gr.greedy_run(text, _greedy_policy(policy, len(text), iter_exponent))
+    return gr.greedy_run(text, _greedy_policy(policy, len(text)))
 
 
 def _repair_rows(rows, grammar, expanded, trace, text):
@@ -441,7 +440,7 @@ def _compressor_parsing(name, text, algorithm, spec, rows, measurements) -> pmod
     """A Re-Pair or Greedy cell: the algorithm's own rows, then the stop-point,
     entropy-chain and encoding rows every grammar gets; returns the parsing
     induced by the starting string."""
-    grammar, trace = _compress(algorithm, text, spec.policy, spec.iter_exponent)
+    grammar, trace = _compress(algorithm, text, spec.policy)
     expanded = grammar.expand_start()
     own_rows = _repair_rows if algorithm == "repair" else _greedy_rows
     stop = own_rows(rows, grammar, expanded, trace, text)
@@ -682,8 +681,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("greedy", help="run Greedy")
     p.add_argument("input")
     p.add_argument("--policy", default="end",
-                   help="end | threshold | maxiter:N | maxiter (n^c rounds)")
-    p.add_argument("--iter-exponent", type=float, default=0.5)
+                   help="end | threshold | maxiter:N | maxiter (ceil(n^0.5) rounds)")
     p.add_argument("--trace-out", help="JSON-lines trace output")
     _add_common(p)
 
@@ -719,7 +717,6 @@ def main(argv=None) -> int:
     p.add_argument("--k", default="0,1,2", help="comma list of entropy orders")
     p.add_argument("--offsets", default="2,4,8")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--iter-exponent", type=float, default=0.5)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
 
@@ -770,8 +767,7 @@ def _dispatch(args) -> int:
 
     if args.cmd in ("repair", "greedy"):
         _, text = _load_input(args.input)
-        # --iter-exponent is an option of the greedy command only
-        grammar, trace = _compress(args.cmd, text, args.policy, getattr(args, "iter_exponent", None))
+        grammar, trace = _compress(args.cmd, text, args.policy)
         if args.trace_out:
             with open(args.trace_out, "w") as fh:
                 for step in trace.steps:
@@ -837,7 +833,6 @@ def _dispatch(args) -> int:
             k_list=tuple(int(x) for x in args.k.split(",")),
             offsets=tuple(int(x) for x in args.offsets.split(",")),
             seed=args.seed,
-            iter_exponent=args.iter_exponent,
         )
         report = run(spec)
         _write_out(args, emit(report, args.format))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -38,12 +40,12 @@ class InfiniteCostError(ValueError):
 class Parsing:
     """A partition of a Text into nonempty phrases.
 
-    Immutable: the phrases, their occurrence counts in the source and both
-    entropies are computed once, on first use.
+    Immutable: every per-phrase figure (lengths, phrases, their occurrence
+    counts in the source, the phrase multiset, both entropies and C(Y)) is
+    computed once, on first use.
     """
 
-    __slots__ = ("source", "boundaries", "_phrases", "_counts", "_entropy_bits",
-                 "_lengths_entropy_bits")
+    __slots__ = ("source", "boundaries", "__dict__")
 
     def __init__(self, source: Text, boundaries):
         boundaries = tuple(boundaries)
@@ -60,51 +62,53 @@ class Parsing:
                     raise ValueError("phrases must be nonempty")
         self.source = source
         self.boundaries = boundaries
-        self._phrases = None
-        self._counts = None
-        self._entropy_bits = None
-        self._lengths_entropy_bits = None
 
     @classmethod
     def from_lengths(cls, source: Text, lengths) -> "Parsing":
-        cuts = [0]
-        for l in lengths:
-            cuts.append(cuts[-1] + l)
-        return cls(source, cuts)
+        return cls(source, accumulate(lengths, initial=0))
 
     def __len__(self):
         return len(self.boundaries) - 1
 
-    @property
+    @cached_property
     def phrases(self) -> tuple:
-        if self._phrases is None:
-            s = self.source.symbols
-            self._phrases = tuple(
-                s[a:b] for a, b in zip(self.boundaries, self.boundaries[1:])
-            )
-        return self._phrases
+        s = self.source.symbols
+        return tuple(s[a:b] for a, b in zip(self.boundaries, self.boundaries[1:]))
 
-    @property
+    @cached_property
     def lengths(self) -> tuple:
         return tuple(b - a for a, b in zip(self.boundaries, self.boundaries[1:]))
 
-    def _phrase_counts(self) -> tuple:
-        """Occurrences of each phrase in the source text, overlapping allowed."""
-        if self._counts is None:
-            cuts = np.asarray(self.boundaries, dtype=np.int64)
-            self._counts = tuple(self.source._index.count_windows(cuts[:-1], np.diff(cuts)).tolist())
-        return self._counts
+    @cached_property
+    def occurrences(self) -> tuple:
+        """|S|_y of each phrase y in the source text, overlapping allowed."""
+        cuts = np.asarray(self.boundaries, dtype=np.int64)
+        return tuple(self.source._index.count_windows(cuts[:-1], np.diff(cuts)).tolist())
+
+    @cached_property
+    def multiset(self) -> Counter:
+        """Each distinct phrase and its count in Y, in first-occurrence order."""
+        return Counter(self.phrases)
+
+    @cached_property
+    def cost_bits(self) -> float:
+        """C(Y)."""
+        return _cost_bits(len(self.source), self.occurrences)
+
+    @cached_property
+    def _entropy_bits(self) -> float:
+        return _multiset_entropy_bits(self.multiset, len(self))
+
+    @cached_property
+    def _lengths_entropy_bits(self) -> float:
+        return _multiset_entropy_bits(Counter(self.lengths), len(self))
 
     def entropy_bits(self) -> float:
         """|Y| H_0(Y): the phrase sequence viewed as a word."""
-        if self._entropy_bits is None:
-            self._entropy_bits = _multiset_entropy_bits(Counter(self.phrases), len(self))
         return self._entropy_bits
 
     def lengths_entropy_bits(self) -> float:
         """|L| H_0(L) for L the sequence of phrase lengths."""
-        if self._lengths_entropy_bits is None:
-            self._lengths_entropy_bits = _multiset_entropy_bits(Counter(self.lengths), len(self))
         return self._lengths_entropy_bits
 
     def dumps(self) -> str:
@@ -119,6 +123,15 @@ class Parsing:
         if n != len(source):
             raise ValueError("parsing length header does not match the text")
         return cls.from_lengths(source, [int(ln) for ln in lines[1:]])
+
+
+def _cost_bits(n: int, occurrences) -> float:
+    """C(Y) = sum of log2|S| - log2|S|_y over the phrases y, in phrase order."""
+    log2n = math.log2(n) if n else 0.0
+    cost = 0.0
+    for occ in occurrences:
+        cost += log2n - math.log2(occ)
+    return cost
 
 
 def _multiset_entropy_bits(counter: Counter, total: int) -> float:
@@ -174,29 +187,22 @@ def phrase_cost(text: Text, phrase, k: int | None = None) -> float:
 
 def parsing_cost(parsing: Parsing, k: int | None = None) -> CostReport:
     """C(Y), optionally C_k(Y), plus the entropy figures of the parsing."""
-    text = parsing.source
-    n = len(text)
-    log2n = math.log2(n) if n else 0.0
-    cost = 0.0
-    for occ in parsing._phrase_counts():
-        cost += log2n - math.log2(occ)
-
     k_cost = None
     if k is not None:
         if k < 0:
             raise ValueError("order must be >= 0")
+        text = parsing.source
         log2sigma = math.log2(text.sigma)
         _, pref = _order(text, k, False)
         k_cost = 0.0
-        for a, b in zip(parsing.boundaries, parsing.boundaries[1:]):
-            length = b - a
+        for a, length in zip(parsing.boundaries, parsing.lengths):
             k_cost += min(length, k) * log2sigma
             if length > k:
                 k_cost += float(pref[a + length - k] - pref[a])
 
     return CostReport(
         parsing_entropy_bits=parsing.entropy_bits(),
-        cost_bits=cost,
+        cost_bits=parsing.cost_bits,
         k_cost_bits=k_cost,
         lengths_entropy_bits=parsing.lengths_entropy_bits(),
         k=k,
@@ -213,7 +219,6 @@ def best_offset_parsing(text: Text, l: int) -> Parsing:
     n = len(text)
     if not 1 <= l <= n:
         raise ValueError("phrase length out of range")
-    log2n = math.log2(n)
     candidates = []
     for off in range(l):
         bounds = list(range(off, n + 1, l))
@@ -230,13 +235,15 @@ def best_offset_parsing(text: Text, l: int) -> Parsing:
     best = None
     pos = 0
     for bounds in candidates:
-        cost = 0.0
-        for o in occ[pos : pos + len(bounds) - 1]:
-            cost += log2n - math.log2(o)
-        pos += len(bounds) - 1
+        counts = occ[pos : pos + len(bounds) - 1]
+        pos += len(counts)
+        cost = _cost_bits(n, counts)
         if best is None or cost < best[0] - 1e-12:
-            best = (cost, bounds)
-    return Parsing(text, best[1])
+            best = (cost, bounds, counts)
+    winner = Parsing(text, best[1])
+    # fill the winner's cached figures from its candidate's
+    winner.__dict__.update(cost_bits=best[0], occurrences=tuple(best[2]))
+    return winner
 
 
 def lz78_parse(text: Text) -> Parsing:
@@ -323,10 +330,10 @@ def is_natural_parsing(parsing: Parsing) -> tuple[bool, list[int]]:
         raise ValueError("natural-parser predicate needs sigma >= 2")
     n = len(text)
     limit = math.log(n) / math.log(text.sigma) if n else 0.0
-    cuts = np.asarray(parsing.boundaries, dtype=np.int64)
-    lengths = np.diff(cuts)
+    lengths = np.asarray(parsing.lengths, dtype=np.int64)
     long = np.flatnonzero(lengths > limit + 1e-12)
-    counts = text._index.count_windows(cuts[long], lengths[long] - 1)
+    starts = np.asarray(parsing.boundaries, dtype=np.int64)[long]
+    counts = text._index.count_windows(starts, lengths[long] - 1)
     violations = long[counts <= 1].tolist()
     return not violations, violations
 
@@ -350,24 +357,10 @@ def verify_parsing_bounds(parsing: Parsing, k: int) -> CheckReport:
     out.add(BoundRow.check("parsing_entropy_vs_hk", y_h0, hk_side + l_h0, VERIFY_SLACK))
     m = len(parsing)
     if m:
-        n = len(text)
-        out.add(
-            BoundRow.check(
-                "lengths_entropy",
-                l_h0,
-                m * math.log2(n / m) + m * (1 + LOG2E),
-                VERIFY_SLACK,
-            )
-        )
+        lengths_rhs = m * math.log2(len(text) / m) + m * (1 + LOG2E)
+        out.add(BoundRow.check("lengths_entropy", l_h0, lengths_rhs, VERIFY_SLACK))
     out.measurements.update(
-        {
-            "parsing_entropy_bits": y_h0,
-            "cost_bits": rep.cost_bits,
-            "k_cost_bits": rep.k_cost_bits,
-            "lengths_entropy_bits": l_h0,
-            "hk_total_bits": hk_total,
-            "k": k,
-            "phrases": m,
-        }
+        parsing_entropy_bits=y_h0, cost_bits=rep.cost_bits, k_cost_bits=rep.k_cost_bits,
+        lengths_entropy_bits=l_h0, hk_total_bits=hk_total, k=k, phrases=m,
     )
     return out

@@ -10,7 +10,7 @@ threshold, or a nonterminal budget.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .grammar import FullGrammar
 from .pairs import PairEngine
@@ -68,13 +68,7 @@ class RepairStep:
     nonterminals: int       # after the replacement
 
     def as_dict(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "pair": list(self.pair),
-            "frequency": self.frequency,
-            "working_len": self.working_len,
-            "nonterminals": self.nonterminals,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -188,10 +188,6 @@ class Text:
         return f"sigma={self.sigma}\n" + " ".join(map(str, self.symbols)) + "\n"
 
     @cached_property
-    def _array(self) -> np.ndarray:
-        return np.asarray(self.symbols, dtype=np.int64)
-
-    @cached_property
     def _orders(self) -> dict:
         """(k, cyclic) -> (|S|H_k, k-cost prefix or None); _order alone fills it."""
         return {}
@@ -205,7 +201,7 @@ class Text:
     @cached_property
     def _remap(self) -> tuple[np.ndarray, int]:
         """Array re-coded over the observed alphabet, plus its size."""
-        uniq, inv = np.unique(self._array, return_inverse=True)
+        uniq, inv = np.unique(np.asarray(self.symbols, dtype=np.int64), return_inverse=True)
         return inv.astype(np.int64), max(1, len(uniq))
 
     def _rank_ladder(self, g_max: int):

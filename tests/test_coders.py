@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,36 @@ def test_varint_of_eleven_bytes_is_too_long():
     with pytest.raises(MalformedStreamError, match="too long"):
         r.read_uvarints(1)
 
+
+
+def test_write_bytes_splices_bytes_at_every_bit_offset():
+    # write_bytes packs 7 bytes per field; the bits must read as the bytes
+    # spliced one by one, after any number of leading bits
+    rng = random.Random(7)
+    for lead in range(8):
+        for size in (0, 1, 6, 7, 8, 13, 14, 15, 50):
+            data = bytes(rng.randrange(256) for _ in range(size))
+            w = BitWriter()
+            w.write_bits((1 << lead) - 1, lead)
+            w.write_bytes(data)
+            w.write_bits(5, 3)
+            spliced = "1" * lead + "".join(format(b, "08b") for b in data) + "101"
+            assert w.freeze().to01() == spliced, (lead, size)
+
+
+def test_write_bytes_memory_per_byte():
+    # one 8-bit field per byte peaked at 121 B per byte written
+    data = bytes(range(256)) * 4096
+    tracemalloc.start()
+    try:
+        w = BitWriter()
+        w.write_bytes(data)
+        stream = w.freeze()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stream.data == data
+    assert peak < 40 * len(data), peak / len(data)
 
 # -- Huffman -----------------------------------------------------------------------
 

@@ -359,9 +359,9 @@ def test_report_custom_policy_and_csv_error_rows():
 
 
 def test_cli_greedy_bare_maxiter(tmp_path):
-    # bare maxiter runs ceil(n^c) rounds, c from --iter-exponent
+    # bare maxiter runs ceil(n^0.5) rounds
     trace_file = tmp_path / "trace.jsonl"
-    assert main(["greedy", "random:3,400,2", "--policy", "maxiter", "--iter-exponent", "0.5",
+    assert main(["greedy", "random:3,400,2", "--policy", "maxiter",
                  "--out", str(tmp_path / "g.gcl"), "--trace-out", str(trace_file)]) == 0
     assert len(trace_file.read_text().splitlines()) == 20
 

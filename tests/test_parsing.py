@@ -270,6 +270,35 @@ def test_each_parsing_counted_once(rng, monkeypatch):
     assert all(rep.cost_bits == reports[0][0].cost_bits for rep, _ in reports)
 
 
+
+def test_cost_computed_once_per_parsing(rng, monkeypatch):
+    import gclab.parsing as pmod
+
+    calls = []
+    cost_bits = pmod._cost_bits
+
+    def counting(n, occurrences):
+        calls.append(n)
+        return cost_bits(n, occurrences)
+
+    monkeypatch.setattr(pmod, "_cost_bits", counting)
+    p = lz78_parse(random_text(rng, 3, 500))
+    costs = {parsing_cost(p, k).cost_bits for k in range(4)}
+    verify_parsing_bounds(p, 2)
+    assert calls == [500]
+    assert len(costs) == 1
+
+
+def test_parsing_figures_are_cached(rng):
+    p = Parsing.from_lengths(Text.from_string("abcab"), [2, 3])
+    assert p.lengths is p.lengths
+    assert p.multiset is p.multiset
+    assert list(p.multiset.items()) == [((0, 1), 1), ((2, 0, 1), 1)]
+    # the offset winner keeps its candidate's figures: the same as recomputed
+    q = best_offset_parsing(random_text(rng, 3, 200), 3)
+    fresh = Parsing(q.source, q.boundaries)
+    assert (q.occurrences, q.cost_bits) == (fresh.occurrences, fresh.cost_bits)
+
 def test_entropy_and_k_cost_share_one_walk(rng, monkeypatch):
     # |S|H_k and the k-cost prefix of one order come from one rank-ladder
     # walk of the Text, whichever is asked for first
