@@ -131,33 +131,64 @@ def generalized_word(params: GdBParams) -> Text:
         # Eulerian cycle over the last graph: vertices `nodes`, edges `edges`
         edges = np.sort(edges)
         src_mod = sigma ** (word_len - 1)
-        dst = np.searchsorted(nodes, edges % src_mod).tolist()
-        first_letter = (edges // src_mod).tolist()
-        n_nodes = len(nodes)
-        ptr = [0] * n_nodes
-        vstack = [0]
-        estack = [-1]
-        circuit: list[int] = []
-        while vstack:
-            v = vstack[-1]
-            p = ptr[v]
-            if p < root:
-                ptr[v] = p + 1
-                e = v * root + p
-                vstack.append(dst[e])
-                estack.append(e)
-            else:
-                vstack.pop()
-                circuit.append(estack.pop())
-        circuit.pop()  # sentinel below the start vertex
-        if len(circuit) != len(edges):
-            raise AssertionError("overlap graph is not Eulerian")
-        circuit.reverse()
-        word = [first_letter[e] for e in circuit]
+        circuit = _hierholzer(np.searchsorted(nodes, edges % src_mod), root)
+        word = (edges[circuit] // src_mod).tolist()
         text = Text(word, sigma)
         assert len(text) == params.length
         return text
     raise AssertionError("unreachable")
+
+
+def _hierholzer(dst: np.ndarray, root: int) -> np.ndarray:
+    """Edge ids of the smallest-edge-first Hierholzer circuit from vertex 0.
+
+    Vertex v has out-edges v*root .. v*root + root-1 (root a power of two),
+    edge e leads to dst[e].  The trail is pushed by a Python walk that takes
+    each vertex's smallest unused edge until it is stuck; then the trail's
+    suffix above the last vertex with an unused edge is popped in numpy, one
+    backtrack per sub-walk, not one pop per edge.  A vertex is exhausted once
+    its last out-edge (e | root-1 for any of its edges e) is used.  The
+    popped suffixes, in reverse order of popping, are the circuit.
+    """
+    n_edges = len(dst)
+    dst = dst.tolist()
+    ptr = [0] * (n_edges // root)     # next unused out-edge of each vertex
+    trail = np.empty(n_edges, dtype=np.int64)
+    used = np.zeros(n_edges, dtype=bool)
+    popped = []
+    top = 0
+    v = 0
+    while True:
+        walk = []
+        push = walk.append
+        p = ptr[v]
+        while p < root:
+            ptr[v] = p + 1
+            e = v * root + p
+            push(e)
+            v = dst[e]
+            p = ptr[v]
+        end = top + len(walk)
+        trail[top:end] = walk
+        used[trail[top:end]] = True
+        # live: the last trail index whose edge's source still has an unused
+        # edge, searched back from the end in doubling windows
+        hi, width, live = end, 64, None
+        while hi > 0 and live is None:
+            lo = max(0, hi - width)
+            alive = np.flatnonzero(~used[trail[lo:hi] | (root - 1)])
+            if len(alive):
+                live = lo + int(alive[-1])
+            hi, width = lo, 2 * width
+        top = 0 if live is None else live
+        popped.append(trail[top:end].copy())
+        if live is None:
+            break
+        v = int(trail[top]) // root
+    circuit = np.concatenate(popped[::-1])
+    if len(circuit) != n_edges:
+        raise AssertionError("overlap graph is not Eulerian")
+    return circuit
 
 
 def _cyclic_window_codes(text: Text, g: int) -> np.ndarray:

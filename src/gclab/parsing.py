@@ -194,11 +194,17 @@ def parsing_cost(parsing: Parsing, k: int | None = None) -> CostReport:
         text = parsing.source
         log2sigma = math.log2(text.sigma)
         _, pref = _order(text, k, False)
-        k_cost = 0.0
-        for a, length in zip(parsing.boundaries, parsing.lengths):
-            k_cost += min(length, k) * log2sigma
-            if length > k:
-                k_cost += float(pref[a + length - k] - pref[a])
+        cuts = np.asarray(parsing.boundaries, dtype=np.int64)
+        starts, lengths = cuts[:-1], np.diff(cuts)
+        # per phrase, min(L, k) log2 sigma and then pref[a+L-k] - pref[a]
+        # (0.0 when L <= k), interleaved after a leading 0.0 and summed left
+        # to right by cumsum, as a scalar loop over the phrases would
+        terms = np.zeros(2 * len(lengths) + 1)
+        terms[1::2] = np.minimum(lengths, k) * log2sigma
+        long = lengths > k
+        a = starts[long]
+        terms[2::2][long] = pref[a + lengths[long] - k] - pref[a]
+        k_cost = float(np.cumsum(terms)[-1])
 
     return CostReport(
         parsing_entropy_bits=parsing.entropy_bits(),

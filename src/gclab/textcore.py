@@ -7,10 +7,10 @@ text, built lazily (suffix array, its inverse and LCP, by prefix doubling),
 answers ad-hoc pattern counts by binary search, O(|pattern| log n), counts
 many of the text's own windows at once as LCP-interval widths, and gives
 the parsers their longest previous factors.  A ladder of cyclic window
-ranks serves fixed-length counts: the length-g ranks come from the
-length-(g-1) ranks plus the next symbol by one numpy sort, so one walk
-counts every order, linear and cyclic, for the entropy and certificate
-machinery.  All logarithms are base 2.
+ranks serves fixed-length counts: the length-g order comes from the
+length-(g-1) order by prefix extension, one stable bucket pass by first
+symbol, so one walk counts every order, linear and cyclic, for the entropy
+and certificate machinery.  All logarithms are base 2.
 """
 
 from __future__ import annotations
@@ -209,17 +209,39 @@ class Text:
 
         ranks[p] is the dense lexicographic rank of the cyclic window of
         length g starting at p, so equal windows have equal ranks, and the
-        linear windows of length g are ranks[: n-g+1].  Level g ranks the
-        keys (level g-1 rank, next symbol) by one sort, as Manber & Myers'
-        suffix sorting (1993) refines ranks by prefix extension; ranks stay
-        below n, so the keys stay below n * sigma_obs and never overflow.
-        No level is cached.
+        linear windows of length g are ranks[: n-g+1].  Level g refines
+        level g-1 by prefix extension (Manber & Myers, SIAM J. Comput. 1993):
+        the length-g window at p is (symbol at p, length-(g-1) window at
+        p+1), so shifting every position of level g-1's sorted order left by
+        one (cyclically) and stable-sorting by first symbol sorts level g.
+        The symbol is held as uint8/uint16 while sigma_obs <= 2^16, so the
+        sort is numpy's radix sort; one comparison with the neighbour and
+        one cumsum then give the dense ranks.  No level is cached.
         """
         arr, base = self._remap
-        ranks = arr
-        for g in range(1, min(g_max, len(self.symbols)) + 1):
-            if g > 1:
-                ranks = np.unique(ranks * base + np.roll(arr, 1 - g), return_inverse=True)[1]
+        n = len(arr)
+        top = min(g_max, n)
+        if top < 1:
+            return
+        yield 1, arr
+        if top == 1:
+            return
+        first = arr if base > 1 << 16 else arr.astype(np.uint8 if base <= 1 << 8 else np.uint16)
+        pos = np.int32 if n < 1 << 31 else np.int64
+        order = np.argsort(first, kind="stable").astype(pos)  # positions by window
+        dense = arr[order].astype(pos)                         # their ranks, ascending
+        for g in range(2, top + 1):
+            order -= 1
+            order[order < 0] = n - 1
+            key = first[order]
+            perm = np.argsort(key, kind="stable")
+            order, key, prev = order[perm], key[perm], dense[perm]
+            # only first, order and dense stay alive while a level is consumed
+            del perm
+            np.cumsum((key[1:] != key[:-1]) | (prev[1:] != prev[:-1]), out=dense[1:])
+            del key, prev
+            ranks = np.empty(n, dtype=np.int64)
+            ranks[order] = dense
             yield g, ranks
 
     def window_codes(self, g: int, cyclic: bool) -> np.ndarray:

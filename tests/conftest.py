@@ -1,7 +1,9 @@
+import math
 import random
 
 import pytest
 
+from gclab.debruijn import GdBParams
 from gclab.textcore import Text
 
 
@@ -12,6 +14,26 @@ def random_text(rng: random.Random, sigma: int, n: int) -> Text:
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+def gdb_grid(max_len):
+    """Every generalized de Bruijn (k, l, p) with sigma <= 2^20 and word length
+    <= max_len, the grid that criterion 7 certifies at 2^20."""
+    grid = []
+    for p in range(1, 11):
+        if 4**p > 1 << 20:
+            break
+        for k in range(1, 11):
+            for l in range(0, 40):
+                if p * (2 * k + l + 1) > 62:
+                    break
+                params = GdBParams(k, l, p)
+                if params.length > max_len:
+                    break
+                grid.append(params)
+            if p * (2 * k + 1) > math.log2(max_len):
+                break
+    return grid
 
 
 def golden_corpus():

@@ -25,6 +25,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import gdb_grid
 from gclab.coders import (
     ENCODINGS,
     elias_delta_decode,
@@ -217,24 +218,6 @@ GDB_GRID_WORD_SHA256 = {
 }
 
 
-def _gdb_grid(max_len):
-    grid = []
-    for p in range(1, 11):
-        if 4**p > 1 << 20:
-            break
-        for k in range(1, 11):
-            for l in range(0, 40):
-                if p * (2 * k + l + 1) > 62:
-                    break
-                params = GdBParams(k, l, p)
-                if params.length > max_len:
-                    break
-                grid.append(params)
-            if p * (2 * k + 1) > math.log2(max_len):
-                break
-    return grid
-
-
 @pytest.fixture(scope="module")
 def corpus():
     return _random_corpus()
@@ -253,7 +236,7 @@ def compressed(corpus):
 @pytest.fixture(scope="module")
 def gdb_words():
     words = {}
-    for params in _gdb_grid(1 << 16):
+    for params in gdb_grid(1 << 16):
         words[(params.k, params.l, params.p)] = (params, generalized_word(params))
     return words
 
@@ -458,7 +441,7 @@ def test_criterion_06_greedy_stop_point(corpus, compressed):
 
 
 def test_criterion_07_debruijn_certificates():
-    grid = _gdb_grid(1 << 20)
+    grid = gdb_grid(1 << 20)
     assert len(grid) > 80
     worst_slack = 0.0
     total_len = 0

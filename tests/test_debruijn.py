@@ -2,10 +2,14 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+from conftest import gdb_grid
 from gclab.debruijn import (
     GdBParams,
+    _cyclic_window_codes,
+    _hierholzer,
     base_debruijn,
     build_s0,
     generalized_word,
@@ -100,6 +104,77 @@ def test_word_1_2_1():
     params = GdBParams(1, 2, 1)
     cert = verify_gdb(generalized_word(params), params)
     assert cert.db1 and cert.db2 and cert.db3
+
+
+def stack_loop_circuit(dst, root):
+    """Smallest-edge-first Hierholzer with one Python push or pop per edge:
+    the reference for _hierholzer.  Returns the edge ids in circuit order
+    (shorter than the edge list when some edge is unreachable from vertex 0)."""
+    ptr = [0] * (len(dst) // root)
+    vstack = [0]
+    estack = [-1]
+    circuit = []
+    while vstack:
+        v = vstack[-1]
+        p = ptr[v]
+        if p < root:
+            ptr[v] = p + 1
+            e = v * root + p
+            vstack.append(dst[e])
+            estack.append(e)
+        else:
+            vstack.pop()
+            circuit.append(estack.pop())
+    circuit.pop()  # sentinel below the start vertex
+    circuit.reverse()
+    return circuit
+
+
+def stack_loop_word(params):
+    """generalized_word with the per-edge stack loop, for l >= 1."""
+    sigma = params.sigma
+    root = 1 << params.p
+    nodes = np.unique(_cyclic_window_codes(build_s0(params.k, params.p), params.k + 1))
+    word_len = params.k + 1
+    for _level in range(params.l):
+        suffix_mod = sigma ** (word_len - 1)
+        lo = np.searchsorted(nodes, (nodes % suffix_mod) * sigma)
+        idx = (lo[:, None] + np.arange(root, dtype=np.int64)).ravel()
+        edges = np.sort(np.repeat(nodes * sigma, root) + nodes[idx] % sigma)
+        word_len += 1
+        if _level + 1 < params.l:
+            nodes = edges
+    src_mod = sigma ** (word_len - 1)
+    dst = np.searchsorted(nodes, edges % src_mod).tolist()
+    first_letter = (edges // src_mod).tolist()
+    return [first_letter[e] for e in stack_loop_circuit(dst, root)]
+
+
+def test_walk_matches_stack_loop_on_grid():
+    grid = [params for params in gdb_grid(1 << 16) if params.l > 0]
+    assert len(grid) > 50
+    for params in grid:
+        assert list(generalized_word(params).symbols) == stack_loop_word(params), params
+
+
+def test_hierholzer_matches_stack_loop_on_random_regular_graphs():
+    # root-regular digraphs from root random permutations (dst[v*root + p]
+    # = perm_p[v]); those whose circuit from vertex 0 misses an edge must be
+    # rejected
+    rng = np.random.default_rng(7)
+    rejected = 0
+    for _ in range(300):
+        root = int(rng.choice([1, 2, 4]))
+        n_nodes = int(rng.integers(1, 200))
+        dst = np.stack([rng.permutation(n_nodes) for _ in range(root)], axis=1).ravel()
+        want = stack_loop_circuit(dst.tolist(), root)
+        if len(want) < len(dst):
+            rejected += 1
+            with pytest.raises(AssertionError):
+                _hierholzer(dst, root)
+        else:
+            assert _hierholzer(dst, root).tolist() == want, (root, dst)
+    assert 0 < rejected < 300
 
 
 def test_certificate_rejects_wrong_length():

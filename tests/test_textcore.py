@@ -190,6 +190,44 @@ def test_window_counts_match_counter_oracle(rng):
                 assert t.window_count_histogram(g, cyclic) == dict(Counter(counter.values()))
 
 
+def unique_ladder(text, g_max):
+    """The rank ladder by one np.unique sort of (level g-1 rank, next symbol)
+    keys per level: the reference for Text._rank_ladder's prefix extension."""
+    arr, base = text._remap
+    ranks = arr
+    for g in range(1, min(g_max, len(text.symbols)) + 1):
+        if g > 1:
+            ranks = np.unique(ranks * base + np.roll(arr, 1 - g), return_inverse=True)[1]
+        yield g, ranks
+
+
+def assert_ladders_equal(text, g_max):
+    got = list(text._rank_ladder(g_max))
+    want = list(unique_ladder(text, g_max))
+    assert [g for g, _ in got] == [g for g, _ in want], (text, g_max)
+    for (g, ranks), (_, expected) in zip(got, want):
+        assert ranks.dtype == np.int64 and np.array_equal(ranks, expected), (text, g_max, g)
+
+
+def test_rank_ladder_matches_unique_oracle():
+    rng = np.random.default_rng(15)
+    texts = [Text([], 1), Text([0], 1), Text([6], 9)]
+    for sigma in (1, 2, 4, 70, 300, 70000):
+        for n in (2, 3, 8, 17, 40):
+            texts.append(Text(rng.integers(0, sigma, n).tolist(), sigma))
+            period = rng.integers(0, sigma, int(rng.integers(1, 6)))
+            texts.append(Text(np.resize(period, n).tolist(), sigma))
+    for t in texts:
+        for g_max in range(len(t) + 3):
+            assert_ladders_equal(t, g_max)
+    # observed alphabets at the first-symbol dtype edges: 256 (uint8), 300
+    # (uint16) and 70000 (int64, above 2^16), with repeated windows
+    for sigma in (256, 300, 70000):
+        block = rng.permutation(sigma)
+        symbols = np.concatenate([block, block, rng.integers(0, sigma, 50), block[:99]])
+        assert_ladders_equal(Text(symbols.tolist(), sigma), 6)
+
+
 # -- entropy ------------------------------------------------------------------------
 
 
