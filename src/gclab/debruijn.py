@@ -95,12 +95,9 @@ def build_s0(k: int, p: int) -> Text:
     2k+1 over sqrt(sigma) letters, concatenated."""
     params = GdBParams(k, 0, p)
     q = 1 << p  # sqrt(sigma)
-    b = base_debruijn(q, 2 * k + 1).symbols
-    n = len(b)
-    first = [b[i] * q + b[i + 1] for i in range(0, n - 1, 2)]
-    second = [b[i] * q + b[i + 1] for i in range(1, n - 1, 2)]
-    second.append(b[n - 1] * q + b[0])
-    word = first + second
+    b = base_debruijn(q, 2 * k + 1).array
+    pairs = b * q + np.roll(b, -1)  # pair i is (b[i], b[i + 1]) cyclically
+    word = np.concatenate((pairs[0::2], pairs[1::2]))
     assert len(word) == params.length
     return Text(word, params.sigma)
 
@@ -132,8 +129,7 @@ def generalized_word(params: GdBParams) -> Text:
         edges = np.sort(edges)
         src_mod = sigma ** (word_len - 1)
         circuit = _hierholzer(np.searchsorted(nodes, edges % src_mod), root)
-        word = (edges[circuit] // src_mod).tolist()
-        text = Text(word, sigma)
+        text = Text(edges[circuit] // src_mod, sigma)
         assert len(text) == params.length
         return text
     raise AssertionError("unreachable")
@@ -151,25 +147,25 @@ def _hierholzer(dst: np.ndarray, root: int) -> np.ndarray:
     popped suffixes, in reverse order of popping, are the circuit.
     """
     n_edges = len(dst)
-    dst = dst.tolist()
+    pos = np.int32 if n_edges < 1 << 31 else np.int64
     ptr = [0] * (n_edges // root)     # next unused out-edge of each vertex
-    trail = np.empty(n_edges, dtype=np.int64)
+    trail = np.empty(n_edges, dtype=pos)
     used = np.zeros(n_edges, dtype=bool)
+    # memoryviews read and write numpy memory as Python ints, without a list
+    dst, tr = memoryview(dst.astype(pos)), memoryview(trail)
     popped = []
     top = 0
     v = 0
     while True:
-        walk = []
-        push = walk.append
+        end = top
         p = ptr[v]
         while p < root:
             ptr[v] = p + 1
             e = v * root + p
-            push(e)
+            tr[end] = e
+            end += 1
             v = dst[e]
             p = ptr[v]
-        end = top + len(walk)
-        trail[top:end] = walk
         used[trail[top:end]] = True
         # live: the last trail index whose edge's source still has an unused
         # edge, searched back from the end in doubling windows
@@ -192,12 +188,9 @@ def _hierholzer(dst: np.ndarray, root: int) -> np.ndarray:
 
 
 def _cyclic_window_codes(text: Text, g: int) -> np.ndarray:
-    arr = np.asarray(text.symbols, dtype=np.int64)
-    ext = np.concatenate([arr, arr[: g - 1]]) if g > 1 else arr
-    codes = ext[: len(arr)].copy()
+    codes = text.array
     for j in range(1, g):
-        codes *= text.sigma
-        codes += ext[j : j + len(arr)]
+        codes = codes * text.sigma + np.roll(text.array, -j)
     return codes
 
 

@@ -251,7 +251,7 @@ def greedy_run(
     threshold = greedy_threshold(n, text.sigma) if policy.kind == FULL_THRESHOLD else None
     sigma = text.sigma
 
-    work = _join([text.symbols])  # rule i is segment i + 1, separated by -(i + 2)
+    work = _join([text.array])  # rule i is segment i + 1, separated by -(i + 2)
     engine = None  # the pair rounds since the last scan, over work as it was
     pending: list[int] = []  # their rules, each followed by its separator
     steps: list[GreedyStep] = []

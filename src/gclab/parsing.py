@@ -27,6 +27,7 @@ from .textcore import (
     _range_min,
     _order,
     _runs,
+    count_occurrences,
     empirical_entropy,
 )
 
@@ -164,17 +165,16 @@ def phrase_probability(text: Text, phrase, k: int | None = None) -> float:
         raise ValueError("probabilities need a nonempty text")
     if len(phrase) == 0:
         return 1.0
-    index = text._index
     if k is None:
-        return index.count(phrase) / n
+        return count_occurrences(text, phrase) / n
     if k < 0:
         raise ValueError("order must be >= 0")
     prob = text.sigma ** -float(min(len(phrase), k))
     for j in range(k, len(phrase)):
-        num = index.count(phrase[j - k : j + 1])
+        num = count_occurrences(text, phrase[j - k : j + 1])
         if num == 0:
             return 0.0
-        prob *= num / index.count(phrase[j - k : j])
+        prob *= num / count_occurrences(text, phrase[j - k : j])
     return prob
 
 

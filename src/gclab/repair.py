@@ -111,7 +111,7 @@ def repair_run(
     threshold = _resolve_threshold(text, policy)
     sigma = text.sigma
 
-    engine = PairEngine(text.symbols)
+    engine = PairEngine(text.array)
     rules: list[tuple[int, int]] = []
     steps: list[RepairStep] = []
 

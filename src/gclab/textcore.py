@@ -2,15 +2,17 @@
 empirical entropy.
 
 A Text is an immutable sequence of integer symbol ids over a declared
-alphabet of size sigma.  Counting has two backends.  One suffix index per
-text, built lazily (suffix array, its inverse and LCP, by prefix doubling),
-answers ad-hoc pattern counts by binary search, O(|pattern| log n), counts
-many of the text's own windows at once as LCP-interval widths, and gives
-the parsers their longest previous factors.  A ladder of cyclic window
-ranks serves fixed-length counts: the length-g order comes from the
-length-(g-1) order by prefix extension, one stable bucket pass by first
-symbol, so one walk counts every order, linear and cyclic, for the entropy
-and certificate machinery.  All logarithms are base 2.
+alphabet of size sigma, held as one read-only int64 array; its tuple of
+Python ints is built only on request.  Counting has two backends.  One
+suffix index per text, built lazily (suffix array, its inverse and LCP, by
+prefix doubling), answers ad-hoc pattern counts by binary search,
+O(|pattern| log n), counts many of the text's own windows at once as
+LCP-interval widths, and gives the parsers their longest previous factors.
+A ladder of cyclic window ranks serves fixed-length counts: the length-g
+order comes from the length-(g-1) order by prefix extension, one stable
+bucket pass by first symbol, so one walk counts every order, linear and
+cyclic, for the entropy and certificate machinery.  All logarithms are
+base 2.
 """
 
 from __future__ import annotations
@@ -34,13 +36,12 @@ class _SuffixIndex:
     and sa[r] (lcp[0] = 0).  The suffixes are sorted by prefix doubling
     (Manber & Myers, SIAM J. Comput. 1993) over the observed-alphabet codes,
     so any alphabet up to 2^32 works, and lcp comes from the doubling levels
-    by binary lifting.  The symbols tuple is kept, not copied, for pattern
-    search.
+    by binary lifting.
     """
 
-    __slots__ = ("symbols", "sa", "rank", "lcp")
+    __slots__ = ("sa", "rank", "lcp")
 
-    def __init__(self, symbols: tuple, codes: np.ndarray):
+    def __init__(self, codes: np.ndarray):
         n = len(codes)
         dtype = np.int32 if n < 1 << 31 else np.int64
         # level t ranks every suffix by its first 2^t symbols (padded below
@@ -57,7 +58,6 @@ class _SuffixIndex:
             distinct = len(uniq)
             levels.append(rank.astype(dtype))
             h *= 2
-        self.symbols = symbols
         self.rank = levels[-1]
         self.sa = np.empty(n, dtype=dtype)
         self.sa[self.rank] = np.arange(n, dtype=dtype)
@@ -72,16 +72,6 @@ class _SuffixIndex:
             ia, ib = a + common, b + common
             same = (ib < n) & (levels[t][ia] == levels[t][np.minimum(ib, n - 1)])
             common += same.astype(dtype) << t
-
-    def count(self, pattern: tuple) -> int:
-        """Occurrences of pattern (any symbols), by binary search of the
-        suffix array: O(|pattern| log n)."""
-        s, m = self.symbols, len(pattern)
-
-        def window(p):
-            return s[p : p + m]
-
-        return bisect_right(self.sa, pattern, key=window) - bisect_left(self.sa, pattern, key=window)
 
     def count_windows(self, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         """Occurrences of text[a : a + m] for each (a, m) at once: the width of
@@ -130,41 +120,50 @@ def _range_min(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class Text:
     """Immutable symbol sequence over an integer alphabet of size sigma."""
 
-    __slots__ = ("symbols", "sigma", "__dict__")
+    __slots__ = ("array", "sigma", "__dict__")
 
     def __init__(self, symbols, sigma: int):
-        symbols = tuple(symbols)
         if sigma < 1:
             raise ValueError("sigma must be >= 1")
         if sigma > 1 << 32:
             raise ValueError("alphabets larger than 2^32 are unsupported")
-        for s in symbols:
-            if not 0 <= s < sigma:
-                raise ValueError(f"symbol {s} out of range for sigma={sigma}")
-        self.symbols = symbols
+        if not isinstance(symbols, (list, tuple, np.ndarray)):
+            symbols = list(symbols)
+        try:
+            array = np.array(symbols, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"symbol out of range for sigma={sigma}") from exc
+        if len(array) and not 0 <= array.min() <= array.max() < sigma:
+            raise ValueError(f"symbols {array.min()}..{array.max()} out of range for sigma={sigma}")
+        array.flags.writeable = False
+        self.array = array
         self.sigma = sigma
 
+    @cached_property
+    def symbols(self) -> tuple:
+        return tuple(self.array.tolist())
+
     def __len__(self):
-        return len(self.symbols)
+        return len(self.array)
 
     def __eq__(self, other):
         return (
             isinstance(other, Text)
             and self.sigma == other.sigma
-            and self.symbols == other.symbols
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self):
-        return hash((self.sigma, self.symbols))
+        return hash((self.sigma, self.array.tobytes()))
 
     def __repr__(self):
-        head = ",".join(map(str, self.symbols[:8]))
-        tail = ",..." if len(self.symbols) > 8 else ""
+        head = ",".join(map(str, self.array[:8].tolist()))
+        tail = ",..." if len(self) > 8 else ""
         return f"Text([{head}{tail}] n={len(self)} sigma={self.sigma})"
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Text":
-        return cls(data, 256)
+        return cls(np.frombuffer(data, dtype=np.uint8), 256)
 
     @classmethod
     def from_string(cls, s: str, sigma: int | None = None) -> "Text":
@@ -194,15 +193,15 @@ class Text:
 
     @cached_property
     def _index(self) -> _SuffixIndex:
-        return _SuffixIndex(self.symbols, self._remap[0])
+        return _SuffixIndex(self._remap[0])
 
     # -- fixed-length window machinery -------------------------------------
 
     @cached_property
     def _remap(self) -> tuple[np.ndarray, int]:
         """Array re-coded over the observed alphabet, plus its size."""
-        uniq, inv = np.unique(np.asarray(self.symbols, dtype=np.int64), return_inverse=True)
-        return inv.astype(np.int64), max(1, len(uniq))
+        uniq, inv = np.unique(self.array, return_inverse=True)
+        return inv, max(1, len(uniq))
 
     def _rank_ladder(self, g_max: int):
         """Yield (g, ranks) for g = 1..min(g_max, n).
@@ -252,7 +251,7 @@ class Text:
         """
         if g < 0:
             raise ValueError("window length must be >= 0")
-        n = len(self.symbols)
+        n = len(self)
         if g == 0:
             return np.zeros(n if cyclic else n + 1, dtype=np.int64)
         if g > n:
@@ -336,18 +335,24 @@ def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
     counts |text| by convention.
     """
     pattern = tuple(pattern)
-    n = len(text)
-    if len(pattern) == 0:
+    n, m = len(text), len(pattern)
+    if m == 0:
         return n
-    if not cyclic:
-        return text._index.count(pattern)
-    m = len(pattern)
-    if m > n:
+    if cyclic and m > n:
         raise ValueError("cyclic counting requires pattern length <= |text|")
+    s, sa = text.symbols, text._index.sa
+
+    def window(p):
+        return s[p : p + m]
+
+    # binary search of the suffix array: O(m log n)
+    count = bisect_right(sa, pattern, key=window) - bisect_left(sa, pattern, key=window)
+    if not cyclic:
+        return count
     # the cyclic starts n-m+1..n-1 are the linear occurrences in the 2m-2
     # symbols around the wrap point
-    wrap = Text(text.symbols[n - m + 1 :] + text.symbols[: m - 1], text.sigma)
-    return text._index.count(pattern) + count_occurrences(wrap, pattern)
+    wrap = Text(np.concatenate((text.array[n - m + 1 :], text.array[: m - 1])), text.sigma)
+    return count + count_occurrences(wrap, pattern)
 
 
 def empirical_entropy(text: Text, k: int, cyclic: bool = False) -> tuple[float, float]:

@@ -449,7 +449,7 @@ def test_criterion_07_debruijn_certificates():
     for params in grid:
         word = generalized_word(params)
         total_len += len(word)
-        digest = hashlib.sha256(np.asarray(word.symbols, dtype="<u4").tobytes()).hexdigest()
+        digest = hashlib.sha256(word.array.astype("<u4").tobytes()).hexdigest()
         assert digest == GDB_GRID_WORD_SHA256[(params.k, params.l, params.p)], (params,)
         cert = verify_gdb(word, params)
         assert cert.db1 and cert.db2 and cert.db3, (params,)

@@ -5,6 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import random_text
+from gclab.debruijn import GdBParams, generalized_word, verify_gdb
+from gclab.greedy import greedy_run
+from gclab.parsing import lz77_parse_nonself
+from gclab.repair import repair_run
 from gclab.textcore import (
     Text,
     count_occurrences,
@@ -64,6 +68,20 @@ def test_text_validation():
     with pytest.raises(ValueError):
         Text([0], 0)
     assert len(Text([], 1)) == 0
+    # out of range below, at sigma and past int64, by list and by tokens
+    for bad in (-1, 7, 1 << 64):
+        with pytest.raises(ValueError):
+            Text([0, bad], 7)
+        with pytest.raises(ValueError):
+            Text.from_tokens(f"sigma=7\n0 {bad}\n")
+    # the Text holds its own read-only copy of the caller's array
+    source = np.array([1, 0, 2], dtype=np.int64)
+    t = Text(source, 3)
+    source[0] = 2
+    assert t.symbols == (1, 0, 2)
+    assert not t.array.flags.writeable
+    with pytest.raises(ValueError):
+        t.array[0] = 0
 
 
 def test_token_round_trip():
@@ -71,6 +89,39 @@ def test_token_round_trip():
     assert Text.from_tokens(t.to_tokens()) == t
     with pytest.raises(ValueError):
         Text.from_tokens("3 1 2")
+    # every way in builds the same Text
+    forms = [
+        Text([97, 98, 99], 256),
+        Text((97, 98, 99), 256),
+        Text(range(97, 100), 256),
+        Text((c for c in b"abc"), 256),
+        Text.from_bytes(b"abc"),
+        Text(np.array([97, 98, 99], dtype=np.int32), 256),
+        Text.from_tokens(Text([97, 98, 99], 256).to_tokens()),
+    ]
+    for form in forms:
+        assert form == forms[0] and hash(form) == hash(forms[0])
+        assert form.array.dtype == np.int64
+        assert type(form.symbols) is tuple and all(type(s) is int for s in form.symbols)
+    assert Text([97, 98, 99], 257) != forms[0]
+    assert Text([97, 98], 256) != forms[0]
+
+
+def test_symbols_tuple_built_only_on_request():
+    # the array is the storage: the numpy consumers never build the tuple
+    params = GdBParams(2, 1, 1)
+    runs = {
+        "lz77_parse_nonself": lz77_parse_nonself,
+        "verify_gdb": lambda t: verify_gdb(t, params),
+        "repair_run": repair_run,
+        "greedy_run": greedy_run,
+    }
+    for name, run in runs.items():
+        word = generalized_word(params)
+        run(word)
+        assert "symbols" not in word.__dict__, name
+    assert word.symbols == tuple(word.array.tolist())
+    assert "symbols" in word.__dict__
 
 
 def test_count_overlapping_runs():
