@@ -23,7 +23,7 @@ import numpy as np
 
 from .parsing import Parsing
 from .reporting import BoundRow, CheckReport
-from .textcore import LOG2E, Text, _count_histogram, _hk_total, _position_counts, empirical_entropy
+from .textcore import LOG2E, Text, _count_histogram, _hk_terms, _hk_total, _position_counts, empirical_entropy
 
 ENTROPY_TOL = 1e-9
 
@@ -267,10 +267,10 @@ def verify_gdb(text: Text, params: GdBParams) -> GdBCertificate:
         c_cyc = _position_counts(ranks)
         c_lin = _position_counts(ranks[: n - order])
         target = log_sigma2 if order < params.k else log_sigma2 / 2
-        per_cyc = _hk_total(d_cyc, c_cyc) / n
+        per_cyc = _hk_total(_hk_terms(d_cyc, c_cyc)) / n
         ent_cyc[order] = per_cyc
         cyc_ok &= abs(per_cyc - target) <= ENTROPY_TOL
-        per_lin = _hk_total(d_lin, c_lin) / n
+        per_lin = _hk_total(_hk_terms(d_lin, c_lin)) / n
         ent_lin[order] = per_lin
         # the last window of the text is counted in context denominators but
         # has no successor, which can push the linear value above the cyclic

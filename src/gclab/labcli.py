@@ -490,8 +490,10 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
 
     # (row prefix, parsing, phrase length l of an offset parsing or None)
     if algorithm == "offset-parse":
-        parsings = [(f"l={l}:", _PARSERS["offset"](text, l), l)
-                    for l in spec.offsets if 1 <= l <= len(text)]
+        offsets = [l for l in spec.offsets if 1 <= l <= len(text)]
+        parsings = [(f"l={l}:", _PARSERS["offset"](text, l), l) for l in offsets]
+        # one walk gives every offset row's mean of H_0..H_{l-1}
+        profile = entropy_profile(text, max(offsets, default=1) - 1)
     elif algorithm in _PARSERS:
         parsings = [("", _PARSERS[algorithm](text, None), None)]
     else:
@@ -502,13 +504,12 @@ def _entry(name: str, text: Text, algorithm: str, spec: RunSpec) -> dict:
         _parsing_rows(rows, parsing, spec.k_list, rng, prefix)
         if l is not None:
             rep = pmod.parsing_cost(parsing)
-            means = [empirical_entropy(text, i)[0] / len(text) for i in range(l)]
             n = len(text)
             rows.append(
                 BoundRow.check(
                     f"offset_mean_entropy[l={l}]",
                     rep.cost_bits,
-                    n * (sum(means) / l) + math.log2(n),
+                    n * profile.mean_up_to[l] + math.log2(n),
                     1e-6,
                     "C(Y) <= |S| mean_{i<l} H_i + log |S|",
                 )

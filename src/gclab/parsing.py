@@ -186,25 +186,22 @@ def phrase_cost(text: Text, phrase, k: int | None = None) -> float:
 
 
 def parsing_cost(parsing: Parsing, k: int | None = None) -> CostReport:
-    """C(Y), optionally C_k(Y), plus the entropy figures of the parsing."""
+    """C(Y), optionally C_k(Y), plus the entropy figures of the parsing.
+
+    C_k is int(sum min(L, k)) log2 sigma plus the order-k terms log2(d/c) of
+    the windows [t, t+k] that lie in one phrase; at k = 0 that is every
+    window, so C_0 is the very sum that gives |S|H_0."""
     k_cost = None
     if k is not None:
         if k < 0:
             raise ValueError("order must be >= 0")
         text = parsing.source
-        log2sigma = math.log2(text.sigma)
-        _, pref = _order(text, k, False)
-        cuts = np.asarray(parsing.boundaries, dtype=np.int64)
-        starts, lengths = cuts[:-1], np.diff(cuts)
-        # per phrase, min(L, k) log2 sigma and then pref[a+L-k] - pref[a]
-        # (0.0 when L <= k), interleaved after a leading 0.0 and summed left
-        # to right by cumsum, as a scalar loop over the phrases would
-        terms = np.zeros(2 * len(lengths) + 1)
-        terms[1::2] = np.minimum(lengths, k) * log2sigma
-        long = lengths > k
-        a = starts[long]
-        terms[2::2][long] = pref[a + lengths[long] - k] - pref[a]
-        k_cost = float(np.cumsum(terms)[-1])
+        _, terms = _order(text, k, False)
+        lengths = np.asarray(parsing.lengths, dtype=np.int64)
+        ids = np.repeat(np.arange(len(lengths), dtype=np.int32), lengths)
+        inside = ids[: len(terms)] == ids[k : k + len(terms)]
+        k_cost = (int(np.minimum(lengths, k).sum()) * math.log2(text.sigma)
+                  + float(np.sum(terms[inside])))
 
     return CostReport(
         parsing_entropy_bits=parsing.entropy_bits(),

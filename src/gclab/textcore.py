@@ -188,7 +188,7 @@ class Text:
 
     @cached_property
     def _orders(self) -> dict:
-        """(k, cyclic) -> (|S|H_k, k-cost prefix or None); _order alone fills it."""
+        """(k, cyclic) -> (|S|H_k, per-position terms or None); _order alone fills it."""
         return {}
 
     @cached_property
@@ -303,27 +303,28 @@ def _context_counts(text: Text, k_lo: int, k_hi: int, cyclic: bool):
         d = c
 
 
-def _hk_total(d: np.ndarray, c: np.ndarray) -> float:
-    """|S|H_k from the per-position counts of _context_counts."""
-    total = float(np.sum(np.log2(d[: len(c)].astype(np.float64) / c.astype(np.float64))))
-    return max(total, 0.0)
+def _hk_terms(d: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """log2(d/c) per position, from the counts of _context_counts: every
+    k-order figure is a sum of these terms."""
+    return np.log2(d[: len(c)].astype(np.float64) / c.astype(np.float64))
+
+
+def _hk_total(terms: np.ndarray) -> float:
+    """|S|H_k: the sum of one order's _hk_terms."""
+    return max(float(np.sum(terms)), 0.0)
 
 
 def _order(text: Text, k: int, cyclic: bool) -> tuple[float, np.ndarray | None]:
-    """(|S|H_k, prefix) of one order, from one walk per (Text, k, cyclic) kept
-    in the Text's memo.  A linear prefix holds the prefix sums of log2 d -
-    log2 c, which price the k-bounded parsing cost (a linear k >= |S| gives
-    0.0 and [0.0]); a cyclic entry has none."""
+    """(|S|H_k, terms) of one order, from one walk per (Text, k, cyclic) kept
+    in the Text's memo.  A linear entry keeps its _hk_terms, whose window
+    sums price the k-bounded parsing cost (a linear k >= |S| keeps none); a
+    cyclic entry keeps None."""
     memo = text._orders
     if (k, cyclic) not in memo:
-        total, terms = 0.0, np.zeros(0)
+        terms = np.zeros(0)
         for d, c in _context_counts(text, k, k, cyclic):  # none when a linear k >= |S|
-            total = _hk_total(d, c)
-            if not cyclic:
-                terms = np.log2(d[: len(c)].astype(np.float64)) - np.log2(c.astype(np.float64))
-        prefix = np.zeros(len(terms) + 1)
-        np.cumsum(terms, out=prefix[1:])
-        memo[k, cyclic] = total, None if cyclic else prefix
+            terms = _hk_terms(d, c)
+        memo[k, cyclic] = _hk_total(terms), None if cyclic else terms
     return memo[k, cyclic]
 
 
@@ -388,7 +389,7 @@ def entropy_profile(text: Text, k_max: int, cyclic: bool = False) -> EntropyProf
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     n = max(len(text), 1)
-    totals = [_hk_total(d, c) for d, c in _context_counts(text, 0, k_max, cyclic)]
+    totals = [_hk_total(_hk_terms(d, c)) for d, c in _context_counts(text, 0, k_max, cyclic)]
     totals += [0.0] * (k_max + 1 - len(totals))  # linear orders k >= |S|
     rows = [(k, total, total / n) for k, total in enumerate(totals)]
     means = {}

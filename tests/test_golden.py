@@ -595,51 +595,51 @@ PARSINGS = {
     ('example16', 'offset:2'): '6f1b94c22983a965cdd92868174d0c8224dbee022f81193aa9c5de460e1d809e',
     ('example16', 'offset:4'): '00f7065d56a21e3363ccfa896ee0c935532c70a037e4e19461a48b26714b65df',
     ('example16', 'offset:8'): 'eaa56711565342acfcf308b62cacef4dd87aaa77d7d8a8ab2d73bf4ec5731d52',
-    ('worst:64', 'lz78'): 'c1b0fd1de0f65bfc343232832b6c80ebccbcf09a4d682fd70bb30415e8819d17',
-    ('worst:64', 'lz77ns'): '6dc9ea50abb6b4ae3fa17f0d11f9293e0a1097774a7360d3bbd7382f0913e4ac',
-    ('worst:64', 'offset:2'): '144d54c13531551136c45afb78f6c7b4c1dc935860a1c1bbe47826210d55c597',
-    ('worst:64', 'offset:4'): 'f0a3a28377865cdd4c0571a2bc1e7f68a16f97a965e6036b89b7b0960190c91b',
-    ('worst:64', 'offset:8'): 'd8f59b193b4e4af116fdfffe8be94bed0c5bbaff78ba0eaeefd6916fe0d26694',
-    ('random:4,2000,1', 'lz78'): 'a51836222e02690b4651a959187f70f171c0cf7f222f0411064ec008700bc65c',
-    ('random:4,2000,1', 'lz77ns'): '6e60b3f69d8df0ffce078111ae1f5431b65e839968a6c90a726ed0cb64de7257',
-    ('random:4,2000,1', 'offset:2'): '2b8f96bfe1d46975ed200b5355cfe8bfc2746e0c00d4d2a3bd2f2625b236c487',
-    ('random:4,2000,1', 'offset:4'): 'ba724e7e61a79c135bd9ed41e6d1b0837711c1be3a3802ba6270f7d769ee9009',
-    ('random:4,2000,1', 'offset:8'): 'cd768b668fbb46cbb47390c117f60c3dd65976cec8fb83b2dd765524d56b1a46',
-    ('bytes:4096', 'lz78'): 'e2409f6b3e12ebadf0ddb41f34e117efae6f0a15e8b6ba89d6a190559d8aa238',
-    ('bytes:4096', 'lz77ns'): '02ac0cc90e44ecfa136f6215cd122c6d6f9eefcf8935b47f0718dd54c80874be',
-    ('bytes:4096', 'offset:2'): 'bae05edc0750e78b9329e1345f00031c1797708f54c742c8b90f91b11d4025a4',
-    ('bytes:4096', 'offset:4'): '252a677a6f49c583f91367c22cfa55ae538ba2423cd50a95f945e34cfabb978f',
-    ('bytes:4096', 'offset:8'): 'ba047d42ebaca321fe257104e1d5e19c1dd1b179e48969152016ecdc4637f54a',
-    ('badgrammar:5', 'lz78'): '78ccc684838ea2ea688405f50be045b767085ee4388d1b40155ba8f989bbf780',
-    ('badgrammar:5', 'lz77ns'): '92c0dc3760caab9c33caad145ff709ff327205b03b6af475fb655a8538c50991',
-    ('badgrammar:5', 'offset:2'): 'a3cffcb5f534be7009d06d74281d5196ae6a3fae0d4433350ca2e337f8cd87a1',
-    ('badgrammar:5', 'offset:4'): '286a2250f2d5c5eaf28475eaf66903e873227ca46e76477c35f6a99f1ec0b2f0',
-    ('badgrammar:5', 'offset:8'): '0df9f9d053938164c71b03094375b248770e68d01dd3042cee88ca41a10d422c',
-    ('gdb:1,9,1', 'lz78'): 'db5b676420dd60565e634a35e1346cac13bd1647c57ead8ef244698dc1db1c16',
-    ('gdb:1,9,1', 'lz77ns'): '96184ff3de7f097003cc81010c9e66f5bab5c07d8cc058fcd4f04ee127ee0147',
-    ('gdb:1,9,1', 'offset:2'): 'cab6f76bc7f19b58043fdf3753e175c28aa48bec4bee64a920fb9953b3bdae4c',
-    ('gdb:1,9,1', 'offset:4'): '1586d68d550e41ef230ba1a281de141da583bd15adaba8999728e8af8aed1c83',
-    ('gdb:1,9,1', 'offset:8'): 'b0cca4a78c0a1149c9224a310ec8fcb9337215353eeaa668aa6fcd6b6d55493c',
-    ('gdb:2,3,1', 'lz78'): 'd73dfe093086bcc78786b8ce32b879fd7b9048b7e87a862410fc9d75e01d218c',
-    ('gdb:2,3,1', 'lz77ns'): '03caa17d45ed5f4771970f9c5bbe78cd122b874a1481bf9d586c97f299a72a7e',
-    ('gdb:2,3,1', 'offset:2'): '278242a9f63b82f8eac348874c34d837dc976ec1731eb803ec65b351c589ebc4',
-    ('gdb:2,3,1', 'offset:4'): '9592858db47b693ecf2242765b25919d679bf0c01cf24a7f3e72e120a83d6635',
-    ('gdb:2,3,1', 'offset:8'): '0c1623f67c7c5fdcca0534316fcb1cfb9c3a81394678a2725689d81626cd517f',
-    ('gdb:1,5,2', 'lz78'): 'b624f3a07ab261f290cf0e43ffd82f3a7aae7bebeb92ece0c7f0750bfc3688aa',
-    ('gdb:1,5,2', 'lz77ns'): '4798cf09b6f1875252e94a863ce4b9d5c2fa33a2d1bdb3eabc4c3a07279bcf7a',
-    ('gdb:1,5,2', 'offset:2'): '7fb800f06d0c82fcf1c6493b2b3d171b8ad7267a722b977e0c8a6bea098f4a76',
-    ('gdb:1,5,2', 'offset:4'): '241c90b013b1447e9ce33017d3e833865f8287a20e873cd35720bed745bfe95d',
-    ('gdb:1,5,2', 'offset:8'): 'cd046b8c644f205bd1697f96edfab443a724e6199b043c50ce5745edc8af9b48',
-    ('a^512', 'lz78'): '40ccbd1d778b974fb3a1c9b3409a9f517ba6e8aa3da3efa5e3d1668834c6b436',
-    ('a^512', 'lz77ns'): 'f9e7d05646ce4b97bc47cdf885c71c3dd5f08e5a706e16f7c48d00b3c6519492',
-    ('a^512', 'offset:2'): 'fd77dac2caf18125103617d61568e5ba3c133b7da109d790f6589072ee138b56',
-    ('a^512', 'offset:4'): '7eeeb77c340cbf2539e00befaea5edab75b50760800ae0cad7a73db8749336d8',
-    ('a^512', 'offset:8'): 'e8a34519aa0f6a9e35e72489d9b1ddc359d9fe1869d03f57f29ccc352daa8627',
-    ('(ab)^300', 'lz78'): '73c0134cd86c88fe9b3d319896312e47314521b2ee8b812f61e63e1197e0a917',
-    ('(ab)^300', 'lz77ns'): '698fc1366c758ffe70ba211d98263c97e346e3e5632f76cabdb6f36b75a0fb7a',
+    ('worst:64', 'lz78'): '5059fabf145938e18a6b493331d3b016caf292e539fd22aa0cdd32fce99e352b',
+    ('worst:64', 'lz77ns'): '49892f39899ed877df740f5945a52ae53eeb663d2122fe0798c857ccb219187a',
+    ('worst:64', 'offset:2'): '8f605de823f8cfbf111310eaa29004908df20bea68b0b732e3a9e5e990ed9849',
+    ('worst:64', 'offset:4'): '99758778aacfff4b5a677eeb1d438ed30b9f362dcebaba770ede4563282d1cfc',
+    ('worst:64', 'offset:8'): 'e53d5ae06c5bebe2ec47698207c3db4b132d8e600b5743a8f775391ae85369ee',
+    ('random:4,2000,1', 'lz78'): 'f8afadd494a1cb0b2c38fa16cca9b6342be01529eefb23cd25924c06c7d260a9',
+    ('random:4,2000,1', 'lz77ns'): 'da98c8e2240dd0aec8ad88832f4ea2cc44eb9c5d0c4fcde4671a8e5d6e03ed25',
+    ('random:4,2000,1', 'offset:2'): '8512d5cf2814f95fef806c0e137d001830adca98d0b176837eaffb3d7338013d',
+    ('random:4,2000,1', 'offset:4'): '74c75a3a44e6e189534a08d4874d50ddfc6eeeda1f4fc2c645aedca8a89f4e16',
+    ('random:4,2000,1', 'offset:8'): '3644a6c5f6609e660e6a100c394c331fc5657530ba607587f628382ad30bcb43',
+    ('bytes:4096', 'lz78'): '534df84bb3dcce7a714498e49045258e49574e283115a37022ecd1738bd9853c',
+    ('bytes:4096', 'lz77ns'): '493f4859ca8e6001a0fccb145eef6c809e0d01e235be85b5286a287922051b81',
+    ('bytes:4096', 'offset:2'): '1f11a6f31d26b9250edd796efb0ac613cb9d9248538c3679b063da827c95892c',
+    ('bytes:4096', 'offset:4'): 'fb22d8d75fe2f6bc7e447d19b4692fb34743af16de83a35b2860ce679bcf0a96',
+    ('bytes:4096', 'offset:8'): '5c12558d8b841023bc9333f24f82fceada09607429c592e04419723aebaddf9e',
+    ('badgrammar:5', 'lz78'): '388e02d7109b986b75674fe42be9488e4158fd72d08ca31b72e906c70f5c9954',
+    ('badgrammar:5', 'lz77ns'): '790687a5abfc1fd89b05d340a4041d39f6fed21d7ffe4e6a74f34d64ad14ee18',
+    ('badgrammar:5', 'offset:2'): '140dcf7dd3e81951fb6febcf211d11a18f11dc2a62563936e6c326ce62ebb228',
+    ('badgrammar:5', 'offset:4'): 'ea6e0be8ff43bf772f9306253b3ed9e943ab8f4e06fed5f064a270a7240a3d5a',
+    ('badgrammar:5', 'offset:8'): 'c68744540ef68761cb68c5515d896954bb49a3f385f24c88180385c32dc104e8',
+    ('gdb:1,9,1', 'lz78'): 'bd6c206eb5c406edae7e28f710c952cf4f657dabc051035ca50206f7bcc8645c',
+    ('gdb:1,9,1', 'lz77ns'): 'e4c804087d17dda49de64b683ead1acab66269cc23951435cd26bc2d1cec895e',
+    ('gdb:1,9,1', 'offset:2'): '0a483c188f1d154aa4735f64465928ce6173239400733cae6640c54956b088f6',
+    ('gdb:1,9,1', 'offset:4'): '00476b64eaaca03f2b2343535bf8bfd9db2db448e662d87b87d95d650e580d92',
+    ('gdb:1,9,1', 'offset:8'): '8ecccbd9e20312e8b86e735835b99462636b279eb025ab851f088ccdf8371d5e',
+    ('gdb:2,3,1', 'lz78'): 'ffe48ac7fae0d88733d8bfaa27d163de5a4a4803b7ca4ef15c5d4c9c0a2c63cb',
+    ('gdb:2,3,1', 'lz77ns'): '2c4c8b763ff74aa0a9db23b8f7c46967d4962a98039b50cbdda488072f03faeb',
+    ('gdb:2,3,1', 'offset:2'): 'b8cf3a10058156d001f2a32049f06d09d9d391a23b5f9d5549be89581dfdf758',
+    ('gdb:2,3,1', 'offset:4'): 'b9efb9247332606a9103b35607c3e83cf821bda48cbcaceab4719edf4f102fa3',
+    ('gdb:2,3,1', 'offset:8'): '048814f4e768b44932bb12309241d75bb813c8f74d5f77146cdc39c061b1e356',
+    ('gdb:1,5,2', 'lz78'): 'c6dbaaf0d298873497a0d7d9ba2325f32237e451ee57a5ad8499dccb2f46a6a7',
+    ('gdb:1,5,2', 'lz77ns'): 'dc85ac52bc7d85f6a8537eddeedf04d62d38c54ce911ec1b92e7935cd0b0147f',
+    ('gdb:1,5,2', 'offset:2'): '989735dafa995af8e3363ad03dc581cbebfe48a96614180ea5e6f899e2b3058e',
+    ('gdb:1,5,2', 'offset:4'): '2f2adc2490db9822e2264b5ddbc0c2c37eb98197eda70e6517b4b2e3fc95b33a',
+    ('gdb:1,5,2', 'offset:8'): '763d7c8c11f7e2391165b53389179dda59befcebb31c54ab37a216506605c465',
+    ('a^512', 'lz78'): '0d1a1fa416db00663cef00af30f7e891fa6e4e56d23fa8f52dce706bcdd9c040',
+    ('a^512', 'lz77ns'): '8d8ec3f800ff61a93cfb827b24adb356e8ab2b5dd20e174e20473b4129693bb7',
+    ('a^512', 'offset:2'): '4d61f26105411c553f4ecfc471a74c9df6e11548138eb07d787524ecd7ce6591',
+    ('a^512', 'offset:4'): '5eb1b5f05057c65fdd378973393b4304af7337afdfcd92080241c2bb5d8bf666',
+    ('a^512', 'offset:8'): '069ff7b6ba73c75e5d2384f4af90498eadb04224917c691e92bc584b59f5cf66',
+    ('(ab)^300', 'lz78'): 'd2c38654e0e725a960b7d2aefa3a80808ccbec6ebcb3fe8450ddc63ef9be1ccb',
+    ('(ab)^300', 'lz77ns'): 'd3d0699ee971fb9fb6522abf1519a6ed542c0d98495c8b067bded01b68e62610',
     ('(ab)^300', 'offset:2'): '5866cd75321ac9e8a4b5d5996b54690dfe360918ea3008a76ac111e5e96539cb',
-    ('(ab)^300', 'offset:4'): '843ede6ef289ab42bd094450f5eb3791680c29db8e4714a2d2a6ab3ef50ce5e9',
-    ('(ab)^300', 'offset:8'): '5d5cddda9bf42b6856f8626d4362f1c65fdb4fcb538797cc3f44a78e34fc6af6',
+    ('(ab)^300', 'offset:4'): 'dd36fedabe4dee908a2cdee31f162cf9fbfe03f5f5c7319d3b63adf20d5eb46e',
+    ('(ab)^300', 'offset:8'): '76e749f68281e010d39fb50ade21137b3011f1c2156b8e5e943d47f953f97451',
 }
 
 
@@ -703,11 +703,11 @@ REPORT = {
     ('end', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
     ('end', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
     ('end', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
-    ('end', 'bytes:4096', 'repair'): '3d697373519bbb65c56ec57c88c4fbf2c8451c043464d19e0b2f50e1bc205504',
-    ('end', 'bytes:4096', 'greedy'): '0c2549c36e00e6c16ccaa7d00f90d84287294b8c44003ef2f8a324d26320a819',
-    ('end', 'bytes:4096', 'lz78'): '0a57c07d60148d36dfc5f58939c9113b72209ee4732f1d54305a58874de860fb',
-    ('end', 'bytes:4096', 'lz77ns'): 'a5eb780efcadb516a0b317dfae688bcf50fcee72cc1bdc2924405a2c2c068462',
-    ('end', 'bytes:4096', 'offset-parse'): 'baae4ebc148d03173bc900410db25929f044a2aeb9b04e39f10899910fb9601b',
+    ('end', 'bytes:4096', 'repair'): '14a903e3846a46579bd95e15584916da638c2aeb15c01065aa13bd2e6601f1bc',
+    ('end', 'bytes:4096', 'greedy'): '136fc866d77f07ce43cffbff89893db65fdf705274df4018f109c9132c3acd64',
+    ('end', 'bytes:4096', 'lz78'): 'f534d545ad063cdf3b4ef1ddd71aa14f874cb800d20f4d22ca439c3919fb0578',
+    ('end', 'bytes:4096', 'lz77ns'): 'da912d5f62f07dc7d32f166cf466f83e0ae5ceee1b9e00c006e20f7bcf1eecb6',
+    ('end', 'bytes:4096', 'offset-parse'): '0530d2ca128fbdc8eda042b8d6e3c1741394ca699785f33584f4dadd0d4776b1',
     ('end', 'example16', 'repair'): '29aa1c421b105c9a2491ed03487cf69f73801886dd35c8e47d98b040707eae31',
     ('end', 'example16', 'greedy'): '726ac9e3aa3fbf8a00019c8676769e30592d7e5b2181b6bde1399dd1201b4d23',
     ('end', 'example16', 'lz78'): '827704e5303e0a5c304f50a44aea66a435933fe67797ae5fb8566d62814dff26',
@@ -727,7 +727,7 @@ REPORT = {
     ('end', 'random:4,2000,1', 'greedy'): '9727e2b3ed654212d45334b33be145f7b67ddaa7c41d9f8568d898c5617d21ef',
     ('end', 'random:4,2000,1', 'lz78'): 'e7327cd2df7a89f2c8b58602ab2c5276a54167ae46b8f200358e37f81bf7e3f2',
     ('end', 'random:4,2000,1', 'lz77ns'): '8262daa500ca9fb30a2ed48fbf4bce8c70801c667376c42319499ba04d06999e',
-    ('end', 'random:4,2000,1', 'offset-parse'): 'edc6db4c0668cec64b80317a19bda8929cb115e488a2419ecacc00cc9c0032b0',
+    ('end', 'random:4,2000,1', 'offset-parse'): '97c97f974798fb1a7f691850c096eeb90ebc6c9ef5bde8d04736e1aac46fd8d4',
     ('end', 'worst:64', 'repair'): '2bacfb7d66fbe9c59c60a60cb5cbdb580b32f1cd71a58cab39940c7b39904bfd',
     ('end', 'worst:64', 'greedy'): '4968d6e6bad5e851122609d8790437a2f59adc598f37e3240cb98fa6da5c12ec',
     ('end', 'worst:64', 'lz78'): '58a04a4dc65a7337da2242baee847961604c21c1b8bea50953e8a85e741e6198',
@@ -738,11 +738,11 @@ REPORT = {
     ('threshold', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
     ('threshold', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
     ('threshold', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
-    ('threshold', 'bytes:4096', 'repair'): 'e2a74bd1f40d73daccf1e597018cfa1bdec6f4a89107db8adf2c88e5d6d45ecc',
-    ('threshold', 'bytes:4096', 'greedy'): 'a8c71e5a6b0507b8ade6b555bd68f3b27a03747e6260bf0594c4731515c1936a',
-    ('threshold', 'bytes:4096', 'lz78'): '0a57c07d60148d36dfc5f58939c9113b72209ee4732f1d54305a58874de860fb',
-    ('threshold', 'bytes:4096', 'lz77ns'): 'a5eb780efcadb516a0b317dfae688bcf50fcee72cc1bdc2924405a2c2c068462',
-    ('threshold', 'bytes:4096', 'offset-parse'): 'baae4ebc148d03173bc900410db25929f044a2aeb9b04e39f10899910fb9601b',
+    ('threshold', 'bytes:4096', 'repair'): '32fee87aaff65c565eb93708f8016a75b68da968d2fbd67206d3b4cc27506f53',
+    ('threshold', 'bytes:4096', 'greedy'): '387355e7e2daa81f0f26ef6c6deba430836b0069e646e21f3f30ef248f06dcf8',
+    ('threshold', 'bytes:4096', 'lz78'): 'f534d545ad063cdf3b4ef1ddd71aa14f874cb800d20f4d22ca439c3919fb0578',
+    ('threshold', 'bytes:4096', 'lz77ns'): 'da912d5f62f07dc7d32f166cf466f83e0ae5ceee1b9e00c006e20f7bcf1eecb6',
+    ('threshold', 'bytes:4096', 'offset-parse'): '0530d2ca128fbdc8eda042b8d6e3c1741394ca699785f33584f4dadd0d4776b1',
     ('threshold', 'example16', 'repair'): '20dbbdb991c23841f4ccbef2eb5bc6636fd24cd5af5a443bdd606e163fb4e604',
     ('threshold', 'example16', 'greedy'): 'a7dd43b373fca642024637679886dc9b16a99fe8957ff4343f3c9d092f65591a',
     ('threshold', 'example16', 'lz78'): '827704e5303e0a5c304f50a44aea66a435933fe67797ae5fb8566d62814dff26',
@@ -762,7 +762,7 @@ REPORT = {
     ('threshold', 'random:4,2000,1', 'greedy'): 'a3fdb260fbe9f926c303d266e3f99ca7f836f9c455bd5fdb43471924b6965099',
     ('threshold', 'random:4,2000,1', 'lz78'): 'e7327cd2df7a89f2c8b58602ab2c5276a54167ae46b8f200358e37f81bf7e3f2',
     ('threshold', 'random:4,2000,1', 'lz77ns'): '8262daa500ca9fb30a2ed48fbf4bce8c70801c667376c42319499ba04d06999e',
-    ('threshold', 'random:4,2000,1', 'offset-parse'): 'edc6db4c0668cec64b80317a19bda8929cb115e488a2419ecacc00cc9c0032b0',
+    ('threshold', 'random:4,2000,1', 'offset-parse'): '97c97f974798fb1a7f691850c096eeb90ebc6c9ef5bde8d04736e1aac46fd8d4',
     ('threshold', 'worst:64', 'repair'): '5066ae20c2103aaeb6a9056bdf9df4abe7d5ac70e5d9aabbdbc6760098b36238',
     ('threshold', 'worst:64', 'greedy'): 'a6469081582524c578470bd25d57aaed33742d71bf00e76a84b690fb7e502a2c',
     ('threshold', 'worst:64', 'lz78'): '58a04a4dc65a7337da2242baee847961604c21c1b8bea50953e8a85e741e6198',
@@ -773,11 +773,11 @@ REPORT = {
     ('maxiter:5', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
     ('maxiter:5', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
     ('maxiter:5', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
-    ('maxiter:5', 'bytes:4096', 'repair'): 'f7237e0f7b42e5fd67a95486fb89a54546743bfeef0d17ecf27d1b8ab9597eaf',
-    ('maxiter:5', 'bytes:4096', 'greedy'): 'b402037a6addf224a11f7e57760d6d1f282f15ff566be47f99d0efd7c3ac03e6',
-    ('maxiter:5', 'bytes:4096', 'lz78'): '0a57c07d60148d36dfc5f58939c9113b72209ee4732f1d54305a58874de860fb',
-    ('maxiter:5', 'bytes:4096', 'lz77ns'): 'a5eb780efcadb516a0b317dfae688bcf50fcee72cc1bdc2924405a2c2c068462',
-    ('maxiter:5', 'bytes:4096', 'offset-parse'): 'baae4ebc148d03173bc900410db25929f044a2aeb9b04e39f10899910fb9601b',
+    ('maxiter:5', 'bytes:4096', 'repair'): '1c0cf8bd9fcd974fd8835da4e7d3ef40dfa1d73d8bd0aff807f2369f155984bf',
+    ('maxiter:5', 'bytes:4096', 'greedy'): '8a832fa7b22219efb93c58b7eefdb5bf9b9b01d7e6f42d5f3c98293d1c1220ae',
+    ('maxiter:5', 'bytes:4096', 'lz78'): 'f534d545ad063cdf3b4ef1ddd71aa14f874cb800d20f4d22ca439c3919fb0578',
+    ('maxiter:5', 'bytes:4096', 'lz77ns'): 'da912d5f62f07dc7d32f166cf466f83e0ae5ceee1b9e00c006e20f7bcf1eecb6',
+    ('maxiter:5', 'bytes:4096', 'offset-parse'): '0530d2ca128fbdc8eda042b8d6e3c1741394ca699785f33584f4dadd0d4776b1',
     ('maxiter:5', 'example16', 'repair'): '29aa1c421b105c9a2491ed03487cf69f73801886dd35c8e47d98b040707eae31',
     ('maxiter:5', 'example16', 'greedy'): '93574880e6e1f4d98890bb71391a0c1c4555f65d44d9aee5174b598010a1c3dc',
     ('maxiter:5', 'example16', 'lz78'): '827704e5303e0a5c304f50a44aea66a435933fe67797ae5fb8566d62814dff26',
@@ -797,7 +797,7 @@ REPORT = {
     ('maxiter:5', 'random:4,2000,1', 'greedy'): 'ba57036f10f721672a542c0ddbc1ca359a8f31df0b5ed8a4638719c5f329c3eb',
     ('maxiter:5', 'random:4,2000,1', 'lz78'): 'e7327cd2df7a89f2c8b58602ab2c5276a54167ae46b8f200358e37f81bf7e3f2',
     ('maxiter:5', 'random:4,2000,1', 'lz77ns'): '8262daa500ca9fb30a2ed48fbf4bce8c70801c667376c42319499ba04d06999e',
-    ('maxiter:5', 'random:4,2000,1', 'offset-parse'): 'edc6db4c0668cec64b80317a19bda8929cb115e488a2419ecacc00cc9c0032b0',
+    ('maxiter:5', 'random:4,2000,1', 'offset-parse'): '97c97f974798fb1a7f691850c096eeb90ebc6c9ef5bde8d04736e1aac46fd8d4',
     ('maxiter:5', 'worst:64', 'repair'): '2a5de6f1d0c7296e79ba05bda1fb0b6f431e57a7160364844966ddee4cfd8c21',
     ('maxiter:5', 'worst:64', 'greedy'): 'abbddb318906fc8b710faff19ecbd6a98158ef794599325b0aa82b4b7c9ae309',
     ('maxiter:5', 'worst:64', 'lz78'): '58a04a4dc65a7337da2242baee847961604c21c1b8bea50953e8a85e741e6198',

@@ -130,7 +130,7 @@ def test_required_bound_rows_present():
 def test_each_entropy_computed_once_per_input(monkeypatch):
     # the report cells, the parsing verifier and the de Bruijn lower bound all
     # read one memo per Text: one rank-ladder walk per (Text, k, cyclic) gives
-    # |S|H_k and, for a linear order, the k-cost prefix
+    # |S|H_k and, for a linear order, the per-position terms that price C_k
     walks = []
     rank_ladder = Text._rank_ladder
 
@@ -146,11 +146,11 @@ def test_each_entropy_computed_once_per_input(monkeypatch):
     )
     report = run(spec)
     assert all("error" not in e for e in report.entries)
-    # per input: k = 0..7 linear for the offset rows (l = 8), whose walks for
-    # k = 0..2 also price every parsing's k-cost, plus k = 0..2 cyclic, all on
-    # the input itself, which the Re-Pair and Greedy start parsings parse too;
-    # then the one walk of the de Bruijn certificate
-    assert len(walks) == 2 * (8 + 3) + 1
+    # per input: k = 0..2 linear, whose walks also price every parsing's
+    # k-cost, plus k = 0..2 cyclic, all on the input itself, which the Re-Pair
+    # and Greedy start parsings parse too, plus one entropy profile for the
+    # offset rows; then the one walk of the de Bruijn certificate
+    assert len(walks) == 2 * (3 + 3 + 1) + 1
 
 
 def test_row_names_unique_per_entry():

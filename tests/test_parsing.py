@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import random_text
+from gclab.labcli import fixture_text
 from gclab.parsing import (
     InfiniteCostError,
     Parsing,
@@ -245,6 +246,9 @@ def test_parsing_cost_matches_oracle(rng):
                 assert rep.cost_bits == pytest.approx(cost_oracle(p), abs=1e-6)
             else:
                 assert rep.k_cost_bits == pytest.approx(cost_oracle(p, k), abs=1e-6)
+            if k == 0:
+                # C_0 telescopes to |S|H_0: the same sum, so equal bit for bit
+                assert rep.k_cost_bits == empirical_entropy(t, 0)[0]
         assert rep.parsing_entropy_bits == pytest.approx(
             entropy_of_word(p.phrases), abs=1e-9
         )
@@ -299,8 +303,9 @@ def test_parsing_figures_are_cached(rng):
     fresh = Parsing(q.source, q.boundaries)
     assert (q.occurrences, q.cost_bits) == (fresh.occurrences, fresh.cost_bits)
 
+
 def test_entropy_and_k_cost_share_one_walk(rng, monkeypatch):
-    # |S|H_k and the k-cost prefix of one order come from one rank-ladder
+    # |S|H_k and the k-cost terms of one order come from one rank-ladder
     # walk of the Text, whichever is asked for first
     walks = []
     rank_ladder = Text._rank_ladder
@@ -498,6 +503,16 @@ def test_verify_bounds_random_lz78(rng):
     t = random_text(rng, 4, 1000)
     rep = verify_parsing_bounds(lz78_parse(t), 2)
     assert rep.all_pass
+
+
+def test_k0_cost_row_exact_at_scale():
+    # summed in another order, the same terms miss the row's 1e-6 slack on
+    # these 2^18 symbols; the two sides must be the very same sum
+    t = fixture_text("random:4,262144,1")
+    fixed3 = Parsing(t, [*range(0, len(t), 3), len(t)])
+    row = verify_parsing_bounds(fixed3, 0).row("k_cost_le_hk")
+    assert row.passed
+    assert row.lhs_bits == row.rhs_bits
 
 
 def test_gibbs_bound_randomized(rng):
