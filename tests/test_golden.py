@@ -35,7 +35,7 @@ from gclab.parsing import (
     parsing_cost,
 )
 from gclab.repair import StopPolicy, repair_run
-from gclab.textcore import Text, entropy_profile
+from gclab.textcore import Text, empirical_entropy, entropy_profile
 
 # {(input, algorithm): {"gcl1": sha256, encoding: (sha256 of the GCB1 container,
 #   (payload_bits, dictionary_bits, lengths_side_bits, total_bits, formula_bound_bits))}}
@@ -459,12 +459,22 @@ def test_repair_trace_digests(name, text):
 
 
 def certificate_corpus():
-    """(name, word, params): three generated words and both reference words."""
+    """(name, word, params): three generated words, both reference words and
+    three words verify_gdb rejects, whose linear and cyclic counts leave the
+    dB tables."""
     for k, l, p in ((1, 9, 1), (2, 3, 1), (1, 5, 2)):
         params = GdBParams(k, l, p)
         yield f"gdb:{k},{l},{p}", generalized_word(params), params
     yield "example32", fixture_text("example32"), GdBParams(2, 0, 1)
     yield "example16", fixture_text("example16"), GdBParams(1, 1, 1)
+    params = GdBParams(2, 1, 1)
+    rng = random.Random(2024)
+    yield "rejected:random", Text([rng.randrange(4) for _ in range(params.length)], 4), params
+    yield "rejected:zeros", Text([0] * params.length, 4), params
+    params = GdBParams(2, 3, 1)
+    mutated = generalized_word(params).array.copy()
+    mutated[100] = (mutated[100] + 1) % 4
+    yield "rejected:gdb:2,3,1@100", Text(mutated, 4), params
 
 
 def _certificate_digest(cert):
@@ -489,6 +499,9 @@ CERTIFICATES = {
     'gdb:1,5,2': 'b472ad9f729f14af958aecf471385c90e5b19b380494b50496ca89547a1b3208',
     'example32': 'f2e3d86c399b941d0709e58ac24dd3b9e789fb9f7c93e4de01787e30835971e9',
     'example16': 'fc299d0a4a6428d3fa88d54340b16be7091a01a3fefc1a3dd5c5bd6f2f695f0c',
+    'rejected:random': '3bb0fa5b87918636aa51796039ab738ba72091336cf721bbb94fa0fc7d527eea',
+    'rejected:zeros': '04216e2add426e263d59efb9714a7749f42d1c2fedf81c59df524b094295f7f5',
+    'rejected:gdb:2,3,1@100': '3a04503e6614dc521095a88038c4f3c250650a93a0fe39480cee7464937ffec4',
 }
 
 
@@ -500,6 +513,17 @@ def test_certificates_cover_corpus():
                          ids=[name for name, _, _ in certificate_corpus()])
 def test_certificate_digests(name, word, params):
     assert _certificate_digest(verify_gdb(word, params)) == CERTIFICATES[name]
+
+
+@pytest.mark.parametrize("name,word,params", list(certificate_corpus()),
+                         ids=[name for name, _, _ in certificate_corpus()])
+def test_certificate_entropies_match_memo(name, word, params):
+    """Every order's certificate entropy is bitwise the memo's empirical_entropy."""
+    cert = verify_gdb(word, params)
+    assert set(cert.entropy_cyclic) == set(cert.entropy_linear) == set(range(params.z))
+    for k in range(params.z):
+        assert cert.entropy_cyclic[k] == empirical_entropy(word, k, True)[1], k
+        assert cert.entropy_linear[k] == empirical_entropy(word, k, False)[1], k
 
 
 PROFILE_K_MAX = 9
