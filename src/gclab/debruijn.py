@@ -23,7 +23,7 @@ import numpy as np
 
 from .parsing import Parsing
 from .reporting import BoundRow, CheckReport
-from .textcore import LOG2E, Text, _count_histogram, _hk_terms, _hk_total, _position_counts, empirical_entropy
+from .textcore import LOG2E, Text, _context_counts, empirical_entropy
 
 ENTROPY_TOL = 1e-9
 
@@ -246,32 +246,24 @@ def verify_gdb(text: Text, params: GdBParams) -> GdBCertificate:
     cyc_ok = True
     lin_ok = True
     slack = 0.0
-    # one walk: level i gives the count table of length i and, with level
-    # i-1, the order-(i-1) entropies in both modes
-    d_cyc = d_lin = np.full(n, n)
-    for i, ranks in text._rank_ladder(z):
-        hist = _count_histogram(ranks)
+    # one walk: order i-1 gives the count table of length i and the
+    # order-(i-1) entropies in both modes
+    for order, hist, orders in _context_counts(text, 0, z - 1, (True, False), histogram=True):
+        i = order + 1
         tables[i] = hist
         consistent &= sum(c * m for c, m in hist.items()) == n
         expected = params.expected_count(i)
         if i < params.k:
-            good = hist == {expected: sigma**i}
-            ok[1] &= good
+            ok[1] &= hist == {expected: sigma**i}
         else:
-            good = set(hist) == {expected} if hist else False
-            ok[2] &= good
+            ok[2] &= set(hist) == {expected}
             if i == z:
                 ok[3] &= set(hist) <= {1}
 
-        order = i - 1
-        c_cyc = _position_counts(ranks)
-        c_lin = _position_counts(ranks[: n - order])
         target = log_sigma2 if order < params.k else log_sigma2 / 2
-        per_cyc = _hk_total(_hk_terms(d_cyc, c_cyc)) / n
-        ent_cyc[order] = per_cyc
+        ent_cyc[order] = per_cyc = orders[True][0] / n
         cyc_ok &= abs(per_cyc - target) <= ENTROPY_TOL
-        per_lin = _hk_total(_hk_terms(d_lin, c_lin)) / n
-        ent_lin[order] = per_lin
+        ent_lin[order] = per_lin = orders[False][0] / n
         # the last window of the text is counted in context denominators but
         # has no successor, which can push the linear value above the cyclic
         # one by up to log2(e) bits in total; allow exactly that
@@ -282,7 +274,6 @@ def verify_gdb(text: Text, params: GdBParams) -> GdBCertificate:
             deficit = target - per_lin
             if deficit > 0:
                 slack = max(slack, deficit * n / (order * logn))
-        d_cyc, d_lin = c_cyc, c_lin
 
     return GdBCertificate(
         params=params,

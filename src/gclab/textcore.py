@@ -264,67 +264,81 @@ class Text:
 
     def window_count_histogram(self, g: int, cyclic: bool) -> dict[int, int]:
         """Map occurrence-count -> number of distinct length-g words with it."""
-        return _count_histogram(self.window_codes(g, cyclic))
+        return self._window_counts(g, cyclic, histogram=True)[1]
 
     def position_counts(self, g: int, cyclic: bool) -> np.ndarray:
         """counts[p] = occurrences of the length-g window starting at p."""
-        return _position_counts(self.window_codes(g, cyclic))
+        return self._window_counts(g, cyclic)[0]
+
+    def _window_counts(self, g: int, cyclic: bool, histogram: bool = False):
+        if 1 <= g <= len(self):
+            counts, hist = _level_counts(self.window_codes(g, True), g, (cyclic,), histogram)
+            return counts[cyclic], hist
+        # no ladder level: every window is the empty word, or there is none
+        windows = len(self.window_codes(g, cyclic))  # raises for a bad g
+        return np.full(windows, windows), {windows: 1} if windows else {}
 
 
-def _position_counts(ranks: np.ndarray) -> np.ndarray:
-    """Occurrences of each position's window among the windows ranked."""
-    return np.bincount(ranks)[ranks]
+def _level_counts(ranks: np.ndarray, g: int, modes, histogram: bool = False):
+    """({cyclic: counts}, hist) of one ladder level's length-g windows, for
+    each mode of ``modes`` (cyclic first), from one bincount of the level's
+    n cyclic ranks: the linear counts are the cyclic ones less the g-1
+    windows that wrap, taken away in place once the cyclic counts are read.
+    counts[p] counts window p; hist, when asked, maps occurrence-count ->
+    distinct windows with it, in the first mode.
+    """
+    n = len(ranks)
+    per_rank = np.bincount(ranks)
+    counts, hist = {}, None
+    for cyclic in modes:
+        if not cyclic:
+            np.subtract.at(per_rank, ranks[n - g + 1 :], 1)
+        if histogram and not counts:
+            vals, mult = np.unique(per_rank[per_rank > 0], return_counts=True)
+            hist = {int(v): int(m) for v, m in zip(vals, mult)}
+        counts[cyclic] = per_rank[ranks if cyclic else ranks[: n - g + 1]]
+    return counts, hist
 
 
-def _count_histogram(ranks: np.ndarray) -> dict[int, int]:
-    """Map occurrence-count -> number of distinct windows with it."""
-    counts = np.bincount(ranks)
-    vals, mult = np.unique(counts[counts > 0], return_counts=True)
-    return {int(v): int(m) for v, m in zip(vals, mult)}
-
-
-def _context_counts(text: Text, k_lo: int, k_hi: int, cyclic: bool):
-    """Yield (d, c) for k = k_lo..k_hi from one walk of the rank ladder.
-
-    c[p] counts the (k+1)-window at p, d[p] the k-window at p (n for k = 0,
-    as |w|_eps = |w|); linear d has one more entry than c.  Orders whose
-    (k+1)-windows exceed the text are not yielded; cyclic ones need k < |S|.
+def _context_counts(text: Text, k_lo: int, k_hi: int, modes, histogram: bool = False):
+    """Yield (k, hist, orders) for k = k_lo..k_hi from one walk of the rank
+    ladder: orders[cyclic] = _hk(d, c, cyclic) per mode, where c counts the
+    (k+1)-window at each position and d the k-window (n for k = 0, as
+    |w|_eps = |w|), and hist is _level_counts' histogram of the
+    (k+1)-windows.  Orders whose (k+1)-windows exceed the text are not
+    yielded; cyclic ones need k < |S|.
     """
     n = len(text)
-    if cyclic and 0 < n <= k_hi:
+    if True in modes and 0 < n <= k_hi:
         raise ValueError("cyclic entropy requires k < |text|")
-    d = np.full(n, n)
+    d = dict.fromkeys(modes, np.full(n, n))
     for g, ranks in text._rank_ladder(k_hi + 1):
-        if g < k_lo:
-            continue
-        c = _position_counts(ranks if cyclic else ranks[: n - g + 1])
-        if g > k_lo:
-            yield d, c
-        d = c
+        if g >= k_lo:
+            c, hist = _level_counts(ranks, g, modes, histogram)
+            if g > k_lo:
+                yield g - 1, hist, {cyclic: _hk(d[cyclic], c[cyclic], cyclic) for cyclic in modes}
+            d = c
 
 
-def _hk_terms(d: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """log2(d/c) per position, from the counts of _context_counts: every
-    k-order figure is a sum of these terms."""
-    return np.log2(d[: len(c)].astype(np.float64) / c.astype(np.float64))
-
-
-def _hk_total(terms: np.ndarray) -> float:
-    """|S|H_k: the sum of one order's _hk_terms."""
-    return max(float(np.sum(terms)), 0.0)
+def _hk(d: np.ndarray, c: np.ndarray, cyclic: bool) -> tuple[float, np.ndarray | None]:
+    """(|S|H_k, terms) from one order's counts: terms[p] = log2(d[p]/c[p]),
+    and |S|H_k is their sum.  Every k-order figure is a sum of these terms;
+    only the linear ones price a parsing, so a cyclic order keeps None."""
+    terms = d[: len(c)] / c
+    np.log2(terms, out=terms)
+    return max(float(np.sum(terms)), 0.0), None if cyclic else terms
 
 
 def _order(text: Text, k: int, cyclic: bool) -> tuple[float, np.ndarray | None]:
     """(|S|H_k, terms) of one order, from one walk per (Text, k, cyclic) kept
-    in the Text's memo.  A linear entry keeps its _hk_terms, whose window
-    sums price the k-bounded parsing cost (a linear k >= |S| keeps none); a
+    in the Text's memo.  A linear entry keeps its terms, whose window sums
+    price the k-bounded parsing cost (a linear k >= |S| keeps none); a
     cyclic entry keeps None."""
     memo = text._orders
     if (k, cyclic) not in memo:
-        terms = np.zeros(0)
-        for d, c in _context_counts(text, k, k, cyclic):  # none when a linear k >= |S|
-            terms = _hk_terms(d, c)
-        memo[k, cyclic] = _hk_total(terms), None if cyclic else terms
+        memo[k, cyclic] = 0.0, None if cyclic else np.zeros(0)
+        for _, _, orders in _context_counts(text, k, k, (cyclic,)):  # none when a linear k >= |S|
+            memo[k, cyclic] = orders[cyclic]
     return memo[k, cyclic]
 
 
@@ -389,7 +403,7 @@ def entropy_profile(text: Text, k_max: int, cyclic: bool = False) -> EntropyProf
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
     n = max(len(text), 1)
-    totals = [_hk_total(_hk_terms(d, c)) for d, c in _context_counts(text, 0, k_max, cyclic)]
+    totals = [orders[cyclic][0] for _, _, orders in _context_counts(text, 0, k_max, (cyclic,))]
     totals += [0.0] * (k_max + 1 - len(totals))  # linear orders k >= |S|
     rows = [(k, total, total / n) for k, total in enumerate(totals)]
     means = {}

@@ -11,6 +11,7 @@ from gclab.parsing import lz77_parse_nonself
 from gclab.repair import repair_run
 from gclab.textcore import (
     Text,
+    _level_counts,
     count_occurrences,
     empirical_entropy,
     entropy_profile,
@@ -219,7 +220,8 @@ def window_oracle(symbols, g, cyclic):
 
 
 def test_window_counts_match_counter_oracle(rng):
-    texts = [Text([], 1), Text([0], 1), Text.from_string("abab"), Text.from_string("aaaa")]
+    texts = [Text([], 1), Text([0], 1), Text([1], 2), Text.from_string("ab"),
+             Text.from_string("abab"), Text.from_string("aaaa")]
     texts += [random_text(rng, sigma, rng.randrange(1, 40))
               for sigma in (2, 3, 5, 256, 1 << 32) for _ in range(6)]
     texts += [random_text(rng, sigma, 12) for sigma in (256, 1 << 32)]
@@ -239,6 +241,19 @@ def test_window_counts_match_counter_oracle(rng):
                 got = t.position_counts(g, cyclic).tolist()
                 assert got == [counter[w] for w in windows], (t, g, cyclic)
                 assert t.window_count_histogram(g, cyclic) == dict(Counter(counter.values()))
+        # both modes from one bincount per level: the linear counts are the
+        # cyclic ones less the g-1 windows that wrap, up to g = n, where
+        # only the window at 0 does not wrap (no level when n = 0)
+        levels = list(t._rank_ladder(n))
+        assert [g for g, _ in levels] == list(range(1, n + 1))
+        for g, ranks in levels:
+            counts, hist = _level_counts(ranks, g, (True, False), histogram=True)
+            for cyclic in (True, False):
+                windows = window_oracle(t.symbols, g, cyclic)
+                counter = Counter(windows)
+                assert counts[cyclic].tolist() == [counter[w] for w in windows], (t, g, cyclic)
+                if cyclic:
+                    assert hist == dict(Counter(counter.values())), (t, g)
 
 
 def unique_ladder(text, g_max):
