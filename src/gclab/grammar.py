@@ -134,15 +134,24 @@ class FullGrammar:
         Rules are built bottom-up in id order, each once, from its children's
         tuples, so the total cost is the sum of the expansion lengths.
         """
+        for rhs in self.rules[len(self._expansions):top + 1]:
+            self._expansions.append(self._splice(rhs))
+
+    def _splice(self, seq) -> tuple:
+        """seq with each nonterminal replaced by its built expansion."""
         sigma, built = self.sigma, self._expansions
-        for rhs in self.rules[len(built):top + 1]:
-            out: list[int] = []
-            for s in rhs:
-                if s < sigma:
-                    out.append(s)
-                else:
-                    out.extend(built[s - sigma])
-            built.append(tuple(out))
+        out: list[int] = []
+        for s in seq:
+            if s < sigma:
+                out.append(s)
+            else:
+                out.extend(built[s - sigma])
+        return tuple(out)
+
+    def _symbol_lengths(self, seq) -> list[int]:
+        """|exp(s)| for each defined symbol s of seq."""
+        sigma, lens = self.sigma, self.expansion_lengths()
+        return [1 if s < sigma else lens[s - sigma] for s in seq]
 
     def expand(self, sym: int):
         """Fully derived terminal string of one symbol."""
@@ -157,21 +166,13 @@ class FullGrammar:
         return self._expansions[top]
 
     def expand_sequence(self, seq) -> tuple:
-        lens = self.expansion_lengths()
-        sigma, limit = self.sigma, self.sigma + len(lens)
-        self._check_expansion(sum(lens[s - sigma] if sigma <= s < limit else 1 for s in seq))
+        limit = self.sigma + len(self.rules)
         for s in seq:
             if not 0 <= s < limit:
                 raise KeyError(f"undefined symbol id {s}")
-        self._fill(max(seq, default=0) - sigma)
-        built = self._expansions
-        out: list[int] = []
-        for s in seq:
-            if s < sigma:
-                out.append(s)
-            else:
-                out.extend(built[s - sigma])
-        return tuple(out)
+        self._check_expansion(sum(self._symbol_lengths(seq)))
+        self._fill(max(seq, default=0) - self.sigma)
+        return self._splice(seq)
 
     def expand_start(self) -> tuple:
         return self.expand_sequence(self.start)
@@ -333,9 +334,8 @@ def expansion_sum_check(grammar: FullGrammar) -> ExpansionSumResult:
     """Under IG2, the expansions of all rule right-hand sides sum to <= 2|S|."""
     if _ig2_witness(grammar) is not None:
         return ExpansionSumResult(False, None, None, None)
-    lens = grammar.expansion_lengths()
-    total = sum(lens)
-    n = sum(lens[s - grammar.sigma] if s >= grammar.sigma else 1 for s in grammar.start)
+    total = sum(grammar.expansion_lengths())
+    n = sum(grammar._symbol_lengths(grammar.start))
     return ExpansionSumResult(True, total, n, total <= 2 * n)
 
 
@@ -360,20 +360,14 @@ def induced_parsing(grammar: FullGrammar, text: Text) -> tuple[tuple, Parsing]:
             stack.extend(reversed(grammar.rhs(s)))
         else:
             out.append(s)
-    lengths = grammar.expansion_lengths()
-    phrase_lengths = [1 if s < sigma else lengths[s - sigma] for s in out]
-    return tuple(out), Parsing.from_lengths(text, phrase_lengths)
+    return tuple(out), Parsing.from_lengths(text, grammar._symbol_lengths(out))
 
 
 def start_parsing(grammar: FullGrammar, text: Text) -> Parsing:
     """Parsing of ``text``, the text the grammar generates, induced by the
     starting string alone: one phrase per S' symbol, each the symbol's
     expansion."""
-    lengths = grammar.expansion_lengths()
-    phrase_lengths = [
-        1 if s < grammar.sigma else lengths[s - grammar.sigma] for s in grammar.start
-    ]
-    return Parsing.from_lengths(text, phrase_lengths)
+    return Parsing.from_lengths(text, grammar._symbol_lengths(grammar.start))
 
 
 # -- fixtures -------------------------------------------------------------------
