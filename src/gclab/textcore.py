@@ -336,9 +336,10 @@ def _order(text: Text, k: int, cyclic: bool) -> tuple[float, np.ndarray | None]:
     cyclic entry keeps None."""
     memo = text._orders
     if (k, cyclic) not in memo:
-        memo[k, cyclic] = 0.0, None if cyclic else np.zeros(0)
+        figures = 0.0, None if cyclic else np.zeros(0)
         for _, _, orders in _context_counts(text, k, k, (cyclic,)):  # none when a linear k >= |S|
-            memo[k, cyclic] = orders[cyclic]
+            figures = orders[cyclic]
+        memo[k, cyclic] = figures
     return memo[k, cyclic]
 
 
