@@ -264,39 +264,33 @@ class Text:
 
     def window_count_histogram(self, g: int, cyclic: bool) -> dict[int, int]:
         """Map occurrence-count -> number of distinct length-g words with it."""
-        return self._window_counts(g, cyclic, histogram=True)[1]
+        return _level_counts(self.window_codes(g, cyclic), 0, (True,), histogram=True)[1]
 
     def position_counts(self, g: int, cyclic: bool) -> np.ndarray:
         """counts[p] = occurrences of the length-g window starting at p."""
-        return self._window_counts(g, cyclic)[0]
-
-    def _window_counts(self, g: int, cyclic: bool, histogram: bool = False):
-        if 1 <= g <= len(self):
-            counts, hist = _level_counts(self.window_codes(g, True), g, (cyclic,), histogram)
-            return counts[cyclic], hist
-        # no ladder level: every window is the empty word, or there is none
-        windows = len(self.window_codes(g, cyclic))  # raises for a bad g
-        return np.full(windows, windows), {windows: 1} if windows else {}
+        return _level_counts(self.window_codes(g, cyclic), 0, (True,))[0][True]
 
 
-def _level_counts(ranks: np.ndarray, g: int, modes, histogram: bool = False):
-    """({cyclic: counts}, hist) of one ladder level's length-g windows, for
-    each mode of ``modes`` (cyclic first), from one bincount of the level's
-    n cyclic ranks: the linear counts are the cyclic ones less the g-1
-    windows that wrap, taken away in place once the cyclic counts are read.
-    counts[p] counts window p; hist, when asked, maps occurrence-count ->
-    distinct windows with it, in the first mode.
+def _level_counts(ranks: np.ndarray, wrap: int, modes, histogram: bool = False):
+    """({cyclic: counts}, hist) of the windows ranked, for each mode of
+    ``modes``, from one bincount of the n cyclic ranks: the linear counts
+    are the cyclic ones less the last ``wrap`` windows, those that wrap
+    (g-1 on the level of length-g windows), taken away in place once the
+    cyclic counts are read; with wrap = 0 the cyclic mode counts exactly
+    the windows given.  counts[p] counts window p; hist, when asked, maps
+    occurrence-count -> distinct windows with it, in the cyclic mode if
+    asked for.
     """
     n = len(ranks)
     per_rank = np.bincount(ranks)
     counts, hist = {}, None
-    for cyclic in modes:
+    for cyclic in sorted(modes, reverse=True):  # the cyclic counts before the in-place take
         if not cyclic:
-            np.subtract.at(per_rank, ranks[n - g + 1 :], 1)
+            np.subtract.at(per_rank, ranks[n - wrap :], 1)
         if histogram and not counts:
             vals, mult = np.unique(per_rank[per_rank > 0], return_counts=True)
             hist = {int(v): int(m) for v, m in zip(vals, mult)}
-        counts[cyclic] = per_rank[ranks if cyclic else ranks[: n - g + 1]]
+        counts[cyclic] = per_rank[ranks if cyclic else ranks[: n - wrap]]
     return counts, hist
 
 
@@ -314,7 +308,7 @@ def _context_counts(text: Text, k_lo: int, k_hi: int, modes, histogram: bool = F
     d = dict.fromkeys(modes, np.full(n, n))
     for g, ranks in text._rank_ladder(k_hi + 1):
         if g >= k_lo:
-            c, hist = _level_counts(ranks, g, modes, histogram)
+            c, hist = _level_counts(ranks, g - 1, modes, histogram)
             if g > k_lo:
                 yield g - 1, hist, {cyclic: _hk(d[cyclic], c[cyclic], cyclic) for cyclic in modes}
             d = c

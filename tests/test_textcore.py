@@ -247,13 +247,14 @@ def test_window_counts_match_counter_oracle(rng):
         levels = list(t._rank_ladder(n))
         assert [g for g, _ in levels] == list(range(1, n + 1))
         for g, ranks in levels:
-            counts, hist = _level_counts(ranks, g, (True, False), histogram=True)
-            for cyclic in (True, False):
-                windows = window_oracle(t.symbols, g, cyclic)
-                counter = Counter(windows)
-                assert counts[cyclic].tolist() == [counter[w] for w in windows], (t, g, cyclic)
-                if cyclic:
-                    assert hist == dict(Counter(counter.values())), (t, g)
+            for modes in ((True, False), (False, True)):  # either order of modes
+                counts, hist = _level_counts(ranks, g - 1, modes, histogram=True)
+                for cyclic in modes:
+                    windows = window_oracle(t.symbols, g, cyclic)
+                    counter = Counter(windows)
+                    assert counts[cyclic].tolist() == [counter[w] for w in windows], (t, g, modes)
+                    if cyclic:
+                        assert hist == dict(Counter(counter.values())), (t, g, modes)
 
 
 def unique_ladder(text, g_max):
