@@ -148,10 +148,10 @@ class FullGrammar:
                 out.extend(built[s - sigma])
         return tuple(out)
 
-    def _symbol_lengths(self, seq) -> list[int]:
-        """|exp(s)| for each defined symbol s of seq."""
+    def _symbol_lengths(self, seq):
+        """|exp(s)| for each defined symbol s of seq, lazily."""
         sigma, lens = self.sigma, self.expansion_lengths()
-        return [1 if s < sigma else lens[s - sigma] for s in seq]
+        return (1 if s < sigma else lens[s - sigma] for s in seq)
 
     def expand(self, sym: int):
         """Fully derived terminal string of one symbol."""
