@@ -36,7 +36,7 @@ from . import greedy as gr
 from . import parsing as pmod
 from . import repair as rp
 from .reporting import BoundRow
-from .textcore import Text, empirical_entropy, entropy_profile, load_text
+from .textcore import Text, empirical_entropy, entropy_profile, load_text, release_orders
 
 SCHEMA_VERSION = "1"
 # input caps in symbols: the largest power of two that runs to the end
@@ -588,6 +588,7 @@ def run(spec: RunSpec) -> Report:
                     "error": f"{type(exc).__name__}: {exc}",
                 }
             report.entries.append(entry)
+        release_orders(text)  # only this input's cells read its terms
     return report
 
 

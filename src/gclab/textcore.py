@@ -337,6 +337,12 @@ def _order(text: Text, k: int, cyclic: bool) -> tuple[float, np.ndarray | None]:
     return memo[k, cyclic]
 
 
+def release_orders(text: Text) -> None:
+    """Drop the Text's memo of orders, with every linear order's terms (8 B
+    per symbol each); a later call for an order walks again."""
+    vars(text).pop("_orders", None)
+
+
 def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
     """Occurrences of pattern in text, overlapping allowed.
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from conftest import random_text
@@ -8,8 +9,10 @@ from gclab.grammar import (
     check_irreducible, check_weakly_nonredundant, grammar_from_segments, metrics,
 )
 from gclab.greedy import (
-    GreedyPolicy, _join, _scan, _split, greedy_run, greedy_stop_report, greedy_threshold,
+    GreedyPolicy, GreedyStep, _apply, _find, _join, _scan, _split, greedy_run,
+    greedy_stop_report, greedy_threshold,
 )
+from gclab.pairs import PairEngine
 from gclab.labcli import fixture_text
 from gclab.textcore import Text
 
@@ -55,8 +58,22 @@ def reference_best_candidate(segments, min_length=2):
 
 def reference_max_pair(segments):
     """Non-overlapping count of the most frequent pair; 1 when none repeats."""
-    pairs = [len(t) for w, t in _occurrences(segments).items() if len(w) == 2]
-    return max(pairs, default=1)
+    return max(reference_pairs(segments).values(), default=1)
+
+
+def reference_pairs(segments):
+    """{pair: non-overlapping count} of every pair within a segment."""
+    return {w: len(t) for w, t in _occurrences(segments).items() if len(w) == 2}
+
+
+def reference_ties(segments):
+    """[(length, first, count)] of every word of length >= 3 that has the
+    best gain, longest first, then leftmost first."""
+    words = [(len(w), t[0], len(t)) for w, t in _occurrences(segments).items()
+             if len(w) >= 3 and len(t) >= 2]
+    best = max(((c - 1) * (ln - 1) - 1 for ln, _, c in words), default=None)
+    return sorted(((ln, f, c) for ln, f, c in words if (c - 1) * (ln - 1) - 1 == best),
+                  key=lambda row: (-row[0], row[1]))
 
 
 def reference_greedy(text):
@@ -111,14 +128,19 @@ def test_scan_matches_oracle(rng):
     for segments in scan_inputs(rng):
         work = _join(segments)
         assert _split(work) == segments
-        long, max_pair = _scan(work)
+        ties, max_pair, (first, second, counts) = _scan(work)
         assert max_pair == reference_max_pair(segments), segments
+        pairs = dict(zip(zip(first.tolist(), second.tolist()), counts.tolist()))
+        assert pairs == reference_pairs(segments), segments
+        assert ties.tolist() == [list(row) for row in reference_ties(segments)], segments
         ref = reference_best_candidate(segments, min_length=3)
         if ref is None:
-            assert long is None, segments
+            assert not len(ties), segments
             continue
-        got = (long.gain, long.length, long.first, long.word, long.count,
-               long.positions.tolist())
+        length, first, count = ties[0].tolist()
+        word = work[first : first + length]
+        got = ((count - 1) * (length - 1) - 1, length, first, tuple(word.tolist()), count,
+               _find(work, word).tolist())
         assert got == ref, segments
 
 
@@ -168,6 +190,100 @@ def test_matches_reference(rng):
         assert g.expand_start() == t.symbols
 
 
+def greedy_scanning_every_round(text, policy):
+    """Greedy with a scan before every round: the scan's best word of length
+    >= 3 unless the best pair, from a PairEngine built afresh, gains more.
+    Returns the steps, the stop reason and the grammar after each round."""
+    sigma, n = text.sigma, len(text)
+    threshold = greedy_threshold(n, sigma) if policy.kind == "full_threshold" else None
+    work = _join([text.array])
+    steps, size = [], n
+    grammars = [grammar_from_segments(sigma, _split(work))]
+    while True:
+        if threshold is not None and size < threshold:
+            return steps, "threshold", grammars
+        if policy.kind == "max_iterations" and len(steps) >= policy.param:
+            return steps, "max_iterations", grammars
+        ties, max_pair, _ = _scan(work)
+        if len(ties):
+            length, first, count = ties[0].tolist()
+            word, gain = work[first : first + length], (count - 1) * (length - 1) - 1
+        else:
+            gain = -1
+        if max_pair - 2 > gain:
+            pair, count, _, _ = PairEngine(work).select()
+            word, gain = np.array(pair, dtype=np.int64), count - 2
+        elif not len(ties):
+            return steps, "exhausted", grammars
+        positions = _find(work, word)
+        assert len(positions) == count
+        work = _apply(work, positions, word, sigma + len(steps), -(len(steps) + 2))
+        size -= gain
+        steps.append(GreedyStep(len(steps) + 1, tuple(word.tolist()), count, gain, size, max_pair))
+        grammars.append(grammar_from_segments(sigma, _split(work)))
+
+
+# the first round replaces 110 at 0, which shortens the run of 0s that the
+# next tie, 000, starts in: its count holds but its first occurrence moves,
+# so the run scans again
+MOVED_FIRST_WORDS = ["1100000001101", "00100111111100", "01011010000000"]
+
+
+def tied_round_texts(rng):
+    """Random, periodic (with and without substitutions), repeated-block,
+    zero-gain, worst-case and de Bruijn texts."""
+    for _ in range(60):
+        sigma = rng.randrange(1, 9)
+        yield random_text(rng, sigma, rng.randrange(2, 121))
+    for _ in range(30):
+        sigma = rng.randrange(1, 5)
+        period = [rng.randrange(sigma) for _ in range(rng.randrange(1, 6))]
+        symbols = (period * 120)[: rng.randrange(2, 121)]
+        for _ in range(rng.choice([0, 0, 1, 2, 3])):
+            symbols[rng.randrange(len(symbols))] = rng.randrange(sigma + 1)
+        yield Text(symbols, sigma + 1)
+    for _ in range(20):
+        blocks = [[rng.randrange(4) for _ in range(rng.randrange(2, 12))] for _ in range(3)]
+        yield Text([s for _ in range(rng.randrange(2, 9)) for s in rng.choice(blocks)], 4)
+    yield from (Text.from_string(w) for w in ZERO_GAIN_WORDS)
+    yield from (Text([int(c) for c in w], 2) for w in MOVED_FIRST_WORDS)
+    yield from (fixture_text(f"worst:{m}") for m in (*range(1, 17), 31, 64, 100, 256))
+    yield fixture_text("gdb:2,3,1")
+
+
+def test_tied_rounds_match_a_scan_every_round(rng, monkeypatch):
+    # the rounds a scan's ties carry, and the pair counts kept up to date
+    # between scans, must give the very steps, stop and grammar of a run
+    # that scans before every round, under every policy and every budget
+    take = greedy._TiedWords.take
+    unscanned, moved = [], []
+
+    def checked(self, work, *args):
+        if 0 < self.head < len(self.ties):  # a round without a scan may follow
+            assert self.max_pair == _scan(work)[1]
+            unscanned.append(self.head)
+        taken = take(self, work, *args)
+        if taken is None and self.head < len(self.ties):
+            moved.append(self.head)
+        return taken
+
+    for t in tied_round_texts(rng):
+        policies = [GreedyPolicy.run_to_end()]
+        if t.sigma >= 2:
+            policies.append(GreedyPolicy.full_threshold())
+        for policy in policies:
+            monkeypatch.setattr(greedy._TiedWords, "take", checked)
+            g, tr = greedy_run(t, policy)
+            monkeypatch.undo()
+            steps, stopped_by, grammars = greedy_scanning_every_round(t, policy)
+            assert (tr.steps, tr.stopped_by, g) == (steps, stopped_by, grammars[-1]), t.symbols
+        steps, _, grammars = greedy_scanning_every_round(t, GreedyPolicy.run_to_end())
+        for m in range(len(steps) + 1):
+            g, tr = greedy_run(t, GreedyPolicy.max_iterations(m))
+            assert (tr.steps, tr.stopped_by, g) == (steps[:m], "max_iterations", grammars[m])
+    assert len(unscanned) > 300 and len(moved) >= len(MOVED_FIRST_WORDS)
+
+
 def test_long_word_wins_a_tie_after_a_pair_round():
     # the pair round (b, a) leaves the pair (b, b) at gain 1, the bound of
     # the scan before it, and bbb, which also gains 1, wins by length: a
@@ -198,8 +314,9 @@ def test_long_word_wins_a_tie_at_a_scan(monkeypatch):
 
 def test_pair_rounds_between_scans(monkeypatch):
     # on random text nearly every round replaces a pair (717 of 721 here),
-    # and a scan is needed only where a longer word may win: 13 scans,
-    # against 426 with a scan for every positive-gain round
+    # and a scan is needed only where a longer word may win: 10 scans (13
+    # with a scan for every long-word round), against 426 with a scan for
+    # every positive-gain round
     scans = []
 
     def counted(work):
@@ -209,9 +326,21 @@ def test_pair_rounds_between_scans(monkeypatch):
     monkeypatch.setattr(greedy, "_scan", counted)
     t = fixture_text("random:4,20000,1")
     g, tr = greedy_run(t)
-    assert len(scans) <= 20, len(scans)
+    assert tr.scans == len(scans) <= 13, len(scans)
     assert len(tr.steps) > 400 and tr.stopped_by == "exhausted"
     assert g.expand_start() == t.symbols
+
+
+def test_tied_rounds_between_scans():
+    # every round of worst:m but the last replaces a word # a_i # of gain 1,
+    # and one scan's ties carry them all: 2 scans, against m / 2 with a scan
+    # for every long-word round
+    for m in (256, 1024):
+        t = fixture_text(f"worst:{m}")
+        g, tr = greedy_run(t)
+        assert len(tr.steps) == m // 2 and tr.scans == 2, (m, tr.scans)
+        assert sum(len(s.substring) >= 3 for s in tr.steps) == m // 2 - 1
+        assert g.expand_start() == t.symbols
 
 
 def test_gain_accounting_and_invariants(rng):

@@ -151,6 +151,9 @@ def test_each_entropy_computed_once_per_input(monkeypatch):
     # and Greedy start parsings parse too, plus one entropy profile for the
     # offset rows; then the one walk of the de Bruijn certificate
     assert len(walks) == 2 * (3 + 3 + 1) + 1
+    # once an input's cells are done, its memo keeps no linear order's terms
+    for _, text in spec.inputs:
+        assert all(terms is None for _, terms in text._orders.values())
 
 
 def test_row_names_unique_per_entry():
