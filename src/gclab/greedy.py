@@ -134,13 +134,14 @@ def _greedy_occurrences(positions, length: int) -> list[int]:
 def _scan(work: np.ndarray) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Every word of length >= 3 that has the best gain, the exact count of
     the most frequent pair (1 when none repeats) and the exact count of every
-    pair.  Pairs are counted but not ranked: greedy_run weighs the pair count
-    against the long words' gain.
+    pair that repeats.  Pairs are counted but not ranked: greedy_run weighs
+    the pair count against the long words' gain.
 
     The tied words are rows (length, first occurrence, count), longest first,
     then leftmost first; there are none when no word of length >= 3 occurs
     twice.  The pairs are three arrays: first symbols, second symbols and
-    non-overlapping counts, one entry per distinct pair.
+    non-overlapping counts, one entry per distinct pair that occurs at least
+    twice without overlap.
 
     ``work`` is the working array: S' and every rule's right-hand side, each
     followed by its own negative separator.  Level l groups the length-l
@@ -192,8 +193,8 @@ def _scan(work: np.ndarray) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarr
         top = int(freq.max())
         if length == 2:
             max_pair = top
-            firsts = pos[starts]
-            pairs = (work[firsts], work[firsts + 1], freq)
+            firsts = pos[starts[freq >= 2]]
+            pairs = (work[firsts], work[firsts + 1], freq[freq >= 2])
         elif top >= 2:
             gain = _gain(top, length)
             if gain > best:
@@ -296,10 +297,13 @@ class _TiedWords:
     ``ties`` are _scan's rows (length, first, count), all of gain ``gain``,
     and ``head`` is the next row to try.  ``firsts`` holds each row's
     scan-time first occurrence, mapped past the positions removed since.
-    When a round may follow the first one, the scan's pair counts are kept
-    in ``pairs`` (every pair) and ``counts`` (how many pairs have each count
-    >= 2) and updated after each round by _pair_changes, so that
-    ``max_pair`` stays exact without a scan.
+    When a round may follow the first one, the pair counts are kept in
+    ``pairs`` and ``counts`` (how many pairs have each count >= 2) and
+    updated after each round by _pair_changes, so that ``max_pair`` stays
+    exact without a scan.  ``pairs`` holds the pairs that occurred at least
+    twice at the scan and those that hold a new symbol, while they occur: a
+    pair with no new symbol never gains between scans, so one that occurred
+    once never counts.
     """
 
     def __init__(self, work, ties, gain, max_pair, pairs):
@@ -312,7 +316,7 @@ class _TiedWords:
         if len(ties) > 1:
             a, b, c = (x.tolist() for x in pairs)
             self.pairs = dict(zip(zip(a, b), c))
-            self.counts = Counter(x for x in c if x >= 2)
+            self.counts = Counter(c)
 
     def take(self, work: np.ndarray, new_symbol: int, separator: int):
         """The next round from the head of the ties: (working array after it,
@@ -343,7 +347,11 @@ class _TiedWords:
             if not change:
                 continue
             was = pairs.get(pair, 0)
-            now = pairs[pair] = was + change
+            now = was + change
+            if now > 0:
+                pairs[pair] = now
+            else:
+                pairs.pop(pair, None)
             counts[was] -= was >= 2
             counts[now] += now >= 2
             top = max(top, now)

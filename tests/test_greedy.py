@@ -131,7 +131,7 @@ def test_scan_matches_oracle(rng):
         ties, max_pair, (first, second, counts) = _scan(work)
         assert max_pair == reference_max_pair(segments), segments
         pairs = dict(zip(zip(first.tolist(), second.tolist()), counts.tolist()))
-        assert pairs == reference_pairs(segments), segments
+        assert pairs == {w: c for w, c in reference_pairs(segments).items() if c >= 2}, segments
         assert ties.tolist() == [list(row) for row in reference_ties(segments)], segments
         ref = reference_best_candidate(segments, min_length=3)
         if ref is None:
