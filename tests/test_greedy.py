@@ -12,8 +12,8 @@ from gclab.greedy import (
     GreedyPolicy, GreedyStep, _apply, _find, _join, _scan, _split, greedy_run,
     greedy_stop_report, greedy_threshold,
 )
-from gclab.pairs import PairEngine
 from gclab.labcli import fixture_text
+from gclab.pairs import PairEngine
 from gclab.textcore import Text
 
 
@@ -223,9 +223,9 @@ def greedy_scanning_every_round(text, policy):
         grammars.append(grammar_from_segments(sigma, _split(work)))
 
 
-# the first round replaces 110 at 0, which shortens the run of 0s that the
-# next tie, 000, starts in: its count holds but its first occurrence moves,
-# so the run scans again
+# a round shortens the run that the next tie starts in, so that tie keeps
+# its count but its first occurrence moves and the run scans again: in the
+# first word, 110 at 0 is replaced and 000 moves from 2 to 3
 MOVED_FIRST_WORDS = ["1100000001101", "00100111111100", "01011010000000"]
 
 
