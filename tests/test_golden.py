@@ -575,7 +575,8 @@ PARSERS = {
 
 def parsing_corpus():
     """(name, text, gdb params or None): the golden corpus, three generated
-    words and two periodic words."""
+    words, two periodic words, a random byte text of 2^16 symbols and a text
+    of 2^12 symbols over eight letters of the 2^32 alphabet."""
     for name, text in golden_corpus():
         yield name, text, None
     for name, word, params in certificate_corpus():
@@ -583,6 +584,10 @@ def parsing_corpus():
             yield name, word, params
     yield "a^512", Text.from_string("a" * 512, 2), None
     yield "(ab)^300", Text.from_string("ab" * 300, 2), None
+    yield "random:256,65536,1", fixture_text("random:256,65536,1"), None
+    rng = random.Random(32)
+    letters = [0, (1 << 32) - 1] + [rng.randrange(1 << 32) for _ in range(6)]
+    yield "sigma=2^32", Text([rng.choice(letters) for _ in range(1 << 12)], 1 << 32), None
 
 
 def _parsing_digest(text, parser, params):
@@ -664,6 +669,16 @@ PARSINGS = {
     ('(ab)^300', 'offset:2'): '5866cd75321ac9e8a4b5d5996b54690dfe360918ea3008a76ac111e5e96539cb',
     ('(ab)^300', 'offset:4'): 'dd36fedabe4dee908a2cdee31f162cf9fbfe03f5f5c7319d3b63adf20d5eb46e',
     ('(ab)^300', 'offset:8'): '76e749f68281e010d39fb50ade21137b3011f1c2156b8e5e943d47f953f97451',
+    ('random:256,65536,1', 'lz78'): '3c2949552b009d5eb8285a61505dad98849112cf31990a7b57cd8acb6478f8bc',
+    ('random:256,65536,1', 'lz77ns'): 'fe59f260b464d7b71b4d8b3bd65f33290aa9c16e9514cddde31d9342da595c27',
+    ('random:256,65536,1', 'offset:2'): '54987961753cd51c85ab943651841ff3188bc2e67f034269eef00915ad9219c7',
+    ('random:256,65536,1', 'offset:4'): 'aa05b0a579047afd71692b5aea6362f5adbaa26bbc89fcc98bac04dcdb226aec',
+    ('random:256,65536,1', 'offset:8'): '7f5fd8c94ac96f541431515e301a666207e638a82f75dd5e49dd0ed2a72c72f3',
+    ('sigma=2^32', 'lz78'): '1eda9b7770b5f6984474480a6e9913e596a28b4509f227cecabd37894f8d0ef4',
+    ('sigma=2^32', 'lz77ns'): '4e9a86535074e55c19af0cc78fbc025f1d23247ce18a0e120806b1a505aaf43e',
+    ('sigma=2^32', 'offset:2'): '469f0ea11f787d009642188de89aed5bd15b68a0399fb9008a136e1e11b1a023',
+    ('sigma=2^32', 'offset:4'): 'ca0241badc4dbb50bbeeb475429a8c02389ffdf93aa83993fe185d0ee8e4b6c3',
+    ('sigma=2^32', 'offset:8'): 'd2ba6a8e5f521108c8f9a5c8f4d4fd26e8534c233f755f508cfaefbd7eaf6ed6',
 }
 
 

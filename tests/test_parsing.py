@@ -1,10 +1,14 @@
 import math
+import random
 import time
 from collections import Counter
 
 import pytest
 
+import numpy as np
+
 from conftest import random_text
+from gclab.debruijn import GdBParams, generalized_word
 from gclab.labcli import fixture_text
 from gclab.parsing import (
     InfiniteCostError,
@@ -17,7 +21,14 @@ from gclab.parsing import (
     phrase_probability,
     verify_parsing_bounds,
 )
-from gclab.textcore import Text, count_occurrences, empirical_entropy
+from gclab.textcore import (
+    Text,
+    _min_table,
+    _range_min,
+    _runs,
+    count_occurrences,
+    empirical_entropy,
+)
 
 
 # -- oracles ------------------------------------------------------------------
@@ -60,6 +71,64 @@ def cost_oracle(parsing, k=None):
     return sum(
         -math.log2(prob_oracle(parsing.source, ph, k)) for ph in parsing.phrases
     )
+
+
+def lz78_oracle(symbols):
+    """LZ78 phrase lengths from a trie whose edges are keyed by (node, letter)
+    tuples."""
+    children = {}
+    lengths = []
+    i, n = 0, len(symbols)
+    while i < n:
+        node, j = 0, i
+        while j < n and (node, symbols[j]) in children:
+            node = children[node, symbols[j]]
+            j += 1
+        if j < n:
+            children[node, symbols[j]] = len(children) + 1
+            j += 1
+        lengths.append(j - i)
+        i = j
+    return lengths
+
+
+def lz77ns_chain_walk(text):
+    """LZ77ns phrase lengths by walking the previous- and next-smaller chains
+    of the suffix array with max and min on every step: the reference for
+    lz77_parse_nonself's walk on texts too long for lz77ns_oracle."""
+    n = len(text)
+    index = text._index
+    ranks = np.arange(n)
+    left, right = _runs(_min_table(index.sa), ranks, ranks + 1, index.sa + 1)
+    prev, nxt = ranks - 1 - left, ranks + 1 + right
+    lcp_table = _min_table(index.lcp)
+    prev_lcp = np.zeros(n, dtype=np.int64)
+    linked = prev >= 0
+    prev_lcp[linked] = _range_min(lcp_table, prev[linked] + 1, ranks[linked] + 1)
+    next_lcp = np.zeros(n, dtype=np.int64)
+    linked = nxt < n
+    next_lcp[linked] = _range_min(lcp_table, ranks[linked] + 1, nxt[linked] + 1)
+    walks = ((prev.tolist(), prev_lcp.tolist()), (nxt.tolist(), next_lcp.tolist()))
+    sa, rank = index.sa.tolist(), index.rank.tolist()
+    lengths = []
+    i = 0
+    while i < n:
+        best = 0
+        for chain, chain_lcp in walks:
+            p = chain[rank[i]]
+            common = chain_lcp[rank[i]]
+            while common > best:
+                gap = i - sa[p]
+                if gap >= common:
+                    best = common
+                    break
+                best = max(best, gap)
+                common = min(common, chain_lcp[p])
+                p = chain[p]
+        take = min(best + 1, n - i)
+        lengths.append(take)
+        i += take
+    return lengths
 
 
 def lz77ns_oracle(symbols):
@@ -416,6 +485,32 @@ def test_lz78_dictionary_property(rng):
             if i < len(phrases) - 1:
                 assert ph[:-1] in seen
             seen.add(ph)
+
+
+def test_lz78_matches_tuple_trie():
+    rng = random.Random(78)
+    texts = []
+    for sigma in (1, 2, 3, 256, 1 << 32):
+        letters = [0, sigma - 1] + [rng.randrange(sigma) for _ in range(2)]
+        for n in [0, 1, 300] + [rng.randrange(301) for _ in range(9)]:
+            texts.append(Text([rng.randrange(sigma) for _ in range(n)], sigma))
+            texts.append(Text([rng.choice(letters) for _ in range(n)], sigma))
+            unit = [rng.choice(letters) for _ in range(rng.randrange(1, 7))]
+            texts.append(Text((unit * (n // len(unit) + 1))[:n], sigma))
+    texts += [fixture_text(f"worst:{m}") for m in range(1, 65)]
+    texts += [generalized_word(GdBParams(*p)) for p in ((1, 9, 1), (2, 3, 1), (1, 5, 2))]
+    for t in texts:
+        assert list(lz78_parse(t).lengths) == lz78_oracle(t.symbols), t
+
+
+def test_lz77ns_matches_chain_walk():
+    for t in (
+        fixture_text("worst:4096"),
+        Text.from_string("a" * 4096, 2),
+        Text.from_string("ab" * 2048, 2),
+        generalized_word(GdBParams(1, 9, 1)),
+    ):
+        assert list(lz77_parse_nonself(t).lengths) == lz77ns_chain_walk(t), t
 
 
 def test_lz77ns_traces():

@@ -257,6 +257,27 @@ def test_window_counts_match_counter_oracle(rng):
                         assert hist == dict(Counter(counter.values())), (t, g, modes)
 
 
+def test_remap_matches_unique_oracle():
+    rng = np.random.default_rng(20)
+    texts = [Text([], 1), Text([], 1 << 32), Text([0], 1), Text([6], 9), Text([(1 << 32) - 1], 1 << 32)]
+    for sigma in (1, 2, 255, 256, 257, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 1 << 32):
+        for n in (2, 7, 255, 256, 257, 3000, 70000):
+            texts.append(Text(rng.integers(0, sigma, n), sigma))
+            # few distinct letters, the largest symbol of the alphabet among them
+            letters = np.append(rng.integers(0, sigma, 3), sigma - 1)
+            texts.append(Text(rng.choice(letters, n), sigma))
+    # largest symbol just below n, at n and past it
+    for n in (1, 2, 5, 300):
+        for top in (n - 1, n, n + 1, 1 << 31):
+            symbols = np.append(rng.integers(0, top + 1, n - 1), top)
+            texts.append(Text(rng.permutation(symbols), 1 << 32))
+    for t in texts:
+        uniq, inv = np.unique(t.array, return_inverse=True)
+        arr, base = t._remap
+        assert arr.dtype == np.int64 and np.array_equal(arr, inv), t
+        assert base == max(1, len(uniq)), t
+
+
 def unique_ladder(text, g_max):
     """The rank ladder by one np.unique sort of (level g-1 rank, next symbol)
     keys per level: the reference for Text._rank_ladder's prefix extension."""
