@@ -250,26 +250,31 @@ def best_offset_parsing(text: Text, l: int) -> Parsing:
 
 
 def lz78_parse(text: Text) -> Parsing:
-    """Classic LZ78: each phrase extends a previously seen phrase by one letter."""
-    children: dict[tuple[int, int], int] = {}
-    next_id = 1
-    lengths = []
-    s = text.symbols
-    i = 0
-    n = len(s)
-    while i < n:
-        node = 0
-        j = i
-        while j < n and (node, s[j]) in children:
-            node = children[(node, s[j])]
-            j += 1
-        if j < n:
-            children[(node, s[j])] = next_id
-            next_id += 1
-            j += 1
-        lengths.append(j - i)
-        i = j
-    return Parsing.from_lengths(text, lengths)
+    """Classic LZ78: each phrase extends a previously seen phrase by one letter.
+
+    The trie is one dict keyed by node * sigma + letter, with every node id
+    stored already multiplied by sigma (the root is 0), so a step is one add
+    and one lookup; the key is injective since every letter is below sigma.
+    """
+    sigma = text.sigma
+    children: dict[int, int] = {}
+    get = children.get
+    next_node = sigma
+    boundaries = [0]
+    node = 0
+    for j, letter in enumerate(text.symbols, 1):
+        key = node + letter
+        child = get(key)
+        if child is None:
+            children[key] = next_node
+            next_node += sigma
+            boundaries.append(j)
+            node = 0
+        else:
+            node = child
+    if node:  # the text ends inside a known phrase
+        boundaries.append(len(text))
+    return Parsing(text, boundaries)
 
 
 def lz77_parse_nonself(text: Text) -> Parsing:
@@ -282,7 +287,9 @@ def lz77_parse_nonself(text: Text) -> Parsing:
     previous-smaller, or of next-smaller, text positions around rank[i] in
     the suffix array (Crochemore & Ilie, IPL 2008): along a chain lcp only
     falls and i - j only grows, so each walk stops once i - j >= lcp, after
-    at most one step more than the phrase is long.
+    at most one step more than the phrase is long.  The walk is the one
+    Python loop of the parse: it reads rank[i] once per phrase, and a chain
+    step is two comparisons, with no builtin call.
     """
     n = len(text)
     index = text._index
@@ -301,25 +308,28 @@ def lz77_parse_nonself(text: Text) -> Parsing:
     # memoryviews read numpy memory as Python ints, without a list per array
     walks = ((memoryview(prev), memoryview(prev_lcp)), (memoryview(nxt), memoryview(next_lcp)))
     sa, rank = memoryview(index.sa), memoryview(index.rank)
-    lengths = []
+    boundaries = [0]
     i = 0
     while i < n:
+        r = rank[i]
         best = 0
         for chain, chain_lcp in walks:
-            p = chain[rank[i]]
-            common = chain_lcp[rank[i]]
+            p = chain[r]
+            common = chain_lcp[r]
             while common > best:
                 gap = i - sa[p]
                 if gap >= common:
                     best = common
                     break
-                best = max(best, gap)
-                common = min(common, chain_lcp[p])
+                if gap > best:
+                    best = gap
+                link = chain_lcp[p]
+                if link < common:
+                    common = link
                 p = chain[p]
-        take = min(best + 1, n - i)
-        lengths.append(take)
-        i += take
-    return Parsing.from_lengths(text, lengths)
+        i += best + 1 if best < n - i else n - i
+        boundaries.append(i)
+    return Parsing(text, boundaries)
 
 
 def is_natural_parsing(parsing: Parsing) -> tuple[bool, list[int]]:
