@@ -337,10 +337,11 @@ def _order(text: Text, k: int, cyclic: bool) -> tuple[float, np.ndarray | None]:
     return memo[k, cyclic]
 
 
-def release_orders(text: Text) -> None:
-    """Drop the Text's memo of orders, with every linear order's terms (8 B
-    per symbol each); a later call for an order walks again."""
-    vars(text).pop("_orders", None)
+def release_caches(text: Text) -> None:
+    """Drop every field the Text derived on request: the `symbols` tuple, the
+    remapped array, the suffix index and the memo of orders with every
+    linear order's terms.  A later use builds each again."""
+    vars(text).clear()
 
 
 def count_occurrences(text: Text, pattern, cyclic: bool = False) -> int:
