@@ -199,8 +199,17 @@ class Text:
 
     @cached_property
     def _remap(self) -> tuple[np.ndarray, int]:
-        """Array re-coded over the observed alphabet, plus its size."""
-        uniq, inv = np.unique(self.array, return_inverse=True)
+        """Array re-coded over the observed alphabet, plus its size: np.unique's
+        int64 inverse and count.  While the largest symbol is below n, a
+        bincount of the symbols and its cumulative presence give both
+        without a sort, in O(n) time and one int64 array of at most n + 1."""
+        arr = self.array
+        if len(arr) and arr.max() < len(arr):
+            code = np.bincount(arr)
+            np.cumsum(code > 0, out=code)  # 1 + the code of each present symbol
+            code -= 1
+            return code[arr], int(code[-1]) + 1
+        uniq, inv = np.unique(arr, return_inverse=True)
         return inv, max(1, len(uniq))
 
     def _rank_ladder(self, g_max: int):
