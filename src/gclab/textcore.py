@@ -202,7 +202,7 @@ class Text:
         """Array re-coded over the observed alphabet, plus its size: np.unique's
         int64 inverse and count.  While the largest symbol is below n, a
         bincount of the symbols and its cumulative presence give both
-        without a sort, in O(n) time and one int64 array of at most n + 1."""
+        without a sort, in O(n) time and one int64 table of at most n entries."""
         arr = self.array
         if len(arr) and arr.max() < len(arr):
             code = np.bincount(arr)
