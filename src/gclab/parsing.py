@@ -287,9 +287,9 @@ def lz77_parse_nonself(text: Text) -> Parsing:
     previous-smaller, or of next-smaller, text positions around rank[i] in
     the suffix array (Crochemore & Ilie, IPL 2008): along a chain lcp only
     falls and i - j only grows, so each walk stops once i - j >= lcp, after
-    at most one step more than the phrase is long.  The walk is the one
-    Python loop of the parse: it reads rank[i] once per phrase, and a chain
-    step is two comparisons, with no builtin call.
+    at most one step more than the phrase is long.  The walk, the parse's
+    one Python loop, reads rank[i] once per phrase and takes each chain
+    step's maximum and minimum by comparison, with no builtin call.
     """
     n = len(text)
     index = text._index
