@@ -503,13 +503,39 @@ def test_lz78_matches_tuple_trie():
         assert list(lz78_parse(t).lengths) == lz78_oracle(t.symbols), t
 
 
+def chain_texts():
+    """Seeded texts for the chain-walk guards: n = 0, 1, 2; random texts over
+    sigma in {1, 2, 3, 256, 2^32}; periodic texts with 0-3 substitutions;
+    worst:1..worst:64; rotations of two gdb words; and a long random text whose
+    deepest LCP is past 8, so the chains' LCP minima span several levels."""
+    rng = random.Random(77)
+    texts = [Text([], 1), Text([0], 1), Text([0, 0], 1), Text([1, 0], 2)]
+    for sigma in (1, 2, 3, 256, 1 << 32):
+        for n in (2, 17, 300, 2000):
+            texts.append(Text([rng.randrange(sigma) for _ in range(n)], sigma))
+    for subs in range(4):
+        for period in (1, 2, 3, 7):
+            n = rng.randrange(200, 1500)
+            unit = [rng.randrange(3) for _ in range(period)]
+            symbols = (unit * (n // period + 1))[:n]
+            for _ in range(subs):
+                symbols[rng.randrange(n)] = 3
+            texts.append(Text(symbols, 4))
+    texts += [fixture_text(f"worst:{m}") for m in range(1, 65)]
+    for params, step in (((1, 9, 1), 257), ((2, 2, 1), 1)):
+        word = generalized_word(GdBParams(*params)).array
+        texts += [Text(np.roll(word, -r), 4) for r in range(0, len(word), step)]
+    texts.append(fixture_text("random:4,65536,1"))
+    return texts
+
+
 def test_lz77ns_matches_chain_walk():
-    for t in (
+    for t in chain_texts() + [
         fixture_text("worst:4096"),
         Text.from_string("a" * 4096, 2),
         Text.from_string("ab" * 2048, 2),
         generalized_word(GdBParams(1, 9, 1)),
-    ):
+    ]:
         assert list(lz77_parse_nonself(t).lengths) == lz77ns_chain_walk(t), t
 
 
