@@ -53,6 +53,7 @@ from .bits import (
     uvarints,
 )
 from .grammar import FullGrammar, renumber_segments
+from .textcore import _h0_bits
 
 MAGIC = b"GCB1"
 ENCODINGS = ("fully_naive", "naive", "entropy", "incremental")
@@ -251,9 +252,8 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> list[int
 
 
 def sequence_entropy_bits(seq) -> float:
-    freqs = Counter(seq)
-    n = len(seq)
-    return sum(c * math.log2(n / c) for c in freqs.values()) if n else 0.0
+    """|seq| H_0(seq), summed over the symbols in first-occurrence order."""
+    return _h0_bits(Counter(seq).values(), len(seq))
 
 
 def huffman_encode(seq, domain: int | None = None):

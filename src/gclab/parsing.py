@@ -20,16 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .reporting import BoundRow, CheckReport
-from .textcore import (
-    LOG2E,
-    Text,
-    _min_table,
-    _range_min,
-    _order,
-    _runs,
-    count_occurrences,
-    empirical_entropy,
-)
+from .textcore import LOG2E, Text, _h0_bits, _order, count_occurrences, empirical_entropy
 
 VERIFY_SLACK = 1e-6
 
@@ -98,11 +89,11 @@ class Parsing:
 
     @cached_property
     def _entropy_bits(self) -> float:
-        return _multiset_entropy_bits(self.multiset, len(self))
+        return _h0_bits(self.multiset.values(), len(self))
 
     @cached_property
     def _lengths_entropy_bits(self) -> float:
-        return _multiset_entropy_bits(Counter(self.lengths), len(self))
+        return _h0_bits(Counter(self.lengths).values(), len(self))
 
     def entropy_bits(self) -> float:
         """|Y| H_0(Y): the phrase sequence viewed as a word."""
@@ -133,12 +124,6 @@ def _cost_bits(n: int, occurrences) -> float:
     for occ in occurrences:
         cost += log2n - math.log2(occ)
     return cost
-
-
-def _multiset_entropy_bits(counter: Counter, total: int) -> float:
-    if total == 0:
-        return 0.0
-    return sum(c * math.log2(total / c) for c in counter.values())
 
 
 @dataclass(frozen=True)
@@ -277,6 +262,36 @@ def lz78_parse(text: Text) -> Parsing:
     return Parsing(text, boundaries)
 
 
+def _smaller_chains(sa: list, lcp) -> tuple[list, list, list, list]:
+    """(prev, prev_lcp, nxt, next_lcp) of every rank r of the suffix array sa,
+    whose LCP array is lcp: prev[r] and nxt[r] are the nearest ranks below
+    and above r whose suffix starts earlier in the text (-1 and n when there
+    is none), and prev_lcp[r] and next_lcp[r] the least LCP between r and
+    each (0 when there is none, which ends a walk).
+
+    One left-to-right scan with a stack of ranks whose text positions ascend
+    (Goto & Bannai, DCC 2013; Kärkkäinen, Kempa & Puglisi, CPM 2013).  At r
+    the running minimum starts at lcp[r]; each rank popped, its suffix
+    starting after r's, gets nxt = r and the running minimum, which then
+    takes the popped rank's prev_lcp; the rank left on top is r's prev.
+    """
+    n = len(sa)
+    prev, prev_lcp, nxt, next_lcp = [-1] * n, [0] * n, [n] * n, [0] * n
+    stack = []
+    for r, (pos, low) in enumerate(zip(sa, lcp)):
+        while stack and sa[stack[-1]] > pos:
+            q = stack.pop()
+            nxt[q] = r
+            next_lcp[q] = low
+            if prev_lcp[q] < low:
+                low = prev_lcp[q]
+        if stack:
+            prev[r] = stack[-1]
+            prev_lcp[r] = low
+        stack.append(r)
+    return prev, prev_lcp, nxt, next_lcp
+
+
 def lz77_parse_nonself(text: Text) -> Parsing:
     """Greedy LZ77 factorization without self-references.
 
@@ -285,29 +300,17 @@ def lz77_parse_nonself(text: Text) -> Parsing:
     The copy at i is s[j : j+L] with j + L <= i, so L is the maximum over
     j < i of min(lcp(i, j), i - j).  The best j lies on the chain of
     previous-smaller, or of next-smaller, text positions around rank[i] in
-    the suffix array (Crochemore & Ilie, IPL 2008): along a chain lcp only
-    falls and i - j only grows, so each walk stops once i - j >= lcp, after
-    at most one step more than the phrase is long.  The walk, the parse's
-    one Python loop, reads rank[i] once per phrase and takes each chain
-    step's maximum and minimum by comparison, with no builtin call.
+    the suffix array (Crochemore & Ilie, IPL 2008), from _smaller_chains:
+    along a chain lcp only falls and i - j only grows, so each walk stops
+    once i - j >= lcp, after at most one step more than the phrase is long.
+    The walk reads rank[i] once per phrase and takes each chain step's
+    maximum and minimum by comparison, with no builtin call.
     """
     n = len(text)
     index = text._index
-    ranks = np.arange(n)
-    # the nearest rank on each side whose suffix starts earlier in the text,
-    # and the lcp with it; lcp 0 past the end of a chain ends the walk
-    left, right = _runs(_min_table(index.sa), ranks, ranks + 1, index.sa + 1)
-    prev, nxt = ranks - 1 - left, ranks + 1 + right
-    lcp_table = _min_table(index.lcp)
-    prev_lcp = np.zeros(n, dtype=np.int64)
-    linked = prev >= 0
-    prev_lcp[linked] = _range_min(lcp_table, prev[linked] + 1, ranks[linked] + 1)
-    next_lcp = np.zeros(n, dtype=np.int64)
-    linked = nxt < n
-    next_lcp[linked] = _range_min(lcp_table, ranks[linked] + 1, nxt[linked] + 1)
-    # memoryviews read numpy memory as Python ints, without a list per array
-    walks = ((memoryview(prev), memoryview(prev_lcp)), (memoryview(nxt), memoryview(next_lcp)))
-    sa, rank = memoryview(index.sa), memoryview(index.rank)
+    sa, rank = index.sa.tolist(), memoryview(index.rank)
+    prev, prev_lcp, nxt, next_lcp = _smaller_chains(sa, memoryview(index.lcp))
+    walks = ((prev, prev_lcp), (nxt, next_lcp))
     boundaries = [0]
     i = 0
     while i < n:

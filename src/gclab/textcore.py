@@ -77,7 +77,7 @@ class _SuffixIndex:
         """Occurrences of text[a : a + m] for each (a, m) at once: the width of
         the LCP interval of depth m around rank[a]."""
         r = self.rank[starts].astype(np.int64)
-        left, right = _runs(_min_table(self.lcp[1:]), r, r, lengths)
+        left, right = _runs(_min_table(self.lcp[1:]), r, lengths)
         return left + right + 1
 
 
@@ -91,30 +91,27 @@ def _min_table(values: np.ndarray) -> list[np.ndarray]:
     return table
 
 
-def _runs(table, left_from, right_from, floor):
-    """Per query, how many consecutive values from values[left_from - 1]
-    leftwards, and from values[right_from] rightwards, are >= floor; by
-    binary lifting over the sparse table of values."""
+def _runs(table, origin, floor):
+    """How far the LCP stays >= floor on each side of rank origin, per query:
+    how many consecutive entries from lcp[origin] leftwards, and from
+    lcp[origin + 1] rightwards, are >= floor; by binary lifting over the
+    sparse table of lcp[1:]."""
     n = len(table[0])
-    lo = np.array(left_from, dtype=np.int64)
-    hi = np.array(right_from, dtype=np.int64)
+    lo = np.array(origin, dtype=np.int64)
+    hi = lo.copy()
     for j in range(len(table) - 1, -1, -1) if n else ():  # an empty table has nothing to read
         w, level = 1 << j, table[j]
         ok = (lo >= w) & (level[np.maximum(lo - w, 0)] >= floor)
         lo -= ok.astype(np.int64) << j
         ok = (hi + w <= n) & (level[np.minimum(hi, n - w)] >= floor)
         hi += ok.astype(np.int64) << j
-    return left_from - lo, hi - right_from
+    return origin - lo, hi - origin
 
 
-def _range_min(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """min(values[a : b]) per query (a < b), from the sparse table of values."""
-    length = b - a
-    out = np.empty(len(a), dtype=np.int64)
-    for j, level in enumerate(table):
-        sel = (length >> j) == 1
-        out[sel] = np.minimum(level[a[sel]], level[b[sel] - (1 << j)])
-    return out
+def _h0_bits(counts, total: int) -> float:
+    """total * H_0 from the counts of the distinct symbols of a sequence of
+    total symbols: the sum of c log2(total / c), in the order given."""
+    return sum(c * math.log2(total / c) for c in counts) if total else 0.0
 
 
 class Text:

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -20,15 +21,9 @@ from gclab.parsing import (
     parsing_cost,
     phrase_probability,
     verify_parsing_bounds,
+    _smaller_chains,
 )
-from gclab.textcore import (
-    Text,
-    _min_table,
-    _range_min,
-    _runs,
-    count_occurrences,
-    empirical_entropy,
-)
+from gclab.textcore import Text, count_occurrences, empirical_entropy
 
 
 # -- oracles ------------------------------------------------------------------
@@ -92,12 +87,51 @@ def lz78_oracle(symbols):
     return lengths
 
 
-def lz77ns_chain_walk(text):
-    """LZ77ns phrase lengths by walking the previous- and next-smaller chains
-    of the suffix array with max and min on every step: the reference for
-    lz77_parse_nonself's walk on texts too long for lz77ns_oracle."""
-    n = len(text)
-    index = text._index
+# The sparse-table chains that lz77_parse_nonself built before its stack scan,
+# kept as its reference: _min_table, the two-origin _runs and _range_min as
+# textcore had them.
+
+
+def _min_table(values: np.ndarray) -> list[np.ndarray]:
+    """Sparse table: level j holds the minimum of values[x : x + 2^j] at x."""
+    table = [values]
+    w = 1
+    while 2 * w <= len(values):
+        table.append(np.minimum(table[-1][:-w], table[-1][w:]))
+        w *= 2
+    return table
+
+
+def _runs(table, left_from, right_from, floor):
+    """Per query, how many consecutive values from values[left_from - 1]
+    leftwards, and from values[right_from] rightwards, are >= floor; by
+    binary lifting over the sparse table of values."""
+    n = len(table[0])
+    lo = np.array(left_from, dtype=np.int64)
+    hi = np.array(right_from, dtype=np.int64)
+    for j in range(len(table) - 1, -1, -1) if n else ():  # an empty table has nothing to read
+        w, level = 1 << j, table[j]
+        ok = (lo >= w) & (level[np.maximum(lo - w, 0)] >= floor)
+        lo -= ok.astype(np.int64) << j
+        ok = (hi + w <= n) & (level[np.minimum(hi, n - w)] >= floor)
+        hi += ok.astype(np.int64) << j
+    return left_from - lo, hi - right_from
+
+
+def _range_min(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """min(values[a : b]) per query (a < b), from the sparse table of values."""
+    length = b - a
+    out = np.empty(len(a), dtype=np.int64)
+    for j, level in enumerate(table):
+        sel = (length >> j) == 1
+        out[sel] = np.minimum(level[a[sel]], level[b[sel] - (1 << j)])
+    return out
+
+
+def sparse_table_chains(index):
+    """(prev, prev_lcp, nxt, next_lcp) as lists, from sparse tables of the
+    suffix array and of the LCP."""
+    n = len(index.sa)
     ranks = np.arange(n)
     left, right = _runs(_min_table(index.sa), ranks, ranks + 1, index.sa + 1)
     prev, nxt = ranks - 1 - left, ranks + 1 + right
@@ -108,7 +142,17 @@ def lz77ns_chain_walk(text):
     next_lcp = np.zeros(n, dtype=np.int64)
     linked = nxt < n
     next_lcp[linked] = _range_min(lcp_table, ranks[linked] + 1, nxt[linked] + 1)
-    walks = ((prev.tolist(), prev_lcp.tolist()), (nxt.tolist(), next_lcp.tolist()))
+    return prev.tolist(), prev_lcp.tolist(), nxt.tolist(), next_lcp.tolist()
+
+
+def lz77ns_chain_walk(text):
+    """LZ77ns phrase lengths by walking the previous- and next-smaller chains
+    of the suffix array with max and min on every step: the reference for
+    lz77_parse_nonself's walk on texts too long for lz77ns_oracle."""
+    n = len(text)
+    index = text._index
+    prev, prev_lcp, nxt, next_lcp = sparse_table_chains(index)
+    walks = ((prev, prev_lcp), (nxt, next_lcp))
     sa, rank = index.sa.tolist(), index.rank.tolist()
     lengths = []
     i = 0
@@ -537,6 +581,27 @@ def test_lz77ns_matches_chain_walk():
         generalized_word(GdBParams(1, 9, 1)),
     ]:
         assert list(lz77_parse_nonself(t).lengths) == lz77ns_chain_walk(t), t
+
+
+def test_smaller_chains_match_sparse_tables():
+    for t in chain_texts():
+        index = t._index
+        got = _smaller_chains(index.sa.tolist(), index.lcp.tolist())
+        assert got == sparse_table_chains(index), t
+
+
+def test_lz77ns_memory_per_symbol():
+    # the chains and the walk's lists stay within 130 B per symbol at 2^16
+    # (the two sparse tables they replaced peaked at about 155)
+    text = generalized_word(GdBParams(1, 13, 1))
+    text._index
+    tracemalloc.start()
+    try:
+        lz77_parse_nonself(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak / len(text) < 130
 
 
 def test_lz77ns_traces():
