@@ -262,33 +262,32 @@ def lz78_parse(text: Text) -> Parsing:
     return Parsing(text, boundaries)
 
 
-def _smaller_chains(sa: list, lcp) -> tuple[list, list, list, list]:
-    """(prev, prev_lcp, nxt, next_lcp) of every rank r of the suffix array sa,
-    whose LCP array is lcp: prev[r] and nxt[r] are the nearest ranks below
-    and above r whose suffix starts earlier in the text (-1 and n when there
-    is none), and prev_lcp[r] and next_lcp[r] the least LCP between r and
-    each (0 when there is none, which ends a walk).
-
-    One left-to-right scan with a stack of ranks whose text positions ascend
-    (Goto & Bannai, DCC 2013; Kärkkäinen, Kempa & Puglisi, CPM 2013).  At r
-    the running minimum starts at lcp[r]; each rank popped, its suffix
-    starting after r's, gets nxt = r and the running minimum, which then
-    takes the popped rank's prev_lcp; the rank left on top is r's prev.
-    """
+def _smaller_chains(sa, lcp) -> tuple[list, list, list, list]:
+    """(prev, prev_lcp, nxt, next_lcp) per rank r of the suffix array sa: the
+    nearest ranks below and above r whose suffix starts earlier in the text
+    (-1 and n when none), and the least lcp between r and each (0 when none,
+    which ends a walk).  One left-to-right scan with a stack of ranks whose
+    text positions ascend, kept beside them so that sa is read once, in
+    order (Goto & Bannai, DCC 2013; Kärkkäinen, Kempa & Puglisi, CPM 2013):
+    at r the running minimum starts at lcp[r]; each rank popped gets nxt = r
+    and the running minimum, which then takes the popped rank's prev_lcp;
+    the rank left on top is r's prev."""
     n = len(sa)
     prev, prev_lcp, nxt, next_lcp = [-1] * n, [0] * n, [n] * n, [0] * n
-    stack = []
+    ranks, starts = [], []
     for r, (pos, low) in enumerate(zip(sa, lcp)):
-        while stack and sa[stack[-1]] > pos:
-            q = stack.pop()
+        while starts and starts[-1] > pos:
+            starts.pop()
+            q = ranks.pop()
             nxt[q] = r
             next_lcp[q] = low
             if prev_lcp[q] < low:
                 low = prev_lcp[q]
-        if stack:
-            prev[r] = stack[-1]
+        if ranks:
+            prev[r] = ranks[-1]
             prev_lcp[r] = low
-        stack.append(r)
+        ranks.append(r)
+        starts.append(pos)
     return prev, prev_lcp, nxt, next_lcp
 
 
@@ -308,7 +307,8 @@ def lz77_parse_nonself(text: Text) -> Parsing:
     """
     n = len(text)
     index = text._index
-    sa, rank = index.sa.tolist(), memoryview(index.rank)
+    # memoryviews read numpy memory as Python ints, without a list per array
+    sa, rank = memoryview(index.sa), memoryview(index.rank)
     prev, prev_lcp, nxt, next_lcp = _smaller_chains(sa, memoryview(index.lcp))
     walks = ((prev, prev_lcp), (nxt, next_lcp))
     boundaries = [0]

@@ -7,12 +7,12 @@ Python ints is built only on request.  Counting has two backends.  One
 suffix index per text, built lazily (suffix array, its inverse and LCP, by
 prefix doubling), answers ad-hoc pattern counts by binary search,
 O(|pattern| log n), counts many of the text's own windows at once as
-LCP-interval widths, and gives the parsers their longest previous factors.
-A ladder of cyclic window ranks serves fixed-length counts: the length-g
-order comes from the length-(g-1) order by prefix extension, one stable
-bucket pass by first symbol, so one walk counts every order, linear and
-cyclic, for the entropy and certificate machinery.  All logarithms are
-base 2.
+LCP-interval widths (_runs: how far the LCP stays >= m around a rank), and
+hands LZ77ns the arrays its smaller chains are scanned from.  A ladder of
+cyclic window ranks serves fixed-length counts: the length-g order comes
+from the length-(g-1) order by prefix extension, one stable bucket pass by
+first symbol, so one walk counts every order, linear and cyclic, for the
+entropy and certificate machinery.  All logarithms are base 2.
 """
 
 from __future__ import annotations

@@ -586,7 +586,7 @@ def test_lz77ns_matches_chain_walk():
 def test_smaller_chains_match_sparse_tables():
     for t in chain_texts():
         index = t._index
-        got = _smaller_chains(index.sa.tolist(), index.lcp.tolist())
+        got = _smaller_chains(memoryview(index.sa), memoryview(index.lcp))
         assert got == sparse_table_chains(index), t
 
 
