@@ -87,9 +87,9 @@ def lz78_oracle(symbols):
     return lengths
 
 
-# The sparse-table chains that lz77_parse_nonself built before its stack scan,
-# kept as its reference: _min_table, the two-origin _runs and _range_min as
-# textcore had them.
+# The reference for _smaller_chains: the chains from sparse tables of the
+# suffix array and of the LCP, through _min_table, the two-origin _runs and
+# _range_min, kept here as textcore had them.
 
 
 def _min_table(values: np.ndarray) -> list[np.ndarray]:
@@ -591,8 +591,9 @@ def test_smaller_chains_match_sparse_tables():
 
 
 def test_lz77ns_memory_per_symbol():
-    # the chains and the walk's lists stay within 130 B per symbol at 2^16
-    # (the two sparse tables they replaced peaked at about 155)
+    # with the suffix index built, the parse (its chains, the walk and the
+    # boundaries) peaks below 130 B per symbol at 2^16; chains taken from
+    # sparse tables of the suffix array and the LCP peak at about 155
     text = generalized_word(GdBParams(1, 13, 1))
     text._index
     tracemalloc.start()
