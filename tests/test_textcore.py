@@ -4,13 +4,15 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_text
+from conftest import gdb_grid, random_text
 from gclab.debruijn import GdBParams, generalized_word, verify_gdb
 from gclab.greedy import greedy_run
 from gclab.parsing import lz77_parse_nonself
 from gclab.repair import repair_run
 from gclab.textcore import (
     Text,
+    _context_counts,
+    _hk,
     _level_counts,
     count_occurrences,
     empirical_entropy,
@@ -314,6 +316,116 @@ def test_rank_ladder_matches_unique_oracle():
         block = rng.permutation(sigma)
         symbols = np.concatenate([block, block, rng.integers(0, sigma, 50), block[:99]])
         assert_ladders_equal(Text(symbols.tolist(), sigma), 6)
+
+
+# -- the rank-based walk, kept as the oracle of _context_counts ----------------------
+#
+# The rank ladder and its counter as they stood before the levels were counted
+# from their sorted runs: every level scattered back to a fresh int64 rank
+# array, counted by one bincount of the ranks and gathered per position.
+
+
+def oracle_rank_ladder(self, g_max: int):
+    arr, base = self._remap
+    n = len(arr)
+    top = min(g_max, n)
+    if top < 1:
+        return
+    yield 1, arr
+    if top == 1:
+        return
+    first = arr if base > 1 << 16 else arr.astype(np.uint8 if base <= 1 << 8 else np.uint16)
+    pos = np.int32 if n < 1 << 31 else np.int64
+    order = np.argsort(first, kind="stable").astype(pos)  # positions by window
+    dense = arr[order].astype(pos)                         # their ranks, ascending
+    for g in range(2, top + 1):
+        order -= 1
+        order[order < 0] = n - 1
+        key = first[order]
+        perm = np.argsort(key, kind="stable")
+        order, key, prev = order[perm], key[perm], dense[perm]
+        # only first, order and dense stay alive while a level is consumed
+        del perm
+        np.cumsum((key[1:] != key[:-1]) | (prev[1:] != prev[:-1]), out=dense[1:])
+        del key, prev
+        ranks = np.empty(n, dtype=np.int64)
+        ranks[order] = dense
+        yield g, ranks
+
+
+def oracle_level_counts(ranks: np.ndarray, wrap: int, modes, histogram: bool = False):
+    n = len(ranks)
+    per_rank = np.bincount(ranks)
+    counts, hist = {}, None
+    for cyclic in sorted(modes, reverse=True):  # the cyclic counts before the in-place take
+        if not cyclic:
+            np.subtract.at(per_rank, ranks[n - wrap :], 1)
+        if histogram and not counts:
+            vals, mult = np.unique(per_rank[per_rank > 0], return_counts=True)
+            hist = {int(v): int(m) for v, m in zip(vals, mult)}
+        counts[cyclic] = per_rank[ranks if cyclic else ranks[: n - wrap]]
+    return counts, hist
+
+
+def oracle_context_counts(text: Text, k_lo: int, k_hi: int, modes, histogram: bool = False):
+    n = len(text)
+    if True in modes and 0 < n <= k_hi:
+        raise ValueError("cyclic entropy requires k < |text|")
+    d = dict.fromkeys(modes, np.full(n, n))
+    for g, ranks in oracle_rank_ladder(text, k_hi + 1):
+        if g >= k_lo:
+            c, hist = oracle_level_counts(ranks, g - 1, modes, histogram)
+            if g > k_lo:
+                yield g - 1, hist, {cyclic: _hk(d[cyclic], c[cyclic], cyclic) for cyclic in modes}
+            d = c
+
+
+def walk_record(walk):
+    """Everything a _context_counts walk yields, in a form compared exactly:
+    histograms with their items order, totals by repr, linear terms by their
+    bytes; or the error it raised."""
+    try:
+        return [
+            (k, None if hist is None else list(hist.items()),
+             {cyclic: (repr(total), None if terms is None else (terms.dtype.str, terms.tobytes()))
+              for cyclic, (total, terms) in orders.items()})
+            for k, hist, orders in walk
+        ]
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def assert_walks_match(text, k_lo, k_hi, modes, histogram):
+    want = walk_record(oracle_context_counts(text, k_lo, k_hi, modes, histogram))
+    got = walk_record(_context_counts(text, k_lo, k_hi, modes, histogram))
+    assert got == want, (text, k_lo, k_hi, modes, histogram)
+
+
+def test_context_counts_match_rank_walk():
+    rng = np.random.default_rng(22)
+    texts = []
+    for sigma in (1, 2, 3, 4, 256, 70000):
+        for n in (0, 1, 2, 3, 4, 5, 6, 9, 14, 23, 37, 59):
+            texts.append(Text(rng.integers(0, sigma, n), sigma))
+            period = rng.integers(0, sigma, int(rng.integers(1, 6)))
+            texts.append(Text(np.resize(period, n), sigma))
+            texts.append(Text(np.full(n, sigma - 1), sigma))
+    flavours = [(modes, histogram)
+                for modes in ((True, False), (False, True), (True,), (False,))
+                for histogram in (False, True)]
+    for t in texts:
+        n = len(t)
+        # on the short texts every k range up to k = n + 1 in every flavour;
+        # on the longer ones the ranges between the orders at both ends and
+        # the middle, each in the next flavour in turn
+        ks = range(n + 2) if n < 6 else sorted({0, 1, n // 2, n - 2, n - 1, n, n + 1})
+        ranges = [(k_lo, k_hi) for k_hi in ks for k_lo in ks if k_lo <= k_hi]
+        for i, (k_lo, k_hi) in enumerate(ranges):
+            for modes, histogram in flavours if n < 6 else flavours[i % 8 : i % 8 + 1]:
+                assert_walks_match(t, k_lo, k_hi, modes, histogram)
+    # the certificate's walk on every grid word up to 2^16
+    for params in gdb_grid(1 << 16):
+        assert_walks_match(generalized_word(params), 0, params.z - 1, (True, False), True)
 
 
 # -- entropy ------------------------------------------------------------------------
