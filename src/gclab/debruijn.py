@@ -120,15 +120,15 @@ def generalized_word(params: GdBParams) -> Text:
         if not np.all(hi - lo == root):
             raise AssertionError("overlap graph is not sqrt(sigma)-regular")
         idx = (lo[:, None] + np.arange(root, dtype=np.int64)).ravel()
+        # edges ascend (a node's successors ascend by last letter), and edge j of v ends at lo[v] + j
         edges = np.repeat(nodes * sigma, root) + nodes[idx] % sigma
         word_len += 1
         if _level + 1 < params.l:
-            nodes = np.sort(edges)
+            nodes = edges
             continue
         # Eulerian cycle over the last graph: vertices `nodes`, edges `edges`
-        edges = np.sort(edges)
         src_mod = sigma ** (word_len - 1)
-        circuit = _hierholzer(np.searchsorted(nodes, edges % src_mod), root)
+        circuit = _hierholzer(idx, root)
         text = Text(edges[circuit] // src_mod, sigma)
         assert len(text) == params.length
         return text

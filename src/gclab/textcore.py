@@ -9,10 +9,14 @@ prefix doubling), answers ad-hoc pattern counts by binary search,
 O(|pattern| log n), counts many of the text's own windows at once as
 LCP-interval widths (_runs: how far the LCP stays >= m around a rank), and
 hands LZ77ns the arrays its smaller chains are scanned from.  A ladder of
-cyclic window ranks serves fixed-length counts: the length-g order comes
-from the length-(g-1) order by prefix extension, one stable bucket pass by
-first symbol, so one walk counts every order, linear and cyclic, for the
-entropy and certificate machinery.  All logarithms are base 2.
+sorted cyclic windows serves fixed-length counts: level g lists the
+positions by their length-g window, so equal windows form runs, and comes
+from level g-1 by prefix extension, one stable bucket pass by first symbol.
+A level is counted from its runs: one int32 scatter of the run lengths gives
+every position's cyclic count, and the linear counts differ only in the runs
+that hold the windows that wrap.  So one walk counts every order, linear and
+cyclic, for the entropy and certificate machinery.  All logarithms are
+base 2.
 """
 
 from __future__ import annotations
@@ -210,111 +214,164 @@ class Text:
         return inv, max(1, len(uniq))
 
     def _rank_ladder(self, g_max: int):
-        """Yield (g, ranks) for g = 1..min(g_max, n).
+        """Yield (g, order, dense, bounds) for g = 1..min(g_max, n): the
+        cyclic windows of length g in sorted form.
 
-        ranks[p] is the dense lexicographic rank of the cyclic window of
-        length g starting at p, so equal windows have equal ranks, and the
-        linear windows of length g are ranks[: n-g+1].  Level g refines
-        level g-1 by prefix extension (Manber & Myers, SIAM J. Comput. 1993):
-        the length-g window at p is (symbol at p, length-(g-1) window at
-        p+1), so shifting every position of level g-1's sorted order left by
-        one (cyclically) and stable-sorting by first symbol sorts level g.
-        The symbol is held as uint8/uint16 while sigma_obs <= 2^16, so the
-        sort is numpy's radix sort; one comparison with the neighbour and
-        one cumsum then give the dense ranks.  No level is cached.
+        order lists the positions by window and dense[i] is the dense
+        lexicographic rank of the window at order[i], so equal windows fill
+        one run of slots; bounds lists where each run begins, then n, so run
+        j, the windows of rank j, fills slots bounds[j]..bounds[j+1]-1.  The
+        linear windows of length g are those at positions below n-g+1.
+        Level g refines level g-1 by prefix extension (Manber & Myers, SIAM
+        J. Comput. 1993): the length-g window at p is (symbol at p,
+        length-(g-1) window at p+1), so shifting every position of level
+        g-1's order left by one (cyclically) and stable-sorting by first
+        symbol sorts level g.  The symbol is held as uint8/uint16 while
+        sigma_obs <= 2^16, so the sort is numpy's radix sort; one comparison
+        with the neighbour marks where the runs begin, and one cumsum of the
+        marks gives the dense ranks.  order and dense are int32 below 2^31
+        positions.  No level is cached, and no array is written to once
+        yielded.
         """
         arr, base = self._remap
         n = len(arr)
         top = min(g_max, n)
         if top < 1:
             return
-        yield 1, arr
-        if top == 1:
-            return
         first = arr if base > 1 << 16 else arr.astype(np.uint8 if base <= 1 << 8 else np.uint16)
         pos = np.int32 if n < 1 << 31 else np.int64
         order = np.argsort(first, kind="stable").astype(pos)  # positions by window
         dense = arr[order].astype(pos)                         # their ranks, ascending
+        edge = np.empty(n + 1, dtype=bool)                     # a run begins at the slot
+        edge[0] = edge[n] = True
+        np.not_equal(dense[1:], dense[:-1], out=edge[1:n])
+        yield 1, order, dense, edge.nonzero()[0]
         for g in range(2, top + 1):
+            key = first[order - 1]  # the symbol before each position, cyclically
+            perm = np.argsort(key, kind="stable")
+            order, key, dense = order[perm], key[perm], dense[perm]
+            # only first and the level's order, dense, marks and bounds stay
+            # alive while a level is consumed
+            del perm
             order -= 1
             order[order < 0] = n - 1
-            key = first[order]
-            perm = np.argsort(key, kind="stable")
-            order, key, prev = order[perm], key[perm], dense[perm]
-            # only first, order and dense stay alive while a level is consumed
-            del perm
-            np.cumsum((key[1:] != key[:-1]) | (prev[1:] != prev[:-1]), out=dense[1:])
-            del key, prev
-            ranks = np.empty(n, dtype=np.int64)
-            ranks[order] = dense
-            yield g, ranks
+            edge = np.empty(n + 1, dtype=bool)
+            edge[0] = edge[n] = True
+            np.not_equal(key[1:], key[:-1], out=edge[1:n])
+            del key
+            edge[1:n] |= dense[1:] != dense[:-1]
+            dense[0] = 0
+            np.cumsum(edge[1:n], out=dense[1:])
+            yield g, order, dense, edge.nonzero()[0]
+
+    def _window_level(self, g: int, cyclic: bool):
+        """(order, dense, bounds, wrap): the length-g windows in the
+        ladder's sorted form, and how many of them _level_counts leaves out
+        of the linear mode.
+
+        A cyclic level holds n windows.  A linear one is the cyclic level of
+        the same length less its last wrap = g-1 windows, those that wrap;
+        g = 0 gives n+1 empty windows, and g > n none.
+        """
+        if g < 0:
+            raise ValueError("window length must be >= 0")
+        n = len(self)
+        if g > n and cyclic:
+            raise ValueError("cyclic windows require pattern length <= |text|")
+        if g == 0 or g > n:
+            m = 0 if g > n else n if cyclic else n + 1
+            return np.arange(m), np.zeros(m, dtype=np.int64), np.array([0, m] if m else [0]), 0
+        for _, order, dense, bounds in self._rank_ladder(g):
+            pass
+        return order, dense, bounds, 0 if cyclic else g - 1
 
     def window_codes(self, g: int, cyclic: bool) -> np.ndarray:
         """Ranks of all length-g windows: equal windows, equal ranks.
 
         Linear mode yields n-g+1 windows (empty when g > n), cyclic mode
-        n windows with wraparound.
+        n windows with wraparound.  The one int64 scatter of the level's
+        sorted ranks back to position order.
         """
-        if g < 0:
-            raise ValueError("window length must be >= 0")
-        n = len(self)
-        if g == 0:
-            return np.zeros(n if cyclic else n + 1, dtype=np.int64)
-        if g > n:
-            if cyclic:
-                raise ValueError("cyclic windows require pattern length <= |text|")
-            return np.zeros(0, dtype=np.int64)
-        for _, ranks in self._rank_ladder(g):
-            pass
-        return ranks if cyclic else ranks[: n - g + 1]
+        order, dense, _, wrap = self._window_level(g, cyclic)
+        ranks = np.empty(len(order), dtype=np.int64)
+        ranks[order] = dense
+        return ranks[: len(order) - wrap]
 
     def window_count_histogram(self, g: int, cyclic: bool) -> dict[int, int]:
         """Map occurrence-count -> number of distinct length-g words with it."""
-        return _level_counts(self.window_codes(g, cyclic), 0, (True,), histogram=True)[1]
+        return _level_counts(*self._window_level(g, cyclic), (cyclic,), histogram=True)[1]
 
     def position_counts(self, g: int, cyclic: bool) -> np.ndarray:
         """counts[p] = occurrences of the length-g window starting at p."""
-        return _level_counts(self.window_codes(g, cyclic), 0, (True,))[0][True]
+        return _level_counts(*self._window_level(g, cyclic), (cyclic,))[0][cyclic]
 
 
-def _level_counts(ranks: np.ndarray, wrap: int, modes, histogram: bool = False):
-    """({cyclic: counts}, hist) of the windows ranked, for each mode of
-    ``modes``, from one bincount of the n cyclic ranks: the linear counts
-    are the cyclic ones less the last ``wrap`` windows, those that wrap
-    (g-1 on the level of length-g windows), taken away in place once the
-    cyclic counts are read; with wrap = 0 the cyclic mode counts exactly
-    the windows given.  counts[p] counts window p; hist, when asked, maps
-    occurrence-count -> distinct windows with it, in the cyclic mode if
-    asked for.
+def _level_counts(order, dense, bounds, wrap: int, modes, histogram: bool = False):
+    """({cyclic: counts}, hist) of one sorted level of n windows, in the
+    ladder's form, for each mode of ``modes``: counts[p] counts window p,
+    and hist, when asked, maps occurrence-count -> distinct windows with it,
+    in the cyclic mode if asked for.
+
+    Every figure comes from the run lengths, with no rank per position: the
+    cyclic counts are one scatter of each run's length to its slots'
+    positions, and the histogram is a bincount of the run lengths.  The
+    linear counts leave out the last ``wrap`` windows, those that wrap (g-1
+    on the level of length-g windows): they are the first n-wrap cyclic
+    counts, less, at the slots of each run that holds wrapping windows, how
+    many it holds.  With wrap = 0 both modes count exactly the windows given.
     """
-    n = len(ranks)
-    per_rank = np.bincount(ranks)
-    counts, hist = {}, None
-    for cyclic in sorted(modes, reverse=True):  # the cyclic counts before the in-place take
-        if not cyclic:
-            np.subtract.at(per_rank, ranks[n - wrap :], 1)
-        if histogram and not counts:
-            vals, mult = np.unique(per_rank[per_rank > 0], return_counts=True)
-            hist = {int(v): int(m) for v, m in zip(vals, mult)}
-        counts[cyclic] = per_rank[ranks if cyclic else ranks[: n - wrap]]
+    n = len(order)
+    at = order.astype(np.intp)  # numpy indexes by intp without a cast per chunk
+    runs = np.subtract(bounds[1:], bounds[:-1], dtype=order.dtype)
+    cyc = np.empty(n, dtype=order.dtype)
+    cyc[at] = np.repeat(runs, runs)
+    counts = {}
+    if True in modes:
+        counts[True] = cyc
+    if False in modes:
+        lin = cyc.copy() if True in modes else cyc
+        if wrap:
+            # the runs that hold wrapping windows (ids ascend with the slots),
+            # how many each holds, and the positions of those runs' windows
+            ids = dense[order >= n - wrap]
+            cut = np.empty(len(ids) + 1, dtype=bool)
+            cut[0] = cut[-1] = True
+            np.not_equal(ids[1:], ids[:-1], out=cut[1:-1])
+            cut = cut.nonzero()[0]
+            held, per_run = ids[cut[:-1]], np.subtract(cut[1:], cut[:-1], dtype=runs.dtype)
+            lo = bounds[held]
+            lens = bounds[held + 1] - lo
+            ends = np.cumsum(lens)
+            slots = np.arange(ends[-1]) + np.repeat(lo - (ends - lens), lens)
+            lin[at[slots]] -= np.repeat(per_run, lens)
+            if histogram and True not in modes:
+                runs[held] -= per_run
+        counts[False] = lin[: n - wrap]
+    hist = None
+    if histogram:
+        mult = np.bincount(runs)
+        mult[:1] = 0  # runs left empty by the wrapping windows
+        vals = mult.nonzero()[0]
+        hist = dict(zip(vals.tolist(), mult[vals].tolist()))
     return counts, hist
 
 
 def _context_counts(text: Text, k_lo: int, k_hi: int, modes, histogram: bool = False):
-    """Yield (k, hist, orders) for k = k_lo..k_hi from one walk of the rank
-    ladder: orders[cyclic] = _hk(d, c, cyclic) per mode, where c counts the
+    """Yield (k, hist, orders) for k = k_lo..k_hi from one walk of the
+    sorted ladder, each level counted once by _level_counts in every mode:
+    orders[cyclic] = _hk(d, c, cyclic) per mode, where c counts the
     (k+1)-window at each position and d the k-window (n for k = 0, as
-    |w|_eps = |w|), and hist is _level_counts' histogram of the
-    (k+1)-windows.  Orders whose (k+1)-windows exceed the text are not
-    yielded; cyclic ones need k < |S|.
+    |w|_eps = |w|, in the counts' dtype), and hist is _level_counts'
+    histogram of the (k+1)-windows.  Orders whose (k+1)-windows exceed the
+    text are not yielded; cyclic ones need k < |S|.
     """
     n = len(text)
     if True in modes and 0 < n <= k_hi:
         raise ValueError("cyclic entropy requires k < |text|")
-    d = dict.fromkeys(modes, np.full(n, n))
-    for g, ranks in text._rank_ladder(k_hi + 1):
+    d = dict.fromkeys(modes, np.full(n, n, dtype=np.int32 if n < 1 << 31 else np.int64))
+    for g, *level in text._rank_ladder(k_hi + 1):
         if g >= k_lo:
-            c, hist = _level_counts(ranks, g - 1, modes, histogram)
+            c, hist = _level_counts(*level, g - 1, modes, histogram)
             if g > k_lo:
                 yield g - 1, hist, {cyclic: _hk(d[cyclic], c[cyclic], cyclic) for cyclic in modes}
             d = c

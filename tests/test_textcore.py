@@ -243,19 +243,20 @@ def test_window_counts_match_counter_oracle(rng):
                 got = t.position_counts(g, cyclic).tolist()
                 assert got == [counter[w] for w in windows], (t, g, cyclic)
                 assert t.window_count_histogram(g, cyclic) == dict(Counter(counter.values()))
-        # both modes from one bincount per level: the linear counts are the
-        # cyclic ones less the g-1 windows that wrap, up to g = n, where
-        # only the window at 0 does not wrap (no level when n = 0)
+        # both modes from one sorted level: the linear counts are the cyclic
+        # ones less the g-1 windows that wrap, up to g = n, where only the
+        # window at 0 does not wrap (no level when n = 0); the histogram is
+        # the cyclic one when that mode is asked for, else the linear one
         levels = list(t._rank_ladder(n))
-        assert [g for g, _ in levels] == list(range(1, n + 1))
-        for g, ranks in levels:
-            for modes in ((True, False), (False, True)):  # either order of modes
-                counts, hist = _level_counts(ranks, g - 1, modes, histogram=True)
+        assert [g for g, *_ in levels] == list(range(1, n + 1))
+        for g, *level in levels:
+            for modes in ((True, False), (False, True), (True,), (False,)):
+                counts, hist = _level_counts(*level, g - 1, modes, histogram=True)
                 for cyclic in modes:
                     windows = window_oracle(t.symbols, g, cyclic)
                     counter = Counter(windows)
                     assert counts[cyclic].tolist() == [counter[w] for w in windows], (t, g, modes)
-                    if cyclic:
+                    if cyclic or True not in modes:
                         assert hist == dict(Counter(counter.values())), (t, g, modes)
 
 
@@ -292,11 +293,32 @@ def unique_ladder(text, g_max):
 
 
 def assert_ladders_equal(text, g_max):
+    """Each sorted level lists its windows in non-decreasing order with their
+    dense ranks, its runs start exactly where the window changes, and
+    window_codes scatters the level back to the oracle's int64 ranks."""
+    n = len(text)
     got = list(text._rank_ladder(g_max))
     want = list(unique_ladder(text, g_max))
-    assert [g for g, _ in got] == [g for g, _ in want], (text, g_max)
-    for (g, ranks), (_, expected) in zip(got, want):
-        assert ranks.dtype == np.int64 and np.array_equal(ranks, expected), (text, g_max, g)
+    assert [g for g, *_ in got] == [g for g, _ in want], (text, g_max)
+    for (g, order, dense, bounds), (_, expected) in zip(got, want):
+        assert sorted(order.tolist()) == list(range(n)), (text, g_max, g)
+        ranked = expected[order]
+        assert np.all(ranked[1:] >= ranked[:-1]) and np.array_equal(dense, ranked), (text, g_max, g)
+        changes = np.flatnonzero(ranked[1:] != ranked[:-1]) + 1
+        assert bounds.tolist() == [0] + changes.tolist() + [n], (text, g_max, g)
+    for cyclic in (False, True):
+        if cyclic and g_max > n:
+            with pytest.raises(ValueError):
+                text.window_codes(g_max, cyclic)
+            continue
+        if g_max == 0:
+            expected = np.zeros(n if cyclic else n + 1, dtype=np.int64)
+        elif g_max > n:
+            expected = np.zeros(0, dtype=np.int64)
+        else:
+            expected = want[-1][1][: n if cyclic else n - g_max + 1]
+        codes = text.window_codes(g_max, cyclic)
+        assert codes.dtype == np.int64 and np.array_equal(codes, expected), (text, g_max, cyclic)
 
 
 def test_rank_ladder_matches_unique_oracle():
