@@ -270,8 +270,9 @@ class Text:
         of the linear mode.
 
         A cyclic level holds n windows.  A linear one is the cyclic level of
-        the same length less its last wrap = g-1 windows, those that wrap;
-        g = 0 gives n+1 empty windows, and g > n none.
+        the same length less its last wrap = g-1 windows, those that wrap.
+        g = 0 gives n cyclic or n+1 linear empty windows, and a linear g > n
+        none.
         """
         if g < 0:
             raise ValueError("window length must be >= 0")
@@ -289,8 +290,8 @@ class Text:
         """Ranks of all length-g windows: equal windows, equal ranks.
 
         Linear mode yields n-g+1 windows (empty when g > n), cyclic mode
-        n windows with wraparound.  The one int64 scatter of the level's
-        sorted ranks back to position order.
+        n windows with wraparound.  Only here are a level's ranks scattered
+        back to position order.
         """
         order, dense, _, wrap = self._window_level(g, cyclic)
         ranks = np.empty(len(order), dtype=np.int64)
