@@ -130,6 +130,8 @@ def test_scan_matches_oracle(rng):
         assert _split(work) == segments
         ties, max_pair, (first, second, counts) = _scan(work)
         assert max_pair == reference_max_pair(segments), segments
+        best = PairEngine(work).select()
+        assert (best[1] if best else 1) == reference_max_pair(segments), segments
         pairs = dict(zip(zip(first.tolist(), second.tolist()), counts.tolist()))
         assert pairs == {w: c for w, c in reference_pairs(segments).items() if c >= 2}, segments
         assert ties.tolist() == [list(row) for row in reference_ties(segments)], segments
@@ -228,10 +230,14 @@ def greedy_scanning_every_round(text, policy):
 # first word, 110 at 0 is replaced and 000 moves from 2 to 3
 MOVED_FIRST_WORDS = ["1100000001101", "00100111111100", "01011010000000"]
 
+# the tie replaced first starts with a pair (a, a) that also occurs outside
+# it, so only some of that pair's occurrences are replaced
+PAIR_OUTSIDE_WORDS = ["aabcdeaabcdfaabcdgaahaa", "aabcdeaabcdfaabcdgaahaaiaa", "aaabcaaabcaaabcdaaeaa"]
+
 
 def tied_round_texts(rng):
     """Random, periodic (with and without substitutions), repeated-block,
-    zero-gain, worst-case and de Bruijn texts."""
+    zero-gain, (a, a)-first, worst-case and de Bruijn texts."""
     for _ in range(60):
         sigma = rng.randrange(1, 9)
         yield random_text(rng, sigma, rng.randrange(2, 121))
@@ -247,6 +253,7 @@ def tied_round_texts(rng):
         yield Text([s for _ in range(rng.randrange(2, 9)) for s in rng.choice(blocks)], 4)
     yield from (Text.from_string(w) for w in ZERO_GAIN_WORDS)
     yield from (Text([int(c) for c in w], 2) for w in MOVED_FIRST_WORDS)
+    yield from (Text.from_string(w) for w in PAIR_OUTSIDE_WORDS)
     yield from (fixture_text(f"worst:{m}") for m in (*range(1, 17), 31, 64, 100, 256))
     yield fixture_text("gdb:2,3,1")
 
