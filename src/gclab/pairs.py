@@ -1,42 +1,50 @@
 """Incremental most-frequent-pair machinery of Re-Pair and of Greedy's
-pair rounds.
+rounds between scans.
 
 Maintains, over one working string, the exact greedy left-to-right
-non-overlapping occurrence count of every adjacent pair, under batched
-pair-to-nonterminal replacements.
+non-overlapping occurrence count of every adjacent pair, under pair
+replacements and appended segments.
 
-Re-Pair builds one engine over its text.  Greedy builds a new one after
-each scan that a pair wins, over its whole working array: S' and
-every rule's right-hand side, each followed by a negative separator.  Each
-separator occurs once, so every pair that contains one occurs once and is
-never active: no counted pair crosses two segments.
+Re-Pair builds one engine over its text and replaces pairs.  Greedy builds
+one after each scan, over its whole working array: S' and every rule's
+right-hand side, each followed by a negative separator.  Each separator
+occurs once, so every pair that contains one occurs once and is never
+active: no counted pair crosses two segments.  Greedy replaces a word as
+successive pair replacements at the same left positions, finds a word's
+occurrences by walking the thread of its first pair (occurrences), and
+appends each new rule's segment (append).
 
 Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
 IEEE 88(11), 2000).  The string lives in flat per-position arrays: symbol,
 next and previous live position.  Every active pair is one record, its
-occurrence count and the head of its occurrence thread; the occurrences are
-threaded in position order through per-position next-occurrence,
-previous-occurrence and pair-id arrays.  All of it is held in stdlib
-``array`` typed arrays, built by one numpy pass over the string, which
-comes in and goes out as one int64 array.
+occurrence count and the head and tail of its occurrence thread; the
+occurrences are threaded in position order through per-position
+next-occurrence, previous-occurrence and record (``pid``) arrays.  All of
+it is held in stdlib ``array`` typed arrays, built by one numpy pass over
+the string, which comes in and goes out as one int64 array.
 
 A replacement keeps the left position of each occurrence and links past
-the right one, which dies; no link ever returns to a dead position.  So
-the live positions are 0 and every p that its previous position links to
-(next[prev[p]] == p), and symbols() reads them with one mask.
+the right one, which dies; no link ever returns to a dead position, and
+appended positions follow every old one.  So positions are never
+renumbered, position order is string order, and the live positions are 0
+and every p that its previous position links to (next[prev[p]] == p):
+symbols() reads them with one mask.
 
-Only pairs that occur at least twice are active.  Replacing the pair (a, b)
-by a fresh symbol X uses up every occurrence of (a, b), and every pair it
-creates contains X: so a pair that occurs once never occurs again, and the
-new pairs (c, X) and (X, d) are found in two per-replacement dicts keyed by
-the neighbour c or d, with no global pair dictionary.
+Only pairs that occur at least twice are active.  Replacing a pair by a
+symbol X that occurs nowhere else creates only pairs that contain X, so a
+pair that occurs once never occurs again, and the new pairs (c, X) and
+(X, d) are found in two per-replacement dicts keyed by the neighbour c or
+d, with no global pair dictionary.  A pair with no new symbol keeps its
+position's record for its whole life; an appended segment names, for each
+of its pairs, the record whose thread it joins.
 
 Selection is deterministic: maximum count first, then leftmost first
 occurrence.  A lazy max-heap holds (count upper bound, first-position lower
-bound) keys.  Counts of existing pairs only fall and their first occurrences
-only move right, so an old key stays a valid bound and only new pairs get a
-push; the entry at the top is revalidated against the exact count, which
-differs from the raw occurrence count only in runs such as ``aaaa``.
+bound) keys.  Replacements only lower counts and move first occurrences
+right, so an old key stays a valid bound and only new pairs get a push;
+an append pushes a key for every record it raises.  The entry at the top
+is revalidated against the exact count, which differs from the raw
+occurrence count only in runs such as ``aaaa``.
 """
 
 from __future__ import annotations
@@ -54,9 +62,10 @@ class PairEngine:
         total = len(flat)
         if not total:
             raise ValueError("the string must be nonempty")
-        # positions and pair ids (one per pair occurring twice when built,
-        # at most one per replaced occurrence after) stay below 2 * total
-        self._typecode = "i" if 2 * total < 1 << 31 else "q"
+        # positions and record ids (one per pair occurring twice when built,
+        # at most one per replaced occurrence after) stay below 4 * total
+        # with Greedy's appended rule segments
+        self._typecode = "i" if 4 * total < 1 << 31 else "q"
         dt = np.int32 if self._typecode == "i" else np.int64
         self.alive = total
 
@@ -97,7 +106,7 @@ class PairEngine:
         opv = np.full(total, -1, dtype=dt)
         opv[occ[1:]] = np.where(fresh[1:], -1, occ[:-1])
         del fresh
-        self._pid = self._array(pid)
+        self.pid = self._array(pid)  # the record of the pair at each position, or -1
         self._onx = self._array(onx)
         self._opv = self._array(opv)
         del pid, onx, opv
@@ -107,6 +116,7 @@ class PairEngine:
         head = occ[first]
         self._cnt = self._array(count)
         self._head = self._array(head)
+        self._tail = self._array(occ[first + count - 1])
         self._heap = list(zip((-count).tolist(), head.tolist(), range(len(count))))
         heapq.heapify(self._heap)
 
@@ -156,16 +166,61 @@ class PairEngine:
             heapq.heapreplace(heap, (-count, h, k))
         return None
 
+    def occurrences(self, record, word) -> list[int]:
+        """The left-to-right non-overlapping occurrences of word, whose first
+        pair is record's, in position order."""
+        if not self._cnt[record]:
+            return []  # a fully replaced pair's thread is left behind
+        sym, nxt, onx = self.sym, self.nxt, self._onx
+        rest = word[1:]
+        taken = []
+        end = -1  # the last position of the last occurrence taken
+        p = self._head[record]
+        while p != -1:
+            if p > end:
+                e = p
+                for s in rest:
+                    e = nxt[e]
+                    if e == -1 or sym[e] != s:
+                        break
+                else:
+                    taken.append(p)
+                    end = e
+            p = onx[p]
+        return taken
+
     def replace(self, pair, positions, new_symbol):
         """Replace the given disjoint occurrences of pair, in position order,
-        with new_symbol."""
+        with new_symbol, which occurs nowhere but at these positions.
+
+        When every occurrence of a pair a != b goes, its record is dropped
+        whole; otherwise (some stay, or a == b) each replaced occurrence is
+        taken out of its thread first.
+        """
         a, b = pair
         sym, nxt, prv = self.sym, self.nxt, self.prv
-        pid, onx, opv, cnt, head = self._pid, self._onx, self._opv, self._cnt, self._head
+        pid, onx, opv = self.pid, self._onx, self._opv
+        cnt, head, tail = self._cnt, self._head, self._tail
         p = positions[0]
         sel = pid[p]
         if sel == -1 or sym[p] != a or sym[nxt[p]] != b:
             raise AssertionError("stale replacement position")
+        partial = a == b or len(positions) < cnt[sel]
+        if partial:
+            for p in positions:
+                if pid[p] != sel:
+                    raise AssertionError("stale replacement position")
+                o = onx[p]
+                v = opv[p]
+                if v == -1:
+                    head[sel] = o
+                else:
+                    onx[v] = o
+                if o != -1:
+                    opv[o] = v
+                else:
+                    tail[sel] = v
+            cnt[sel] -= len(positions)
         left: dict = {}   # c -> positions of (c, new_symbol)
         right: dict = {}  # d -> positions of (new_symbol, d)
         following = positions[1:]
@@ -189,6 +244,8 @@ class PairEngine:
                     onx[v] = o
                 if o != -1:
                     opv[o] = v
+                else:
+                    tail[k] = v
                 cnt[k] -= 1
             sym[p] = new_symbol
             nxt[p] = nr
@@ -203,6 +260,8 @@ class PairEngine:
                         onx[v] = o
                     if o != -1:
                         opv[o] = v
+                    else:
+                        tail[k] = v
                     cnt[k] -= 1
                 c = sym[pl]
                 at = left.get(c)
@@ -224,7 +283,8 @@ class PairEngine:
                 else:
                     at.append(p)
         self.alive -= len(positions)
-        cnt[sel] = 0
+        if not partial:
+            cnt[sel] = 0
         for at in chain(left.values(), right.values()):
             prev = at[0]
             if len(at) == 1:
@@ -233,6 +293,7 @@ class PairEngine:
             k = len(cnt)
             cnt.append(len(at))
             head.append(prev)
+            tail.append(at[-1])
             heapq.heappush(self._heap, (-len(at), prev, k))
             pid[prev] = k
             opv[prev] = -1
@@ -242,6 +303,39 @@ class PairEngine:
                 pid[p] = k
                 prev = p
             onx[prev] = -1
+
+    def append(self, symbols, records):
+        """Append symbols after the string's last symbol, a separator.
+
+        records[i] is the record whose thread the pair starting at
+        symbols[i] joins, at its end, or -1 for a pair that occurs only
+        there (one that holds a separator, say).
+        """
+        nxt, cnt, head, tail, onx, opv = self.nxt, self._cnt, self._head, self._tail, self._onx, self._opv
+        start = len(nxt)
+        end = start + len(symbols)
+        nxt[start - 1] = start
+        self.sym.extend(symbols)
+        nxt.extend(range(start + 1, end))
+        nxt.append(-1)
+        self.prv.extend(range(start - 1, end - 1))
+        self.pid.extend(records)
+        onx.extend([-1] * len(symbols))
+        opv.extend([-1] * len(symbols))
+        for p, k in enumerate(records, start):
+            if k == -1:
+                continue
+            if cnt[k]:
+                onx[tail[k]] = p
+                opv[p] = tail[k]
+            else:
+                head[k] = p  # a fully replaced pair's record starts afresh
+            tail[k] = p
+            cnt[k] += 1
+        for k in dict.fromkeys(records):
+            if k != -1 and cnt[k] >= 2:
+                heapq.heappush(self._heap, (-cnt[k], head[k], k))
+        self.alive += len(symbols)
 
     def symbols(self) -> np.ndarray:
         """The working string, as an int64 array."""

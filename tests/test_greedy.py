@@ -9,7 +9,7 @@ from gclab.grammar import (
     check_irreducible, check_weakly_nonredundant, grammar_from_segments, metrics,
 )
 from gclab.greedy import (
-    GreedyPolicy, GreedyStep, _apply, _find, _join, _scan, _split, greedy_run,
+    GreedyPolicy, GreedyStep, _greedy_occurrences, _join, _scan, _split, greedy_run,
     greedy_stop_report, greedy_threshold,
 )
 from gclab.labcli import fixture_text
@@ -124,17 +124,47 @@ def scan_inputs(rng):
     yield [[1, 5, big, 6], [0, 1]]  # (1, 5) and (big, 6) pack alike modulo 2^64
 
 
+def _find(work: np.ndarray, word: np.ndarray) -> np.ndarray:
+    """The left-to-right non-overlapping occurrences of word in work."""
+    length = len(word)
+    at = np.flatnonzero(work[: len(work) - length + 1] == word[0])
+    for j in range(1, length):
+        at = at[work[at + j] == word[j]]
+    return np.array(_greedy_occurrences(at.tolist(), length), dtype=np.int64)
+
+
+def _apply(work: np.ndarray, positions: np.ndarray, word: np.ndarray,
+           new_symbol: int, separator: int) -> np.ndarray:
+    """The working array with the word's occurrences at positions replaced by
+    new_symbol, then the new rule and its separator appended."""
+    length = len(word)
+    keep = np.ones(len(work), dtype=bool)
+    keep[(positions[:, None] + np.arange(1, length)).ravel()] = False
+    kept = len(work) - len(positions) * (length - 1)
+    out = np.empty(kept + length + 1, dtype=np.int64)
+    out[:kept] = work[keep]
+    out[positions - (length - 1) * np.arange(len(positions))] = new_symbol
+    out[kept:-1] = word
+    out[-1] = separator
+    return out
+
+
 def test_scan_matches_oracle(rng):
+    # the scan's ties, the engine's most frequent pair over the same array
+    # and each tie's occurrences on the thread of its first pair
     for segments in scan_inputs(rng):
         work = _join(segments)
         assert _split(work) == segments
-        ties, max_pair, (first, second, counts) = _scan(work)
-        assert max_pair == reference_max_pair(segments), segments
-        best = PairEngine(work).select()
+        ties = _scan(work)
+        engine = PairEngine(work)
+        best = engine.select()
         assert (best[1] if best else 1) == reference_max_pair(segments), segments
-        pairs = dict(zip(zip(first.tolist(), second.tolist()), counts.tolist()))
-        assert pairs == {w: c for w, c in reference_pairs(segments).items() if c >= 2}, segments
         assert ties.tolist() == [list(row) for row in reference_ties(segments)], segments
+        for length, first, count in ties.tolist():
+            word = work[first : first + length]
+            positions = engine.occurrences(engine.pid[first], word.tolist())
+            assert positions == _find(work, word).tolist(), segments
+            assert (len(positions), positions[0]) == (count, first), segments
         ref = reference_best_candidate(segments, min_length=3)
         if ref is None:
             assert not len(ties), segments
@@ -206,14 +236,16 @@ def greedy_scanning_every_round(text, policy):
             return steps, "threshold", grammars
         if policy.kind == "max_iterations" and len(steps) >= policy.param:
             return steps, "max_iterations", grammars
-        ties, max_pair, _ = _scan(work)
+        ties = _scan(work)
+        best = PairEngine(work).select()
+        max_pair = best[1] if best else 1
         if len(ties):
             length, first, count = ties[0].tolist()
             word, gain = work[first : first + length], (count - 1) * (length - 1) - 1
         else:
             gain = -1
         if max_pair - 2 > gain:
-            pair, count, _, _ = PairEngine(work).select()
+            pair, count, _, _ = best
             word, gain = np.array(pair, dtype=np.int64), count - 2
         elif not len(ties):
             return steps, "exhausted", grammars
@@ -259,27 +291,50 @@ def tied_round_texts(rng):
 
 
 def test_tied_rounds_match_a_scan_every_round(rng, monkeypatch):
-    # the rounds a scan's ties carry, and the pair counts kept up to date
-    # between scans, must give the very steps, stop and grammar of a run
-    # that scans before every round, under every policy and every budget
-    take = greedy._TiedWords.take
+    # the rounds one scan's engine makes, pair rounds and tied long-word
+    # rounds, must give the very steps, stop and grammar of a run that scans
+    # before every round, under every policy and every budget; after every
+    # round without a scan the engine's most frequent pair must be a fresh
+    # engine's
     unscanned, moved = [], []
+    scanned = {}  # word -> (first, count) of every tie of the last scan
 
-    def checked(self, work, *args):
-        if 0 < self.head < len(self.ties):  # a round without a scan may follow
-            assert self.max_pair == _scan(work)[1]
-            unscanned.append(self.head)
-        taken = take(self, work, *args)
-        if taken is None and self.head < len(self.ties):
-            moved.append(self.head)
-        return taken
+    def scan(work):
+        ties = _scan(work)
+        scanned.clear()
+        for length, first, count in ties.tolist():
+            scanned[tuple(work[first : first + length].tolist())] = first, count
+        return ties
+
+    class CheckedEngine(PairEngine):
+        replaced = False
+
+        def select(self):
+            best = super().select()
+            if self.replaced:
+                fresh = PairEngine(self.symbols()).select()
+                assert (best and best[:2]) == (fresh and fresh[:2])
+                unscanned.append(best)
+            return best
+
+        def replace(self, *args):
+            self.replaced = True
+            super().replace(*args)
+
+        def occurrences(self, record, word):
+            positions = super().occurrences(record, word)
+            first, count = scanned[tuple(word)]
+            if len(positions) >= count and (len(positions) > count or positions[0] != first):
+                moved.append(word)
+            return positions
 
     for t in tied_round_texts(rng):
         policies = [GreedyPolicy.run_to_end()]
         if t.sigma >= 2:
             policies.append(GreedyPolicy.full_threshold())
         for policy in policies:
-            monkeypatch.setattr(greedy._TiedWords, "take", checked)
+            monkeypatch.setattr(greedy, "_scan", scan)
+            monkeypatch.setattr(greedy, "PairEngine", CheckedEngine)
             g, tr = greedy_run(t, policy)
             monkeypatch.undo()
             steps, stopped_by, grammars = greedy_scanning_every_round(t, policy)
@@ -288,7 +343,7 @@ def test_tied_rounds_match_a_scan_every_round(rng, monkeypatch):
         for m in range(len(steps) + 1):
             g, tr = greedy_run(t, GreedyPolicy.max_iterations(m))
             assert (tr.steps, tr.stopped_by, g) == (steps[:m], "max_iterations", grammars[m])
-    assert len(unscanned) > 300 and len(moved) >= len(MOVED_FIRST_WORDS)
+    assert len(unscanned) > 300 and len(moved) >= len(MOVED_FIRST_WORDS), (len(unscanned), len(moved))
 
 
 def test_long_word_wins_a_tie_after_a_pair_round():

@@ -1,10 +1,12 @@
 """PairEngine against a brute-force model of its working string: after
-every replacement, select() must return what a greedy left-to-right
-non-overlapping count over the live string picks (maximum count, ties to
-the leftmost first occurrence), with the same positions."""
+every replacement and append, select() must return what a greedy
+left-to-right non-overlapping count over the live string picks (maximum
+count, ties to the leftmost first occurrence), with the same positions, and
+occurrences() what the same count of a word finds."""
 
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -28,13 +30,25 @@ def brute_select(model):
     return pair, len(positions), positions[0], positions
 
 
-def brute_replace(model, positions, x):
+def brute_occurrences(model, word):
+    """Positions of the greedy left-to-right non-overlapping occurrences of
+    word in the model."""
+    symbols = [s for _, s in model]
+    taken, end = [], -1
+    for i in range(len(model) - len(word) + 1):
+        if i > end and symbols[i : i + len(word)] == word:
+            taken.append(model[i][0])
+            end = i + len(word) - 1
+    return taken
+
+
+def brute_replace(model, positions, x, length=2):
     starts = set(positions)
     out, i = [], 0
     while i < len(model):
         if model[i][0] in starts:
             out.append((model[i][0], x))
-            i += 2
+            i += length
         else:
             out.append(model[i])
             i += 1
@@ -93,6 +107,92 @@ def test_select_matches_brute_force_after_every_replace():
     for symbols, sigma in oracle_inputs(rng):
         replaced += drive(symbols, sigma)
     assert replaced > 1500, replaced
+
+
+def drive_mixed(symbols, first_symbol, rng, done):
+    """Random full pair replacements, word replacements (occurrences and
+    then one pair step per further symbol, at the same left positions, and
+    the rule segment appended with its pairs threaded), (a, a) replacements
+    at some of the pair's occurrences, and appends of a pair rule and a copy
+    of a piece of the string, each segment closed by a negative separator;
+    every step is checked.  done counts the steps of each kind."""
+    symbols = symbols + [-1]  # append joins after a separator
+    engine = PairEngine(symbols)
+    model = list(enumerate(symbols))
+    x = first_symbol
+    separator = -2
+    while True:
+        want = brute_select(model)
+        assert engine.select() == want
+        assert engine.symbols().tolist() == [s for _, s in model]
+        assert engine.alive == len(model)
+        if want is None:
+            return
+        live = [s for _, s in model]
+        kind = rng.choice(("pair", "word", "run", "append"))
+        if kind == "word":  # a word that starts with the selected pair repeats more often
+            i = [p for p, _ in model].index(rng.choice(want[3]))
+        else:
+            i = rng.randrange(len(model))
+        length = rng.randrange(3 if kind == "word" else 2, 6)
+        piece = live[i : i + length]
+        at = [p for p, _ in model[i : i + length]]
+        threaded = (len(piece) == length and min(piece) >= 0
+                    and all(engine.pid[p] != -1 for p in at[:-1]))
+        if kind == "word" and threaded and length >= 3:
+            positions = engine.occurrences(engine.pid[at[0]], piece)
+            assert positions == brute_occurrences(model, piece)
+            if len(positions) >= 2:
+                start = positions[0]
+                first = [p for p, _ in model].index(start)
+                records = [engine.pid[p] for p, _ in model[first : first + length - 1]]
+                assert -1 not in records
+                engine.replace(piece[:2], positions, x)
+                for s in piece[2:]:
+                    engine.replace((x, s), positions, x)
+                model = brute_replace(model, positions, x, length)
+                engine.append(piece + [separator], records + [-1, -1])
+                base = len(engine.sym) - length - 1
+                model += enumerate(piece + [separator], base)
+                done[kind] += 1
+                separator -= 1
+                x += 1
+                continue
+        if kind == "run":
+            runs = [s for s, t in zip(live, live[1:]) if s == t and s >= 0]
+            if runs:
+                a = rng.choice(runs)
+                positions = brute_occurrences(model, [a, a])
+                some = [p for p in positions if rng.random() < 0.5] or positions[-1:]
+                if engine.pid[some[0]] != -1:
+                    engine.replace((a, a), some, x)
+                    model = brute_replace(model, some, x)
+                    done[kind] += 1
+                    x += 1
+                    continue
+        if kind == "append" and threaded:
+            segment = [x, x + 1, separator, *piece, separator - 1]
+            records = [-1, -1, -1] + [engine.pid[p] for p in at[:-1]] + [-1, -1]
+            base = len(engine.sym)
+            engine.append(segment, records)
+            model += enumerate(segment, base)
+            done[kind] += 1
+            separator -= 2
+            x += 2
+            continue
+        pair, _, _, positions = want
+        engine.replace(pair, positions, x)
+        model = brute_replace(model, positions, x)
+        done["pair"] += 1
+        x += 1
+
+
+def test_mixed_steps_match_brute_force():
+    rng = random.Random(0x51DE)
+    done = Counter()
+    for symbols, sigma in oracle_inputs(rng):
+        drive_mixed(symbols, sigma, rng, done)
+    assert min(done.values()) > 150, done
 
 
 def test_stale_positions_are_rejected():
