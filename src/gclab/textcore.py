@@ -241,13 +241,15 @@ class Text:
         first = arr if base > 1 << 16 else arr.astype(np.uint8 if base <= 1 << 8 else np.uint16)
         pos = np.int32 if n < 1 << 31 else np.int64
         order = np.argsort(first, kind="stable").astype(pos)  # positions by window
-        dense = arr[order].astype(pos)                         # their ranks, ascending
+        dense = np.take(arr, order).astype(pos)                # their ranks, ascending
         edge = np.empty(n + 1, dtype=bool)                     # a run begins at the slot
         edge[0] = edge[n] = True
         np.not_equal(dense[1:], dense[:-1], out=edge[1:n])
         yield 1, order, dense, edge.nonzero()[0]
         for g in range(2, top + 1):
-            key = first[order - 1]  # the symbol before each position, cyclically
+            # the symbol before each position, cyclically; np.take gathers
+            # through the int32 index without indexing's chunked cast
+            key = np.take(first, order - 1)
             perm = np.argsort(key, kind="stable")
             order, key, dense = order[perm], key[perm], dense[perm]
             # only first and the level's order, dense, marks and bounds stay
