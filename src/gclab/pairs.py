@@ -193,9 +193,10 @@ class PairEngine:
         """Replace the given disjoint occurrences of pair, in position order,
         with new_symbol, which occurs nowhere but at these positions.
 
-        When every occurrence of a pair a != b goes, its record is dropped
-        whole; otherwise (some stay, or a == b) each replaced occurrence is
-        taken out of its thread first.
+        When every occurrence in the pair's thread goes, its record is
+        dropped whole; when some stay (those of another word, or of a run
+        that overlap the replaced ones), each replaced occurrence is taken
+        out of the thread first.
         """
         a, b = pair
         sym, nxt, prv = self.sym, self.nxt, self.prv
@@ -205,7 +206,7 @@ class PairEngine:
         sel = pid[p]
         if sel == -1 or sym[p] != a or sym[nxt[p]] != b:
             raise AssertionError("stale replacement position")
-        partial = a == b or len(positions) < cnt[sel]
+        partial = len(positions) < cnt[sel]
         if partial:
             for p in positions:
                 if pid[p] != sel:
