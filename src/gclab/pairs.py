@@ -168,7 +168,8 @@ class PairEngine:
 
     def occurrences(self, record, word) -> list[int]:
         """The left-to-right non-overlapping occurrences of word, whose first
-        pair is record's, in position order."""
+        pair is record's, in position order.  The word holds no separator
+        and the string ends with one, so no match runs off the end."""
         if not self._cnt[record]:
             return []  # a fully replaced pair's thread is left behind
         sym, nxt, onx = self.sym, self.nxt, self._onx
@@ -181,7 +182,7 @@ class PairEngine:
                 e = p
                 for s in rest:
                     e = nxt[e]
-                    if e == -1 or sym[e] != s:
+                    if sym[e] != s:
                         break
                 else:
                     taken.append(p)
