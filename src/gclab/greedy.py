@@ -194,10 +194,10 @@ def _scan(work: np.ndarray) -> np.ndarray:
 
 
 def _replace_word(engine: PairEngine, word: list[int], positions: list[int], new_symbol: int) -> list[int]:
-    """Replace the word's occurrences at positions, the first occurrence
-    first, as successive pair replacements at the same left positions;
-    returns the records of the word's pairs, read at the first occurrence
-    before the replacement, for its rule segment."""
+    """Replace the word's occurrences at the ascending positions as
+    successive pair replacements at the same left positions; returns the
+    records of the word's pairs, read at the first occurrence before the
+    replacement, for its rule segment."""
     records = []
     p = positions[0]
     for _ in word[1:]:
@@ -248,8 +248,10 @@ def greedy_run(
     A word of length L is replaced as L - 1 pair replacements at its
     occurrences' left positions, and its rule segment is appended to the
     engine with its pairs threaded in their records.  The pair rounds'
-    rules wait on a pending list that is appended just before the next
-    word's segment, so the segments keep creation order.  Separators occur
+    rules wait on a pending list, so a pair round appends nothing, and the
+    list is appended just before the next word's segment, so the segments
+    keep creation order.  The engine is freed before the next scan, so the
+    two never hold their memory at once.  Separators occur
     once, so the engine never counts a pair across one.  ``on_step(grammar)``
     is invoked with the full grammar after every round when given.
     """
@@ -294,7 +296,7 @@ def greedy_run(
             scans += 1
             bound = _gain(int(ties[0, 2]), int(ties[0, 0])) if len(ties) else -1
             engine, pending, head = PairEngine(work), [], 0
-            records = [engine.pid[first] for first in ties[:, 1].tolist()]
+            tie_records = [engine.pid[first] for first in ties[:, 1].tolist()]
         best = engine.select()
         if best is None:
             break
@@ -310,7 +312,7 @@ def greedy_run(
         while head < len(ties):
             length, first, count = ties[head].tolist()
             word = work[first : first + length].tolist()
-            positions = engine.occurrences(records[head], word)
+            positions = engine.occurrences(tie_records[head], word)
             if len(positions) >= count:
                 break
             head += 1  # its count never rises again

@@ -331,7 +331,7 @@ class PairEngine:
                 onx[tail[k]] = p
                 opv[p] = tail[k]
             else:
-                head[k] = p  # a fully replaced pair's record starts afresh
+                head[k] = p  # an empty or dropped thread starts afresh
             tail[k] = p
             cnt[k] += 1
         for k in dict.fromkeys(records):
