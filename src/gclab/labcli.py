@@ -41,7 +41,8 @@ from .textcore import Text, empirical_entropy, entropy_profile, load_text, relea
 SCHEMA_VERSION = "1"
 # input caps in symbols: the largest power of two that runs to the end
 # within 10 minutes and 4 GB, with a margin, by extrapolation from measured
-# runs at 2^20-2^22 symbols (README; Greedy's on random text)
+# runs at 2^20-2^22 symbols (README; Greedy's on random text: its worst:n
+# family extrapolates to 4.4 GB at 2^24)
 GREEDY_CAP = 1 << 24
 REPAIR_CAP = 1 << 25
 # fixture lengths in symbols, checked before anything is built (README):
