@@ -490,6 +490,33 @@ def test_decoded_grammar_errors_are_malformed():
         decode("fully_naive", BitStream(b"\xc0", 2), 3, 0, 1)
 
 
+def test_unending_unary_rule_lengths_are_malformed():
+    # entropy container, sigma 2, two rules, |S'| 1: eight payload bits, all
+    # ones, so the first unary rule length never ends
+    data = MAGIC + bytes([ENCODINGS.index("entropy")]) + uvarints([2, 2, 1, 8]) + b"\xff"
+    with pytest.raises(MalformedStreamError, match="bit stream exhausted"):
+        from_container(data)
+
+
+def test_incremental_rule_cycle_is_malformed():
+    # incremental container, sigma 2: rule 2 -> (2, 3) and rule 3 -> (3, 2),
+    # a well-formed payload whose rules reference each other
+    width = symbol_width(2, 2)
+    w = BitWriter()
+    prev = 0
+    for first, second in ((2, 3), (3, 2)):
+        values, widths = _delta_fields(first - prev + 1)
+        w.write_fields([*values, second], [*widths, width])
+        prev = first
+    w.write_bytes(build_codebook([2], 4).serialized)
+    w.write_fields([0], [1])
+    stream = w.freeze()
+    data = MAGIC + bytes([ENCODINGS.index("incremental")]) \
+        + uvarints([2, 2, 1, stream.length_bits]) + stream.data
+    with pytest.raises(MalformedStreamError, match="decoded grammar is not acyclic"):
+        from_container(data)
+
+
 def test_truncated_payload_is_malformed():
     g = FullGrammar(3, tuple(range(3)) * 4, [(0, 1), (3, 2)])
     stream, _ = encode(g, "entropy")

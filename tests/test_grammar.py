@@ -201,6 +201,30 @@ def test_digram_counts_match_oracle(rng):
             assert got[pair] == w, (segs, pair)
 
 
+def ig3_inputs(rng, letters):
+    """(start, rules) over three letters: random segments, an empty S',
+    one-symbol segments and runs such as aaaa."""
+    a, b, c = letters
+    cases = [((), ()), ((), ((a,),)), ((a,), ((b,), (c,))), ((a, a, a, a), ()),
+             ((a, a, a), ((a, a),)), ((), ((a, b), (a, b))), ((a, b, a, b), ()),
+             ((a, b, a), ((b, a, b),)), ((c, a, a, a, c), ((a, a, a, a, a),))]
+    for _ in range(200):
+        segs = [tuple(rng.choice(letters) for _ in range(rng.randrange(0 if i == 0 else 1, 8)))
+                for i in range(rng.randrange(1, 5))]
+        cases.append((segs[0], tuple(segs[1:])))
+    return cases
+
+
+@pytest.mark.parametrize("sigma", [3, (1 << 64) + 3])
+def test_ig3_matches_oracle(rng, sigma):
+    letters = (0, sigma - 2, sigma - 1)
+    for start, rules in ig3_inputs(rng, letters):
+        res = check_irreducible(FullGrammar(sigma, start, rules))
+        counts = digram_oracle([start, *rules])
+        assert res.ig3 == (max(counts.values(), default=0) < 2), (start, rules)
+        assert (res.ig3_witness is None) == res.ig3, (start, rules)
+
+
 def test_weakly_nonredundant_reference_examples():
     # S -> AA, A -> Ba, B -> aa is weakly non-redundant
     # terminals: a=0; rules: B(id 1) -> aa, A(id 2) -> B a, start AA

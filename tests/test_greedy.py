@@ -14,6 +14,7 @@ from gclab.greedy import (
 )
 from gclab.labcli import fixture_text
 from gclab.pairs import PairEngine
+from gclab.repair import StopPolicy, repair_run, stop_point_report
 from gclab.textcore import Text
 
 
@@ -356,6 +357,13 @@ def test_long_word_wins_a_tie_after_a_pair_round():
     assert g == grammar_from_segments(t.sigma, reference_greedy(t))
 
 
+def test_scan_stops_when_every_window_reaches_a_separator():
+    # (0, 1) occurs twice but no length-3 window stays inside a segment:
+    # the level of length 3 is empty, and the scan returns no tie
+    ties = _scan(np.array([5, 0, 1, -1, 0, 1, -2]))
+    assert ties.shape == (0, 3)
+
+
 def test_long_word_wins_a_tie_at_a_scan(monkeypatch):
     # (ab)^4: the pair ab (count 4) and abab (count 2) both gain 2, and abab
     # wins by length.  A pair round chosen on the tie would be refused by the
@@ -453,6 +461,33 @@ def test_threshold_policy():
     assert rep.all_pass
     with pytest.raises(ValueError):
         greedy_stop_report(greedy_run(t)[1], t)
+
+
+def test_stop_reports_pin_their_rows():
+    # the golden digests skip row details, so both stop reports' rows and
+    # measurements are pinned here whole
+    t = Text.from_string("ab" * 50)
+    _, tr = repair_run(t, StopPolicy.custom_threshold(60))
+    rep = stop_point_report(tr, t)
+    assert [r.as_dict() for r in rep.rows] == [
+        {"name": "repair_stop_exists", "lhs_bits": 50.0, "rhs_bits": 60.0, "pass": True,
+         "slack_used": 0.0, "detail": "strict: working string below threshold at stop"},
+        {"name": "repair_stop_nonterminals", "lhs_bits": 1.0, "rhs_bits": math.sqrt(100) * math.log2(100),
+         "pass": True, "slack_used": 0.0, "detail": ""},
+    ]
+    assert rep.measurements == {"threshold": 60, "working_len_at_stop": 50, "nonterminals_at_stop": 1,
+                                "iterations": 1, "stopped_by": "threshold"}
+    t = Text.from_string("abcd" * 16)
+    _, tr = greedy_run(t, GreedyPolicy.full_threshold())
+    rep = greedy_stop_report(tr, t)
+    assert [r.as_dict() for r in rep.rows] == [
+        {"name": "greedy_stop_exists", "lhs_bits": 64.0, "rhs_bits": 1366.0, "pass": True,
+         "slack_used": 0.0, "detail": "strict: ||S',G|| below threshold at stop"},
+        {"name": "greedy_stop_nonterminals", "lhs_bits": 0.0, "rhs_bits": 27.0,
+         "pass": True, "slack_used": 0.0, "detail": ""},
+    ]
+    assert rep.measurements == {"threshold": 1366, "full_size_at_stop": 64, "nonterminals_at_stop": 0,
+                                "iterations": 0, "stopped_by": "threshold"}
 
 
 def test_max_iterations_policy(rng):

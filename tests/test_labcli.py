@@ -275,6 +275,17 @@ def test_cli_report_exit_codes(tmp_path, capsys):
     assert rc == 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--algorithms", "repair,lzw"], "unknown algorithm 'lzw'"),
+    (["--encodings", "naive,gzip"], "unknown encoding 'gzip'"),
+    (["worst:8"], "input names must be unique"),
+    (["--k", "0,-1"], "k must be >= 0"),
+])
+def test_cli_report_usage_errors(capsys, argv, message):
+    assert main(["report", "worst:8", *argv]) == 2
+    assert capsys.readouterr().err == f"gclab: error: {message}\n"
+
+
 def test_cli_byte_file_and_offset_parse(tmp_path, capsys):
     raw = tmp_path / "input.bin"
     raw.write_bytes(b"abracadabra" * 6)
@@ -360,6 +371,14 @@ def test_report_custom_policy_and_csv_error_rows():
     rows = list(csv.reader(io.StringIO(emit(report, "csv").decode())))
     assert rows[2] == ["r", "greedy", "custom:300", "", "", "0", "0", "False", "",
                        greedy_entry["error"]]
+
+
+def test_repair_cell_under_an_unknown_policy_is_an_error_entry():
+    report = run(small_spec(inputs=(("r", fixture_text("worst:8")),), algorithms=("repair",),
+                            policy="bogus", encodings=()))
+    assert report.entries == [{"input": "r", "algorithm": "repair", "policy": "bogus",
+                               "error": "ValueError: unknown policy 'bogus' for repair"}]
+    assert not report.all_pass
 
 
 def test_cli_greedy_bare_maxiter(tmp_path):

@@ -19,6 +19,7 @@ from gclab.parsing import (
     lz77_parse_nonself,
     lz78_parse,
     parsing_cost,
+    phrase_cost,
     phrase_probability,
     verify_parsing_bounds,
     _smaller_chains,
@@ -256,6 +257,14 @@ def test_phrase_probability_k0():
 def test_phrase_probability_absent():
     t = Text.from_string("abab")
     assert phrase_probability(t, (1, 1)) == 0.0
+
+
+def test_phrase_cost_is_minus_log2_of_the_probability():
+    t = Text.from_string("abaab")
+    for phrase, k in (((0, 1), None), ((0, 1), 0), ((0, 0, 1), 1), ((1,), None)):
+        assert phrase_cost(t, phrase, k) == -math.log2(phrase_probability(t, phrase, k))
+    with pytest.raises(InfiniteCostError):
+        phrase_cost(t, (1, 1))
 
 
 def test_phrase_probability_matches_oracle(rng):
