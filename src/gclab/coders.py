@@ -459,7 +459,7 @@ def encode_naive(grammar: FullGrammar):
     bound = (
         h0
         + rhs_g * math.log2(max(2, domain))
-        + _overhead_slack(rhs_full, domain, len(set(grammar.start)))
+        + _overhead_slack(rhs_full, domain, len(cb.lengths))
     )
     return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound, (h0, coded, len(grammar.start)))
 
@@ -486,7 +486,7 @@ def encode_entropy(grammar: FullGrammar):
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
     h0 = sequence_entropy_bits(s_g)
-    bound = h0 + len(s_g) + _overhead_slack(len(s_g), domain, len(set(s_g)))
+    bound = h0 + len(s_g) + _overhead_slack(len(s_g), domain, len(cb.lengths))
     return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound, (h0, coded, len(s_g)))
 
 
@@ -567,7 +567,7 @@ def encode_incremental(grammar: FullGrammar):
         h0
         + n_rules * math.log2(max(2, sigma + n_rules))
         + _delta_budget(sigma, n_rules)
-        + _overhead_slack(rhs_full, sigma + n_rules, len(set(start)))
+        + _overhead_slack(rhs_full, sigma + n_rules, len(cb.lengths))
     )
     return stream, _breakdown(payload, cb.serialized_bits, delta_bits, bound, (h0, coded, len(start)))
 

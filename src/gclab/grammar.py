@@ -16,6 +16,7 @@ from itertools import chain
 import numpy as np
 
 from . import bits
+from .pairs import PairEngine, _join
 from .parsing import Parsing
 from .textcore import Text
 
@@ -214,31 +215,11 @@ class IrreducibilityResult:
     ig3: bool
     ig1_witness: tuple[int, int] | None = None   # two nonterminals, same expansion
     ig2_witness: int | None = None               # nonterminal occurring < 2 times
-    ig3_witness: tuple[int, int] | None = None   # digram occurring twice
+    ig3_witness: tuple[int, int] | None = None   # most frequent digram, then leftmost, if it occurs twice
 
     @property
     def all_ok(self) -> bool:
         return self.ig1 and self.ig2 and self.ig3
-
-
-def nonoverlapping_digram_counts(segments) -> Counter:
-    """Greedy left-to-right non-overlapping digram counts, per segment.
-
-    Digrams never span two segments; within a run like "aaa" the pair (a,a)
-    is counted once.
-    """
-    counts: Counter = Counter()
-    last_end: dict[tuple[int, int], int] = {}
-    base = 0
-    for seg in segments:
-        for i in range(len(seg) - 1):
-            p = (seg[i], seg[i + 1])
-            pos = base + i
-            if last_end.get(p, -1) <= pos:
-                counts[p] += 1
-                last_end[p] = pos + 2
-        base += len(seg) + 1
-    return counts
 
 
 def _ig2_witness(grammar: FullGrammar) -> int | None:
@@ -254,7 +235,14 @@ def _ig2_witness(grammar: FullGrammar) -> int | None:
 
 def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
     """IG1: distinct expansions; IG2: every nonterminal used twice;
-    IG3: no digram repeats (without overlap) across S' and rule rhs strings."""
+    IG3: no digram repeats (without overlap) across S' and rule rhs strings.
+
+    IG3 is decided by one PairEngine over the working array of S' and the
+    rules, their ids ranked, each segment followed by its own separator so
+    that no digram spans two: it holds iff select() finds no pair occurring
+    twice.  The IG3 witness is select()'s pair: the most frequent digram,
+    then the one whose first occurrence is leftmost.
+    """
     seen: dict[tuple, int] = {}
     ig1_w = None
     for i in range(len(grammar.rules)):
@@ -266,12 +254,15 @@ def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
 
     ig2_w = _ig2_witness(grammar)
 
-    digrams = nonoverlapping_digram_counts(grammar.rhs_segments())
-    ig3_w = None
-    for pair, c in digrams.items():
-        if c >= 2:
-            ig3_w = pair
-            break
+    segments = grammar.rhs_segments()
+    ends = np.cumsum([len(seg) for seg in segments])
+    # ids past int64 (sigma may be any int) stay objects until ranked
+    dtype = np.int64 if grammar.sigma + len(grammar.rules) <= 1 << 63 else object
+    ids, work = np.unique(np.fromiter(chain.from_iterable(segments), dtype=dtype, count=ends[-1]),
+                          return_inverse=True)
+    work = _join(work, ends)
+    best = PairEngine(work).select()
+    ig3_w = None if best is None else tuple(ids[list(best[0])].tolist())
 
     return IrreducibilityResult(
         ig1=ig1_w is None,

@@ -30,9 +30,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .grammar import FullGrammar, grammar_from_segments
-from .pairs import PairEngine
+from .pairs import PairEngine, _join
 from .repair import log_sigma
-from .reporting import BoundRow, CheckReport
+from .reporting import CheckReport, stop_report
 from .textcore import Text
 
 RUN_TO_END = "run_to_end"
@@ -91,15 +91,6 @@ class GreedyTrace:
 
 def _gain(count: int, length: int) -> int:
     return (count - 1) * (length - 1) - 1
-
-
-def _join(segments) -> np.ndarray:
-    """The working array of the given segments: each followed by -(i+1)."""
-    parts = []
-    for i, seg in enumerate(segments):
-        parts.append(np.asarray(seg, dtype=np.int64))
-        parts.append(np.array([-(i + 1)], dtype=np.int64))
-    return np.concatenate(parts)
 
 
 def _split(work: np.ndarray) -> list[list[int]]:
@@ -264,7 +255,7 @@ def greedy_run(
     threshold = greedy_threshold(n, text.sigma) if policy.kind == FULL_THRESHOLD else None
     sigma = text.sigma
 
-    work = _join([text.array])  # at the last scan; rule i is segment i + 1, separated by -(i + 2)
+    work = _join(text.array, [n])  # at the last scan; rule i is segment i + 1, separated by -(i + 2)
     engine = None  # the rounds since the last scan
     pending: list[int] = []  # the pair rules not yet appended, each followed by its separator
     steps: list[GreedyStep] = []
@@ -338,29 +329,6 @@ def greedy_stop_report(trace: GreedyTrace, text: Text) -> CheckReport:
     if trace.policy.kind != FULL_THRESHOLD:
         raise ValueError("stop report needs a full-size-threshold trace")
     n = len(text)
-    t = trace.threshold
     final_size = trace.steps[-1].full_size_after if trace.steps else trace.initial_size
-    nonterminals = len(trace.steps)
-    out = CheckReport()
-    out.add(
-        BoundRow(
-            "greedy_stop_exists",
-            float(final_size),
-            float(t),
-            final_size < t,
-            0.0,
-            "strict: ||S',G|| below threshold at stop",
-        )
-    )
-    bound = math.sqrt(n) * log_sigma(n, text.sigma) + 3
-    out.add(BoundRow.check("greedy_stop_nonterminals", nonterminals, bound))
-    out.measurements.update(
-        {
-            "threshold": t,
-            "full_size_at_stop": final_size,
-            "nonterminals_at_stop": nonterminals,
-            "iterations": len(trace.steps),
-            "stopped_by": trace.stopped_by,
-        }
-    )
-    return out
+    return stop_report(trace, "greedy", "||S',G||", "full_size_at_stop", final_size,
+                       math.sqrt(n) * log_sigma(n, text.sigma) + 3)

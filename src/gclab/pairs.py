@@ -1,18 +1,20 @@
-"""Incremental most-frequent-pair machinery of Re-Pair and of Greedy's
-rounds between scans.
+"""Incremental most-frequent-pair machinery of Re-Pair, of Greedy's rounds
+between scans and of the IG3 check.
 
 Maintains, over one working string, the exact greedy left-to-right
 non-overlapping occurrence count of every adjacent pair, under pair
 replacements and appended segments.
 
 Re-Pair builds one engine over its text and replaces pairs.  Greedy builds
-one after each scan, over its whole working array: S' and every rule's
-right-hand side, each followed by a negative separator.  Each separator
-occurs once, so every pair that contains one occurs once and is never
-active: no counted pair crosses two segments.  Greedy replaces a word as
-successive pair replacements at the same left positions, finds a word's
+one after each scan, over its whole working array (_join): S' and every
+rule's right-hand side, each followed by its own negative separator.  Each
+separator occurs once, so every pair that contains one occurs once and is
+never active: no counted pair crosses two segments.  Greedy replaces a word
+as successive pair replacements at the same left positions, finds a word's
 occurrences by walking the thread of its first pair (occurrences), and
-appends each new rule's segment (append).
+appends each new rule's segment (append).  grammar.check_irreducible builds
+one over a grammar's working array, its ids ranked, and asks select() once:
+IG3 holds iff no pair occurs twice.
 
 Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
 IEEE 88(11), 2000).  The string lives in flat per-position arrays: symbol,
@@ -54,6 +56,13 @@ from array import array
 from itertools import chain
 
 import numpy as np
+
+
+def _join(flat: np.ndarray, ends) -> np.ndarray:
+    """The working array of ``flat`` cut into segments, segment i ending at
+    the ascending offset ends[i]: each segment followed by its own separator
+    -(i + 1)."""
+    return np.insert(flat, ends, -np.arange(1, len(ends) + 1))
 
 
 class PairEngine:

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 from .grammar import FullGrammar
 from .pairs import PairEngine
-from .reporting import BoundRow, CheckReport
+from .reporting import CheckReport, stop_report
 from .textcore import Text
 
 RUN_TO_END = "run_to_end"
@@ -146,32 +146,9 @@ def stop_point_report(trace: RepairTrace, text: Text) -> CheckReport:
     if trace.policy.kind not in (WORKING_THRESHOLD, CUSTOM_THRESHOLD):
         raise ValueError("stop-point report needs a threshold-policy trace")
     n = len(text)
-    t = trace.threshold
     final_len = trace.steps[-1].working_len if trace.steps else trace.initial_length
-    nonterminals = len(trace.steps)
-    out = CheckReport()
-    out.add(
-        BoundRow(
-            "repair_stop_exists",
-            float(final_len),
-            float(t),
-            final_len < t,
-            0.0,
-            "strict: working string below threshold at stop",
-        )
-    )
-    bound = math.sqrt(n) * log_sigma(n, text.sigma)
-    out.add(BoundRow.check("repair_stop_nonterminals", nonterminals, bound))
-    out.measurements.update(
-        {
-            "threshold": t,
-            "working_len_at_stop": final_len,
-            "nonterminals_at_stop": nonterminals,
-            "iterations": len(trace.steps),
-            "stopped_by": trace.stopped_by,
-        }
-    )
-    return out
+    return stop_report(trace, "repair", "working string", "working_len_at_stop", final_len,
+                       math.sqrt(n) * log_sigma(n, text.sigma))
 
 
 def worst_case_family(n: int) -> Text:

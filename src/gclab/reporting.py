@@ -1,4 +1,5 @@
-"""Shared bound-row record used by all verification routines."""
+"""Shared bound-row record used by all verification routines, and the stop
+rows that Re-Pair and Greedy report at a threshold stop."""
 
 from __future__ import annotations
 
@@ -56,3 +57,20 @@ class CheckReport:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+
+def stop_report(trace, name: str, size_name: str, size_key: str, size: int,
+                nonterminal_bound: float) -> CheckReport:
+    """A compressor's threshold stop: ``size``, the figure its threshold
+    reads (``size_name`` in the row detail, ``size_key`` in the
+    measurements), strictly below trace.threshold, and its nonterminal
+    count, one per step, at most ``nonterminal_bound``."""
+    t = trace.threshold
+    nonterminals = len(trace.steps)
+    out = CheckReport()
+    out.add(BoundRow(f"{name}_stop_exists", float(size), float(t), size < t, 0.0,
+                     f"strict: {size_name} below threshold at stop"))
+    out.add(BoundRow.check(f"{name}_stop_nonterminals", nonterminals, nonterminal_bound))
+    out.measurements.update({"threshold": t, size_key: size, "nonterminals_at_stop": nonterminals,
+                             "iterations": nonterminals, "stopped_by": trace.stopped_by})
+    return out

@@ -9,11 +9,11 @@ from gclab.grammar import (
     check_irreducible, check_weakly_nonredundant, grammar_from_segments, metrics,
 )
 from gclab.greedy import (
-    GreedyPolicy, GreedyStep, _greedy_occurrences, _join, _scan, _split, greedy_run,
+    GreedyPolicy, GreedyStep, _greedy_occurrences, _scan, _split, greedy_run,
     greedy_stop_report, greedy_threshold,
 )
 from gclab.labcli import fixture_text
-from gclab.pairs import PairEngine
+from gclab.pairs import PairEngine, _join
 from gclab.repair import StopPolicy, repair_run, stop_point_report
 from gclab.textcore import Text
 
@@ -154,7 +154,8 @@ def test_scan_matches_oracle(rng):
     # the scan's ties, the engine's most frequent pair over the same array
     # and each tie's occurrences on the thread of its first pair
     for segments in scan_inputs(rng):
-        work = _join(segments)
+        work = _join(np.array([s for seg in segments for s in seg], dtype=np.int64),
+                     np.cumsum([len(seg) for seg in segments]))
         assert _split(work) == segments
         ties = _scan(work)
         engine = PairEngine(work)
@@ -229,7 +230,7 @@ def greedy_scanning_every_round(text, policy):
     Returns the steps, the stop reason and the grammar after each round."""
     sigma, n = text.sigma, len(text)
     threshold = greedy_threshold(n, sigma) if policy.kind == "full_threshold" else None
-    work = _join([text.array])
+    work = _join(text.array, [n])
     steps, size = [], n
     grammars = [grammar_from_segments(sigma, _split(work))]
     while True:
