@@ -36,6 +36,21 @@ def gdb_grid(max_len):
     return grid
 
 
+def block_copies(seed: int, copies: int, block: int, substitutions: int) -> Text:
+    """Copies of one random byte block, each with a few random byte
+    substitutions: the repetitive input of the benchmark's compress workload,
+    in small."""
+    rng = random.Random(seed)
+    base = rng.randbytes(block)
+    out = bytearray()
+    for _ in range(copies):
+        copy = bytearray(base)
+        for _ in range(substitutions):
+            copy[rng.randrange(block)] = rng.randrange(256)
+        out += copy
+    return Text.from_bytes(bytes(out))
+
+
 def golden_corpus():
     """The pinned inputs of the golden digests and the container fuzz test."""
     from gclab.labcli import fixture_text
@@ -44,6 +59,7 @@ def golden_corpus():
         yield selector, fixture_text(selector)
     yield "bytes:4096", Text.from_bytes(random.Random(256).randbytes(4096))
     yield "badgrammar:5", fixture_text("badgrammar:5")
+    yield "blocks:8x512", block_copies(512, 8, 512, 2)
 
 
 @pytest.fixture(scope="session")

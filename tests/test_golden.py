@@ -21,7 +21,7 @@ import random
 
 import pytest
 
-from conftest import golden_corpus
+from conftest import block_copies, golden_corpus
 from gclab import coders
 from gclab.debruijn import GdBParams, generalized_word, lower_bound_check, verify_gdb
 from gclab.greedy import GreedyPolicy, greedy_run
@@ -166,6 +166,26 @@ GOLDEN = {
         'entropy': ('ca3d99dd1af73d6611f468da8d4e2d1a1c51e3b8e736e6bbf0247ac019d70601',
             (401, 224, 50, 675, 1173.7121003343725)),
     },
+    ('blocks:8x512', 'repair'): {
+        'gcl1': '77fed093f3181f31273b64ed3e54636e21c5a61bcb3fe14d403af4a9e5845a9d',
+        'fully_naive': ('d0f7321aced9a20e3beb600ef7e4812876d2dcc5d187da106da825089e6e03bd',
+            (10830, 0, 1014, 11844, 13395.309004321796)),
+        'naive': ('828eaeca8ff1605817098d1e1c05c28c40595e3e6d64a02702731c61a7fd203b',
+            (10546, 1264, 1014, 12824, 14098.084983807908)),
+        'entropy': ('d7093b1b096f42f50f756c639b9253d3b9926e5302166bbc3643e2dc10481037',
+            (10084, 6648, 1014, 17746, 25901.00029961586)),
+        'incremental': ('e2b3f4b52af400944276eacbc67f48839cb82059c386e93f1e0d81fd94f2a22a',
+            (5476, 1264, 2096, 8836, 15231.361327899187)),
+    },
+    ('blocks:8x512', 'greedy'): {
+        'gcl1': '075cf847628272762631a35eb80414feb24071908be17577b0338cf6cc1e3af4',
+        'fully_naive': ('27d816a8acf2c1bbfe3b956ce53bcfec4bc17d05c7c9e5153d79bcf8b3a43120',
+            (5535, 0, 555, 6090, 6670.8138198618035)),
+        'naive': ('7247e518d82f0eb49b43d1f35780f3ca113afbceb5442bc3a522d23fe7f374bb',
+            (5335, 728, 555, 6618, 7348.660053660577)),
+        'entropy': ('ba9080cda41bad20e7d5f07ced4a346b3a57715fd9f2d1f7efce7cc90c838805',
+            (4859, 2440, 555, 7854, 11328.778315897645)),
+    },
 }
 
 
@@ -203,9 +223,12 @@ GREEDY_POLICIES = {
 
 
 def greedy_trace_corpus():
-    """Report inputs plus periodic words, whose windows overlap themselves."""
+    """Report inputs plus periodic words, whose windows overlap themselves,
+    and block copies, whose long-word rounds join the same records again and
+    again."""
     for selector in ("random:4,20000,1", "worst:1024", "gdb:2,3,1"):
         yield selector, fixture_text(selector)
+    yield "blocks:8x512", block_copies(512, 8, 512, 2)
     for name, word, reps in (("a^512", "a", 512), ("(ab)^300", "ab", 300),
                              ("(aab)^200", "aab", 200)):
         yield name, Text.from_string(word * reps, 2)
@@ -274,6 +297,15 @@ GREEDY_TRACES = {
     ('(aab)^200', 'maxiter:50'): (
         '9a50d209eed1b00bf3092354c40ccd34465b0918dbb0c9c9b7580c7426e080f5', 'exhausted',
         '40e71eda3718c3ce68fcb7d05cae208c7a660045aaaf6770e671e79c12fb7b48'),
+    ('blocks:8x512', 'run_to_end'): (
+        'abf8e6d3a3baafe67844cc61a7a448321a181f8ea0c065bc2a74628230f52950', 'exhausted',
+        '075cf847628272762631a35eb80414feb24071908be17577b0338cf6cc1e3af4'),
+    ('blocks:8x512', 'full_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '0727c403a03cc36b4338a50990770b24b59f09dfac515cc4a5e1257725199f2f'),
+    ('blocks:8x512', 'maxiter:50'): (
+        'abf8e6d3a3baafe67844cc61a7a448321a181f8ea0c065bc2a74628230f52950', 'exhausted',
+        '075cf847628272762631a35eb80414feb24071908be17577b0338cf6cc1e3af4'),
 }
 
 
@@ -439,6 +471,18 @@ REPAIR_TRACES = {
     ('(aab)^200', 'custom:n/3'): (
         '673a6610ea6ebadb0ffd7911099694c01898501b2dbfec799480642acd4a1fa2', 'threshold',
         '3c30dca1fbec4f0e244ef2654e1a3315536b0f4b12171f0e299452ac3156c4a6'),
+    ('blocks:8x512', 'run_to_end'): (
+        'a0739ab13ca26432258345d5e2cc182f5d4d08cdcfb4703e0a9ce52c9b09dd63', 'exhausted',
+        '77fed093f3181f31273b64ed3e54636e21c5a61bcb3fe14d403af4a9e5845a9d'),
+    ('blocks:8x512', 'working_threshold'): (
+        '4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945', 'threshold',
+        '0727c403a03cc36b4338a50990770b24b59f09dfac515cc4a5e1257725199f2f'),
+    ('blocks:8x512', 'maxnt:8'): (
+        '310efd523077f267013910e5f0e7ac344d8141e8c1bde44ee5c6593eaea1d021', 'max_nonterminals',
+        '20b43232447d80146d9ea6d9e9d34835f049d6d9228700b49064ef691d0bba84'),
+    ('blocks:8x512', 'custom:n/3'): (
+        '71f03f4e55c7a57146d9357d8774e6305e21b0ee6a5db1020211d3a9966e75c3', 'threshold',
+        'dd3bb2ee78f93bd83dd68398fc6730734388af0abc6c113b0b202aa64f39079d'),
 }
 
 
@@ -550,6 +594,8 @@ PROFILES = {
     ('bytes:4096', True): '6697076ce70b4b395bfd60bc35e2d85cebc5462f27c38db6fe6258276dae3fbb',
     ('badgrammar:5', False): '5fc0d1673bade6e7637e5971710da4c0f121d98ce1456a899ea533bc236d7ea1',
     ('badgrammar:5', True): '857ff679c95ba197733b8b8e96ba158da4db9f042177b29d6f39dfbd86441f59',
+    ('blocks:8x512', False): 'b15f5e420c1d25455e978ce925b7aa68a7bcc5b7cf9e4b303025919d5004127c',
+    ('blocks:8x512', True): 'b1143d73553482c68f2cebb3aa5b20514824592a1c9febcb3fa7b91a46b60916',
 }
 
 
@@ -679,6 +725,11 @@ PARSINGS = {
     ('sigma=2^32', 'offset:2'): '469f0ea11f787d009642188de89aed5bd15b68a0399fb9008a136e1e11b1a023',
     ('sigma=2^32', 'offset:4'): 'ca0241badc4dbb50bbeeb475429a8c02389ffdf93aa83993fe185d0ee8e4b6c3',
     ('sigma=2^32', 'offset:8'): 'd2ba6a8e5f521108c8f9a5c8f4d4fd26e8534c233f755f508cfaefbd7eaf6ed6',
+    ('blocks:8x512', 'lz78'): '57651d98d736aeb22a3fd856121bd4ab540adaa824c36c21b7d0e66a3d013507',
+    ('blocks:8x512', 'lz77ns'): '0373b1ca71bf6565e7aad1cf4510433ae31408f64444ac901db0b1aeb4739cdf',
+    ('blocks:8x512', 'offset:2'): 'a31a169d6f103db6ba6f0da174a77d1b8a70aa8908003d4a41ce92f42aa3da97',
+    ('blocks:8x512', 'offset:4'): '53aa8e95ddceae5a2d8bc4daee4904b49ab7721ec7f9d7f08122d659b3c70587',
+    ('blocks:8x512', 'offset:8'): '2d455019162594901d5601f15216ceb974be9406ad293ed0d8e10f993f1d7d14',
 }
 
 
@@ -742,6 +793,11 @@ REPORT = {
     ('end', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
     ('end', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
     ('end', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
+    ('end', 'blocks:8x512', 'repair'): 'ddd2a0283d8e3d7206716947f3f0806a03d18309ad32b860a3b573d220f2a842',
+    ('end', 'blocks:8x512', 'greedy'): '9141ca27e5b0f9c2bc2ffb77b1bc23fe4a98c623d95ad57ac6d5963247555622',
+    ('end', 'blocks:8x512', 'lz78'): '0b376110e3e6dcc807b78afe91afc1fd26cab981a0b1530def40b68536cbf724',
+    ('end', 'blocks:8x512', 'lz77ns'): '70cd98a397af26b77630c7b73e48550cb768a4518bde81bd3711e40f3dd343cd',
+    ('end', 'blocks:8x512', 'offset-parse'): '794c1d7f53d8cc6d6268122bd2bcd407cdfd746610bf5b7042dc0480ce22830e',
     ('end', 'bytes:4096', 'repair'): '14a903e3846a46579bd95e15584916da638c2aeb15c01065aa13bd2e6601f1bc',
     ('end', 'bytes:4096', 'greedy'): '136fc866d77f07ce43cffbff89893db65fdf705274df4018f109c9132c3acd64',
     ('end', 'bytes:4096', 'lz78'): 'f534d545ad063cdf3b4ef1ddd71aa14f874cb800d20f4d22ca439c3919fb0578',
@@ -777,6 +833,11 @@ REPORT = {
     ('threshold', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
     ('threshold', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
     ('threshold', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
+    ('threshold', 'blocks:8x512', 'repair'): '029d5dadbf902a7db942ec1b4127650ade01c4a615cede00a25ed5598303547a',
+    ('threshold', 'blocks:8x512', 'greedy'): '78d284428ac6896f30a3d0a65f069ded745b28e864b9a8ed9e638b2eff039502',
+    ('threshold', 'blocks:8x512', 'lz78'): '0b376110e3e6dcc807b78afe91afc1fd26cab981a0b1530def40b68536cbf724',
+    ('threshold', 'blocks:8x512', 'lz77ns'): '70cd98a397af26b77630c7b73e48550cb768a4518bde81bd3711e40f3dd343cd',
+    ('threshold', 'blocks:8x512', 'offset-parse'): '794c1d7f53d8cc6d6268122bd2bcd407cdfd746610bf5b7042dc0480ce22830e',
     ('threshold', 'bytes:4096', 'repair'): '32fee87aaff65c565eb93708f8016a75b68da968d2fbd67206d3b4cc27506f53',
     ('threshold', 'bytes:4096', 'greedy'): '387355e7e2daa81f0f26ef6c6deba430836b0069e646e21f3f30ef248f06dcf8',
     ('threshold', 'bytes:4096', 'lz78'): 'f534d545ad063cdf3b4ef1ddd71aa14f874cb800d20f4d22ca439c3919fb0578',
@@ -812,6 +873,11 @@ REPORT = {
     ('maxiter:5', 'badgrammar:5', 'lz78'): '6f59ea16137eb21ba2a5b9ca827db11697f21bb6a6d31021fb831a0252fab108',
     ('maxiter:5', 'badgrammar:5', 'lz77ns'): '4397bb907f1a9ceec57b3daf6bde15ea36bf795ce9f37653c4c7cd9e8b25a756',
     ('maxiter:5', 'badgrammar:5', 'offset-parse'): '4b50074a2dfe575450b9f42f32b19f0bdce7b3587f31433bfd53073a3b9f00ea',
+    ('maxiter:5', 'blocks:8x512', 'repair'): 'dad90efc9b91a8d70b0ec310bf465f5251376cbb7d8fe28857ce33daa4f971b9',
+    ('maxiter:5', 'blocks:8x512', 'greedy'): 'e2788fe9f568a01b6ea093fab626cb1180c6769c24d1b6c28ebd97b104c3eb3a',
+    ('maxiter:5', 'blocks:8x512', 'lz78'): '0b376110e3e6dcc807b78afe91afc1fd26cab981a0b1530def40b68536cbf724',
+    ('maxiter:5', 'blocks:8x512', 'lz77ns'): '70cd98a397af26b77630c7b73e48550cb768a4518bde81bd3711e40f3dd343cd',
+    ('maxiter:5', 'blocks:8x512', 'offset-parse'): '794c1d7f53d8cc6d6268122bd2bcd407cdfd746610bf5b7042dc0480ce22830e',
     ('maxiter:5', 'bytes:4096', 'repair'): '1c0cf8bd9fcd974fd8835da4e7d3ef40dfa1d73d8bd0aff807f2369f155984bf',
     ('maxiter:5', 'bytes:4096', 'greedy'): '8a832fa7b22219efb93c58b7eefdb5bf9b9b01d7e6f42d5f3c98293d1c1220ae',
     ('maxiter:5', 'bytes:4096', 'lz78'): 'f534d545ad063cdf3b4ef1ddd71aa14f874cb800d20f4d22ca439c3919fb0578',

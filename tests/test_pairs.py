@@ -109,13 +109,14 @@ def test_select_matches_brute_force_after_every_replace():
     assert replaced > 1500, replaced
 
 
-def drive_mixed(symbols, first_symbol, rng, done):
+def drive_mixed(symbols, first_symbol, rng, done, kinds=("pair", "word", "run", "append")):
     """Random full pair replacements, word replacements (occurrences and
     then one pair step per further symbol, at the same left positions, and
     the rule segment appended with its pairs threaded), (a, a) replacements
     at some of the pair's occurrences, and appends of a pair rule and a copy
     of a piece of the string, each segment closed by a negative separator;
-    every step is checked.  done counts the steps of each kind."""
+    every step is checked.  Each step's kind is drawn from kinds; done
+    counts the steps of each kind."""
     symbols = symbols + [-1]  # append joins after a separator
     engine = PairEngine(symbols)
     model = list(enumerate(symbols))
@@ -129,7 +130,7 @@ def drive_mixed(symbols, first_symbol, rng, done):
         if want is None:
             return
         live = [s for _, s in model]
-        kind = rng.choice(("pair", "word", "run", "append"))
+        kind = rng.choice(kinds)
         if kind == "word":  # a word that starts with the selected pair repeats more often
             i = [p for p, _ in model].index(rng.choice(want[3]))
         else:
@@ -193,6 +194,19 @@ def test_mixed_steps_match_brute_force():
     for symbols, sigma in oracle_inputs(rng):
         drive_mixed(symbols, sigma, rng, done)
     assert min(done.values()) > 150, done
+
+
+def test_stale_heavy_steps_match_brute_force():
+    """Long strings over two or three letters, mostly word rounds and
+    appends: the few records are joined again and again, and most of their
+    old occurrences are replaced, so their threads hold many stale entries."""
+    rng = random.Random(0x57A1E)
+    done = Counter()
+    for _ in range(40):
+        sigma = rng.choice((2, 3))
+        symbols = [rng.randrange(sigma) for _ in range(rng.randrange(200, 601))]
+        drive_mixed(symbols, sigma, rng, done, kinds=("word", "word", "word", "append", "append", "run"))
+    assert done["word"] > 150 and done["append"] > 150, done
 
 
 def test_stale_positions_are_rejected():
