@@ -16,14 +16,21 @@ appends each new rule's segment (append).  grammar.check_irreducible builds
 one over a grammar's working array, its ids ranked, and asks select() once:
 IG3 holds iff no pair occurs twice.
 
-Layout (Larsson & Moffat, "Off-line dictionary-based compression", Proc.
-IEEE 88(11), 2000).  The string lives in flat per-position arrays: symbol,
-next and previous live position.  Every active pair is one record, its
-occurrence count and the head and tail of its occurrence thread; the
-occurrences are threaded in position order through per-position
-next-occurrence, previous-occurrence and record (``pid``) arrays.  All of
-it is held in stdlib ``array`` typed arrays, built by one numpy pass over
-the string, which comes in and goes out as one int64 array.
+Layout (after Larsson & Moffat, "Off-line dictionary-based compression",
+Proc. IEEE 88(11), 2000).  The string lives in flat per-position arrays:
+symbol, next and previous live position, and the record of the pair that
+starts there (``pid``, or -1).  Every active pair is one record: its exact
+occurrence count and its thread, the segment occ[beg:end] of one shared
+occurrence array, in position order.  A thread entry p is live iff pid[p]
+is the thread's record.  An occurrence that dies or changes pair only has
+its record's count lowered and its pid overwritten; its entry stays
+behind, stale, until select() moves the thread's start past it or occ is
+rebuilt.  A new pair's thread goes onto the end of occ whole, and a record
+that an append joins has its thread moved to the end first, unless it is
+there already.  Once occ holds more than twice as many entries as there
+are positions, one numpy pass keeps only the live entries.  All of it is
+held in stdlib ``array`` typed arrays, built by one numpy pass over the
+string, which comes in and goes out as one int64 array.
 
 A replacement keeps the left position of each occurrence and links past
 the right one, which dies; no link ever returns to a dead position, and
@@ -73,8 +80,9 @@ class PairEngine:
             raise ValueError("the string must be nonempty")
         # positions and record ids (one per pair occurring twice when built,
         # at most one per replaced occurrence after) stay below 4 * total
-        # with Greedy's appended rule segments
-        self._typecode = "i" if 4 * total < 1 << 31 else "q"
+        # with Greedy's appended rule segments, and occ, at most twice the
+        # positions between two operations, below four times them
+        self._typecode = "i" if 16 * total < 1 << 31 else "q"
         dt = np.int32 if self._typecode == "i" else np.int64
         self.alive = total
 
@@ -103,34 +111,34 @@ class PairEngine:
         del a, b
         first = np.flatnonzero(fresh)
         size = np.diff(np.append(first, m))
+        del first
         active = size >= 2
-        rec = np.full(len(first), -1, dtype=dt)
+        rec = np.full(len(size), -1, dtype=dt)
         rec[active] = np.arange(int(active.sum()), dtype=dt)
         pid = np.full(total, -1, dtype=dt)
         pid[occ] = rec[np.cumsum(fresh) - 1]
-        del rec
-        # a single occurrence threads to nothing on either side
-        onx = np.full(total, -1, dtype=dt)
-        onx[occ[:-1]] = np.where(fresh[1:], -1, occ[1:])
-        opv = np.full(total, -1, dtype=dt)
-        opv[occ[1:]] = np.where(fresh[1:], -1, occ[:-1])
-        del fresh
+        del rec, fresh
         self.pid = self._array(pid)  # the record of the pair at each position, or -1
-        self._onx = self._array(onx)
-        self._opv = self._array(opv)
-        del pid, onx, opv
-
-        first = first[active]
+        del pid
+        occ = occ[np.repeat(active, size)]  # the active groups, one thread each
         count = size[active]
-        head = occ[first]
+        del size, active
+        end = np.cumsum(count)
+        beg = end - count
+        head = occ[beg]
+        self._occ = self._array(occ)
+        del occ
         self._cnt = self._array(count)
-        self._head = self._array(head)
-        self._tail = self._array(occ[first + count - 1])
+        self._beg = self._array(beg)
+        self._end = self._array(end)
+        del beg, end
         self._heap = list(zip((-count).tolist(), head.tolist(), range(len(count))))
         heapq.heapify(self._heap)
 
     def _array(self, values) -> array:
-        return array(self._typecode, np.ascontiguousarray(values, dtype=self._typecode).tobytes())
+        out = array(self._typecode)
+        out.frombytes(memoryview(np.ascontiguousarray(values, dtype=self._typecode)).cast("B"))
+        return out
 
     def select(self):
         """Most frequent pair with count >= 2, ties to leftmost first occurrence.
@@ -138,34 +146,38 @@ class PairEngine:
         Returns (pair, count, first, positions) or None.
         """
         heap = self._heap
-        cnt, head, onx, sym, nxt = self._cnt, self._head, self._onx, self.sym, self.nxt
+        cnt, beg, end, occ, pid = self._cnt, self._beg, self._end, self._occ, self.pid
+        sym, nxt = self.sym, self.nxt
         while heap:
             negub, fp, k = heap[0]
             c = cnt[k]
             if c < 2:
                 heapq.heappop(heap)
                 continue
-            h = head[k]
+            i = beg[k]
+            h = occ[i]
+            if pid[h] != k:  # move the thread's start past its stale head
+                i += 1
+                while pid[occ[i]] != k:
+                    i += 1
+                beg[k] = i
+                h = occ[i]
             if c < -negub or h != fp:
                 heapq.heapreplace(heap, (-c, h, k))
                 continue
             a = sym[h]
             b = sym[nxt[h]]
-            positions = []
-            p = h
             if a != b:
-                while p != -1:
-                    positions.append(p)
-                    p = onx[p]
+                positions = [p for p in occ[i : end[k]] if pid[p] == k]
             else:
                 # greedy left-to-right: skip an occurrence that overlaps
                 # the last one taken
+                positions = []
                 last = -1
-                while p != -1:
-                    if last == -1 or nxt[last] != p:
+                for p in occ[i : end[k]]:
+                    if pid[p] == k and (last == -1 or nxt[last] != p):
                         positions.append(p)
                         last = p
-                    p = onx[p]
             count = len(positions)
             if count < 2:
                 heapq.heappop(heap)
@@ -179,15 +191,12 @@ class PairEngine:
         """The left-to-right non-overlapping occurrences of word, whose first
         pair is record's, in position order.  The word holds no separator
         and the string ends with one, so no match runs off the end."""
-        if not self._cnt[record]:
-            return []  # a fully replaced pair's thread is left behind
-        sym, nxt, onx = self.sym, self.nxt, self._onx
+        sym, nxt, pid = self.sym, self.nxt, self.pid
         rest = word[1:]
         taken = []
         end = -1  # the last position of the last occurrence taken
-        p = self._head[record]
-        while p != -1:
-            if p > end:
+        for p in self._occ[self._beg[record] : self._end[record]]:
+            if p > end and pid[p] == record:
                 e = p
                 for s in rest:
                     e = nxt[e]
@@ -196,42 +205,23 @@ class PairEngine:
                 else:
                     taken.append(p)
                     end = e
-            p = onx[p]
         return taken
 
     def replace(self, pair, positions, new_symbol):
         """Replace the given disjoint occurrences of pair, in position order,
         with new_symbol, which occurs nowhere but at these positions.
 
-        When every occurrence in the pair's thread goes, its record is
-        dropped whole; when some stay (those of another word, or of a run
-        that overlap the replaced ones), each replaced occurrence is taken
-        out of the thread first.
+        Every occurrence that dies or changes pair leaves its thread's entry
+        stale; when none of the pair's occurrences stay, its record is
+        dropped whole.
         """
         a, b = pair
-        sym, nxt, prv = self.sym, self.nxt, self.prv
-        pid, onx, opv = self.pid, self._onx, self._opv
-        cnt, head, tail = self._cnt, self._head, self._tail
+        sym, nxt, prv, pid, cnt = self.sym, self.nxt, self.prv, self.pid, self._cnt
         p = positions[0]
         sel = pid[p]
         if sel == -1 or sym[p] != a or sym[nxt[p]] != b:
             raise AssertionError("stale replacement position")
-        partial = len(positions) < cnt[sel]
-        if partial:
-            for p in positions:
-                if pid[p] != sel:
-                    raise AssertionError("stale replacement position")
-                o = onx[p]
-                v = opv[p]
-                if v == -1:
-                    head[sel] = o
-                else:
-                    onx[v] = o
-                if o != -1:
-                    opv[o] = v
-                else:
-                    tail[sel] = v
-            cnt[sel] -= len(positions)
+        cnt[sel] -= len(positions)
         left: dict = {}   # c -> positions of (c, new_symbol)
         right: dict = {}  # d -> positions of (new_symbol, d)
         following = positions[1:]
@@ -242,37 +232,17 @@ class PairEngine:
             q = nxt[p]
             pl = prv[p]
             nr = nxt[q]
-            # unlink the occurrences at q, (b, sym[nr]) or in a run the
-            # selected pair's own, and at pl, (sym[pl], a); q dies
+            # the occurrences at q, (b, sym[nr]) or in a run the selected
+            # pair's own, and at pl, (sym[pl], a), go; q dies
             k = pid[q]
             if k != -1:
                 pid[q] = -1
-                o = onx[q]
-                v = opv[q]
-                if v == -1:
-                    head[k] = o
-                else:
-                    onx[v] = o
-                if o != -1:
-                    opv[o] = v
-                else:
-                    tail[k] = v
                 cnt[k] -= 1
             sym[p] = new_symbol
             nxt[p] = nr
             if pl != -1:
                 k = pid[pl]
                 if k != -1:
-                    o = onx[pl]
-                    v = opv[pl]
-                    if v == -1:
-                        head[k] = o
-                    else:
-                        onx[v] = o
-                    if o != -1:
-                        opv[o] = v
-                    else:
-                        tail[k] = v
                     cnt[k] -= 1
                 c = sym[pl]
                 at = left.get(c)
@@ -294,26 +264,20 @@ class PairEngine:
                 else:
                     at.append(p)
         self.alive -= len(positions)
-        if not partial:
-            cnt[sel] = 0
+        occ, beg, end = self._occ, self._beg, self._end
         for at in chain(left.values(), right.values()):
-            prev = at[0]
             if len(at) == 1:
-                pid[prev] = -1
+                pid[at[0]] = -1
                 continue
             k = len(cnt)
             cnt.append(len(at))
-            head.append(prev)
-            tail.append(at[-1])
-            heapq.heappush(self._heap, (-len(at), prev, k))
-            pid[prev] = k
-            opv[prev] = -1
-            for p in at[1:]:
-                onx[prev] = p
-                opv[p] = prev
+            beg.append(len(occ))
+            occ.extend(at)
+            end.append(len(occ))
+            heapq.heappush(self._heap, (-len(at), at[0], k))
+            for p in at:
                 pid[p] = k
-                prev = p
-            onx[prev] = -1
+        self._bound()
 
     def append(self, symbols, records):
         """Append symbols after the string's last symbol, a separator.
@@ -322,31 +286,54 @@ class PairEngine:
         symbols[i] joins, at its end, or -1 for a pair that occurs only
         there (one that holds a separator, say).
         """
-        nxt, cnt, head, tail, onx, opv = self.nxt, self._cnt, self._head, self._tail, self._onx, self._opv
+        nxt, cnt, beg, end, occ = self.nxt, self._cnt, self._beg, self._end, self._occ
         start = len(nxt)
-        end = start + len(symbols)
+        end_ = start + len(symbols)
         nxt[start - 1] = start
         self.sym.extend(symbols)
-        nxt.extend(range(start + 1, end))
+        nxt.extend(range(start + 1, end_))
         nxt.append(-1)
-        self.prv.extend(range(start - 1, end - 1))
+        self.prv.extend(range(start - 1, end_ - 1))
         self.pid.extend(records)
-        onx.extend([-1] * len(symbols))
-        opv.extend([-1] * len(symbols))
+        joins: dict = {}  # record -> its new positions, ascending
         for p, k in enumerate(records, start):
-            if k == -1:
-                continue
-            if cnt[k]:
-                onx[tail[k]] = p
-                opv[p] = tail[k]
-            else:
-                head[k] = p  # an empty or dropped thread starts afresh
-            tail[k] = p
-            cnt[k] += 1
-        for k in dict.fromkeys(records):
-            if k != -1 and cnt[k] >= 2:
-                heapq.heappush(self._heap, (-cnt[k], head[k], k))
+            if k != -1:
+                joins.setdefault(k, []).append(p)
+        for k, at in joins.items():
+            if not cnt[k]:
+                beg[k] = len(occ)  # an empty or dropped thread starts afresh
+            elif end[k] != len(occ):
+                b = len(occ)
+                occ.extend(occ[beg[k] : end[k]])
+                beg[k] = b
+            occ.extend(at)
+            end[k] = len(occ)
+            cnt[k] += len(at)
+            if cnt[k] >= 2:
+                heapq.heappush(self._heap, (-cnt[k], occ[beg[k]], k))
         self.alive += len(symbols)
+        self._bound()
+
+    def _bound(self):
+        """Keep only the live thread entries once occ holds more than twice
+        as many entries as there are positions; every thread keeps its
+        order, and a dropped one becomes empty."""
+        if len(self._occ) <= 2 * len(self.nxt):
+            return
+        tc = self._typecode
+        occ = np.frombuffer(self._occ, dtype=tc)
+        beg = np.frombuffer(self._beg, dtype=tc)
+        end = np.frombuffer(self._end, dtype=tc)
+        owner = np.frombuffer(self.pid, dtype=tc)[occ]
+        at = np.arange(len(occ), dtype=tc)
+        # a moved thread's old copy lies outside its record's segment
+        live = (owner != -1) & (beg[owner] <= at) & (at < end[owner])
+        del owner, at
+        kept = np.zeros(len(occ) + 1, dtype=tc)
+        np.cumsum(live, out=kept[1:])
+        self._occ = self._array(occ[live])
+        self._beg = self._array(kept[beg])
+        self._end = self._array(kept[end])
 
     def symbols(self) -> np.ndarray:
         """The working string, as an int64 array."""

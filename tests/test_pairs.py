@@ -10,7 +10,11 @@ from collections import Counter
 
 import pytest
 
+from conftest import block_copies
+from gclab import greedy, repair
+from gclab.labcli import fixture_text
 from gclab.pairs import PairEngine
+from gclab.textcore import Text
 
 
 def brute_select(model):
@@ -239,3 +243,34 @@ def test_engine_bytes_per_symbol():
         tracemalloc.stop()
     assert x - 256 > 5000
     assert peak / n <= ENGINE_BYTES_PER_SYMBOL, peak / n
+
+
+class Watched(PairEngine):
+    """A PairEngine that records, after every replacement and append, how
+    many occurrence entries it holds per position."""
+
+    fills: list = []
+
+    def replace(self, *args):
+        super().replace(*args)
+        self.fills.append(len(self._occ) / len(self.nxt))
+
+    def append(self, *args):
+        super().append(*args)
+        self.fills.append(len(self._occ) / len(self.nxt))
+
+
+@pytest.mark.parametrize("algorithm,text", [
+    ("repair", Text.from_bytes(random.Random(17).randbytes(1 << 14))),
+    ("greedy", fixture_text("worst:4096")),
+    ("greedy", block_copies(512, 8, 512, 2)),
+], ids=["repair-random", "greedy-worst", "greedy-blocks"])
+def test_occurrence_store_stays_bounded(monkeypatch, algorithm, text):
+    """Stale thread entries never make occ outgrow twice the positions."""
+    module = repair if algorithm == "repair" else greedy
+    monkeypatch.setattr(module, "PairEngine", Watched)
+    monkeypatch.setattr(Watched, "fills", [])
+    run = repair.repair_run if algorithm == "repair" else greedy.greedy_run
+    grammar, _ = run(text)
+    assert grammar.expand_start() == text.symbols
+    assert Watched.fills and max(Watched.fills) <= 2, max(Watched.fills)
