@@ -49,7 +49,9 @@ of its pairs, the record whose thread it joins.
 
 Selection is deterministic: maximum count first, then leftmost first
 occurrence.  A lazy max-heap holds (count upper bound, first-position lower
-bound) keys.  Replacements only lower counts and move first occurrences
+bound) keys, each packed into one int, ((LIM - count) << 2B) | (first << B)
+| record, B the bit width of the typed arrays and LIM = 2^B, whose order is
+that of the (-count, first, record) tuple.  Replacements only lower counts and move first occurrences
 right, so an old key stays a valid bound and only new pairs get a push;
 an append pushes a key for every record it raises.  The entry at the top
 is revalidated against the exact count, which differs from the raw
@@ -83,6 +85,7 @@ class PairEngine:
         # with Greedy's appended rule segments, and occ, at most twice the
         # positions between two operations, below four times them
         self._typecode = "i" if 16 * total < 1 << 31 else "q"
+        self._bits = 31 if self._typecode == "i" else 63
         dt = np.int32 if self._typecode == "i" else np.int64
         self.alive = total
 
@@ -132,8 +135,13 @@ class PairEngine:
         self._beg = self._array(beg)
         self._end = self._array(end)
         del beg, end
-        self._heap = list(zip((-count).tolist(), head.tolist(), range(len(count))))
+        self._heap = [self._key(c, h, k)
+                      for k, (c, h) in enumerate(zip(count.tolist(), head.tolist()))]
         heapq.heapify(self._heap)
+
+    def _key(self, count, first, record) -> int:
+        bits = self._bits
+        return ((1 << bits) - count) << 2 * bits | first << bits | record
 
     def _array(self, values) -> array:
         out = array(self._typecode)
@@ -148,8 +156,11 @@ class PairEngine:
         heap = self._heap
         cnt, beg, end, occ, pid = self._cnt, self._beg, self._end, self._occ, self.pid
         sym, nxt = self.sym, self.nxt
+        key_of, bits = self._key, self._bits
+        lim, mask, top = 1 << bits, (1 << bits) - 1, 2 * bits
         while heap:
-            negub, fp, k = heap[0]
+            key = heap[0]
+            k = key & mask
             c = cnt[k]
             if c < 2:
                 heapq.heappop(heap)
@@ -162,8 +173,9 @@ class PairEngine:
                     i += 1
                 beg[k] = i
                 h = occ[i]
-            if c < -negub or h != fp:
-                heapq.heapreplace(heap, (-c, h, k))
+            ub = lim - (key >> top)
+            if c < ub or h != (key >> bits) & mask:
+                heapq.heapreplace(heap, key_of(c, h, k))
                 continue
             a = sym[h]
             b = sym[nxt[h]]
@@ -182,9 +194,9 @@ class PairEngine:
             if count < 2:
                 heapq.heappop(heap)
                 continue
-            if count == -negub:
+            if count == ub:
                 return (a, b), count, h, positions
-            heapq.heapreplace(heap, (-count, h, k))
+            heapq.heapreplace(heap, key_of(count, h, k))
         return None
 
     def occurrences(self, record, word) -> list[int]:
@@ -274,7 +286,7 @@ class PairEngine:
             beg.append(len(occ))
             occ.extend(at)
             end.append(len(occ))
-            heapq.heappush(self._heap, (-len(at), at[0], k))
+            heapq.heappush(self._heap, self._key(len(at), at[0], k))
             for p in at:
                 pid[p] = k
         self._bound()
@@ -310,7 +322,7 @@ class PairEngine:
             end[k] = len(occ)
             cnt[k] += len(at)
             if cnt[k] >= 2:
-                heapq.heappush(self._heap, (-cnt[k], occ[beg[k]], k))
+                heapq.heappush(self._heap, self._key(cnt[k], occ[beg[k]], k))
         self.alive += len(symbols)
         self._bound()
 
