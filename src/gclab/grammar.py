@@ -222,15 +222,23 @@ class IrreducibilityResult:
         return self.ig1 and self.ig2 and self.ig3
 
 
-def _ig2_witness(grammar: FullGrammar) -> int | None:
-    """First nonterminal occurring fewer than twice across S' and the rules."""
-    occ = Counter()
-    for seg in grammar.rhs_segments():
-        occ.update(s for s in seg if s >= grammar.sigma)
-    for i in range(len(grammar.rules)):
-        if occ[grammar.sigma + i] < 2:
-            return grammar.sigma + i
-    return None
+def _flat_ids(grammar: FullGrammar) -> tuple[np.ndarray, np.ndarray]:
+    """S' and the rules' right-hand sides as one id array, and the ascending
+    offset where each segment ends.  Ids past int64 (sigma may be any int)
+    are objects."""
+    segments = grammar.rhs_segments()
+    ends = np.cumsum([len(seg) for seg in segments])
+    dtype = np.int64 if grammar.sigma + len(grammar.rules) <= 1 << 63 else object
+    return np.fromiter(chain.from_iterable(segments), dtype=dtype, count=ends[-1]), ends
+
+
+def _ig2_witness(grammar: FullGrammar, flat: np.ndarray) -> int | None:
+    """First nonterminal occurring fewer than twice across S' and the rules,
+    counted over their flat ids (_flat_ids)."""
+    sigma = grammar.sigma
+    uses = (flat[flat >= sigma] - sigma).astype(np.int64)  # below |G|
+    under = np.flatnonzero(np.bincount(uses, minlength=len(grammar.rules)) < 2)
+    return sigma + int(under[0]) if len(under) else None
 
 
 def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
@@ -252,14 +260,10 @@ def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
             break
         seen[exp] = i
 
-    ig2_w = _ig2_witness(grammar)
-
-    segments = grammar.rhs_segments()
-    ends = np.cumsum([len(seg) for seg in segments])
-    # ids past int64 (sigma may be any int) stay objects until ranked
-    dtype = np.int64 if grammar.sigma + len(grammar.rules) <= 1 << 63 else object
-    ids, work = np.unique(np.fromiter(chain.from_iterable(segments), dtype=dtype, count=ends[-1]),
-                          return_inverse=True)
+    flat, ends = _flat_ids(grammar)
+    ig2_w = _ig2_witness(grammar, flat)
+    ids, work = np.unique(flat, return_inverse=True)
+    del flat
     work = _join(work, ends)
     best = PairEngine(work).select()
     ig3_w = None if best is None else tuple(ids[list(best[0])].tolist())
@@ -323,7 +327,7 @@ class ExpansionSumResult:
 
 def expansion_sum_check(grammar: FullGrammar) -> ExpansionSumResult:
     """Under IG2, the expansions of all rule right-hand sides sum to <= 2|S|."""
-    if _ig2_witness(grammar) is not None:
+    if _ig2_witness(grammar, _flat_ids(grammar)[0]) is not None:
         return ExpansionSumResult(False, None, None, None)
     total = sum(grammar.expansion_lengths())
     n = sum(grammar._symbol_lengths(grammar.start))

@@ -185,6 +185,11 @@ def test_ig2_witness():
     g = FullGrammar(2, (2, 0), [(0, 1)])
     res = check_irreducible(g)
     assert not res.ig2 and res.ig2_witness == 2
+    big = 1 << 70  # ids past int64
+    g = FullGrammar(big, (big + 1, big + 1, 0), [(0, 1), (big, 1)])
+    res = check_irreducible(g)
+    assert not res.ig2 and res.ig2_witness == big
+    assert not expansion_sum_check(g).applicable
 
 
 def ig3_inputs(rng, letters):
