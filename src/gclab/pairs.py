@@ -166,13 +166,10 @@ class PairEngine:
                 heapq.heappop(heap)
                 continue
             i = beg[k]
-            h = occ[i]
-            if pid[h] != k:  # move the thread's start past its stale head
+            while pid[occ[i]] != k:  # move the thread's start past stale entries
                 i += 1
-                while pid[occ[i]] != k:
-                    i += 1
-                beg[k] = i
-                h = occ[i]
+            beg[k] = i
+            h = occ[i]
             ub = lim - (key >> top)
             if c < ub or h != (key >> bits) & mask:
                 heapq.heapreplace(heap, key_of(c, h, k))
@@ -327,25 +324,29 @@ class PairEngine:
         self._bound()
 
     def _bound(self):
-        """Keep only the live thread entries once occ holds more than twice
-        as many entries as there are positions; every thread keeps its
-        order, and a dropped one becomes empty."""
+        """Once occ holds more than twice as many entries as there are
+        positions, keep only the live ones, in place; every thread keeps its
+        order.  An entry is live iff its position's record's segment holds
+        it (a moved thread's old copy lies outside), tested a chunk at a
+        time, so the temporaries stay small."""
         if len(self._occ) <= 2 * len(self.nxt):
             return
         tc = self._typecode
-        occ = np.frombuffer(self._occ, dtype=tc)
-        beg = np.frombuffer(self._beg, dtype=tc)
-        end = np.frombuffer(self._end, dtype=tc)
-        owner = np.frombuffer(self.pid, dtype=tc)[occ]
-        at = np.arange(len(occ), dtype=tc)
-        # a moved thread's old copy lies outside its record's segment
-        live = (owner != -1) & (beg[owner] <= at) & (at < end[owner])
-        del owner, at
-        kept = np.zeros(len(occ) + 1, dtype=tc)
+        occ, beg, end, pid = (np.frombuffer(a, dtype=tc)
+                              for a in (self._occ, self._beg, self._end, self.pid))
+        live = np.empty(len(occ), dtype=bool)
+        for at in range(0, len(occ), 1 << 16):
+            owner = pid[occ[at : at + (1 << 16)]]
+            i = np.arange(at, at + len(owner), dtype=tc)
+            live[at : at + len(owner)] = (owner != -1) & (beg[owner] <= i) & (i < end[owner])
+        kept = np.zeros(len(occ) + 1, dtype=tc)  # live entries before each index
         np.cumsum(live, out=kept[1:])
-        self._occ = self._array(occ[live])
-        self._beg = self._array(kept[beg])
-        self._end = self._array(kept[end])
+        beg[:] = kept[beg]
+        end[:] = kept[end]
+        m = int(kept[-1])
+        occ[:m] = occ[live]
+        del occ, live, kept  # release the buffer before it shrinks
+        del self._occ[m:]
 
     def symbols(self) -> np.ndarray:
         """The working string, as an int64 array."""
