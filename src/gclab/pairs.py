@@ -50,11 +50,11 @@ of its pairs, the record whose thread it joins.
 Selection is deterministic: maximum count first, then leftmost first
 occurrence.  A lazy max-heap holds (count upper bound, first-position lower
 bound) keys, each packed into one int, ((LIM - count) << 2B) | (first << B)
-| record, B the bit width of the typed arrays and LIM = 2^B, whose order is
-that of the (-count, first, record) tuple.  Replacements only lower counts and move first occurrences
-right, so an old key stays a valid bound and only new pairs get a push;
-an append pushes a key for every record it raises.  The entry at the top
-is revalidated against the exact count, which differs from the raw
+| record, B the bit width of the typed arrays and LIM = 2^B, which orders
+as (-count, first, record).  Replacements only lower counts and move first
+occurrences right, so an old key stays a valid bound and only new pairs get
+a push; an append pushes a key for every record it raises.  The entry at
+the top is revalidated against the exact count, which differs from the raw
 occurrence count only in runs such as ``aaaa``.
 """
 
@@ -297,12 +297,12 @@ class PairEngine:
         """
         nxt, cnt, beg, end, occ = self.nxt, self._cnt, self._beg, self._end, self._occ
         start = len(nxt)
-        end_ = start + len(symbols)
+        stop = start + len(symbols)
         nxt[start - 1] = start
         self.sym.extend(symbols)
-        nxt.extend(range(start + 1, end_))
+        nxt.extend(range(start + 1, stop))
         nxt.append(-1)
-        self.prv.extend(range(start - 1, end_ - 1))
+        self.prv.extend(range(start - 1, stop - 1))
         self.pid.extend(records)
         joins: dict = {}  # record -> its new positions, ascending
         for p, k in enumerate(records, start):
