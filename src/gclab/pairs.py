@@ -21,16 +21,14 @@ Proc. IEEE 88(11), 2000).  The string lives in flat per-position arrays:
 symbol, next and previous live position, and the record of the pair that
 starts there (``pid``, or -1).  Every active pair is one record: its exact
 occurrence count and its thread, the segment occ[beg:end] of one shared
-occurrence array, in position order.  A thread entry p is live iff pid[p]
-is the thread's record.  An occurrence that dies or changes pair only has
-its record's count lowered and its pid overwritten; its entry stays
-behind, stale, until select() moves the thread's start past it or occ is
-rebuilt.  A new pair's thread goes onto the end of occ whole, and a record
-that an append joins has its thread moved to the end first, unless it is
-there already.  Once occ holds more than twice as many entries as there
-are positions, one numpy pass keeps only the live entries.  All of it is
-held in stdlib ``array`` typed arrays, built by one numpy pass over the
-string, which comes in and goes out as one int64 array.
+occurrence array, in position order.  An entry p is live iff pid[p] is the
+thread's record: an occurrence that dies or changes pair only lowers its
+record's count and has its pid overwritten, and its entry stays, stale.  A
+new pair's thread goes onto the end of occ whole; an append moves a thread
+it joins to the end first.  Once occ holds more than twice as many entries
+as there are positions, one numpy pass keeps only the live ones.  It is
+all held in stdlib ``array`` typed arrays, built by one numpy pass over
+the string, which comes in and goes out as one int64 array.
 
 A replacement keeps the left position of each occurrence and links past
 the right one, which dies; no link ever returns to a dead position, and
@@ -81,9 +79,8 @@ class PairEngine:
         if not total:
             raise ValueError("the string must be nonempty")
         # positions and record ids (one per pair occurring twice when built,
-        # at most one per replaced occurrence after) stay below 4 * total
-        # with Greedy's appended rule segments, and occ, at most twice the
-        # positions between two operations, below four times them
+        # at most one per replaced occurrence after) stay below 4 * total with
+        # Greedy's rule segments; occ (<= 2 per position between operations) 4x
         self._typecode = "i" if 16 * total < 1 << 31 else "q"
         self._bits = 31 if self._typecode == "i" else 63
         dt = np.int32 if self._typecode == "i" else np.int64
@@ -131,9 +128,7 @@ class PairEngine:
         head = occ[beg]
         self._occ = self._array(occ)
         del occ
-        self._cnt = self._array(count)
-        self._beg = self._array(beg)
-        self._end = self._array(end)
+        self._cnt, self._beg, self._end = map(self._array, (count, beg, end))
         del beg, end
         self._heap = [self._key(c, h, k)
                       for k, (c, h) in enumerate(zip(count.tolist(), head.tolist()))]
@@ -324,28 +319,32 @@ class PairEngine:
         self._bound()
 
     def _bound(self):
-        """Once occ holds more than twice as many entries as there are
-        positions, keep only the live ones, in place; every thread keeps its
-        order.  An entry is live iff its position's record's segment holds
-        it (a moved thread's old copy lies outside), tested a chunk at a
-        time, so the temporaries stay small."""
+        """Once occ holds over twice as many entries as there are positions,
+        keep the live ones in place, in order, a chunk at a time.  An entry
+        is live iff its position's record's segment holds it (a moved
+        thread's old copy lies outside), so a thread's live entries are one run."""
         if len(self._occ) <= 2 * len(self.nxt):
             return
         tc = self._typecode
         occ, beg, end, pid = (np.frombuffer(a, dtype=tc)
                               for a in (self._occ, self._beg, self._end, self.pid))
-        live = np.empty(len(occ), dtype=bool)
+        first, stop = np.zeros(len(beg), dtype=tc), np.zeros(len(end), dtype=tc)
+        m, last = 0, -1  # live entries kept so far, and the last one's record
         for at in range(0, len(occ), 1 << 16):
-            owner = pid[occ[at : at + (1 << 16)]]
-            i = np.arange(at, at + len(owner), dtype=tc)
-            live[at : at + len(owner)] = (owner != -1) & (beg[owner] <= i) & (i < end[owner])
-        kept = np.zeros(len(occ) + 1, dtype=tc)  # live entries before each index
-        np.cumsum(live, out=kept[1:])
-        beg[:] = kept[beg]
-        end[:] = kept[end]
-        m = int(kept[-1])
-        occ[:m] = occ[live]
-        del occ, live, kept  # release the buffer before it shrinks
+            chunk = occ[at : at + (1 << 16)]
+            owner = pid[chunk]
+            i = np.arange(at, at + len(chunk), dtype=tc)
+            live = (owner != -1) & (beg[owner] <= i) & (i < end[owner])
+            owner = owner[live]
+            occ[m : m + len(owner)] = chunk[live]
+            runs = np.flatnonzero(np.diff(owner, prepend=last))
+            first[owner[runs]] = m + runs
+            runs = np.flatnonzero(np.diff(owner, append=-1))
+            stop[owner[runs]] = m + runs + 1
+            m += len(owner)
+            last = owner[-1] if len(owner) else last
+        beg[:], end[:] = first, stop
+        del occ, chunk  # release the buffer before it shrinks
         del self._occ[m:]
 
     def symbols(self) -> np.ndarray:
