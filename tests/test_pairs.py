@@ -222,9 +222,11 @@ def test_stale_positions_are_rejected():
 
 
 # Peak traced bytes per input symbol, building the engine over 2^16 random
-# bytes and running it to the end, was 87 (the build's numpy temporaries;
-# 68 when built) on CPython 3.11 / numpy 2.4, against 419 for the engine
-# that kept a dict of positions per pair.  The bound leaves about 50% headroom.
+# bytes and running it to the end, is 56 (the build's numpy temporaries; 40
+# when built, 27 held at the end) on CPython 3.11 / numpy 2.4.  It was 88
+# (69 built, 35 at the end) with doubly linked occurrence threads and a
+# tuple per heap entry, and 419 for the engine that kept a dict of positions
+# per pair.  The bound is unchanged.
 ENGINE_BYTES_PER_SYMBOL = 128
 
 
