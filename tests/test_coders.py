@@ -517,6 +517,19 @@ def test_incremental_rule_cycle_is_malformed():
         from_container(data)
 
 
+def test_incremental_symbol_id_out_of_range_is_malformed():
+    # sigma 2, one rule whose delta-coded first component is 5 (the id 4,
+    # past sigma + |G| = 3), then a valid codebook and S'
+    width = symbol_width(2, 1)
+    w = BitWriter()
+    values, widths = _delta_fields(5)
+    w.write_fields([*values, 0], [*widths, width])
+    w.write_bytes(build_codebook([0], 3).serialized)
+    w.write_fields([0], [1])
+    with pytest.raises(MalformedStreamError, match="^symbol id out of range$"):
+        decode("incremental", w.freeze(), 2, 1, 1)
+
+
 def test_truncated_payload_is_malformed():
     g = FullGrammar(3, tuple(range(3)) * 4, [(0, 1), (3, 2)])
     stream, _ = encode(g, "entropy")

@@ -1,9 +1,13 @@
+import dataclasses
+import hashlib
+import json
+import re
 import time
 
 import pytest
 
 from conftest import random_text
-from gclab.coders import from_container, to_container
+from gclab.coders import ENCODINGS, from_container, to_container
 from gclab.grammar import (
     MAX_EXPANSION,
     MAX_FILL,
@@ -72,6 +76,116 @@ def test_validation():
         FullGrammar(2, (0,), [(3,)])  # forward reference
     with pytest.raises(ValueError):
         FullGrammar(2, (5,), [(0, 1)])  # undefined id in start
+
+
+@pytest.mark.parametrize("sigma, start, rules, message", [
+    (2, (0,), [()], "rule 0 has an empty right-hand side"),
+    (2, (0,), [(3,)], "rule 0 references id 3, not previously defined"),
+    (2, (0,), [(2,)], "rule 0 references id 2, not previously defined"),
+    (2, (0,), [(0, -1)], "rule 0 references id -1, not previously defined"),
+    (2, (5,), [(0, 1)], "start references undefined id 5"),
+    (2, (0, -3), [], "start references undefined id -3"),
+    (2, (1 << 70,), [(0, 1)], f"start references undefined id {1 << 70}"),
+    (2, (0,), [(0, 1), (1, 1 << 64, 2)], f"rule 1 references id {1 << 64}, not previously defined"),
+    (0, (0,), [], "sigma must be >= 1"),
+    # several bad rules: the lowest rule is reported, and inside it the
+    # first offending id; the start is checked after every rule
+    (2, (9,), [(0, 1), (0, 4, 7), ()], "rule 1 references id 4, not previously defined"),
+    (2, (9,), [(0, 1), (), (0, 9)], "rule 1 has an empty right-hand side"),
+    (2, (9, 7), [(0, 1), (2, 0)], "start references undefined id 9"),
+    (2**64 + 3, (0,), [(0, 2**64 + 3)], f"rule 0 references id {2**64 + 3}, not previously defined"),
+    (2**64 + 3, (2**64 + 4,), [(1, 2)], f"start references undefined id {2**64 + 4}"),
+])
+def test_validation_messages(sigma, start, rules, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        FullGrammar(sigma, start, rules)
+
+
+def view_cases(golden_grammars):
+    yield from expansion_cases(golden_grammars)
+    big = 2**64 + 3  # ids past int64
+    yield ("big", "sigma"), FullGrammar(big, (big + 1, 0, big + 1, big), [(0, big - 1), (big, 1)])
+
+
+def grammar_views(g):
+    """Every public view of a grammar, in a form json can digest."""
+    x = range(g.sigma, g.sigma + len(g.rules))
+    return {
+        "sigma": g.sigma,
+        "start": g.start,
+        "rules": g.rules,
+        "rhs": [g.rhs(s) for s in x],
+        "segments": g.rhs_segments(),
+        "concat": g.rhs_concat(),
+        "cnf": g.is_cnf,
+        "lengths": g.expansion_lengths(),
+        "metrics": dataclasses.astuple(metrics(g)),
+        "gcl1": to_binary(g).hex(),
+        "dump": to_text_dump(g),
+    }
+
+
+def grammar_routes(g):
+    """The grammar through the constructor, GCL1 and each GCB1 encoding
+    that can code it.  The incremental decoder renames the rules, so its
+    grammar may differ from g by a renaming."""
+    yield "constructor", FullGrammar(g.sigma, g.start, g.rules)
+    yield "gcl1", from_binary(to_binary(g))
+    for enc in ENCODINGS:
+        try:
+            data = to_container(g, enc)
+        except ValueError:  # not CNF, or a codebook domain over the cap
+            continue
+        yield enc, from_container(data)[0]
+
+
+def check_view_types(g, key):
+    assert type(g.start) is tuple and type(g.rules) is tuple, key
+    assert all(type(r) is tuple for r in g.rules), key
+    assert type(g.rhs_segments()) is list and type(g.rhs_concat()) is tuple, key
+    assert all(type(s) is int for s in g.rhs_concat()), key
+    assert all(type(n) is int for n in g.expansion_lengths()), key
+
+
+# sha256 of the json of grammar_views of the grammar and of its incremental
+# decoding (None when it is not CNF), per view_cases key
+VIEW_DIGESTS = {
+    'example32/repair': '8c3b2f8605e8fb91f693763b5454df3186185aca3d25da718ef267dbcfddbd3c',
+    'example32/greedy': '8c3b2f8605e8fb91f693763b5454df3186185aca3d25da718ef267dbcfddbd3c',
+    'example16/repair': '185e9ba136bc735b920336d1484ba116e3e3dfdaa5a49dfd651dbcf7b8de122a',
+    'example16/greedy': '185e9ba136bc735b920336d1484ba116e3e3dfdaa5a49dfd651dbcf7b8de122a',
+    'worst:64/repair': '126c6f5ac7070240a2bcde59840c63c7986504f2eb611b027fd63a2359b3ed82',
+    'worst:64/greedy': '189438010f92270defccc299a699addb6e28b567bcee5a95fe99fee1d9d7e9d2',
+    'random:4,2000,1/repair': '923c1d0e5ba84076d46d1489fb0f25b7362e925ef7c374d9fa4c16a1284f6dab',
+    'random:4,2000,1/greedy': '74f5b34876b6fa05788c059d9e4b56d1074cf3720df0fc821fe95d66457e838e',
+    'bytes:4096/repair': 'ef7ab1f71074e198dbe259c64503c5404b651d3779639b699611574f15c43cec',
+    'bytes:4096/greedy': 'ef7ab1f71074e198dbe259c64503c5404b651d3779639b699611574f15c43cec',
+    'badgrammar:5/repair': 'fb9292cb994b8d5e82f5b274de4559731d0b161fcc43caf9535eaffd309ff3ca',
+    'badgrammar:5/greedy': '87b7f334cc6ab9f9c15c0a188689a48bdf126b197609412cb611b6847ff85834',
+    'blocks:8x512/repair': 'f801221cbbe54ee9d9f7b7df4301f9f2677b233f8a9497c60454a544313c0324',
+    'blocks:8x512/greedy': '1c3a192986cc069192ff68fb9b1c05f4d3c7beddeecea9651c6231c57319538f',
+    'badgrammar/fixture': '8fa0211667435a0480582ab5e29a3064bb7c433d404d0769e670fe1ad4e85e7e',
+    'big/sigma': '679dce1ebb8c8c36d0a96a62fc4c59cbef3ef92fe7fdc2e6d156d41044965f18',
+}
+
+
+def test_public_views_pinned(golden_grammars):
+    for key, g in view_cases(golden_grammars):
+        views = grammar_views(g)
+        check_view_types(g, key)
+        renamed = None
+        for route, h in grammar_routes(g):
+            check_view_types(h, (key, route))
+            if route == "incremental":
+                assert canonicalized(h) == canonicalized(g), key
+                assert FullGrammar(h.sigma, h.start, h.rules) == h, key
+                renamed = grammar_views(h)
+                continue
+            assert h == g and g == h and hash(h) == hash(g), (key, route)
+            assert grammar_views(h) == views, (key, route)
+        digest = hashlib.sha256(json.dumps([views, renamed]).encode()).hexdigest()
+        assert digest == VIEW_DIGESTS["/".join(key)], key
+        assert g != FullGrammar(g.sigma, (*g.start, 0), g.rules), key
 
 
 def test_expand_terminal():
