@@ -38,7 +38,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
@@ -52,7 +51,7 @@ from .bits import (
     uvarint_bytes,
     uvarints,
 )
-from .grammar import FullGrammar, renumber_segments
+from .grammar import FullGrammar, _id_array, renumber_segments
 from .textcore import _h0_bits
 
 MAGIC = b"GCB1"
@@ -204,8 +203,8 @@ def _huffman_fields(seq, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     return codes[at], lengths[at]
 
 
-def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> list[int]:
-    """``count`` Huffman-coded symbols from the reader's position.
+def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarray:
+    """``count`` Huffman-coded symbols from the reader's position, as int64.
 
     Canonical decoding (Moffat & Turpin 1997): the codes of one length are
     consecutive integers assigned in symbol order, so, left-justified to the
@@ -218,7 +217,7 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> list[int
     if count > reader.remaining():
         raise MalformedStreamError(f"{count} symbols cannot fit in {reader.remaining()} bits")
     if not count:
-        return []
+        return np.zeros(0, dtype=np.int64)
     syms = np.fromiter(codebook.lengths, dtype=np.int64, count=len(codebook.lengths))
     lens = np.fromiter(codebook.lengths.values(), dtype=np.int64, count=len(syms))
     order = np.lexsort((syms, lens))
@@ -248,7 +247,7 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> list[int
         raise MalformedStreamError("invalid Huffman code")
     reader.pos = start + p
     code = (window >> (top - length[row]).astype(np.uint64)).astype(np.int64)
-    return syms[base[row] + code - first[row]].tolist()
+    return syms[base[row] + code - first[row]]
 
 
 def sequence_entropy_bits(seq) -> float:
@@ -281,7 +280,7 @@ def huffman_decode(stream: BitStream, codebook: Codebook, count: int) -> list[in
     out = _read_huffman(reader, codebook, count)
     if reader.remaining() >= 8:
         raise MalformedStreamError("trailing data after Huffman payload")
-    return out
+    return out.tolist()
 
 
 # -- Elias delta ----------------------------------------------------------------
@@ -367,27 +366,23 @@ def _fit(r: BitReader, count: int, bits: int, what: str):
         raise MalformedStreamError(f"{count} {what} cannot fit in {r.remaining()} bits")
 
 
-def _split(seq, lengths) -> list[tuple]:
-    it = iter(seq)
-    return [tuple(islice(it, n)) for n in lengths]
-
-
 def _write_rules(w: BitWriter, grammar: FullGrammar, width: int) -> int:
     """Each rule as its unary length, then its symbols in ``width`` bits;
     returns the bits spent on lengths."""
-    lengths = np.array([len(rhs) for rhs in grammar.rules], dtype=np.int64)
+    head = int(grammar.ends[0])
+    lengths = np.diff(grammar.ends)
     _check_unary(int(lengths.max(initial=0)))
-    values = []
-    for rhs in grammar.rules:
-        values.append((1 << len(rhs)) - 2)
-        values.extend(rhs)
+    body = grammar.ids[head:].astype(object if lengths.max(initial=0) > 63 else grammar.ids.dtype)
+    at = grammar.ends[:-1] - head  # each rule's first symbol in body
+    values = np.insert(body, at, [(1 << m) - 2 for m in lengths.tolist()])
     widths = np.full(len(values), width, dtype=np.int64)
-    widths[np.cumsum(lengths) - lengths + np.arange(len(lengths))] = lengths
+    widths[at + np.arange(len(lengths))] = lengths
     w.write_fields(values, widths)
     return int(lengths.sum())
 
 
-def _read_rules(r: BitReader, n_rules: int, width: int) -> list[tuple]:
+def _read_rules(r: BitReader, n_rules: int, width: int) -> tuple[list[int], list[int]]:
+    """The rules' ids, laid out as one list, and their lengths."""
     _fit(r, n_rules, 1 + width, "rules")
     starts, lengths = [], []
     p = r.pos
@@ -402,7 +397,7 @@ def _read_rules(r: BitReader, n_rules: int, width: int) -> list[tuple]:
     lengths = np.array(lengths, dtype=np.int64)
     offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     symbols = r.fields(np.repeat(np.array(starts, dtype=np.int64), lengths) + width * offsets, width)
-    return _split(symbols, lengths.tolist())
+    return symbols, lengths.tolist()
 
 
 def _write_coded(w: BitWriter, seq, domain: int) -> tuple[Codebook, int]:
@@ -415,7 +410,7 @@ def _write_coded(w: BitWriter, seq, domain: int) -> tuple[Codebook, int]:
     return cb, int(lengths.sum())
 
 
-def _read_coded(r: BitReader, count: int) -> list[int]:
+def _read_coded(r: BitReader, count: int) -> np.ndarray:
     return _read_huffman(r, parse_codebook(r), count)
 
 
@@ -424,21 +419,21 @@ def _read_coded(r: BitReader, count: int) -> list[int]:
 
 def encode_fully_naive(grammar: FullGrammar):
     w = BitWriter()
-    width = symbol_width(grammar.sigma, len(grammar.rules))
+    domain = grammar.sigma + grammar.n_rules
+    width = symbol_width(grammar.sigma, grammar.n_rules)
     lengths_side = _write_rules(w, grammar, width)
-    w.write_fields(grammar.start, width)
+    w.write_fields(grammar.ids[:grammar.ends[0]], width)
     stream = w.freeze()
-    rhs_full = len(grammar.start) + sum(len(r) for r in grammar.rules)
+    rhs_full = len(grammar.ids)
     payload = stream.length_bits - lengths_side
-    bound = rhs_full * math.log2(max(2, grammar.sigma + len(grammar.rules))) \
-        + _overhead_slack(rhs_full, grammar.sigma + len(grammar.rules), 0)
+    bound = rhs_full * math.log2(max(2, domain)) + _overhead_slack(rhs_full, domain, 0)
     return stream, _breakdown(payload, 0, lengths_side, bound)
 
 
 def _read_fully_naive(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
-    rules = _read_rules(r, n_rules, width)
-    return r.read_fields(start_len, width), rules
+    body, lengths = _read_rules(r, n_rules, width)
+    return r.read_fields(start_len, width) + body, np.cumsum([start_len, *lengths])
 
 
 # -- naive -------------------------------------------------------------------------
@@ -448,13 +443,13 @@ def encode_naive(grammar: FullGrammar):
     if not grammar.start:
         raise ValueError("naive encoding needs a nonempty starting string")
     w = BitWriter()
-    lengths_side = _write_rules(w, grammar, symbol_width(grammar.sigma, len(grammar.rules)))
-    domain = grammar.sigma + len(grammar.rules)
+    lengths_side = _write_rules(w, grammar, symbol_width(grammar.sigma, grammar.n_rules))
+    domain = grammar.sigma + grammar.n_rules
     cb, coded = _write_coded(w, grammar.start, domain)
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
-    rhs_g = sum(len(r) for r in grammar.rules)
-    rhs_full = len(grammar.start) + rhs_g
+    rhs_full = len(grammar.ids)
+    rhs_g = rhs_full - len(grammar.start)
     h0 = sequence_entropy_bits(grammar.start)
     bound = (
         h0
@@ -465,23 +460,24 @@ def encode_naive(grammar: FullGrammar):
 
 
 def _read_naive(r: BitReader, sigma, n_rules, start_len):
-    rules = _read_rules(r, n_rules, symbol_width(sigma, n_rules))
-    return _read_coded(r, start_len), rules
+    body, lengths = _read_rules(r, n_rules, symbol_width(sigma, n_rules))
+    start = _read_coded(r, start_len)
+    return np.concatenate((start, _id_array(body, sigma, n_rules))), np.cumsum([start_len, *lengths])
 
 
 # -- entropy coding of the concatenation --------------------------------------------
 
 
 def encode_entropy(grammar: FullGrammar):
-    s_g = grammar.rhs_concat()
+    s_g = grammar.ids.tolist()
     if not s_g:
         raise ValueError("entropy encoding needs a nonempty grammar")
     w = BitWriter()
-    lengths = [len(rhs) for rhs in grammar.rules]
+    lengths = np.diff(grammar.ends).tolist()
     _check_unary(max(lengths, default=0))
     w.write_unaries(lengths)
     lengths_side = sum(lengths)
-    domain = grammar.sigma + len(grammar.rules)
+    domain = grammar.sigma + grammar.n_rules
     cb, coded = _write_coded(w, s_g, domain)
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
@@ -493,8 +489,7 @@ def encode_entropy(grammar: FullGrammar):
 def _read_entropy(r: BitReader, sigma, n_rules, start_len):
     _fit(r, n_rules, 2, "rules")  # a unary length and a code each
     rule_lens = r.read_unaries(n_rules)
-    symbols = _read_coded(r, start_len + sum(rule_lens))
-    return symbols[:start_len], _split(symbols[start_len:], rule_lens)
+    return _read_coded(r, start_len + sum(rule_lens)), np.cumsum([start_len, *rule_lens])
 
 
 # -- incremental (CNF) ----------------------------------------------------------------
@@ -510,8 +505,7 @@ def incremental_order(grammar: FullGrammar) -> list[int]:
     sigma = grammar.sigma
     waiting: dict[int, list[int]] = {}
     heap = []
-    for j, rhs in enumerate(grammar.rules):
-        first = rhs[0]
+    for j, first in enumerate(grammar.ids[grammar.ends[:-1]].tolist()):
         if first < sigma:
             heap.append((first, j))
         else:
@@ -524,7 +518,7 @@ def incremental_order(grammar: FullGrammar) -> list[int]:
         new_pos = sigma + len(order) - 1
         for u in waiting.pop(sigma + j, ()):
             heapq.heappush(heap, (new_pos, u))
-    if len(order) != len(grammar.rules):
+    if len(order) != grammar.n_rules:
         raise AssertionError("pending rules with no placeable first component")
     return order
 
@@ -535,7 +529,7 @@ def encode_incremental(grammar: FullGrammar):
     if not grammar.start:
         raise ValueError("incremental encoding needs a nonempty starting string")
     sigma = grammar.sigma
-    n_rules = len(grammar.rules)
+    n_rules = grammar.n_rules
     order = incremental_order(grammar)
     rename = {sigma + old: sigma + new for new, old in enumerate(order)}
 
@@ -583,14 +577,17 @@ def _read_incremental(r: BitReader, sigma, n_rules, start_len):
         at.append(r.pos)
         r.pos += width
     r.require(r.pos)
-    pairs = list(zip(firsts, r.fields(at, width)))
+    seconds = _id_array(r.fields(at, width), sigma, n_rules)
     start = _read_coded(r, start_len)
-    # rules arrive in permuted order; rebuild a topologically ordered grammar
+    # the first components ascend: prev is the largest
     limit = sigma + n_rules
-    if any(s >= limit for s in start) or any(s >= limit for pr in pairs for s in pr):
+    if prev >= limit or (seconds >= limit).any() or (start >= limit).any():
         raise MalformedStreamError("symbol id out of range")
+    pairs = np.column_stack((np.array(firsts, dtype=seconds.dtype), seconds))
+    # rules arrive in permuted order; rebuild a topologically ordered grammar
     try:
-        return renumber_segments(sigma, [start, *pairs])
+        return renumber_segments(sigma, np.concatenate((start, pairs.ravel())),
+                                 start_len + 2 * np.arange(n_rules + 1))
     except ValueError as e:
         raise MalformedStreamError("decoded grammar is not acyclic") from e
 
@@ -604,7 +601,8 @@ _ENCODE = {
     "entropy": encode_entropy,
     "incremental": encode_incremental,
 }
-# the rule section of each encoding: reader, sigma, |G|, |S'| -> (start, rules)
+# the rule section of each encoding: reader, sigma, |G|, |S'| -> the ids of
+# S' and the rules laid out as one array, and the offset where each ends
 _READ = {
     "fully_naive": _read_fully_naive,
     "naive": _read_naive,
@@ -627,11 +625,11 @@ def decode(encoding: str, stream: BitStream, sigma, n_rules, start_len) -> FullG
     except KeyError:
         raise ValueError(f"unknown encoding {encoding!r}") from None
     r = BitReader(stream)
-    start, rules = read(r, sigma, n_rules, start_len)
+    ids, ends = read(r, sigma, n_rules, start_len)
     if r.remaining() >= 8:
         raise MalformedStreamError("trailing data after grammar payload")
     try:
-        return FullGrammar(sigma, start, rules)
+        return FullGrammar.from_ids(sigma, ids, ends)
     except ValueError as e:
         raise MalformedStreamError(f"decoded grammar is invalid: {e}") from e
 
@@ -641,8 +639,8 @@ def frame_container(grammar: FullGrammar, encoding: str, stream: BitStream) -> b
     out = bytearray(MAGIC)
     out.append(_TAGS[encoding])
     out += uvarint_bytes(grammar.sigma)
-    out += uvarint_bytes(len(grammar.rules))
-    out += uvarint_bytes(len(grammar.start))
+    out += uvarint_bytes(grammar.n_rules)
+    out += uvarint_bytes(int(grammar.ends[0]))
     out += uvarint_bytes(stream.length_bits)
     out += stream.data
     return bytes(out)

@@ -4,13 +4,20 @@ structural predicates: IG1-IG3 irreducibility and weak non-redundancy.
 Symbol ids are sigma-offset integers: ids below sigma are terminals, rule i
 defines nonterminal sigma + i, and a rule may reference only terminals and
 previously defined nonterminals (the grammar is acyclic by construction).
+
+A grammar is stored as ||S', G|| reads it: one read-only id array, S' and
+then every rule's right-hand side in id order, and the ascending offset
+where each of these segments ends.  The array is int64, or object once
+sigma + |G| passes 2^63 (sigma may be any int).  Compressors, GCL1 and the
+coders hand over and read that array; the tuples of ``start`` and
+``rules``, which expansion walks, are built on request, once.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -30,37 +37,89 @@ class ExpansionTooLargeError(ValueError):
     rule cache with more than MAX_FILL."""
 
 
-class FullGrammar:
-    """Starting string S' plus ordered rules; immutable after construction."""
+def _id_array(values, sigma: int, n_rules: int) -> np.ndarray:
+    """``values`` as the id array of a grammar of sigma and n_rules rules:
+    int64, or object once sigma + n_rules passes 2^63.  A value outside
+    int64 under an int64 grammar is an undefined id: it is kept as an object
+    for the validation to name."""
+    dtype = np.int64 if sigma + n_rules <= 1 << 63 else object
+    try:
+        return np.asarray(values, dtype=dtype)
+    except OverflowError:
+        return np.asarray(values, dtype=object)
 
-    __slots__ = ("sigma", "start", "rules", "_expansions", "_len_cache", "_rule_bounds", "_text")
+
+class FullGrammar:
+    """Starting string S' plus ordered rules; immutable after construction.
+
+    ``ids`` holds S' and then the rules' right-hand sides, segment i ending
+    at ``ends[i]`` (see the module docstring); both are read-only.
+    """
+
+    __slots__ = ("sigma", "ids", "ends", "_expansions", "_len_cache", "_rule_bounds", "_text", "__dict__")
 
     def __init__(self, sigma: int, start, rules):
+        start = start if isinstance(start, (list, tuple, np.ndarray)) else tuple(start)
+        rules = [tuple(r) for r in rules]
+        ids = np.concatenate((_id_array(start, sigma, len(rules)),
+                              _id_array(list(chain.from_iterable(rules)), sigma, len(rules))))
+        self._store(sigma, ids, np.cumsum([len(start), *map(len, rules)]))
+
+    @classmethod
+    def from_ids(cls, sigma: int, ids, ends) -> FullGrammar:
+        """The grammar whose S' and rules are laid out in ``ids``, segment i
+        ending at the ascending offset ends[i]; validated as the constructor
+        validates."""
+        grammar = cls.__new__(cls)
+        grammar._store(sigma, _id_array(ids, sigma, len(ends) - 1), np.asarray(ends, dtype=np.int64))
+        return grammar
+
+    def _store(self, sigma: int, ids: np.ndarray, ends: np.ndarray):
+        """Validate and keep the id array and its segment ends.  The ids of
+        rule i lie below sigma + i and those of S' below sigma + |G|; the
+        error names the lowest bad rule, or else S', as a walk in id order
+        would."""
         if sigma < 1:
             raise ValueError("sigma must be >= 1")
-        start = tuple(start)
-        rules = tuple(tuple(r) for r in rules)
-        for i, rhs in enumerate(rules):
-            if not rhs:
-                raise ValueError(f"rule {i} has an empty right-hand side")
-            for s in rhs:
-                if not 0 <= s < sigma + i:
-                    raise ValueError(
-                        f"rule {i} references id {s}, not previously defined"
-                    )
-        limit = sigma + len(rules)
-        for s in start:
-            if not 0 <= s < limit:
-                raise ValueError(f"start references undefined id {s}")
+        n_rules = len(ends) - 1
+        lengths = np.diff(ends, prepend=0)
+        rank = np.repeat(np.roll(np.arange(n_rules + 1), 1), lengths)  # i in rule i, |G| in S'
+        wrong = np.flatnonzero((ids < 0) | (ids - rank >= sigma))
+        in_rules = wrong[wrong >= ends[0]][:1]
+        bad = [*np.flatnonzero(lengths[1:] == 0)[:1].tolist(),
+               *(np.searchsorted(ends, in_rules, "right") - 1).tolist()]
+        if bad:
+            i = min(bad)
+            if lengths[1 + i]:
+                raise ValueError(f"rule {i} references id {ids[in_rules[0]]}, not previously defined")
+            raise ValueError(f"rule {i} has an empty right-hand side")
+        if len(wrong):
+            raise ValueError(f"start references undefined id {ids[wrong[0]]}")
+        ids.flags.writeable = False
+        ends.flags.writeable = False
         self.sigma = sigma
-        self.start = start
-        self.rules = rules
+        self.ids = ids
+        self.ends = ends
         self._expansions: list[tuple] = []  # exp(rule i) for i < len, built in id order
         self._len_cache: list[int] | None = None
         self._rule_bounds: tuple[int, int] | None = None  # max and sum of |exp(X)|
         self._text: Text | None = None
 
     # -- basic views --------------------------------------------------------
+
+    @property
+    def n_rules(self) -> int:
+        return len(self.ends) - 1
+
+    @cached_property
+    def start(self) -> tuple:
+        return tuple(self.ids[:self.ends[0]].tolist())
+
+    @cached_property
+    def rules(self) -> tuple:
+        values = self.ids[self.ends[0]:].tolist()
+        bounds = (self.ends - self.ends[0]).tolist()
+        return tuple(tuple(values[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def rhs(self, sym: int) -> tuple:
         return self.rules[sym - self.sigma]
@@ -70,40 +129,34 @@ class FullGrammar:
         return [self.start, *self.rules]
 
     def rhs_concat(self) -> tuple:
-        out = []
-        for seg in self.rhs_segments():
-            out.extend(seg)
-        return tuple(out)
+        return tuple(self.ids.tolist())
 
     @property
     def is_cnf(self) -> bool:
-        return all(len(r) == 2 for r in self.rules)
+        return bool((np.diff(self.ends) == 2).all())
 
     def __eq__(self, other):
         return (
             isinstance(other, FullGrammar)
             and self.sigma == other.sigma
-            and self.start == other.start
-            and self.rules == other.rules
+            and np.array_equal(self.ends, other.ends)
+            and np.array_equal(self.ids, other.ids)
         )
 
     def __hash__(self):
-        return hash((self.sigma, self.start, self.rules))
+        return hash((self.sigma, self.ends.tobytes(), tuple(self.ids.tolist())))
 
     def __repr__(self):
-        return f"FullGrammar(sigma={self.sigma}, |S'|={len(self.start)}, |G|={len(self.rules)})"
+        return f"FullGrammar(sigma={self.sigma}, |S'|={self.ends[0]}, |G|={self.n_rules})"
 
     # -- expansion -----------------------------------------------------------
 
     def expansion_lengths(self) -> list[int]:
         """|exp(X)| per rule, exact integers, no materialization."""
         if self._len_cache is None:
-            lens: list[int] = []
+            sigma, lens = self.sigma, []
             for rhs in self.rules:
-                total = 0
-                for s in rhs:
-                    total += 1 if s < self.sigma else lens[s - self.sigma]
-                lens.append(total)
+                lens.append(sum([1 if s < sigma else lens[s - sigma] for s in rhs]))
             self._len_cache = lens
         return self._len_cache
 
@@ -130,13 +183,14 @@ class FullGrammar:
             )
 
     def _fill(self, top: int):
-        """Build the expansions of rules up to index ``top`` not built yet.
+        """Build the expansions of rules up to index ``top`` not built yet;
+        none when ``top`` is negative.
 
         Rules are built bottom-up in id order, each once, from its children's
         tuples, so the total cost is the sum of the expansion lengths.
         """
-        for rhs in self.rules[len(self._expansions):top + 1]:
-            self._expansions.append(self._splice(rhs))
+        for i in range(len(self._expansions), top + 1):
+            self._expansions.append(self._splice(self.rules[i]))
 
     def _splice(self, seq) -> tuple:
         """seq with each nonterminal replaced by its built expansion."""
@@ -156,7 +210,7 @@ class FullGrammar:
 
     def expand(self, sym: int):
         """Fully derived terminal string of one symbol."""
-        if sym < 0 or sym >= self.sigma + len(self.rules):
+        if sym < 0 or sym >= self.sigma + self.n_rules:
             raise KeyError(f"undefined symbol id {sym}")
         if sym < self.sigma:
             return (sym,)
@@ -167,7 +221,7 @@ class FullGrammar:
         return self._expansions[top]
 
     def expand_sequence(self, seq) -> tuple:
-        limit = self.sigma + len(self.rules)
+        limit = self.sigma + self.n_rules
         for s in seq:
             if not 0 <= s < limit:
                 raise KeyError(f"undefined symbol id {s}")
@@ -195,11 +249,11 @@ class GrammarMetrics:
 
 
 def metrics(grammar: FullGrammar) -> GrammarMetrics:
-    rhs_size = sum(len(r) for r in grammar.rules)
+    rhs_size_full = len(grammar.ids)
     return GrammarMetrics(
-        n_nonterminals=len(grammar.rules),
-        rhs_size_grammar=rhs_size,
-        rhs_size_full=len(grammar.start) + rhs_size,
+        n_nonterminals=grammar.n_rules,
+        rhs_size_grammar=rhs_size_full - int(grammar.ends[0]),
+        rhs_size_full=rhs_size_full,
         expansion_sum=sum(grammar.expansion_lengths()),
         is_cnf=grammar.is_cnf,
     )
@@ -222,22 +276,11 @@ class IrreducibilityResult:
         return self.ig1 and self.ig2 and self.ig3
 
 
-def _flat_ids(grammar: FullGrammar) -> tuple[np.ndarray, np.ndarray]:
-    """S' and the rules' right-hand sides as one id array, and the ascending
-    offset where each segment ends.  Ids past int64 (sigma may be any int)
-    are objects."""
-    segments = grammar.rhs_segments()
-    ends = np.cumsum([len(seg) for seg in segments])
-    dtype = np.int64 if grammar.sigma + len(grammar.rules) <= 1 << 63 else object
-    return np.fromiter(chain.from_iterable(segments), dtype=dtype, count=ends[-1]), ends
-
-
-def _ig2_witness(grammar: FullGrammar, flat: np.ndarray) -> int | None:
-    """First nonterminal occurring fewer than twice across S' and the rules,
-    counted over their flat ids (_flat_ids)."""
-    sigma = grammar.sigma
-    uses = (flat[flat >= sigma] - sigma).astype(np.int64)  # below |G|
-    under = np.flatnonzero(np.bincount(uses, minlength=len(grammar.rules)) < 2)
+def _ig2_witness(grammar: FullGrammar) -> int | None:
+    """First nonterminal occurring fewer than twice across S' and the rules."""
+    sigma, ids = grammar.sigma, grammar.ids
+    uses = (ids[ids >= sigma] - sigma).astype(np.int64)  # below |G|
+    under = np.flatnonzero(np.bincount(uses, minlength=grammar.n_rules) < 2)
     return sigma + int(under[0]) if len(under) else None
 
 
@@ -253,18 +296,16 @@ def check_irreducible(grammar: FullGrammar) -> IrreducibilityResult:
     """
     seen: dict[tuple, int] = {}
     ig1_w = None
-    for i in range(len(grammar.rules)):
+    for i in range(grammar.n_rules):
         exp = grammar.expand(grammar.sigma + i)
         if exp in seen:
             ig1_w = (grammar.sigma + seen[exp], grammar.sigma + i)
             break
         seen[exp] = i
 
-    flat, ends = _flat_ids(grammar)
-    ig2_w = _ig2_witness(grammar, flat)
-    ids, work = np.unique(flat, return_inverse=True)
-    del flat
-    work = _join(work, ends)
+    ig2_w = _ig2_witness(grammar)
+    ids, work = np.unique(grammar.ids, return_inverse=True)
+    work = _join(work, grammar.ends)
     best = PairEngine(work).select()
     ig3_w = None if best is None else tuple(ids[list(best[0])].tolist())
 
@@ -288,17 +329,14 @@ class WeakNonRedundancyResult:
 
 def derivation_tree_occurrences(grammar: FullGrammar) -> dict[int, int]:
     """Number of nodes labelled with each nonterminal in the derivation tree."""
-    occ = Counter()
-    for s in grammar.start:
-        if s >= grammar.sigma:
-            occ[s] += 1
-    for j in range(len(grammar.rules) - 1, -1, -1):
-        w = occ[grammar.sigma + j]
-        if w:
-            for s in grammar.rules[j]:
-                if s >= grammar.sigma:
-                    occ[s] += w
-    return {grammar.sigma + j: occ[grammar.sigma + j] for j in range(len(grammar.rules))}
+    sigma, n_rules = grammar.sigma, grammar.n_rules
+    occ = [0] * n_rules + [1]  # per rule, then S' once
+    for j, rhs in zip(range(n_rules, -1, -1), [grammar.start, *reversed(grammar.rules)]):
+        if occ[j]:
+            for s in rhs:
+                if s >= sigma:
+                    occ[s - sigma] += occ[j]
+    return {sigma + j: occ[j] for j in range(n_rules)}
 
 
 def check_weakly_nonredundant(grammar: FullGrammar) -> WeakNonRedundancyResult:
@@ -306,9 +344,7 @@ def check_weakly_nonredundant(grammar: FullGrammar) -> WeakNonRedundancyResult:
     and every rule right-hand side has length >= 2."""
     tree = derivation_tree_occurrences(grammar)
     underused = tuple(x for x, c in tree.items() if c < 2)
-    short = tuple(
-        grammar.sigma + j for j, rhs in enumerate(grammar.rules) if len(rhs) < 2
-    )
+    short = tuple(grammar.sigma + j for j in np.flatnonzero(np.diff(grammar.ends)[1:] < 2).tolist())
     return WeakNonRedundancyResult(
         ok=not underused and not short,
         underused=underused,
@@ -327,7 +363,7 @@ class ExpansionSumResult:
 
 def expansion_sum_check(grammar: FullGrammar) -> ExpansionSumResult:
     """Under IG2, the expansions of all rule right-hand sides sum to <= 2|S|."""
-    if _ig2_witness(grammar, _flat_ids(grammar)[0]) is not None:
+    if _ig2_witness(grammar) is not None:
         return ExpansionSumResult(False, None, None, None)
     total = sum(grammar.expansion_lengths())
     n = sum(grammar._symbol_lengths(grammar.start))
@@ -397,54 +433,58 @@ def bad_grammar_fixture(bits_len: int) -> FullGrammar:
 # -- canonical form and serialization -------------------------------------------
 
 
-def grammar_from_segments(sigma: int, segments) -> FullGrammar:
+def grammar_from_segments(sigma: int, flat, ends) -> FullGrammar:
     """Build a FullGrammar from working segments that may reference rules in
-    any order (segment 0 is S', segment 1+i defines working id sigma+i).
+    any order: ``flat`` lays them out as one id array, segment i ending at
+    the ascending offset ends[i] (segment 0 is S', segment 1+i defines
+    working id sigma+i).
 
     Compressors that rewrite earlier rules (Greedy) leave later working ids
     inside earlier right-hand sides; here rules are renumbered into a
     deterministic topological order (children first, stable by working id).
     """
-    return FullGrammar(sigma, *renumber_segments(sigma, segments))
+    return FullGrammar.from_ids(sigma, *renumber_segments(sigma, flat, ends))
 
 
-def renumber_segments(sigma: int, segments) -> tuple[tuple, tuple]:
-    """(start, rules) of grammar_from_segments, before validation; every id
+def renumber_segments(sigma: int, flat, ends) -> tuple[np.ndarray, np.ndarray]:
+    """(ids, ends) of grammar_from_segments, before validation; every id
     must be below sigma + the number of rules."""
-    n_rules = len(segments) - 1
+    n_rules = len(ends) - 1
+    flat = _id_array(flat, sigma, n_rules)
+    ends = np.asarray(ends, dtype=np.int64)
+    lengths = np.diff(ends, prepend=0)
     # references counted with multiplicity: rule i is ready once every
-    # reference in its right-hand side is placed
-    remaining = [0] * n_rules
-    users: list[list[int]] = [[] for _ in range(n_rules)]
-    for i in range(n_rules):
-        for s in segments[1 + i]:
-            if s >= sigma:
-                users[s - sigma].append(i)
-                remaining[i] += 1
+    # reference in its right-hand side is placed; users[at[j]:at[j + 1]]
+    # are the rules that reference rule j, once per reference
+    body = flat[ends[0]:]
+    nonterminal = body >= sigma
+    owner = np.repeat(np.arange(n_rules), lengths[1:])[nonterminal]
+    child = (body[nonterminal] - sigma).astype(np.int64)
+    order = np.argsort(child, kind="stable")
+    users = owner[order].tolist()
+    at = np.searchsorted(child[order], np.arange(n_rules + 1)).tolist()
+    remaining = np.bincount(owner, minlength=n_rules).tolist()
     ready = [i for i in range(n_rules) if not remaining[i]]  # ascending: a heap
     topo: list[int] = []
     while ready:
         i = heapq.heappop(ready)
         topo.append(i)
-        for u in users[i]:
+        for u in users[at[i]:at[i + 1]]:
             remaining[u] -= 1
             if remaining[u] == 0:
                 heapq.heappush(ready, u)
     if len(topo) != n_rules:
         raise ValueError("segments contain a reference cycle")
-    # one lookup table renames the nonterminals of S' and of the rules in
-    # their new order; ids past int64 (sigma may be any int) stay objects
-    placed = [segments[0], *(segments[1 + old] for old in topo)]
-    ends = np.cumsum([len(seq) for seq in placed]).tolist()
-    dtype = np.int64 if sigma + n_rules <= 1 << 63 else object
-    flat = np.fromiter(chain.from_iterable(placed), dtype=dtype, count=ends[-1])
+    # S' and the rules in their new order, gathered in one pass; one lookup
+    # table then renames the nonterminals
+    placed = np.array([-1, *topo], dtype=np.int64) + 1
+    new_ends = np.cumsum(lengths[placed])
+    out = flat[np.arange(len(flat)) + np.repeat(ends[placed] - new_ends, lengths[placed])]
     rename = np.empty(n_rules, dtype=np.int64)
     rename[topo] = np.arange(n_rules)
-    nonterminal = flat >= sigma
-    flat[nonterminal] = rename[(flat[nonterminal] - sigma).astype(np.int64)].astype(dtype) + sigma
-    values = flat.tolist()
-    out = tuple(tuple(values[a:b]) for a, b in zip([0, *ends], ends))
-    return out[0], out[1:]
+    nonterminal = out >= sigma
+    out[nonterminal] = rename[(out[nonterminal] - sigma).astype(np.int64)].astype(out.dtype) + sigma
+    return out, new_ends
 
 
 def canonicalized(grammar: FullGrammar) -> FullGrammar:
@@ -454,30 +494,19 @@ def canonicalized(grammar: FullGrammar) -> FullGrammar:
     nonterminal renaming and unreachable-rule removal.
     """
     sigma = grammar.sigma
-    order: list[int] = []
+    order: list[int] = []  # the reachable nonterminals in depth-first post-order
     seen = set()
-
-    def visit(root: int):
-        stack = [(root, 0)]
-        while stack:
-            sym, idx = stack.pop()
-            rhs = grammar.rhs(sym)
-            advanced = False
-            for j in range(idx, len(rhs)):
-                child = rhs[j]
-                if child >= sigma and child not in seen:
-                    seen.add(child)
-                    stack.append((sym, j + 1))
-                    stack.append((child, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(sym)
-
-    for s in grammar.start:
-        if s >= sigma and s not in seen:
-            seen.add(s)
-            visit(s)
+    stack = [(None, iter(grammar.start))]  # (symbol, its children not yet visited)
+    while stack:
+        sym, rest = stack[-1]
+        child = next((s for s in rest if s >= sigma and s not in seen), None)
+        if child is not None:
+            seen.add(child)
+            stack.append((child, iter(grammar.rhs(child))))
+            continue
+        stack.pop()
+        if sym is not None:
+            order.append(sym)
     rename = {old: sigma + i for i, old in enumerate(order)}
 
     def mapped(seq):
@@ -488,14 +517,14 @@ def canonicalized(grammar: FullGrammar) -> FullGrammar:
 
 
 def to_binary(grammar: FullGrammar) -> bytes:
-    """GCL1 format: magic, varint sigma, varint rule count, rules, start."""
-    values = [grammar.sigma, len(grammar.rules)]
-    for rhs in grammar.rules:
-        values.append(len(rhs))
-        values.extend(rhs)
-    values.append(len(grammar.start))
-    values.extend(grammar.start)
-    return _MAGIC + bits.uvarints(values)
+    """GCL1 format: magic, varint sigma, varint rule count, rules (each its
+    length, then its ids), start (its length, then its ids)."""
+    head = int(grammar.ends[0])
+    lengths = np.diff(grammar.ends)
+    body = np.insert(grammar.ids[head:], grammar.ends[:-1] - head, lengths)
+    return _MAGIC + bits.uvarints(
+        [grammar.sigma, len(lengths), *body.tolist(), head, *grammar.ids[:head].tolist()]
+    )
 
 
 def from_binary(data: bytes) -> FullGrammar:
@@ -510,13 +539,14 @@ def from_binary(data: bytes) -> FullGrammar:
     # each rule takes at least its length varint, S' at least its length
     if n_rules > len(values) - 3:
         raise bits.MalformedStreamError(f"{n_rules} rules cannot fit in {len(data)} bytes")
-    rules = []
+    body, lengths = [], []
     at = 2
     for _ in range(n_rules):
         n = values[at]
         if n > len(values) - at - 2:
             raise bits.MalformedStreamError(f"rule of {n} symbols cannot fit in {len(data)} bytes")
-        rules.append(tuple(values[at + 1:at + 1 + n]))
+        body += values[at + 1:at + 1 + n]
+        lengths.append(n)
         at += 1 + n
     n = values[at]
     if n > len(values) - at - 1:
@@ -524,7 +554,7 @@ def from_binary(data: bytes) -> FullGrammar:
     if n < len(values) - at - 1:
         raise bits.MalformedStreamError("trailing bytes after grammar")
     try:
-        return FullGrammar(sigma, values[at + 1:], rules)
+        return FullGrammar.from_ids(sigma, values[at + 1:] + body, np.cumsum([n, *lengths]))
     except ValueError as e:
         raise bits.MalformedStreamError(f"decoded grammar is invalid: {e}") from e
 

@@ -18,8 +18,9 @@ to the next scan: a pair round while the engine's most frequent pair gains
 more than ``bound``, else the round of the head of those words, found on
 the engine's thread of its first pair and replaced as successive pair
 replacements.  The engine keeps the most frequent pair exact after every
-round, so no other pair count is kept.  See greedy_run.  Lists are built
-only for on_step and the final grammar.
+round, so no other pair count is kept.  See greedy_run.  The grammar, for
+on_step and at the end, is built from the working array without its
+separators, and the offsets where they were.
 """
 
 from __future__ import annotations
@@ -91,17 +92,6 @@ class GreedyTrace:
 
 def _gain(count: int, length: int) -> int:
     return (count - 1) * (length - 1) - 1
-
-
-def _split(work: np.ndarray) -> list[list[int]]:
-    """The segments of a working array, as lists."""
-    values = work.tolist()
-    segments = []
-    start = 0
-    for end in np.flatnonzero(work < 0).tolist():
-        segments.append(values[start:end])
-        start = end + 1
-    return segments
 
 
 def _greedy_occurrences(positions, length: int) -> list[int]:
@@ -241,9 +231,9 @@ def greedy_run(
     engine with its pairs threaded in their records.  The pair rounds'
     rules wait on a pending list, so a pair round appends nothing, and the
     list is appended just before the next word's segment, so the segments
-    keep creation order.  The engine is freed before the next scan, so the
-    two never hold their memory at once.  Separators occur
-    once, so the engine never counts a pair across one.  ``on_step(grammar)``
+    keep creation order.  The engine is freed before the next scan and
+    before the final grammar is built, so neither holds its memory while
+    the engine does.  Separators occur once, so the engine never counts a pair across one.  ``on_step(grammar)``
     is invoked with the full grammar after every round when given.
     """
     policy = policy or GreedyPolicy.run_to_end()
@@ -267,10 +257,15 @@ def greedy_run(
             return work
         return np.concatenate((engine.symbols(), np.array(pending, dtype=np.int64)))
 
+    def grammar() -> FullGrammar:
+        out = working()
+        cut = np.flatnonzero(out < 0)  # segment i ends at the i-th separator
+        return grammar_from_segments(sigma, np.delete(out, cut), cut - np.arange(len(cut)))
+
     def record(word, freq, gain, max_pair):
         steps.append(GreedyStep(len(steps) + 1, word, freq, gain, size, max_pair))
         if on_step is not None:
-            on_step(grammar_from_segments(sigma, _split(working())))
+            on_step(grammar())
 
     def policy_stop() -> str | None:
         # the zero-gain rounds keep the size, so they never cross the threshold
@@ -319,9 +314,9 @@ def greedy_run(
         record(tuple(word), count, bound, max_pair)
         stop = policy_stop()
 
-    grammar = grammar_from_segments(sigma, _split(working()))
+    work, engine = working(), None
     trace = GreedyTrace(steps, policy, n, sigma, threshold, stop or "exhausted", scans)
-    return grammar, trace
+    return grammar(), trace
 
 
 def greedy_stop_report(trace: GreedyTrace, text: Text) -> CheckReport:

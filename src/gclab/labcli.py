@@ -341,7 +341,7 @@ def _entropy_concat_rows(rows, grammar, text, k):
     lhs = coders.sequence_entropy_bits(s_g)
     hk, _ = empirical_entropy(text, k)
     l_h0 = ind.lengths_entropy_bits()
-    g_count = len(grammar.rules)
+    g_count = grammar.n_rules
     rhs = (
         hk
         + len(ind) * k * math.log2(text.sigma)

@@ -134,9 +134,9 @@ def repair_run(
             RepairStep(len(rules), pair, count, engine.alive, len(rules))
         )
         if on_step is not None:
-            on_step(FullGrammar(sigma, engine.symbols().tolist(), rules))
+            on_step(FullGrammar(sigma, engine.symbols(), rules))
 
-    grammar = FullGrammar(sigma, engine.symbols().tolist(), rules)
+    grammar = FullGrammar(sigma, engine.symbols(), rules)
     trace = RepairTrace(steps, policy, n, sigma, threshold, stopped_by)
     return grammar, trace
 

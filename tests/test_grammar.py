@@ -263,6 +263,15 @@ def test_repeated_expand_returns_the_same_object():
     assert g.text().symbols == g.expand_start()
 
 
+@pytest.mark.parametrize("terminal", [254, 255])
+def test_expanding_terminals_fills_no_rule(terminal):
+    # sigma 256 and 100 rules: a sequence of terminals only, up to sigma - 2
+    # or sigma - 1, builds no rule expansion
+    g = FullGrammar(256, (355,), [(0, 1)] + [(256 + i, 2) for i in range(99)])
+    assert g.expand_sequence((terminal,)) == (terminal,)
+    assert g._expansions == []
+
+
 def test_deep_chain_expansion():
     # rule i -> (rule i-1, letter): linear depth must not recurse
     rules = [(0, 1)]
@@ -557,10 +566,12 @@ def test_binary_invalid_grammar_is_malformed():
 def test_renumber_segments_children_first(sigma):
     # rule 0 uses rule 1, so rule 1 takes the first id; a GCB1 header may
     # declare any sigma, ids past int64 included
-    segments = [[sigma + 1, 0, sigma], [sigma + 1, 1], [2, 2]]
-    assert renumber_segments(sigma, segments) == ((sigma, 0, sigma + 1), ((2, 2), (sigma, 1)))
+    # the segments [sigma + 1, 0, sigma], [sigma + 1, 1] and [2, 2], laid out
+    # as one array with their ends
+    ids, ends = renumber_segments(sigma, [sigma + 1, 0, sigma, sigma + 1, 1, 2, 2], [3, 5, 7])
+    assert (ids.tolist(), ends.tolist()) == ([sigma, 0, sigma + 1, 2, 2, sigma, 1], [3, 5, 7])
     with pytest.raises(ValueError):
-        renumber_segments(sigma, [[sigma], [sigma + 1], [sigma]])
+        renumber_segments(sigma, [sigma, sigma + 1, sigma], [1, 2, 3])
 
 
 def test_text_dump():

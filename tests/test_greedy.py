@@ -9,13 +9,30 @@ from gclab.grammar import (
     check_irreducible, check_weakly_nonredundant, grammar_from_segments, metrics,
 )
 from gclab.greedy import (
-    GreedyPolicy, GreedyStep, _greedy_occurrences, _scan, _split, greedy_run,
+    GreedyPolicy, GreedyStep, _greedy_occurrences, _scan, greedy_run,
     greedy_stop_report, greedy_threshold,
 )
 from gclab.labcli import fixture_text
 from gclab.pairs import PairEngine, _join
 from gclab.repair import StopPolicy, repair_run, stop_point_report
 from gclab.textcore import Text
+
+
+def work_segments(work):
+    """The segments of a working array, as lists."""
+    values = work.tolist()
+    segments = []
+    start = 0
+    for end in np.flatnonzero(work < 0).tolist():
+        segments.append(values[start:end])
+        start = end + 1
+    return segments
+
+
+def segments_grammar(sigma, segments):
+    """grammar_from_segments of segments given as lists."""
+    return grammar_from_segments(sigma, [s for seg in segments for s in seg],
+                                 np.cumsum([len(seg) for seg in segments]))
 
 
 def _occurrences(segments):
@@ -156,7 +173,7 @@ def test_scan_matches_oracle(rng):
     for segments in scan_inputs(rng):
         work = _join(np.array([s for seg in segments for s in seg], dtype=np.int64),
                      np.cumsum([len(seg) for seg in segments]))
-        assert _split(work) == segments
+        assert work_segments(work) == segments
         ties = _scan(work)
         engine = PairEngine(work)
         best = engine.select()
@@ -219,7 +236,7 @@ def test_matches_reference(rng):
     texts.append(Text([big - 1, 0, big - 2] * 9 + [big - 1, 0] * 5, big))
     for t in texts:
         g, _ = greedy_run(t)
-        ref = grammar_from_segments(t.sigma, reference_greedy(t))
+        ref = segments_grammar(t.sigma, reference_greedy(t))
         assert g == ref
         assert g.expand_start() == t.symbols
 
@@ -232,7 +249,7 @@ def greedy_scanning_every_round(text, policy):
     threshold = greedy_threshold(n, sigma) if policy.kind == "full_threshold" else None
     work = _join(text.array, [n])
     steps, size = [], n
-    grammars = [grammar_from_segments(sigma, _split(work))]
+    grammars = [segments_grammar(sigma, work_segments(work))]
     while True:
         if threshold is not None and size < threshold:
             return steps, "threshold", grammars
@@ -256,7 +273,7 @@ def greedy_scanning_every_round(text, policy):
         work = _apply(work, positions, word, sigma + len(steps), -(len(steps) + 2))
         size -= gain
         steps.append(GreedyStep(len(steps) + 1, tuple(word.tolist()), count, gain, size, max_pair))
-        grammars.append(grammar_from_segments(sigma, _split(work)))
+        grammars.append(segments_grammar(sigma, work_segments(work)))
 
 
 # a round shortens the run that the next tie starts in, so that tie keeps
@@ -355,7 +372,7 @@ def test_long_word_wins_a_tie_after_a_pair_round():
     t = Text.from_string("baaababbbbbbbabaa")
     g, tr = greedy_run(t)
     assert [(s.substring, s.gain) for s in tr.steps] == [((1, 0), 2), ((1, 1, 1), 1), ((2, 0), 0)]
-    assert g == grammar_from_segments(t.sigma, reference_greedy(t))
+    assert g == segments_grammar(t.sigma, reference_greedy(t))
 
 
 def test_scan_stops_when_every_window_reaches_a_separator():
