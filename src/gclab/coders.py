@@ -636,14 +636,8 @@ def decode(encoding: str, stream: BitStream, sigma, n_rules, start_len) -> FullG
 
 def frame_container(grammar: FullGrammar, encoding: str, stream: BitStream) -> bytes:
     """The GCB1 container of ``stream``, an ``encoding`` of ``grammar``."""
-    out = bytearray(MAGIC)
-    out.append(_TAGS[encoding])
-    out += uvarint_bytes(grammar.sigma)
-    out += uvarint_bytes(grammar.n_rules)
-    out += uvarint_bytes(int(grammar.ends[0]))
-    out += uvarint_bytes(stream.length_bits)
-    out += stream.data
-    return bytes(out)
+    header = uvarints([grammar.sigma, grammar.n_rules, int(grammar.ends[0]), stream.length_bits])
+    return MAGIC + bytes([_TAGS[encoding]]) + header + stream.data
 
 
 def to_container(grammar: FullGrammar, encoding: str) -> bytes:

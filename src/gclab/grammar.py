@@ -95,11 +95,8 @@ class FullGrammar:
             raise ValueError(f"rule {i} has an empty right-hand side")
         if len(wrong):
             raise ValueError(f"start references undefined id {ids[wrong[0]]}")
-        ids.flags.writeable = False
-        ends.flags.writeable = False
-        self.sigma = sigma
-        self.ids = ids
-        self.ends = ends
+        ids.flags.writeable = ends.flags.writeable = False
+        self.sigma, self.ids, self.ends = sigma, ids, ends
         self._expansions: list[tuple] = []  # exp(rule i) for i < len, built in id order
         self._len_cache: list[int] | None = None
         self._rule_bounds: tuple[int, int] | None = None  # max and sum of |exp(X)|
@@ -154,9 +151,12 @@ class FullGrammar:
     def expansion_lengths(self) -> list[int]:
         """|exp(X)| per rule, exact integers, no materialization."""
         if self._len_cache is None:
-            sigma, lens = self.sigma, []
+            lens: list[int] = []
             for rhs in self.rules:
-                lens.append(sum([1 if s < sigma else lens[s - sigma] for s in rhs]))
+                total = 0
+                for s in rhs:
+                    total += 1 if s < self.sigma else lens[s - self.sigma]
+                lens.append(total)
             self._len_cache = lens
         return self._len_cache
 
@@ -189,8 +189,8 @@ class FullGrammar:
         Rules are built bottom-up in id order, each once, from its children's
         tuples, so the total cost is the sum of the expansion lengths.
         """
-        for i in range(len(self._expansions), top + 1):
-            self._expansions.append(self._splice(self.rules[i]))
+        for rhs in self.rules[len(self._expansions):max(top + 1, 0)]:
+            self._expansions.append(self._splice(rhs))
 
     def _splice(self, seq) -> tuple:
         """seq with each nonterminal replaced by its built expansion."""
@@ -522,9 +522,8 @@ def to_binary(grammar: FullGrammar) -> bytes:
     head = int(grammar.ends[0])
     lengths = np.diff(grammar.ends)
     body = np.insert(grammar.ids[head:], grammar.ends[:-1] - head, lengths)
-    return _MAGIC + bits.uvarints(
-        [grammar.sigma, len(lengths), *body.tolist(), head, *grammar.ids[:head].tolist()]
-    )
+    values = [grammar.sigma, len(lengths), *body.tolist(), head, *grammar.ids[:head].tolist()]
+    return _MAGIC + bits.uvarints(values)
 
 
 def from_binary(data: bytes) -> FullGrammar:
@@ -539,8 +538,7 @@ def from_binary(data: bytes) -> FullGrammar:
     # each rule takes at least its length varint, S' at least its length
     if n_rules > len(values) - 3:
         raise bits.MalformedStreamError(f"{n_rules} rules cannot fit in {len(data)} bytes")
-    body, lengths = [], []
-    at = 2
+    body, lengths, at = [], [], 2
     for _ in range(n_rules):
         n = values[at]
         if n > len(values) - at - 2:
