@@ -581,7 +581,7 @@ def _read_incremental(r: BitReader, sigma, n_rules, start_len):
     start = _read_coded(r, start_len)
     # the first components ascend: prev is the largest
     limit = sigma + n_rules
-    if prev >= limit or (seconds >= limit).any() or (start >= limit).any():
+    if (firsts and prev >= limit) or (seconds >= limit).any() or (start >= limit).any():
         raise MalformedStreamError("symbol id out of range")
     pairs = np.column_stack((np.array(firsts, dtype=seconds.dtype), seconds))
     # rules arrive in permuted order; rebuild a topologically ordered grammar

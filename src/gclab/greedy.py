@@ -232,9 +232,10 @@ def greedy_run(
     rules wait on a pending list, so a pair round appends nothing, and the
     list is appended just before the next word's segment, so the segments
     keep creation order.  The engine is freed before the next scan and
-    before the final grammar is built, so neither holds its memory while
-    the engine does.  Separators occur once, so the engine never counts a pair across one.  ``on_step(grammar)``
-    is invoked with the full grammar after every round when given.
+    before the final grammar is built, so neither of them holds its memory
+    at the same time as the engine.  Separators occur once, so the engine
+    never counts a pair across one.  ``on_step(grammar)`` is invoked with
+    the full grammar after every round when given.
     """
     policy = policy or GreedyPolicy.run_to_end()
     n = len(text)

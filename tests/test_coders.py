@@ -530,6 +530,15 @@ def test_incremental_symbol_id_out_of_range_is_malformed():
         decode("incremental", w.freeze(), 2, 1, 1)
 
 
+def test_incremental_without_rules_or_start_checks_sigma():
+    # sigma 0, no rules and an empty S' after a valid codebook: no id is out
+    # of range, and the grammar is refused for its sigma
+    w = BitWriter()
+    w.write_bytes(build_codebook([0], 1).serialized)
+    with pytest.raises(MalformedStreamError, match="^decoded grammar is invalid: sigma must be >= 1$"):
+        decode("incremental", w.freeze(), 0, 0, 0)
+
+
 def test_truncated_payload_is_malformed():
     g = FullGrammar(3, tuple(range(3)) * 4, [(0, 1), (3, 2)])
     stream, _ = encode(g, "entropy")
