@@ -602,7 +602,7 @@ _ENCODE = {
     "incremental": encode_incremental,
 }
 # the rule section of each encoding: reader, sigma, |G|, |S'| -> the ids of
-# S' and the rules laid out as one array, and the offset where each ends
+# S' and the rules in one sequence, and the offset where each segment ends
 _READ = {
     "fully_naive": _read_fully_naive,
     "naive": _read_naive,
