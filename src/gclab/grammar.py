@@ -475,8 +475,9 @@ def renumber_segments(sigma: int, flat, ends) -> tuple[np.ndarray, np.ndarray]:
                 heapq.heappush(ready, u)
     if len(topo) != n_rules:
         raise ValueError("segments contain a reference cycle")
-    # S' and the rules in their new order, gathered in one pass; one lookup
-    # table then renames the nonterminals
+    # the segments in their new order, S' (segment 0) and then rule topo[k]
+    # (segment 1 + topo[k]), gathered in one pass; one lookup table then
+    # renames the nonterminals
     placed = np.array([-1, *topo], dtype=np.int64) + 1
     new_ends = np.cumsum(lengths[placed])
     out = flat[np.arange(len(flat)) + np.repeat(ends[placed] - new_ends, lengths[placed])]
