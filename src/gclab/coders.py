@@ -51,7 +51,7 @@ from .bits import (
     uvarint_bytes,
     uvarints,
 )
-from .grammar import FullGrammar, _id_array, renumber_segments
+from .grammar import FullGrammar, _id_array, prefixed_rules, renumber_segments
 from .textcore import _h0_bits
 
 MAGIC = b"GCB1"
@@ -369,14 +369,11 @@ def _fit(r: BitReader, count: int, bits: int, what: str):
 def _write_rules(w: BitWriter, grammar: FullGrammar, width: int) -> int:
     """Each rule as its unary length, then its symbols in ``width`` bits;
     returns the bits spent on lengths."""
-    head = int(grammar.ends[0])
     lengths = np.diff(grammar.ends)
     _check_unary(int(lengths.max(initial=0)))
-    body = grammar.ids[head:].astype(object if lengths.max(initial=0) > 63 else grammar.ids.dtype)
-    at = grammar.ends[:-1] - head  # each rule's first symbol in body
-    values = np.insert(body, at, [(1 << m) - 2 for m in lengths.tolist()])
+    values = prefixed_rules(grammar, [(1 << m) - 2 for m in lengths.tolist()])
     widths = np.full(len(values), width, dtype=np.int64)
-    widths[at + np.arange(len(lengths))] = lengths
+    widths[grammar.ends[:-1] - grammar.ends[0] + np.arange(len(lengths))] = lengths
     w.write_fields(values, widths)
     return int(lengths.sum())
 
@@ -636,8 +633,14 @@ def decode(encoding: str, stream: BitStream, sigma, n_rules, start_len) -> FullG
 
 def frame_container(grammar: FullGrammar, encoding: str, stream: BitStream) -> bytes:
     """The GCB1 container of ``stream``, an ``encoding`` of ``grammar``."""
-    header = uvarints([grammar.sigma, grammar.n_rules, int(grammar.ends[0]), stream.length_bits])
-    return MAGIC + bytes([_TAGS[encoding]]) + header + stream.data
+    out = bytearray(MAGIC)
+    out.append(_TAGS[encoding])
+    out += uvarint_bytes(grammar.sigma)
+    out += uvarint_bytes(grammar.n_rules)
+    out += uvarint_bytes(len(grammar.start))
+    out += uvarint_bytes(stream.length_bits)
+    out += stream.data
+    return bytes(out)
 
 
 def to_container(grammar: FullGrammar, encoding: str) -> bytes:

@@ -16,6 +16,7 @@ coders hand over and read that array; the tuples of ``start`` and
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
@@ -69,9 +70,17 @@ class FullGrammar:
     def from_ids(cls, sigma: int, ids, ends) -> FullGrammar:
         """The grammar whose S' and rules are laid out in ``ids``, segment i
         ending at the ascending offset ends[i]; validated as the constructor
-        validates."""
+        validates.  The grammar keeps copies of both, so the caller's arrays
+        stay writable and later writes to them do not reach the grammar."""
+        ids = _id_array(ids, sigma, len(ends) - 1)
+        return cls._keeping(sigma, ids.copy(), np.array(ends, dtype=np.int64))
+
+    @classmethod
+    def _keeping(cls, sigma: int, ids: np.ndarray, ends: np.ndarray) -> FullGrammar:
+        """from_ids without the copies: for an id array of the grammar's
+        dtype and int64 ends that were made for the grammar alone."""
         grammar = cls.__new__(cls)
-        grammar._store(sigma, _id_array(ids, sigma, len(ends) - 1), np.asarray(ends, dtype=np.int64))
+        grammar._store(sigma, ids, ends)
         return grammar
 
     def _store(self, sigma: int, ids: np.ndarray, ends: np.ndarray):
@@ -81,18 +90,17 @@ class FullGrammar:
         would."""
         if sigma < 1:
             raise ValueError("sigma must be >= 1")
-        n_rules = len(ends) - 1
         lengths = np.diff(ends, prepend=0)
-        rank = np.repeat(np.roll(np.arange(n_rules + 1), 1), lengths)  # i in rule i, |G| in S'
+        rank = np.repeat(np.roll(np.arange(len(ends)), 1), lengths)  # i in rule i, |G| in S'
         wrong = np.flatnonzero((ids < 0) | (ids - rank >= sigma))
-        in_rules = wrong[wrong >= ends[0]][:1]
-        bad = [*np.flatnonzero(lengths[1:] == 0)[:1].tolist(),
-               *(np.searchsorted(ends, in_rules, "right") - 1).tolist()]
-        if bad:
-            i = min(bad)
-            if lengths[1 + i]:
-                raise ValueError(f"rule {i} references id {ids[in_rules[0]]}, not previously defined")
-            raise ValueError(f"rule {i} has an empty right-hand side")
+        in_rules = wrong[wrong >= ends[0]]
+        # the rule of the first bad id in the rules, else one past the last
+        bad = np.searchsorted(ends, in_rules[0], "right") - 1 if len(in_rules) else len(ends)
+        empty = np.flatnonzero(lengths[1:bad + 1] == 0)
+        if len(empty):
+            raise ValueError(f"rule {empty[0]} has an empty right-hand side")
+        if len(in_rules):
+            raise ValueError(f"rule {bad} references id {ids[in_rules[0]]}, not previously defined")
         if len(wrong):
             raise ValueError(f"start references undefined id {ids[wrong[0]]}")
         ids.flags.writeable = ends.flags.writeable = False
@@ -329,14 +337,17 @@ class WeakNonRedundancyResult:
 
 def derivation_tree_occurrences(grammar: FullGrammar) -> dict[int, int]:
     """Number of nodes labelled with each nonterminal in the derivation tree."""
-    sigma, n_rules = grammar.sigma, grammar.n_rules
-    occ = [0] * n_rules + [1]  # per rule, then S' once
-    for j, rhs in zip(range(n_rules, -1, -1), [grammar.start, *reversed(grammar.rules)]):
-        if occ[j]:
-            for s in rhs:
-                if s >= sigma:
-                    occ[s - sigma] += occ[j]
-    return {sigma + j: occ[j] for j in range(n_rules)}
+    occ = Counter()
+    for s in grammar.start:
+        if s >= grammar.sigma:
+            occ[s] += 1
+    for j in range(len(grammar.rules) - 1, -1, -1):
+        w = occ[grammar.sigma + j]
+        if w:
+            for s in grammar.rules[j]:
+                if s >= grammar.sigma:
+                    occ[s] += w
+    return {grammar.sigma + j: occ[grammar.sigma + j] for j in range(len(grammar.rules))}
 
 
 def check_weakly_nonredundant(grammar: FullGrammar) -> WeakNonRedundancyResult:
@@ -344,7 +355,9 @@ def check_weakly_nonredundant(grammar: FullGrammar) -> WeakNonRedundancyResult:
     and every rule right-hand side has length >= 2."""
     tree = derivation_tree_occurrences(grammar)
     underused = tuple(x for x, c in tree.items() if c < 2)
-    short = tuple(grammar.sigma + j for j in np.flatnonzero(np.diff(grammar.ends)[1:] < 2).tolist())
+    short = tuple(
+        grammar.sigma + j for j, rhs in enumerate(grammar.rules) if len(rhs) < 2
+    )
     return WeakNonRedundancyResult(
         ok=not underused and not short,
         underused=underused,
@@ -443,7 +456,7 @@ def grammar_from_segments(sigma: int, flat, ends) -> FullGrammar:
     inside earlier right-hand sides; here rules are renumbered into a
     deterministic topological order (children first, stable by working id).
     """
-    return FullGrammar.from_ids(sigma, *renumber_segments(sigma, flat, ends))
+    return FullGrammar._keeping(sigma, *renumber_segments(sigma, flat, ends))
 
 
 def renumber_segments(sigma: int, flat, ends) -> tuple[np.ndarray, np.ndarray]:
@@ -495,19 +508,30 @@ def canonicalized(grammar: FullGrammar) -> FullGrammar:
     nonterminal renaming and unreachable-rule removal.
     """
     sigma = grammar.sigma
-    order: list[int] = []  # the reachable nonterminals in depth-first post-order
+    order: list[int] = []
     seen = set()
-    stack = [(None, iter(grammar.start))]  # (symbol, its children not yet visited)
-    while stack:
-        sym, rest = stack[-1]
-        child = next((s for s in rest if s >= sigma and s not in seen), None)
-        if child is not None:
-            seen.add(child)
-            stack.append((child, iter(grammar.rhs(child))))
-            continue
-        stack.pop()
-        if sym is not None:
-            order.append(sym)
+
+    def visit(root: int):
+        stack = [(root, 0)]
+        while stack:
+            sym, idx = stack.pop()
+            rhs = grammar.rhs(sym)
+            advanced = False
+            for j in range(idx, len(rhs)):
+                child = rhs[j]
+                if child >= sigma and child not in seen:
+                    seen.add(child)
+                    stack.append((sym, j + 1))
+                    stack.append((child, 0))
+                    advanced = True
+                    break
+            if not advanced:
+                order.append(sym)
+
+    for s in grammar.start:
+        if s >= sigma and s not in seen:
+            seen.add(s)
+            visit(s)
     rename = {old: sigma + i for i, old in enumerate(order)}
 
     def mapped(seq):
@@ -517,13 +541,26 @@ def canonicalized(grammar: FullGrammar) -> FullGrammar:
     return FullGrammar(sigma, mapped(grammar.start), rules)
 
 
+def prefixed_rules(grammar: FullGrammar, prefixes) -> np.ndarray:
+    """The rules' ids laid end to end, each rule after its value in
+    ``prefixes``: the rule section of GCL1 and of the coders' streams.
+    Object once a prefix or an id passes int64."""
+    head = int(grammar.ends[0])
+    body = grammar.ids[head:]
+    try:
+        prefixes = np.asarray(prefixes, dtype=body.dtype)
+    except OverflowError:
+        prefixes, body = np.asarray(prefixes, dtype=object), body.astype(object)
+    return np.insert(body, grammar.ends[:-1] - head, prefixes)
+
+
 def to_binary(grammar: FullGrammar) -> bytes:
     """GCL1 format: magic, varint sigma, varint rule count, rules (each its
     length, then its ids), start (its length, then its ids)."""
     head = int(grammar.ends[0])
     lengths = np.diff(grammar.ends)
-    body = np.insert(grammar.ids[head:], grammar.ends[:-1] - head, lengths)
-    values = [grammar.sigma, len(lengths), *body.tolist(), head, *grammar.ids[:head].tolist()]
+    body = prefixed_rules(grammar, lengths).tolist()
+    values = [grammar.sigma, len(lengths), *body, head, *grammar.ids[:head].tolist()]
     return _MAGIC + bits.uvarints(values)
 
 

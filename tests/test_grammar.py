@@ -4,6 +4,7 @@ import json
 import re
 import time
 
+import numpy as np
 import pytest
 
 from conftest import random_text
@@ -21,6 +22,7 @@ from gclab.grammar import (
     from_binary,
     induced_parsing,
     metrics,
+    prefixed_rules,
     renumber_segments,
     start_parsing,
     to_binary,
@@ -99,6 +101,27 @@ def test_validation():
 def test_validation_messages(sigma, start, rules, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         FullGrammar(sigma, start, rules)
+
+
+def test_from_ids_keeps_copies():
+    ids, ends = np.array([2, 2, 0, 1]), np.array([2, 4])
+    g = FullGrammar.from_ids(2, ids, ends)
+    assert ids.flags.writeable and ends.flags.writeable
+    ids[:] = 0
+    ends[0] = 4
+    assert g == FullGrammar(2, (2, 2), [(0, 1)])
+    base = np.array([9, 2, 2, 0, 1])
+    g = FullGrammar.from_ids(2, base[1:], [2, 4])
+    base[1:] = 0
+    assert g.start == (2, 2) and not g.ids.flags.writeable
+
+
+def test_prefixed_rules_lays_out_prefix_then_ids():
+    g = FullGrammar(2, (3,), [(0, 1), (2, 0, 1)])
+    assert prefixed_rules(g, [2, 3]).tolist() == [2, 0, 1, 3, 2, 0, 1]
+    big = 1 << 70  # past int64: the layout turns to objects
+    assert prefixed_rules(g, [big, 1]).tolist() == [big, 0, 1, 1, 2, 0, 1]
+    assert prefixed_rules(FullGrammar(2, (0,), []), []).tolist() == []
 
 
 def view_cases(golden_grammars):
@@ -352,6 +375,17 @@ def test_weakly_nonredundant_reference_examples():
     g2 = FullGrammar(3, (3, 4), [(2, 2), (0, 0)])
     res = check_weakly_nonredundant(g2)
     assert not res.ok and len(res.underused) == 2
+
+
+@pytest.mark.parametrize("rules, short", [
+    ([(0,), (0, 1)], (2,)),
+    ([(0, 1), (0,)], (3,)),
+    ([(0,), (2,)], (2, 3)),
+])
+def test_weakly_nonredundant_short_rules(rules, short):
+    # the rule with id sigma + i is short when its right-hand side has one symbol
+    res = check_weakly_nonredundant(FullGrammar(2, (2, 2, 3, 3), rules))
+    assert res.short_rules == short and not res.ok
 
 
 def test_weak_tree_counts_via_nesting():
