@@ -62,6 +62,22 @@ def golden_corpus():
     yield "blocks:8x512", block_copies(512, 8, 512, 2)
 
 
+def large_corpus():
+    """Inputs of the benchmark's compress sizes, pinned for Re-Pair alone: 2^15
+    random bytes, whose entropy payload passes one scan block of the bit
+    reader (2^18 bits), and 32 copies of a 4,096-byte block."""
+    yield "bytes:32768", Text.from_bytes(random.Random(32768).randbytes(1 << 15))
+    yield "blocks:32x4096", block_copies(4096, 32, 4096, 4)
+
+
+@pytest.fixture(scope="session")
+def large_repair_grammars():
+    """{input: (text, Re-Pair grammar)} for large_corpus()."""
+    from gclab.repair import repair_run
+
+    return {name: (text, repair_run(text)[0]) for name, text in large_corpus()}
+
+
 @pytest.fixture(scope="session")
 def golden_grammars():
     """{(input, algorithm): grammar} for Re-Pair and Greedy on golden_corpus()."""

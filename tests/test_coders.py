@@ -1,3 +1,4 @@
+import heapq
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from gclab.bits import (
+    WINDOW_BITS,
     BitReader,
     BitStream,
     BitWriter,
@@ -16,13 +18,17 @@ from gclab.bits import (
     uvarint_bytes,
     uvarints,
 )
+from gclab import coders
 from gclab.coders import (
     CODEBOOK_DOMAIN_CAP,
     ENCODINGS,
     MAGIC,
+    MAX_UNARY,
     Codebook,
     _delta_fields,
     _read_delta,
+    _read_incremental,
+    _read_rules,
     build_codebook,
     decode,
     elias_delta_decode,
@@ -39,7 +45,7 @@ from gclab.coders import (
     symbol_width,
     to_container,
 )
-from gclab.grammar import FullGrammar, canonicalized
+from gclab.grammar import FullGrammar, canonicalized, renumber_segments
 
 
 # -- oracles --------------------------------------------------------------------
@@ -297,6 +303,53 @@ def test_huffman_decode_round_trip(rng=random.Random(7)):
         assert huffman_decode(stream, cb, len(seq)) == seq
 
 
+def heap_code_lengths(freqs):
+    """Huffman code lengths from a heap of (frequency, node id) keys: leaves
+    take ids in symbol order, merged nodes the next ids as they are made."""
+    syms = sorted(freqs)
+    if len(syms) == 1:
+        return {syms[0]: 1}
+    heap = [(freqs[s], i) for i, s in enumerate(syms)]
+    heapq.heapify(heap)
+    parent = {}
+    node = len(syms)
+    while len(heap) > 1:
+        fa, a = heapq.heappop(heap)
+        fb, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (fa + fb, node))
+        node += 1
+
+    def depth(i):
+        return 0 if i == node - 1 else 1 + depth(parent[i])
+
+    return {s: depth(i) for i, s in enumerate(syms)}
+
+
+def test_code_lengths_match_heap_construction(rng=random.Random(15)):
+    # tables full of ties, where the order of merging decides the lengths
+    fib = [1, 1]
+    while len(fib) < 24:
+        fib.append(fib[-1] + fib[-2])
+    tables = [
+        [1] * 1000,
+        [5] * 7,
+        [1 << i for i in range(15)],
+        [1 << (i // 3) for i in range(30)],
+        fib,
+        fib[::-1],
+        [f for f in fib for _ in range(2)],
+        [1, 1, 2, 2, 4, 4, 8, 8, 3, 3, 6],
+    ]
+    tables += [[rng.choice((1, 2, 3, 4, 8)) for _ in range(rng.randrange(2, 60))] for _ in range(40)]
+    for counts in tables:
+        syms = rng.sample(range(3 * len(counts)), len(counts))
+        seq = [s for s, c in zip(syms, counts) for _ in range(c)]
+        rng.shuffle(seq)
+        want = heap_code_lengths(dict(zip(syms, counts)))
+        assert build_codebook(seq, 3 * len(counts)).lengths == want, counts
+
+
 def crafted_codebook(lengths) -> BitReader:
     """A reader over a codebook serialization giving symbol i length lengths[i]."""
     domain = len(lengths)
@@ -369,6 +422,180 @@ def test_delta_truncated_stream():
     cut = BitStream(s.data[:1], 5)
     with pytest.raises(MalformedStreamError):
         elias_delta_decode(cut)
+
+
+# -- section readers against per-record references -----------------------------------
+
+
+def rules_oracle(bits, pos, n_rules, width):
+    """Rule by rule on the stream's 0/1 string: each rule's unary length, its
+    symbols in ``width`` bits; returns (symbols, lengths, end position)."""
+    if n_rules * (1 + width) > len(bits) - pos:
+        raise MalformedStreamError(f"{n_rules} rules cannot fit in {len(bits) - pos} bits")
+    symbols, lengths = [], []
+    for _ in range(n_rules):
+        zero = bits.find("0", pos)
+        if zero < 0:
+            raise MalformedStreamError("bit stream exhausted")
+        n = zero + 1 - pos
+        pos = zero + 1 + n * width
+        if pos > len(bits):
+            raise MalformedStreamError("bit stream exhausted")
+        symbols += [int(bits[a:a + width], 2) for a in range(zero + 1, pos, width)]
+        lengths.append(n)
+    return symbols, lengths, pos
+
+
+def delta_code_oracle(bits, pos):
+    """One Elias delta code at ``pos`` of the 0/1 string: (value, end)."""
+    one = bits.find("1", pos)
+    if one < 0:
+        raise MalformedStreamError("bit stream exhausted")
+    zeros = one - pos
+    if zeros >= WINDOW_BITS:
+        raise MalformedStreamError("bad Elias delta prefix")
+    mid = one + zeros + 1
+    if mid > len(bits):
+        raise MalformedStreamError("bit stream exhausted")
+    end = mid + int(bits[one:mid], 2) - 1
+    if end > len(bits):
+        raise MalformedStreamError("bit stream exhausted")
+    return int("1" + bits[mid:end], 2), end
+
+
+def incremental_oracle(stream, sigma, n_rules, start_len):
+    """The incremental decoder with its delta section read code by code on
+    the stream's 0/1 string; the rest as the library reads it."""
+    bits = stream.to01()
+    width = symbol_width(sigma, n_rules)
+    if n_rules * (1 + width) > len(bits):
+        raise MalformedStreamError(f"{n_rules} rules cannot fit in {len(bits)} bits")
+    firsts, seconds, pos, prev = [], [], 0, 0
+    for _ in range(n_rules):
+        if pos >= len(bits):
+            raise MalformedStreamError("bit stream exhausted")
+        value, pos = delta_code_oracle(bits, pos)
+        prev += value - 1
+        firsts.append(prev)
+        seconds.append(int(bits[pos:pos + width] or "0", 2))
+        pos += width
+    if pos > len(bits):
+        raise MalformedStreamError("bit stream exhausted")
+    r = BitReader(stream)
+    r.pos = pos
+    start = [int(s) for s in coders._read_coded(r, start_len)]
+    limit = sigma + n_rules
+    if any(s >= limit for s in firsts + seconds + start):
+        raise MalformedStreamError("symbol id out of range")
+    flat = start + [s for pair in zip(firsts, seconds) for s in pair]
+    try:
+        ids, ends = renumber_segments(sigma, flat, start_len + 2 * np.arange(n_rules + 1))
+    except ValueError as e:
+        raise MalformedStreamError("decoded grammar is not acyclic") from e
+    return ids.tolist(), ends.tolist(), r.pos
+
+
+def outcome(fn, *args):
+    """fn's result, or the type and message of the MalformedStreamError it raises."""
+    try:
+        return fn(*args)
+    except MalformedStreamError as e:
+        return "error", str(e)
+
+
+def library_rules(stream, lead, n_rules, width):
+    r = BitReader(stream)
+    r.pos = lead
+    symbols, lengths = _read_rules(r, n_rules, width)
+    return [int(s) for s in symbols], [int(n) for n in lengths], r.pos
+
+
+def library_incremental(stream, sigma, n_rules, start_len):
+    r = BitReader(stream)
+    ids, ends = _read_incremental(r, sigma, n_rules, start_len)
+    return [int(s) for s in ids], [int(e) for e in ends], r.pos
+
+
+def truncations(stream):
+    """Every prefix of the stream, the bits past its end left as they were
+    in the byte that holds them."""
+    for n in range(stream.length_bits + 1):
+        yield BitStream(stream.data[:(n + 7) // 8], n)
+
+
+def rules_stream(lead, lengths, width, rng):
+    w = BitWriter()
+    w.write_bits(rng.getrandbits(lead), lead)
+    for m in lengths:
+        w.write_unaries([m])
+        w.write_fields([rng.getrandbits(width) for _ in range(m)], width)
+    w.write_bits(5, 3)
+    return w.freeze()
+
+
+def test_rule_lengths_match_per_rule_reference(rng=random.Random(16)):
+    # unary runs ending inside, at and past one 57-bit window
+    cases = [(lead, [1, 56, 57, 58, 2, 1], width) for lead in range(8) for width in (1, 3, 11)]
+    cases += [(5, [3, 1, 2], 65), (3, [MAX_UNARY, 1], 1), (0, [2, MAX_UNARY], 2)]
+    for lead, lengths, width in cases:
+        stream = rules_stream(lead, lengths, width, rng)
+        bits = stream.to01()
+        want = rules_oracle(bits, lead, len(lengths), width)
+        assert want[1] == lengths
+        assert library_rules(stream, lead, len(lengths), width) == want, (lead, lengths, width)
+    # every truncation of a short stream: the same values or the same error
+    stream = rules_stream(3, [1, 56, 57, 58, 2], 2, rng)
+    for cut in truncations(stream):
+        for n_rules in (4, 5):
+            want = outcome(rules_oracle, cut.to01(), 3, n_rules, 2)
+            assert outcome(library_rules, cut, 3, n_rules, 2) == want, (len(cut), n_rules)
+
+
+def incremental_stream(sigma, gaps, seconds, start):
+    """An incremental payload: each rule's first component as the delta code
+    of its gap + 1, its second in fixed width, then S' Huffman-coded."""
+    n_rules = len(gaps)
+    width = symbol_width(sigma, n_rules)
+    w = BitWriter()
+    for gap, second in zip(gaps, seconds):
+        values, widths = _delta_fields(gap + 1)
+        w.write_fields([*values, second], [*widths, width])
+    w.write_bytes(build_codebook(start, max(start) + 1).serialized)
+    w.write_fields(*coders._huffman_fields(start, build_codebook(start, max(start) + 1)))
+    return w.freeze()
+
+
+def test_delta_section_matches_per_code_reference(rng=random.Random(17)):
+    big = 2**64 + 3
+    # gaps + 1 of every bit length from 1 to 64, then past 2^64; the ids run
+    # past int64 and the second components take 65 bits
+    streams = []
+    for _ in range(3):
+        gaps = [rng.randrange(1 << (k - 1), 1 << k) - 1 for k in range(1, 65)]
+        rng.shuffle(gaps)
+        streams.append((big, gaps))
+    streams.append((big, [2**64, 0, 1, 1]))
+    streams.append((big, [2**64 + 2, 5]))  # the second first component is out of range
+    for sigma, gaps in streams:
+        seconds = [rng.randrange(sigma) for _ in gaps]
+        stream = incremental_stream(sigma, gaps, seconds, [0, 1, 1])
+        want = outcome(incremental_oracle, stream, sigma, len(gaps), 3)
+        assert (want[0] == "error") == (sum(gaps) >= sigma + len(gaps)), gaps
+        assert outcome(library_incremental, stream, sigma, len(gaps), 3) == want
+    # every truncation of a short stream, codes crossing window boundaries
+    sigma, gaps = 1 << 45, [0, 6, (1 << 40) + 5, 1 << 20, 2, 0]
+    stream = incremental_stream(sigma, gaps, [0, 3, 2, sigma - 1, 7, 1], [0, 2, 1, 1])
+    for cut in truncations(stream):
+        want = outcome(incremental_oracle, cut, sigma, len(gaps), 4)
+        assert outcome(library_incremental, cut, sigma, len(gaps), 4) == want, len(cut)
+    # a delta prefix of 57 or more zeros, inside the stream or not
+    for zeros, tail in ((57, "1" + "0" * 200), (60, "1" * 120), (70, "")):
+        bits = "0" * zeros + tail
+        padded = bits + "0" * (-len(bits) % 8)
+        stream = BitStream(bytes(int(padded[i:i + 8], 2) for i in range(0, len(padded), 8)), len(bits))
+        want = outcome(incremental_oracle, stream, 3, 1, 1)
+        assert want[0] == "error"
+        assert outcome(library_incremental, stream, 3, 1, 1) == want, zeros
 
 
 # -- the four encodings ----------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Golden digests: the exact GCL1 and GCB1 bytes and SizeBreakdown fields of
-Re-Pair and Greedy grammars of a small pinned corpus (see conftest.py),
+Re-Pair and Greedy grammars of a small pinned corpus and of Re-Pair's
+grammars of two inputs of the benchmark's sizes (see conftest.py),
 Re-Pair's and Greedy's full traces (every RepairStep or GreedyStep, the stop
 reason and the GCL1 bytes) under each stopping policy, de Bruijn
 certificates, entropy profiles, the parsings of LZ78, LZ77ns and the
@@ -25,7 +26,7 @@ from conftest import block_copies, golden_corpus
 from gclab import coders
 from gclab.debruijn import GdBParams, generalized_word, lower_bound_check, verify_gdb
 from gclab.greedy import GreedyPolicy, greedy_run
-from gclab.grammar import to_binary
+from gclab.grammar import canonicalized, from_binary, to_binary
 from gclab.labcli import ALGORITHMS, RunSpec, fixture_text, run
 from gclab.parsing import (
     best_offset_parsing,
@@ -197,10 +198,7 @@ def test_golden_covers_corpus(golden_grammars):
     assert set(golden_grammars) == set(GOLDEN)
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN))
-def test_golden_digests(golden_grammars, key):
-    grammar = golden_grammars[key]
-    want = GOLDEN[key]
+def check_golden(grammar, want):
     assert _sha256(to_binary(grammar)) == want["gcl1"]
     applicable = [e for e in coders.ENCODINGS if e != "incremental" or grammar.is_cnf]
     assert sorted(applicable) == sorted(e for e in want if e != "gcl1")
@@ -211,6 +209,54 @@ def test_golden_digests(golden_grammars, key):
         assert (br.payload_bits, br.dictionary_bits, br.lengths_side_bits, br.total_bits) \
             == fields[:4], enc
         assert br.formula_bound_bits == pytest.approx(fields[4], abs=1e-9), enc
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_golden_digests(golden_grammars, key):
+    check_golden(golden_grammars[key], GOLDEN[key])
+
+
+# Re-Pair's grammars of large_corpus(), in GOLDEN's layout
+LARGE_GOLDEN = {
+    'bytes:32768': {
+        'gcl1': 'a0bb297efdd78ea1eb021cf6c1de65d09fc4f85d4d62539d8d84ebe481912e03',
+        'fully_naive': ('d02e5a5cc099beb455f2db78dc1bb34d53b98515c12273ef107f6a398f25c4ea',
+            (383436, 0, 6590, 390026, 444406.9901873551)),
+        'naive': ('9b7769b935e7272b44f18f73498e61d79da1286cf7973ad60c13a6a4f69063bf',
+            (332130, 31936, 6590, 370656, 453797.5826612917)),
+        'entropy': ('a69a12fc0cae8fa4d83efc60057eec54a05f4710e76ec32568d7c815fc491bdb',
+            (308967, 31976, 6590, 347533, 463776.35580624966)),
+        'incremental': ('64316df60874fb68db739da1a4a5dd0c91b16f96fe4234ba3cdbe86ace641f3a',
+            (292590, 31936, 4141, 328667, 455079.51115762413)),
+    },
+    'blocks:32x4096': {
+        'gcl1': 'a934edf5bba897226a45bcb5e5cddcf65ffb094e3cf1437a9b566554753f6eb3',
+        'fully_naive': ('524bb373be6509b241facfcf9f620ef9e14c68da85bc2c6997b9d9835ea3ef12',
+            (113763, 0, 8080, 121843, 127507.87871065034)),
+        'naive': ('d71a4cda14adf122f2e5ee24098bf1b1e0edc845667c7cdc962950cdedac4608',
+            (111013, 8312, 8080, 127405, 133333.1952747316)),
+        'entropy': ('d93e91ed5afea648cfdf64351c379f80690bd5cd22faded9f01e91e503931446',
+            (97074, 38680, 8080, 143834, 196313.42164642763)),
+        'incremental': ('a392a7b887470ba1114b44cd2e91d7af8bb92fadfab4f28acb6c78e6229f9c67',
+            (58493, 8312, 15727, 82532, 134005.9780737651)),
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(LARGE_GOLDEN))
+def test_large_golden_digests(large_repair_grammars, name):
+    # the streams are long enough to cross every block and window boundary
+    # of the readers, so each one is decoded back too
+    text, grammar = large_repair_grammars[name]
+    check_golden(grammar, LARGE_GOLDEN[name])
+    decoded = from_binary(to_binary(grammar))
+    assert decoded == grammar and decoded.expand_start() == text.symbols
+    for enc in coders.ENCODINGS:
+        back, _ = coders.from_container(coders.to_container(grammar, enc))
+        # the incremental decoder renames the rules
+        same = canonicalized if enc == "incremental" else (lambda g: g)
+        assert same(back) == same(grammar), enc
+        assert back.expand_start() == text.symbols, enc
 
 
 # -- Greedy traces ------------------------------------------------------------

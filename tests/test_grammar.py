@@ -517,14 +517,23 @@ def test_binary_counts_checked_before_allocating():
 
     from gclab.bits import MalformedStreamError, uvarints
 
-    # 2^60 rules, then |S'| = 2^40, each declared in a 20-byte file
-    for head in ([2, 1 << 60], [2, 0, 1 << 40]):
-        data = (b"GCL1" + uvarints(head)).ljust(20, b"\0")
-        assert len(data) == 20
+    # 2^60 rules, then |S'| = 2^40, each declared in a 20-byte file; then a
+    # rule count, a rule length and |S'| past int64 (2^63, 2^64 - 1, and a
+    # 10-byte varint past 2^64), which a cast to int64 would wrap negative
+    heads = [[2, 1 << 60], [2, 0, 1 << 40]]
+    for big in (1 << 63, (1 << 64) - 1, (1 << 69) + 5):
+        heads += [[2, big], [2, 1, big], [2, 2, 1, 0, big], [2, 0, big]]
+    for head in heads:
+        data = (b"GCL1" + uvarints(head)).ljust(32, b"\0")
+        assert len(data) == 32
         t0 = time.perf_counter()
         with pytest.raises(MalformedStreamError, match="cannot fit"):
             from_binary(data)
         assert time.perf_counter() - t0 < 1.0
+    # a sigma past 2^64 is no count: it round-trips
+    big = 2**64 + 3
+    g = FullGrammar(big, (big + 1, 0, big), [(0, big - 1), (big, 1)])
+    assert from_binary(to_binary(g)) == g
 
 
 def doubling_grammar(n_rules: int, copies: int = 1) -> FullGrammar:
