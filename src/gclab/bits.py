@@ -8,7 +8,12 @@ Writers collect fields as arrays of (value, width); ``BitWriter.freeze``
 packs all of them with one numpy pass (``_pack``).  A field wider than 63
 bits is first split into 32-bit limbs, so the packer only sees fields that
 fit a 64-bit word.  Readers gather fixed-width fields at arrays of bit
-positions from one array of 64-bit windows, one window per byte offset.
+positions from one array of 64-bit windows, one window per byte offset, and
+return arrays: uint64, or Python ints (object) for fields or varints past
+64 bits.  The same windows, as a memoryview of ints (``BitReader.words``),
+serve the coders' loops over records whose positions depend on the record
+before (unary rule lengths among symbols, Elias delta codes): one index, a
+mask and ``int.bit_length`` find the next zero or one bit.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ _POW2 = np.left_shift(np.uint64(1), np.arange(64, dtype=np.uint64))
 _SHIFTS8 = np.arange(8, dtype=np.uint64)
 _SCAN_BITS = 1 << 18  # positions per block when a reader scans every bit position
 _ONES64 = (1 << 64) - 1
-_ONES_WINDOW = (1 << WINDOW_BITS) - 1
 
 
 class MalformedStreamError(ValueError):
@@ -177,6 +181,9 @@ class BitReader:
         self._bytes = np.frombuffer(stream.data + bytes(8), dtype=np.uint8)
         # _win[i]: the 64 bits from byte i on, bits past the data reading 0
         self._win = np.ndarray((len(stream.data) + 1,), ">u8", self._bytes, 0, (1,)).astype(np.uint64)
+        # words[i]: _win[i] as an int; the word at byte p >> 3 holds bit p and
+        # the 56 to 63 bits after it
+        self.words = memoryview(self._win)
 
     def remaining(self) -> int:
         return self.length_bits - self.pos
@@ -188,7 +195,7 @@ class BitReader:
 
     def peek(self, p: int, width: int) -> int:
         """``width`` <= WINDOW_BITS bits at position ``p``, unchecked."""
-        return ((self._win.item(p >> 3) << (p & 7)) & _ONES64) >> (64 - width)
+        return ((self.words[p >> 3] << (p & 7)) & _ONES64) >> (64 - width)
 
     def windows(self, pos: np.ndarray, width: int) -> np.ndarray:
         """``width`` <= WINDOW_BITS bits at each position, unchecked."""
@@ -205,39 +212,30 @@ class BitReader:
             rows = self._win[first:(b + 7) >> 3, None] << _SHIFTS8
             yield (rows >> np.uint64(64 - width)).ravel()[a - 8 * first:b - 8 * first]
 
-    def fields(self, pos, width: int) -> list[int]:
-        """Fields of ``width`` bits at each position, as ints."""
+    def fields(self, pos, width: int) -> np.ndarray:
+        """Fields of ``width`` bits at each position: uint64, or Python ints
+        (object) past 64 bits."""
         pos = np.asarray(pos, dtype=np.int64)
+        dtype = np.uint64 if width <= 64 else object
         if not len(pos):
-            return []
+            return np.zeros(0, dtype=dtype)
         self.require(int(pos.max()) + width)
         if width <= WINDOW_BITS:
-            return self.windows(pos, width).tolist()
+            return self.windows(pos, width)
         k = (width + 31) // 32
         top = width - 32 * (k - 1)
-        out = self.windows(pos, top).tolist()
+        out = self.windows(pos, top).astype(dtype)
         for i in range(k - 1):
-            limb = self.windows(pos + top + 32 * i, 32).tolist()
-            out = [(v << 32) | x for v, x in zip(out, limb)]
+            out = (out << 32) | self.windows(pos + top + 32 * i, 32).astype(dtype)
         return out
-
-    def next_bit(self, p: int, bit: int) -> int:
-        """Position of the first ``bit`` at or after ``p``, or length_bits."""
-        flip = 0 if bit else _ONES_WINDOW
-        while p < self.length_bits:
-            found = (self.peek(p, WINDOW_BITS) ^ flip).bit_length()
-            if found:
-                return min(p + WINDOW_BITS - found, self.length_bits)
-            p += WINDOW_BITS
-        return self.length_bits
 
     def read_bits(self, width: int) -> int:
         self.require(self.pos + width)
-        value = self.peek(self.pos, width) if width <= WINDOW_BITS else self.fields((self.pos,), width)[0]
+        value = self.peek(self.pos, width) if width <= WINDOW_BITS else int(self.fields((self.pos,), width)[0])
         self.pos += width
         return value
 
-    def read_fields(self, count: int, width: int) -> list[int]:
+    def read_fields(self, count: int, width: int) -> np.ndarray:
         """The next ``count`` fields of ``width`` >= 1 bits."""
         if count * width > self.remaining():
             raise MalformedStreamError(f"{count} fields of {width} bits cannot fit in {self.remaining()} bits")
@@ -248,13 +246,7 @@ class BitReader:
     def read_bit(self) -> int:
         return self.read_bits(1)
 
-    def read_unary(self) -> int:
-        end = self.next_bit(self.pos, 0) + 1
-        self.require(end)
-        m, self.pos = end - self.pos, end
-        return m
-
-    def read_unaries(self, count: int) -> list[int]:
+    def read_unaries(self, count: int) -> np.ndarray:
         """Lengths of ``count`` unary fields written back to back."""
         if count > self.remaining():
             raise MalformedStreamError(f"{count} unary fields cannot fit in {self.remaining()} bits")
@@ -272,7 +264,7 @@ class BitReader:
             start = stop
         ends = np.concatenate(ends)
         self.pos = int(ends[-1]) + 1
-        return np.diff(ends).tolist()
+        return np.diff(ends)
 
     def read_bytes(self, n: int) -> np.ndarray:
         """The next ``n`` whole bytes, at any bit offset, as uint8."""
@@ -281,7 +273,7 @@ class BitReader:
         self.pos += 8 * n
         return out
 
-    def read_uvarints(self, count: int) -> list[int]:
+    def read_uvarints(self, count: int) -> np.ndarray:
         """The next ``count`` varints, spliced in at any bit offset."""
         if count > self.remaining() >> 3:
             raise MalformedStreamError(f"{count} varints cannot fit in {self.remaining()} bits")
@@ -295,27 +287,33 @@ class BitReader:
 
 
 def uvarints(values) -> bytes:
-    """LEB128 of each value, concatenated.
+    """LEB128 of each value, concatenated; ``values`` is an iterable of ints
+    or an integer array.
 
     A value of 2^64 or more is first split into 56-bit limbs, least
     significant first; every limb but the last then takes exactly 8 bytes,
     all with the continuation bit.
     """
-    values = values if isinstance(values, list) else list(values)
-    if values and min(values) < 0:
-        raise ValueError("varint is unsigned")
     more = None
-    if values and max(values) >> 64:
-        limbs, flags = [], []
-        for v in values:
-            while v >> 56:
-                limbs.append(v & ((1 << 56) - 1))
-                flags.append(True)
-                v >>= 56
-            limbs.append(v)
-            flags.append(False)
-        values, more = limbs, np.array(flags)
-    v = np.array(values, dtype=np.uint64)
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind == "i" and len(values) and values.min() < 0:
+            raise ValueError("varint is unsigned")
+        v = values.astype(np.uint64, copy=False)
+    else:
+        values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+        if values and min(values) < 0:
+            raise ValueError("varint is unsigned")
+        if values and max(values) >> 64:
+            limbs, flags = [], []
+            for v in values:
+                while v >> 56:
+                    limbs.append(v & ((1 << 56) - 1))
+                    flags.append(True)
+                    v >>= 56
+                limbs.append(v)
+                flags.append(False)
+            values, more = limbs, np.array(flags)
+        v = np.array(values, dtype=np.uint64)
     nbytes = np.maximum(1, (_bit_length(v) + 6) // 7)
     if more is not None:
         nbytes[more] = 8
@@ -328,11 +326,12 @@ def uvarints(values) -> bytes:
     return (out | (cont.astype(np.uint64) << np.uint64(7))).astype(np.uint8).tobytes()
 
 
-def uvarint_values(buf: np.ndarray, count: int | None = None) -> tuple[list[int], int]:
+def uvarint_values(buf: np.ndarray, count: int | None = None) -> tuple[np.ndarray, int]:
     """The first ``count`` varints of a uint8 array (all of them if None).
 
-    Returns (values, bytes consumed); with ``count`` None the varints must
-    fill ``buf`` exactly.
+    Returns (values, bytes consumed): uint64, or Python ints (object) once a
+    value passes 64 bits; with ``count`` None the varints must fill ``buf``
+    exactly.
     """
     ends = np.flatnonzero(buf < 0x80)
     if count is not None:
@@ -347,21 +346,25 @@ def uvarint_values(buf: np.ndarray, count: int | None = None) -> tuple[list[int]
     if (count is None and used < len(buf)) or (count is not None and len(ends) < count):
         raise MalformedStreamError("truncated varint")
     if not len(ends):
-        return [], 0
+        return np.zeros(0, dtype=np.uint64), 0
     body = buf[:used]
     shift = 7 * (np.arange(used) - np.repeat(firsts, sizes))
     groups = (body & 0x7F).astype(np.uint64) << shift.astype(np.uint64)
-    values = np.bitwise_or.reduceat(groups, firsts).tolist()
-    for i in np.flatnonzero(sizes == 10).tolist():  # up to 70 bits: exact in ints
-        raw = buf[firsts[i]:ends[i] + 1].tolist()
-        values[i] = sum((b & 0x7F) << (7 * j) for j, b in enumerate(raw))
+    values = np.bitwise_or.reduceat(groups, firsts)
+    long = np.flatnonzero(sizes == 10)
+    if len(long):  # up to 70 bits: exact in ints
+        exact = [sum((b & 0x7F) << (7 * j) for j, b in enumerate(buf[firsts[i]:ends[i] + 1].tolist()))
+                 for i in long.tolist()]
+        if max(exact) >> 64:
+            values = values.astype(object)
+        values[long] = exact
     return values, used
 
 
 def read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
     """Decode a varint at ``pos``; returns (value, next position)."""
-    (value,), used = uvarint_values(np.frombuffer(data[pos:pos + 10], dtype=np.uint8), 1)
-    return value, pos + used
+    values, used = uvarint_values(np.frombuffer(data[pos:pos + 10], dtype=np.uint8), 1)
+    return int(values[0]), pos + used
 
 
 def uvarint_bytes(value: int) -> bytes:

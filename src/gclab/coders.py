@@ -21,8 +21,11 @@ MSB-first.
 Each encoder collects its fields as arrays of (value, width) in a BitWriter,
 which packs them in one pass; each decoder gathers whole sections of fields
 at once from a BitReader and walks one by one only what fixes the next
-field's position: rule lengths interleaved with symbols, Elias delta codes
-and the chain of Huffman code starts.
+field's position: rule lengths interleaved with symbols and Elias delta
+codes, each in one loop over the reader's 64-bit words, and the chain of
+Huffman code starts.  A codebook is three arrays (symbols ascending, code
+lengths, codes), so building, serializing, parsing and applying it are
+numpy passes.
 
 Every SizeBreakdown carries formula_bound_bits: the corresponding upper
 bound with all hidden constants instantiated explicitly (see _overhead_slack
@@ -38,10 +41,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
 from .bits import (
+    _ONES64,
     WINDOW_BITS,
     BitReader,
     BitStream,
@@ -93,80 +98,107 @@ def _breakdown(payload, dictionary, lengths_side, bound, huffman=None) -> SizeBr
 # -- Huffman -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
-    """Canonical prefix code: symbol -> (length, code)."""
+    """Canonical prefix code: symbols[i] (ascending, int64) has the code
+    code_words[i] (uint64) of code_lengths[i] bits (int64)."""
 
-    lengths: dict[int, int]
-    codes: dict[int, int]
+    symbols: np.ndarray
+    code_lengths: np.ndarray
+    code_words: np.ndarray
     domain: int
+
+    @cached_property
+    def lengths(self) -> dict[int, int]:
+        """symbol -> code length."""
+        return dict(zip(self.symbols.tolist(), self.code_lengths.tolist()))
+
+    @cached_property
+    def codes(self) -> dict[int, int]:
+        """symbol -> code."""
+        return dict(zip(self.symbols.tolist(), self.code_words.tolist()))
 
     @cached_property
     def serialized(self) -> bytes:
         """Varint domain size, presence bitmap, then the code lengths in id
         order; only an encoder needs it."""
-        out = bytearray(uvarint_bytes(self.domain))
-        bitmap = bytearray((self.domain + 7) // 8)
-        for sym in self.lengths:
-            bitmap[sym >> 3] |= 1 << (7 - (sym & 7))
-        out += bitmap
-        out += uvarints([self.lengths[sym] for sym in sorted(self.lengths)])
-        return bytes(out)
+        bitmap = np.zeros((self.domain + 7) // 8, dtype=np.uint8)
+        byte = self.symbols >> 3
+        first = np.flatnonzero(np.diff(byte, prepend=-1))  # each byte's first symbol
+        bits = np.right_shift(0x80, self.symbols & 7).astype(np.uint8)
+        bitmap[byte[first]] = np.bitwise_or.reduceat(bits, first)
+        return uvarint_bytes(self.domain) + bitmap.tobytes() + uvarints(self.code_lengths)
 
     @property
     def serialized_bits(self) -> int:
         return 8 * len(self.serialized)
 
     def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for l in self.lengths.values())
+        return sum(2.0 ** -l for l in self.code_lengths.tolist())
 
 
-def _code_lengths(freqs: dict[int, int]) -> dict[int, int]:
-    """Huffman code lengths: merge the two lightest nodes until one is left,
-    ties to the node made first (leaves in symbol order, then merges)."""
-    if not freqs:
-        raise ValueError("cannot build a code for an empty sequence")
-    syms = sorted(freqs)
-    if len(syms) == 1:
-        return {syms[0]: 1}
-    heap = [(freqs[s], i) for i, s in enumerate(syms)]
-    heapq.heapify(heap)
-    parent = [0] * (2 * len(syms) - 1)
-    node = len(syms)
-    while len(heap) > 1:
-        fa, a = heapq.heappop(heap)
-        fb, b = heapq.heappop(heap)
+def _code_lengths(counts: np.ndarray) -> np.ndarray:
+    """Huffman code lengths of the symbols with these counts, in symbol
+    order: merge the two lightest nodes until one is left, ties to the node
+    made first (leaves in symbol order, then merges).
+
+    Two queues (van Leeuwen 1976): the leaves sorted by (count, symbol), and
+    the merged nodes in the order they are made, whose weights never
+    decrease.  The lightest node heads one of them, and on a tie it is the
+    leaf, which was made first.
+    """
+    m = len(counts)
+    if m == 1:
+        return np.ones(1, dtype=np.int64)
+    order = np.argsort(counts, kind="stable")
+    leaf, leaf_id = counts[order].tolist(), order.tolist()
+    merged: list[int] = []  # weight of node m + j
+    parent = [0] * (2 * m - 1)
+    i = j = 0
+    for node in range(m, 2 * m - 1):
+        if j < node - m and (i == m or merged[j] < leaf[i]):
+            a, fa, j = m + j, merged[j], j + 1
+        else:
+            a, fa, i = leaf_id[i], leaf[i], i + 1
+        if j < node - m and (i == m or merged[j] < leaf[i]):
+            b, fb, j = m + j, merged[j], j + 1
+        else:
+            b, fb, i = leaf_id[i], leaf[i], i + 1
         parent[a] = parent[b] = node
-        heapq.heappush(heap, (fa + fb, node))
-        node += 1
-    depth = [0] * node
-    for i in range(node - 2, -1, -1):  # parents are made after their children
-        depth[i] = depth[parent[i]] + 1
-    return {s: depth[i] for i, s in enumerate(syms)}
+        merged.append(fa + fb)
+    depth = [0] * (2 * m - 1)
+    for k in range(2 * m - 3, -1, -1):  # parents are made after their children
+        depth[k] = depth[parent[k]] + 1
+    return np.array(depth[:m], dtype=np.int64)
 
 
-def _canonical(lengths: dict[int, int], domain: int) -> Codebook:
+def _canonical(symbols: np.ndarray, lengths: np.ndarray, domain: int) -> Codebook:
     """The canonical code of the given lengths: the codes of one length are
-    consecutive integers in symbol order."""
-    codes = {}
-    code = 0
-    prev_len = 0
-    for length, sym in sorted((l, s) for s, l in lengths.items()):
-        code <<= length - prev_len
-        codes[sym] = code
-        code += 1
-        prev_len = length
-    return Codebook(lengths, codes, domain)
+    consecutive integers in symbol order.  In (length, symbol) order, code k
+    is sum_{j<k} 2^(L_k - L_j), one exclusive prefix sum scaled to the
+    longest length L (at most 57 bits parsed, far below 64 built)."""
+    order = np.argsort(lengths, kind="stable")
+    drop = (lengths[order][-1] - lengths[order]).astype(np.uint64)
+    steps = np.left_shift(np.uint64(1), drop)
+    words = np.empty(len(symbols), dtype=np.uint64)
+    words[order] = (np.cumsum(steps) - steps) >> drop
+    return Codebook(symbols, lengths, words, domain)
 
 
 def build_codebook(seq, domain: int) -> Codebook:
     if domain > CODEBOOK_DOMAIN_CAP:
         raise ValueError(f"codebook domain of {domain} symbols is over the cap of {CODEBOOK_DOMAIN_CAP}")
-    freqs = Counter(seq)
-    for sym in freqs:
+    try:
+        seq = np.asarray(seq, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"a symbol is outside codebook domain {domain}") from None
+    symbols, counts = np.unique(seq, return_counts=True)
+    if not len(symbols):
+        raise ValueError("cannot build a code for an empty sequence")
+    for sym in (symbols[0], symbols[-1]):
         if not 0 <= sym < domain:
             raise ValueError(f"symbol {sym} outside codebook domain {domain}")
-    return _canonical(_code_lengths(freqs), domain)
+    return _canonical(symbols, _code_lengths(counts), domain)
 
 
 def parse_codebook(reader: BitReader) -> Codebook:
@@ -176,31 +208,30 @@ def parse_codebook(reader: BitReader) -> Codebook:
     Code lengths must lie in 1..min(57, m - 1) for m present symbols, so
     that one 64-bit window holds any code, and satisfy the Kraft inequality.
     """
-    (domain,) = reader.read_uvarints(1)
+    domain = int(reader.read_uvarints(1)[0])
     nbytes = (domain + 7) // 8
     if 8 * nbytes > reader.remaining():
         raise MalformedStreamError("truncated codebook bitmap")
-    present = np.flatnonzero(np.unpackbits(reader.read_bytes(nbytes))[:domain]).tolist()
-    if not present:
+    present = np.flatnonzero(np.unpackbits(reader.read_bytes(nbytes))[:domain])
+    if not len(present):
         raise MalformedStreamError("empty codebook")
     # a Huffman code over m >= 2 symbols is at most m - 1 bits deep
     max_len = min(WINDOW_BITS, max(1, len(present) - 1))
     lengths = reader.read_uvarints(len(present))
-    for l in lengths:
-        if not 1 <= l <= max_len:
-            raise MalformedStreamError(f"code length {l} outside 1..{max_len}")
-    if sum(1 << (max_len - l) for l in lengths) > 1 << max_len:
+    bad = np.flatnonzero((lengths < 1) | (lengths > max_len))
+    if len(bad):
+        raise MalformedStreamError(f"code length {lengths[bad[0]]} outside 1..{max_len}")
+    lengths = lengths.astype(np.int64)
+    per_length = np.bincount(lengths).tolist()
+    if sum(c << (max_len - l) for l, c in enumerate(per_length)) > 1 << max_len:
         raise MalformedStreamError("code lengths violate the Kraft inequality")
-    return _canonical(dict(zip(present, lengths)), domain)
+    return _canonical(present.astype(np.int64), lengths, domain)
 
 
 def _huffman_fields(seq, codebook: Codebook) -> tuple[np.ndarray, np.ndarray]:
     """(code, code length) of each symbol of ``seq``."""
-    syms = sorted(codebook.lengths)
-    at = np.searchsorted(np.array(syms, dtype=np.int64), np.asarray(seq, dtype=np.int64))
-    codes = np.array([codebook.codes[s] for s in syms], dtype=np.uint64)
-    lengths = np.array([codebook.lengths[s] for s in syms], dtype=np.int64)
-    return codes[at], lengths[at]
+    at = np.searchsorted(codebook.symbols, np.asarray(seq, dtype=np.int64))
+    return codebook.code_words[at], codebook.code_lengths[at]
 
 
 def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarray:
@@ -218,13 +249,11 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarr
         raise MalformedStreamError(f"{count} symbols cannot fit in {reader.remaining()} bits")
     if not count:
         return np.zeros(0, dtype=np.int64)
-    syms = np.fromiter(codebook.lengths, dtype=np.int64, count=len(codebook.lengths))
-    lens = np.fromiter(codebook.lengths.values(), dtype=np.int64, count=len(syms))
-    order = np.lexsort((syms, lens))
-    syms = syms[order]
+    order = np.argsort(codebook.code_lengths, kind="stable")
+    syms = codebook.symbols[order]
     # one row per code length: its first code and symbol index, its symbol count
-    length, base, n = np.unique(lens[order], return_index=True, return_counts=True)
-    first = np.array([codebook.codes[s] for s in syms[base].tolist()], dtype=np.int64)
+    length, base, n = np.unique(codebook.code_lengths[order], return_index=True, return_counts=True)
+    first = codebook.code_words[order][base].astype(np.int64)
     top = int(length[-1])
     if top > WINDOW_BITS:
         raise MalformedStreamError(f"code length {top} over {WINDOW_BITS}")
@@ -241,7 +270,7 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarr
     except IndexError:
         raise MalformedStreamError("bit stream exhausted") from None
     reader.require(start + p)
-    window = reader.windows(np.array(at) + start, top)
+    window = reader.windows(np.fromiter(at, np.int64, count) + start, top)
     row = np.searchsorted(limits, window, "right")
     if (row == len(length)).any():
         raise MalformedStreamError("invalid Huffman code")
@@ -296,16 +325,50 @@ def _delta_fields(n: int) -> tuple[tuple[int, int], tuple[int, int]]:
     return (nbits, n - (1 << (nbits - 1))), (2 * nbits.bit_length() - 1, nbits - 1)
 
 
-def _read_delta(reader: BitReader) -> int:
-    p = reader.pos
-    one = reader.next_bit(p, 1)
-    zeros = one - p
-    reader.require(one + 1)
-    if zeros >= WINDOW_BITS:  # a bit length of 2^57 bits or more
-        raise MalformedStreamError("bad Elias delta prefix")
-    nbits = reader.peek(one, zeros + 1)
-    reader.pos = one + zeros + 1
-    return (1 << (nbits - 1)) | reader.read_bits(nbits - 1)
+def _read_deltas(r: BitReader, count: int, gap: int) -> tuple[list[int], list[int]]:
+    """``count`` Elias delta codes from the reader's position, each followed
+    by ``gap`` bits left unread: their values and the position where each
+    code ends.  The reader moves past the last gap.
+
+    The word at a code's byte holds the code's first 57 to 64 bits; a code
+    whose prefix and bit length lie in it is read from it alone, and a code
+    whose low bits run past it takes them from the windows.
+    """
+    words, end = r.words, r.length_bits
+    values, stops = [0] * count, [0] * count
+    p = r.pos
+    for i in range(count):
+        if p >= end:
+            raise MalformedStreamError("bit stream exhausted")
+        q = p - (p & 7) + 64  # one past the word's last bit
+        x = words[p >> 3] & (_ONES64 >> (p & 7))
+        one = q - x.bit_length()
+        mid = 2 * one - p + 1  # past the bit length N, one + zeros + 1
+        if x and mid <= q:
+            nbits = x >> (q - mid)
+        else:
+            while not x:  # the first one bit: no code, or a bad prefix
+                if q >= end:
+                    break
+                x, q = words[q >> 3], q + 64
+            one = q - x.bit_length()
+            if one >= end:
+                raise MalformedStreamError("bit stream exhausted")
+            if one - p >= WINDOW_BITS:  # a bit length of 2^57 bits or more
+                raise MalformedStreamError("bad Elias delta prefix")
+            mid = 2 * one - p + 1
+            nbits = int(r.fields((one,), one - p + 1)[0])
+        stop = mid + nbits - 1
+        if stop > end:
+            raise MalformedStreamError("bit stream exhausted")
+        if stop <= q:
+            values[i] = (x >> (q - stop)) - ((nbits - 1) << (nbits - 1))
+        else:
+            values[i] = (1 << (nbits - 1)) | int(r.fields((mid,), nbits - 1)[0])
+        stops[i] = stop
+        p = stop + gap
+    r.pos = p
+    return values, stops
 
 
 def elias_delta_encode(n: int) -> BitStream:
@@ -316,7 +379,7 @@ def elias_delta_encode(n: int) -> BitStream:
 
 def elias_delta_decode(stream: BitStream) -> int:
     reader = BitReader(stream)
-    value = _read_delta(reader)
+    (value,), _ = _read_deltas(reader, 1, 0)
     if reader.remaining():
         raise MalformedStreamError("trailing bits after Elias delta code")
     return value
@@ -378,23 +441,35 @@ def _write_rules(w: BitWriter, grammar: FullGrammar, width: int) -> int:
     return int(lengths.sum())
 
 
-def _read_rules(r: BitReader, n_rules: int, width: int) -> tuple[list[int], list[int]]:
-    """The rules' ids, laid out as one list, and their lengths."""
+def _read_rules(r: BitReader, n_rules: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rules' ids, laid out as one array, and their lengths.
+
+    One loop over the reader's words finds where each rule ends: the first
+    zero bit from the rule's start ends its unary length n, and its n
+    symbols follow.  The symbols are then gathered at once.
+    """
     _fit(r, n_rules, 1 + width, "rules")
-    starts, lengths = [], []
+    words, end = r.words, r.length_bits
+    bounds = [r.pos] * (n_rules + 1)
     p = r.pos
-    for _ in range(n_rules):
-        zero = r.next_bit(p, 0)
-        n = zero + 1 - p
-        p = zero + 1 + n * width
-        r.require(p)
-        starts.append(zero + 1)
-        lengths.append(n)
+    for i in range(1, n_rules + 1):
+        # the word at p's byte holds bit p and the 56 to 63 bits after it
+        q = p - (p & 7) + 64  # one past the word's last bit
+        x = ~words[p >> 3] & (_ONES64 >> (p & 7))  # its zero bits from p on
+        while not x and q < end:
+            x, q = ~words[q >> 3] & _ONES64, q + 64
+        zero = q - x.bit_length()  # past the stream when no zero was found
+        p = zero + 1 + (zero + 1 - p) * width
+        if p > end:
+            raise MalformedStreamError("bit stream exhausted")
+        bounds[i] = p
     r.pos = p
-    lengths = np.array(lengths, dtype=np.int64)
-    offsets = np.arange(int(lengths.sum())) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    symbols = r.fields(np.repeat(np.array(starts, dtype=np.int64), lengths) + width * offsets, width)
-    return symbols, lengths.tolist()
+    bounds = np.array(bounds, dtype=np.int64)
+    lengths = np.diff(bounds) // (1 + width)
+    # symbol k of the rule starting at bounds[i] sits at bounds[i] + lengths[i] + k * width
+    lead = bounds[:-1] + lengths - width * (np.cumsum(lengths) - lengths)
+    at = np.repeat(lead, lengths) + width * np.arange(int(lengths.sum()))
+    return r.fields(at, width), lengths
 
 
 def _write_coded(w: BitWriter, seq, domain: int) -> tuple[Codebook, int]:
@@ -430,7 +505,7 @@ def encode_fully_naive(grammar: FullGrammar):
 def _read_fully_naive(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
     body, lengths = _read_rules(r, n_rules, width)
-    return r.read_fields(start_len, width) + body, np.cumsum([start_len, *lengths])
+    return np.concatenate((r.read_fields(start_len, width), body)), np.cumsum(np.append(start_len, lengths))
 
 
 # -- naive -------------------------------------------------------------------------
@@ -451,7 +526,7 @@ def encode_naive(grammar: FullGrammar):
     bound = (
         h0
         + rhs_g * math.log2(max(2, domain))
-        + _overhead_slack(rhs_full, domain, len(cb.lengths))
+        + _overhead_slack(rhs_full, domain, len(cb.symbols))
     )
     return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound, (h0, coded, len(grammar.start)))
 
@@ -459,7 +534,7 @@ def encode_naive(grammar: FullGrammar):
 def _read_naive(r: BitReader, sigma, n_rules, start_len):
     body, lengths = _read_rules(r, n_rules, symbol_width(sigma, n_rules))
     start = _read_coded(r, start_len)
-    return np.concatenate((start, _id_array(body, sigma, n_rules))), np.cumsum([start_len, *lengths])
+    return np.concatenate((start, _id_array(body, sigma, n_rules))), np.cumsum(np.append(start_len, lengths))
 
 
 # -- entropy coding of the concatenation --------------------------------------------
@@ -479,14 +554,14 @@ def encode_entropy(grammar: FullGrammar):
     stream = w.freeze()
     payload = stream.length_bits - lengths_side - cb.serialized_bits
     h0 = sequence_entropy_bits(s_g)
-    bound = h0 + len(s_g) + _overhead_slack(len(s_g), domain, len(cb.lengths))
+    bound = h0 + len(s_g) + _overhead_slack(len(s_g), domain, len(cb.symbols))
     return stream, _breakdown(payload, cb.serialized_bits, lengths_side, bound, (h0, coded, len(s_g)))
 
 
 def _read_entropy(r: BitReader, sigma, n_rules, start_len):
     _fit(r, n_rules, 2, "rules")  # a unary length and a code each
     rule_lens = r.read_unaries(n_rules)
-    return _read_coded(r, start_len + sum(rule_lens)), np.cumsum([start_len, *rule_lens])
+    return _read_coded(r, start_len + int(rule_lens.sum())), np.cumsum(np.append(start_len, rule_lens))
 
 
 # -- incremental (CNF) ----------------------------------------------------------------
@@ -558,7 +633,7 @@ def encode_incremental(grammar: FullGrammar):
         h0
         + n_rules * math.log2(max(2, sigma + n_rules))
         + _delta_budget(sigma, n_rules)
-        + _overhead_slack(rhs_full, sigma + n_rules, len(cb.lengths))
+        + _overhead_slack(rhs_full, sigma + n_rules, len(cb.symbols))
     )
     return stream, _breakdown(payload, cb.serialized_bits, delta_bits, bound, (h0, coded, len(start)))
 
@@ -566,21 +641,16 @@ def encode_incremental(grammar: FullGrammar):
 def _read_incremental(r: BitReader, sigma, n_rules, start_len):
     width = symbol_width(sigma, n_rules)
     _fit(r, n_rules, 1 + width, "rules")
-    firsts, at = [], []
-    prev = 0
-    for _ in range(n_rules):
-        prev += _read_delta(r) - 1
-        firsts.append(prev)
-        at.append(r.pos)
-        r.pos += width
-    r.require(r.pos)
+    gaps, at = _read_deltas(r, n_rules, width)
     seconds = _id_array(r.fields(at, width), sigma, n_rules)
+    # first component i is the sum of gaps[:i + 1], less i + 1, exactly
+    firsts = _id_array(list(accumulate(gaps)), sigma, n_rules) - np.arange(1, n_rules + 1)
     start = _read_coded(r, start_len)
-    # the first components ascend: prev is the largest
+    # the first components ascend: the last is the largest
     limit = sigma + n_rules
-    if (firsts and prev >= limit) or (seconds >= limit).any() or (start >= limit).any():
+    if (n_rules and firsts[-1] >= limit) or (seconds >= limit).any() or (start >= limit).any():
         raise MalformedStreamError("symbol id out of range")
-    pairs = np.column_stack((np.array(firsts, dtype=seconds.dtype), seconds))
+    pairs = np.column_stack((firsts, seconds))
     # rules arrive in permuted order; rebuild a topologically ordered grammar
     try:
         return renumber_segments(sigma, np.concatenate((start, pairs.ravel())),

@@ -8,9 +8,9 @@ previously defined nonterminals (the grammar is acyclic by construction).
 A grammar is stored as ||S', G|| reads it: one read-only id array, S' and
 then every rule's right-hand side in id order, and the ascending offset
 where each of these segments ends.  The array is int64, or object once
-sigma + |G| passes 2^63 (sigma may be any int).  Compressors, GCL1 and the
-coders hand over and read that array; the tuples of ``start`` and
-``rules``, which expansion walks, are built on request, once.
+sigma + |G| passes 2^63 (sigma may be any int).  Compressors, GCL1, the
+coders and the expansion hand over and read that array; the tuples of
+``start`` and ``rules`` are built on request, once.
 """
 
 from __future__ import annotations
@@ -44,6 +44,8 @@ def _id_array(values, sigma: int, n_rules: int) -> np.ndarray:
     int64 under an int64 grammar is an undefined id: it is kept as an object
     for the validation to name."""
     dtype = np.int64 if sigma + n_rules <= 1 << 63 else object
+    if isinstance(values, np.ndarray) and values.dtype == np.uint64 and len(values) and values.max() >> 63:
+        return values.astype(object)
     try:
         return np.asarray(values, dtype=dtype)
     except OverflowError:
@@ -157,14 +159,16 @@ class FullGrammar:
     # -- expansion -----------------------------------------------------------
 
     def expansion_lengths(self) -> list[int]:
-        """|exp(X)| per rule, exact integers, no materialization."""
+        """|exp(X)| per rule, exact integers, no materialization: each rule's
+        terminal count, then its nonterminals' lengths added in id order, so
+        that a rule's children are complete before it is read."""
         if self._len_cache is None:
-            lens: list[int] = []
-            for rhs in self.rules:
-                total = 0
-                for s in rhs:
-                    total += 1 if s < self.sigma else lens[s - self.sigma]
-                lens.append(total)
+            sigma, head = self.sigma, self.ends[0]
+            at = np.flatnonzero(self.ids[head:] >= sigma) + head
+            owner = np.searchsorted(self.ends, at, "right") - 1  # rule i is segment i + 1
+            lens = (np.diff(self.ends) - np.bincount(owner, minlength=self.n_rules)).tolist()
+            for rule, child in zip(owner.tolist(), (self.ids[at] - sigma).tolist()):
+                lens[rule] += lens[child]
             self._len_cache = lens
         return self._len_cache
 
@@ -197,8 +201,11 @@ class FullGrammar:
         Rules are built bottom-up in id order, each once, from its children's
         tuples, so the total cost is the sum of the expansion lengths.
         """
-        for rhs in self.rules[len(self._expansions):max(top + 1, 0)]:
-            self._expansions.append(self._splice(rhs))
+        built = self._expansions
+        bounds = self.ends[len(built):max(top + 1, len(built)) + 1].tolist()
+        values = self.ids[bounds[0]:bounds[-1]].tolist()
+        for a, b in zip(bounds, bounds[1:]):
+            built.append(self._splice(values[a - bounds[0]:b - bounds[0]]))
 
     def _splice(self, seq) -> tuple:
         """seq with each nonterminal replaced by its built expansion."""
@@ -233,12 +240,16 @@ class FullGrammar:
         for s in seq:
             if not 0 <= s < limit:
                 raise KeyError(f"undefined symbol id {s}")
+        return self._expand_defined(seq)
+
+    def expand_start(self) -> tuple:
+        return self._expand_defined(self.ids[:self.ends[0]].tolist())
+
+    def _expand_defined(self, seq) -> tuple:
+        """expand_sequence of a sequence of defined ids."""
         self._check_expansion(sum(self._symbol_lengths(seq)))
         self._fill(max(seq, default=0) - self.sigma)
         return self._splice(seq)
-
-    def expand_start(self) -> tuple:
-        return self.expand_sequence(self.start)
 
     def text(self) -> Text:
         """The generated text as a Text, built once."""
@@ -556,41 +567,52 @@ def prefixed_rules(grammar: FullGrammar, prefixes) -> np.ndarray:
 
 def to_binary(grammar: FullGrammar) -> bytes:
     """GCL1 format: magic, varint sigma, varint rule count, rules (each its
-    length, then its ids), start (its length, then its ids)."""
+    length, then its ids), start (its length, then its ids); all the values
+    go to one array, encoded at once."""
     head = int(grammar.ends[0])
-    lengths = np.diff(grammar.ends)
-    body = prefixed_rules(grammar, lengths).tolist()
-    values = [grammar.sigma, len(lengths), *body, head, *grammar.ids[:head].tolist()]
+    body = prefixed_rules(grammar, np.diff(grammar.ends))
+    dtype = object if body.dtype == object or grammar.sigma >> 63 else np.int64
+    values = np.concatenate((np.array([grammar.sigma, grammar.n_rules], dtype=dtype), body,
+                             np.array([head], dtype=dtype), grammar.ids[:head]), dtype=dtype)
     return _MAGIC + bits.uvarints(values)
 
 
 def from_binary(data: bytes) -> FullGrammar:
-    """Parse a GCL1 file: every varint is decoded at once, then each count is
-    checked against the varints left before its symbols are taken."""
+    """Parse a GCL1 file: every varint is decoded at once into one array,
+    then one walk over the rule lengths checks each count against the
+    varints left before its symbols are taken, and one mask takes S' and
+    the rules' ids."""
     if data[:4] != _MAGIC:
         raise bits.MalformedStreamError("bad magic for grammar file")
     values, _ = bits.uvarint_values(np.frombuffer(data, dtype=np.uint8, offset=4))
-    if len(values) < 3:
+    total = len(values)
+    if total < 3:
         raise bits.MalformedStreamError("truncated grammar")
-    sigma, n_rules = values[0], values[1]
+    # the walk reads ints; a memoryview cannot hold the ints past 64 bits
+    walk = values.tolist() if values.dtype == object else memoryview(values)
+    sigma, n_rules = walk[0], walk[1]
     # each rule takes at least its length varint, S' at least its length
-    if n_rules > len(values) - 3:
+    if n_rules > total - 3:
         raise bits.MalformedStreamError(f"{n_rules} rules cannot fit in {len(data)} bytes")
-    body, lengths, at = [], [], 2
-    for _ in range(n_rules):
-        n = values[at]
-        if n > len(values) - at - 2:
+    heads = [0] * n_rules  # where each rule's length sits
+    at = 2
+    for i in range(n_rules):
+        n = walk[at]
+        if n > total - at - 2:
             raise bits.MalformedStreamError(f"rule of {n} symbols cannot fit in {len(data)} bytes")
-        body += values[at + 1:at + 1 + n]
-        lengths.append(n)
+        heads[i] = at
         at += 1 + n
-    n = values[at]
-    if n > len(values) - at - 1:
+    n = walk[at]
+    if n > total - at - 1:
         raise bits.MalformedStreamError(f"|S'| = {n} cannot fit in {len(data)} bytes")
-    if n < len(values) - at - 1:
+    if n < total - at - 1:
         raise bits.MalformedStreamError("trailing bytes after grammar")
+    in_rules = np.ones(at, dtype=bool)
+    in_rules[:2] = in_rules[heads] = False
+    ids = _id_array(np.concatenate((values[at + 1:], values[:at][in_rules])), sigma, n_rules)
+    ends = np.cumsum(values[[at, *heads]].astype(np.int64))
     try:
-        return FullGrammar.from_ids(sigma, values[at + 1:] + body, np.cumsum([n, *lengths]))
+        return FullGrammar._keeping(sigma, ids, ends)
     except ValueError as e:
         raise bits.MalformedStreamError(f"decoded grammar is invalid: {e}") from e
 

@@ -274,6 +274,16 @@ def test_expansion_order_does_not_matter(golden_grammars, order):
         assert fresh.expand_start() == g.expand_start(), (key, order)
 
 
+def test_expansion_builds_no_rule_tuples(golden_grammars):
+    # the expansion reads the id array and its segment ends: decoding a
+    # grammar and expanding it leaves the tuple views unbuilt
+    for key, g in golden_grammars.items():
+        h = from_binary(to_binary(g))
+        assert h.expand_start() == g.expand_start(), key
+        assert h.expansion_lengths() == g.expansion_lengths(), key
+        assert "rules" not in h.__dict__ and "start" not in h.__dict__, key
+
+
 def test_repeated_expand_returns_the_same_object():
     g = bad_grammar_fixture(4)
     top = g.sigma + len(g.rules) - 1
