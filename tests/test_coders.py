@@ -423,6 +423,19 @@ def test_delta_truncated_stream():
         elias_delta_decode(cut)
 
 
+def test_delta_bit_length_past_the_stream_is_refused_before_allocating():
+    # 40 zeros and a one announce a code of about 2^40 bits in a 13-byte
+    # stream: building its top bit alone would take 128 GB
+    bits = "0" * 40 + "1" + "0" * 59
+    stream = BitStream(int(bits, 2).to_bytes(13, "big"), 100)
+    t0 = time.perf_counter()
+    with pytest.raises(MalformedStreamError, match="exhausted"):
+        elias_delta_decode(stream)
+    with pytest.raises(MalformedStreamError, match="exhausted"):
+        decode("incremental", stream, 2, 1, 1)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # -- section readers against per-record references -----------------------------------
 
 
