@@ -691,6 +691,54 @@ def test_incremental_order_non_decreasing(rng=random.Random(13)):
         assert firsts == sorted(firsts)
 
 
+def heap_incremental_order(g):
+    """The incremental order from a heap of (key, rule index): a rule whose
+    first component is a terminal waits under that terminal, any other rule
+    under the position its first component is placed at, sigma onwards."""
+    sigma = g.sigma
+    waiting, heap = {}, []
+    for j, rhs in enumerate(g.rules):
+        if rhs[0] < sigma:
+            heap.append((rhs[0], j))
+        else:
+            waiting.setdefault(rhs[0], []).append(j)
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        _, j = heapq.heappop(heap)
+        order.append(j)
+        for u in waiting.pop(sigma + j, ()):
+            heapq.heappush(heap, (sigma + len(order) - 1, u))
+    assert len(order) == len(g.rules)
+    return order
+
+
+def test_incremental_order_matches_heap_reference(rng=random.Random(18)):
+    from conftest import block_copies
+    from gclab.repair import repair_run
+
+    cases = []
+    for _ in range(80):
+        # few terminals and many rules: first components tie often
+        sigma, n_rules = rng.randrange(1, 4), rng.randrange(1, 40)
+        rules = [(rng.randrange(sigma + i), rng.randrange(sigma + i)) for i in range(n_rules)]
+        cases.append(FullGrammar(sigma, (sigma + n_rules - 1,), rules))
+    # every first component a terminal; a left comb, each rule after the last
+    cases.append(FullGrammar(5, (6, 7), [(4, 0), (4, 1), (0, 5), (0, 0)]))
+    cases.append(FullGrammar(2, (2 + 299,), [(0, 1)] + [(2 + i, i % 2) for i in range(299)]))
+    # Re-Pair on block copies: long left combs over the copied block
+    cases += [repair_run(block_copies(seed, 8, 256, 2))[0] for seed in (1, 2)]
+    # ids past int64 (an object array) and just below 2^63
+    huge = [FullGrammar(s, (s + 2,), [(s - 1, 0), (s, s - 1), (s + 1, s)]) for s in (2**64 + 3, 2**63 - 5)]
+    for g in cases + huge:
+        assert g.is_cnf
+        assert incremental_order(g) == heap_incremental_order(g), g
+    # their S' codebook domain is over the cap: the encoder refuses them
+    for g in huge:
+        with pytest.raises(ValueError, match=f"^codebook domain of {g.sigma + 3} symbols is over the cap"):
+            encode_incremental(g)
+
+
 def test_incremental_already_sorted_unchanged():
     # first components 0, 1 already non-decreasing: permutation is identity
     g = FullGrammar(2, (2, 3), [(0, 0), (1, 2)])
