@@ -375,6 +375,104 @@ def test_codebook_depth_capped_at_57():
         parse_codebook(crafted_codebook(list(range(1, 58)) + [58, 58]))
 
 
+def searchsorted_huffman(reader, codebook, count):
+    """The Huffman decoder with one ``searchsorted`` of the L-bit window at
+    every bit position over the code-length limits, L the longest length."""
+    if count > reader.remaining():
+        raise MalformedStreamError(f"{count} symbols cannot fit in {reader.remaining()} bits")
+    if not count:
+        return np.zeros(0, dtype=np.int64)
+    order = np.argsort(codebook.code_lengths, kind="stable")
+    syms = codebook.symbols[order]
+    length, base, n = np.unique(codebook.code_lengths[order], return_index=True, return_counts=True)
+    first = codebook.code_words[order][base].astype(np.int64)
+    top = int(length[-1])
+    if top > WINDOW_BITS:
+        raise MalformedStreamError(f"code length {top} over {WINDOW_BITS}")
+    limits = ((first + n) << (top - length)).astype(np.uint64)
+    step = np.append(length, 0).astype(np.uint8)
+    start, end = reader.pos, min(reader.length_bits, reader.pos + count * top)
+    steps = b"".join(step[np.searchsorted(limits, w, "right")].tobytes() for w in reader.scan(start, end, top))
+    at = [0] * count
+    p = 0
+    try:
+        for i in range(count):
+            at[i] = p
+            p += steps[p]
+    except IndexError:
+        raise MalformedStreamError("bit stream exhausted") from None
+    reader.require(start + p)
+    window = reader.windows(np.fromiter(at, np.int64, count) + start, top)
+    row = np.searchsorted(limits, window, "right")
+    if (row == len(length)).any():
+        raise MalformedStreamError("invalid Huffman code")
+    reader.pos = start + p
+    code = (window >> (top - length[row]).astype(np.uint64)).astype(np.int64)
+    return syms[base[row] + code - first[row]]
+
+
+def huffman_outcome(decoder, stream, codebook, count, lead):
+    """The symbols a decoder reads from bit ``lead`` on and the reader's
+    position after them, or the message of the MalformedStreamError."""
+    reader = BitReader(stream)
+    reader.pos = lead
+    try:
+        out = decoder(reader, codebook, count)
+    except MalformedStreamError as e:
+        return "error", str(e)
+    return out.tolist(), reader.pos
+
+
+def test_huffman_decoder_matches_per_position_reference(rng=random.Random(19)):
+    fib = [1, 1]
+    while len(fib) < 60:
+        fib.append(fib[-1] + fib[-2])
+    codebooks = [
+        # longest code past the prefix table: Fibonacci counts
+        build_codebook(np.repeat(np.arange(16), fib[:16]), 16),
+        build_codebook(np.repeat(np.arange(24), fib[:24]), 30),
+        parse_codebook(crafted_codebook(list(range(1, 57)) + [57, 57])),
+        parse_codebook(crafted_codebook(list(range(1, 40)) + [40, 40])),
+        # one code length
+        build_codebook([0, 1, 2, 3], 4),
+        parse_codebook(crafted_codebook([3] * 8)),
+        build_codebook([5], 7),
+        # windows past the last limit: the codes do not fill the code space
+        parse_codebook(crafted_codebook([2, 2, 2])),
+        parse_codebook(crafted_codebook([1] + [13] * 9 + [16] * 7)),
+        # the benchmark's kind: a byte file's symbols and rules, lengths 4 to 16
+        build_codebook([rng.randrange(1 << rng.randrange(1, 13)) for _ in range(5000)], 4096),
+    ]
+    for cb in codebooks:
+        assert cb.symbols.tolist() == sorted(cb.lengths)
+        syms = cb.symbols.tolist()
+        # coded streams, read from a few offsets, with counts short and long
+        seq = [rng.choice(syms) for _ in range(400)]
+        w = BitWriter()
+        w.write_bits(rng.getrandbits(7), 7)
+        w.write_fields(*coders._huffman_fields(seq, cb))
+        w.write_bits(rng.getrandbits(9), 9)
+        coded = w.freeze()
+        # random bits: past-the-limit windows wherever the code is incomplete
+        noise = BitStream(rng.randbytes(300), 2400)
+        for stream, lead, count in ((coded, 7, 400), (coded, 7, 401), (coded, 7, 399), (coded, 0, 400),
+                                    (coded, 3, 50), (noise, 0, 200), (noise, 5, 2395), (noise, 1, 0)):
+            want = huffman_outcome(searchsorted_huffman, stream, cb, count, lead)
+            assert huffman_outcome(coders._read_huffman, stream, cb, count, lead) == want, (cb.lengths, lead, count)
+        assert huffman_outcome(coders._read_huffman, coded, cb, 400, 7) == (seq, coded.length_bits - 9)
+    # every truncation of a short stream, deep codes crossing byte and window bounds
+    cb = codebooks[2]
+    seq = [57, 0, 56, 3, 57, 12, 1, 55, 0]
+    w = BitWriter()
+    w.write_bits(5, 3)
+    w.write_fields(*coders._huffman_fields(seq, cb))
+    stream = w.freeze()
+    for cut in list(truncations(stream))[3:]:
+        for count in (len(seq) - 1, len(seq)):
+            want = huffman_outcome(searchsorted_huffman, cut, cb, count, 3)
+            assert huffman_outcome(coders._read_huffman, cut, cb, count, 3) == want, (len(cut), count)
+
+
 # -- Elias delta --------------------------------------------------------------------
 
 
