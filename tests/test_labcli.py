@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from gclab import labcli
+from gclab import coders, labcli
 from gclab.greedy import GreedyPolicy, greedy_run
 from gclab.grammar import from_binary, to_binary
 from gclab.labcli import Report, RunSpec, emit, fixture_text, main, run
@@ -250,6 +250,58 @@ def test_cli_repair_encode_decode_round_trip(tmp_path, capsys):
     g1 = from_binary(gfile.read_bytes())
     g2 = from_binary(dec.read_bytes())
     assert g1.expand_start() == g2.expand_start()
+
+
+HELP = """\
+usage: gclab [-h]
+             {entropy,parse,repair,greedy,encode,decode,debruijn,verify,report}
+             ...
+
+Command-line laboratory: corpus ingestion, experiment matrix, and the
+
+positional arguments:
+  {entropy,parse,repair,greedy,encode,decode,debruijn,verify,report}
+    entropy             k-order empirical entropies of an input
+    parse               produce a parsing and its cost figures
+    repair              run Re-Pair
+    greedy              run Greedy
+    encode              encode a grammar file (GCL1) into a container
+    decode              decode a container (GCB1) back to a grammar
+    debruijn            emit a generalized de Bruijn word
+    verify              verify parsing bounds for a stored parsing
+    report              run the experiment matrix
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_cli_calls_share_no_parser_state(tmp_path, capsys, monkeypatch):
+    # one process, one call after another: an option or a failure of one
+    # call must not reach the next
+    grammar = repair_run(fixture_text("random:5,400,3"))[0]
+    gfile = tmp_path / "g.gcl"
+    gfile.write_bytes(to_binary(grammar))
+    naive, default = tmp_path / "naive.gcb", tmp_path / "default.gcb"
+    assert main(["encode", str(gfile), "--encoding", "naive", "--out", str(naive)]) == 0
+    assert main(["encode", str(gfile), "--out", str(default)]) == 0
+    assert naive.read_bytes() == coders.to_container(grammar, "naive")
+    assert default.read_bytes() == coders.to_container(grammar, "entropy")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["encode", str(gfile), "--encoding", "gzip"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'gzip'" in capsys.readouterr().err
+    out = tmp_path / "decoded.gcl"
+    assert main(["decode", str(default), "--out", str(out)]) == 0
+    assert out.read_bytes() == gfile.read_bytes()
+    assert capsys.readouterr().err == "encoding: entropy\n"
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == HELP
 
 
 def test_cli_parse_and_verify(tmp_path, capsys):
