@@ -249,13 +249,27 @@ def expansion_cases(golden_grammars):
 
 
 def test_expansions_match_stack_expander(golden_grammars):
-    for key, g in expansion_cases(golden_grammars):
+    cases = dict(expansion_cases(golden_grammars))
+    assert any(not g.is_cnf for (_, alg), g in cases.items() if alg == "greedy")
+    # ids past 2^64: an object id array
+    big = 2**64 + 3
+    cases["sigma", "2^64+3"] = FullGrammar(big, (big + 2, 0, big + 1, big - 1),
+                                           [(0, big - 1), (big, 1, big), (big + 1, big, 7)])
+    cases["sigma", "1000"] = FullGrammar(1000, (1001, 5, 1000), [(5, 7), (1000, 999, 1000)])
+    with_unused = 0
+    for key, g in cases.items():
         nonterminals = range(g.sigma, g.sigma + len(g.rules))
         for x in nonterminals:
             assert g.expand(x) == stack_expand(g, (x,)), (key, x)
         assert g.expand_start() == stack_expand(g, g.start), key
         mixed = (*reversed(nonterminals), 0, *g.start[:5])
         assert g.expand_sequence(mixed) == stack_expand(g, mixed), key
+        # terminals that occur nowhere in the grammar, alone and among rules
+        unused = [t for t in (g.sigma - 1, g.sigma - 2, 1) if 0 <= t < g.sigma and t not in set(g.ids.tolist())]
+        with_unused += bool(unused)
+        for seq in (unused, [*unused, *nonterminals[-2:], *unused]):
+            assert g.expand_sequence(seq) == stack_expand(g, seq), (key, seq)
+    assert with_unused >= 2
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -572,19 +586,49 @@ def test_small_files_cannot_start_huge_expansions(fmt):
         lambda: decoded.expand_sequence([0, 1]),
         lambda: check_irreducible(decoded),
     ):
-        with pytest.raises(ExpansionTooLargeError):
+        with pytest.raises(ExpansionTooLargeError, match=f"^expansion of {2**60} symbols exceeds the cap"):
             call()
     assert time.perf_counter() - t0 < 1.0
     assert decoded._expansions == []  # refused before any rule was built
+    # totals past 2^64, from rules past 2^63: the error names the exact total
+    if fmt == "gcl1":
+        huge = from_binary(to_binary(doubling_grammar(63, copies=3)))
+    else:
+        huge, _ = from_container(to_container(doubling_grammar(63, copies=3), "incremental"))
+    top = huge.sigma + 62
+    for call, total in ((huge.expand_start, 3 << 63),
+                        (lambda: huge.expand_sequence([top, 1, top, top]), (3 << 63) + 1),
+                        (lambda: huge.expand_sequence([0]), 1 << 63)):
+        with pytest.raises(ExpansionTooLargeError, match=f"^expansion of {total} symbols exceeds the cap"):
+            call()
+    assert huge._expansions == []
 
 
 def test_expansion_total_over_cap_is_refused():
     # every rule is within the cap; the start's 65 copies of 2^20 are not
     g = doubling_grammar(20, copies=MAX_EXPANSION // (1 << 20) + 1)
     assert max(g.expansion_lengths()) == 1 << 20
-    with pytest.raises(ExpansionTooLargeError):
+    with pytest.raises(ExpansionTooLargeError, match=f"^expansion of {65 << 20} symbols exceeds the cap of {MAX_EXPANSION}$"):
         g.expand_start()
     assert g._expansions == []
+    # totals at the cap and one past it.  Rule 25 expands to 2^26 symbols,
+    # and three more rules like it put the rules over the fill budget, so a
+    # total at the cap passes its check and no expansion is built
+    rules = list(doubling_grammar(26).rules)
+    rules += rules[-1:] * 3
+    x = 2 + 25
+    fill = sum(FullGrammar(2, (x,), rules).expansion_lengths())
+    assert fill == (1 << 27) - 2 + 3 * MAX_EXPANSION > MAX_FILL
+    for seq, message in (
+        ((x,), f"^rule expansions of {fill} symbols in all exceed the budget of {MAX_FILL}$"),
+        ((x, 0), f"^expansion of {MAX_EXPANSION + 1} symbols exceeds the cap of {MAX_EXPANSION}$"),
+        ((1, x, x + 3, 0), f"^expansion of {2 * MAX_EXPANSION + 2} symbols exceeds the cap"),
+    ):
+        g = FullGrammar(2, seq, rules)
+        for call in (g.expand_start, g.text, lambda: g.expand_sequence(seq)):
+            with pytest.raises(ExpansionTooLargeError, match=message):
+                call()
+        assert g._expansions == []
 
 
 def test_expansion_fill_over_budget_is_refused():
