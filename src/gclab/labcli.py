@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -657,7 +658,11 @@ def _write_out(args, data: bytes):
         sys.stdout.buffer.flush()
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about 2 ms, more than decoding a small container.  Parsing keeps no
+    state in it, so every main() call may use it."""
     ap = argparse.ArgumentParser(prog="gclab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -722,8 +727,11 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     _add_common(p)
+    return ap
 
-    args = ap.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return _dispatch(args)
     except (ValueError, OSError, OverflowError) as exc:
