@@ -66,6 +66,10 @@ MAX_UNARY = 1 << 20  # rule-length cap for unary fields
 # codebook domain cap in symbols (sigma + |G|): an encode's presence bitmap
 # costs about 2.6 B of memory per domain value, 376 MB at 2^27 (README)
 CODEBOOK_DOMAIN_CAP = 1 << 27
+# the Huffman decoder's code-length table takes the top 12 bits of a window:
+# 4096 entries, and a length fixed by its prefix for codes of at most 12 bits
+_PREFIX_BITS = 12
+_OPEN = 255  # a table entry whose prefix leaves the code length open
 
 
 @dataclass(frozen=True)
@@ -240,10 +244,13 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarr
     Canonical decoding (Moffat & Turpin 1997): the codes of one length are
     consecutive integers assigned in symbol order, so, left-justified to the
     longest length L, each length owns one interval of L-bit windows, the
-    intervals ascending with the length.  One ``searchsorted`` of every bit
-    position's window over the interval limits gives the code length a code
-    starting there would have; the symbols' positions are then a chain of
-    code lengths from the first, and their windows give the symbols.
+    intervals ascending with the length.  The code length a code starting at
+    a bit position would have is looked up in a table indexed by the top
+    t = min(L, 12) bits of the position's window; only a window whose prefix
+    does not fix the length (a code longer than t bits, or the end of the
+    code space) is searched over the interval limits.  The symbols'
+    positions are then a chain of code lengths from the first, and their
+    windows give the symbols.
     """
     if count > reader.remaining():
         raise MalformedStreamError(f"{count} symbols cannot fit in {reader.remaining()} bits")
@@ -259,8 +266,22 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarr
         raise MalformedStreamError(f"code length {top} over {WINDOW_BITS}")
     limits = ((first + n) << (top - length)).astype(np.uint64)
     step = np.append(length, 0).astype(np.uint8)  # past the last limit: no code
+    # prefix v covers the windows lo..hi; it fixes the length when both lie
+    # in one interval, and the table holds _OPEN where it does not
+    t = min(top, _PREFIX_BITS)
+    lo = np.arange(1 << t, dtype=np.uint64) << np.uint64(top - t)
+    row = np.searchsorted(limits, lo, "right")
+    fixed = row == np.searchsorted(limits, lo | np.uint64((1 << (top - t)) - 1), "right")
+    table = np.where(fixed, step[row], _OPEN).astype(np.uint8)
     start, end = reader.pos, min(reader.length_bits, reader.pos + count * top)
-    steps = b"".join(step[np.searchsorted(limits, w, "right")].tobytes() for w in reader.scan(start, end, top))
+    blocks, a = [], start  # a: the bit position of the block's first window
+    for prefix in reader.scan(start, end, t):
+        block = table[prefix.view(np.int64)]  # an intp index gathers fastest
+        open_ = np.flatnonzero(block == _OPEN)
+        block[open_] = step[np.searchsorted(limits, reader.windows(open_ + a, top), "right")]
+        blocks.append(block.tobytes())
+        a += len(prefix)
+    steps = b"".join(blocks)
     at = [0] * count
     p = 0
     try:
