@@ -180,10 +180,7 @@ class FullGrammar:
         rule is over the cap or the rules' expansions together are over
         MAX_FILL.
         """
-        if self._rule_bounds is None:
-            lens = self.expansion_lengths()
-            self._rule_bounds = (max(lens, default=0), sum(lens))
-        largest_rule, fill = self._rule_bounds
+        largest_rule, fill = self._bounds()
         largest = max(total, largest_rule)
         if largest > MAX_EXPANSION:
             raise ExpansionTooLargeError(
@@ -194,18 +191,56 @@ class FullGrammar:
                 f"rule expansions of {fill} symbols in all exceed the budget of {MAX_FILL}"
             )
 
+    def _bounds(self) -> tuple[int, int]:
+        """The largest rule expansion and the sum of all of them."""
+        if self._rule_bounds is None:
+            lens = self.expansion_lengths()
+            self._rule_bounds = (max(lens, default=0), sum(lens))
+        return self._rule_bounds
+
+    @cached_property
+    def _length_array(self) -> np.ndarray | None:
+        """expansion_lengths() as int64 while every rule is within
+        MAX_EXPANSION; None otherwise, when every expansion is refused."""
+        if self._bounds()[0] > MAX_EXPANSION:
+            return None
+        return np.array(self.expansion_lengths(), dtype=np.int64)
+
+    def _total(self, seq, ids: np.ndarray) -> int:
+        """|exp(seq)| of the defined ids ``seq``, given also as an id array.
+
+        While every rule is within the cap, one numpy pass over ``ids`` sums
+        in int64 (at most 2^26 per id, so it cannot overflow); otherwise the
+        expansion is refused, and the exact sum in Python ints names the
+        total in the error.
+        """
+        lens = self._length_array
+        if lens is None:
+            return sum(self._symbol_lengths(seq))
+        total = len(ids)
+        if self.n_rules:  # without rules, sigma may be 2^63, past int64
+            children = (ids[ids >= self.sigma] - self.sigma).astype(np.int64)
+            total += int(lens[children].sum()) - len(children)
+        return total
+
     def _fill(self, top: int):
         """Build the expansions of rules up to index ``top`` not built yet;
         none when ``top`` is negative.
 
         Rules are built bottom-up in id order, each once, from its children's
-        tuples, so the total cost is the sum of the expansion lengths.
+        tuples, so the total cost is the sum of the expansion lengths.  A rule
+        of two ids is the sum of their tuples.
         """
-        built = self._expansions
+        sigma, built = self.sigma, self._expansions
         bounds = self.ends[len(built):max(top + 1, len(built)) + 1].tolist()
-        values = self.ids[bounds[0]:bounds[-1]].tolist()
+        head = bounds[0]
+        values = self.ids[head:bounds[-1]].tolist()
         for a, b in zip(bounds, bounds[1:]):
-            built.append(self._splice(values[a - bounds[0]:b - bounds[0]]))
+            if b - a == 2:
+                x, y = values[a - head], values[a - head + 1]
+                built.append((built[x - sigma] if x >= sigma else (x,)) + (built[y - sigma] if y >= sigma else (y,)))
+            else:
+                built.append(self._splice(values[a - head:b - head]))
 
     def _splice(self, seq) -> tuple:
         """seq with each nonterminal replaced by its built expansion."""
@@ -240,15 +275,17 @@ class FullGrammar:
         for s in seq:
             if not 0 <= s < limit:
                 raise KeyError(f"undefined symbol id {s}")
-        return self._expand_defined(seq)
+        return self._expand_defined(seq, _id_array(seq, self.sigma, self.n_rules))
 
     def expand_start(self) -> tuple:
-        return self._expand_defined(self.ids[:self.ends[0]].tolist())
+        start = self.ids[:self.ends[0]]
+        return self._expand_defined(start.tolist(), start)
 
-    def _expand_defined(self, seq) -> tuple:
-        """expand_sequence of a sequence of defined ids."""
-        self._check_expansion(sum(self._symbol_lengths(seq)))
-        self._fill(max(seq, default=0) - self.sigma)
+    def _expand_defined(self, seq, ids: np.ndarray) -> tuple:
+        """expand_sequence of a sequence of defined ids, given also as an id
+        array."""
+        self._check_expansion(self._total(seq, ids))
+        self._fill((int(ids.max()) if len(ids) else 0) - self.sigma)
         return self._splice(seq)
 
     def text(self) -> Text:
