@@ -55,7 +55,10 @@ class BitStream:
 
 
 def _bit_length(values: np.ndarray) -> np.ndarray:
-    """Exact bit lengths of uint64 values (0 for 0)."""
+    """Exact bit lengths (0 for 0), as int64, of uint64 values or of the
+    Python ints of an object array."""
+    if values.dtype == object:
+        return np.array([int(v).bit_length() for v in values.tolist()], dtype=np.int64)
     return np.searchsorted(_POW2, values, side="right")
 
 

@@ -36,7 +36,6 @@ figures of the sequence they code.
 
 from __future__ import annotations
 
-import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -48,6 +47,7 @@ import numpy as np
 from .bits import (
     _ONES64,
     WINDOW_BITS,
+    _bit_length,
     BitReader,
     BitStream,
     BitWriter,
@@ -591,27 +591,29 @@ def _read_entropy(r: BitReader, sigma, n_rules, start_len):
 def incremental_order(grammar: FullGrammar) -> list[int]:
     """Permutation of rule indices making first components non-decreasing.
 
-    Greedy: repeatedly append the pending rule whose first component has the
-    smallest position in the combined order (terminals, then appended rules);
-    ties by original rule index.
+    Rules are placed breadth first: those whose first component is a
+    terminal, by (terminal, index), then, as each rule is placed, the rules
+    whose first component it is, by index.  This is the greedy order that
+    always appends the pending rule whose first component comes first in the
+    combined order (terminals, then appended rules), ties by index: a rule
+    placed later comes after every terminal and every rule placed before it.
     """
-    sigma = grammar.sigma
-    waiting: dict[int, list[int]] = {}
-    heap = []
-    for j, first in enumerate(grammar.ids[grammar.ends[:-1]].tolist()):
-        if first < sigma:
-            heap.append((first, j))
-        else:
-            waiting.setdefault(first, []).append(j)
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, j = heapq.heappop(heap)
-        order.append(j)
-        new_pos = sigma + len(order) - 1
-        for u in waiting.pop(sigma + j, ()):
-            heapq.heappush(heap, (new_pos, u))
-    if len(order) != grammar.n_rules:
+    sigma, n_rules = grammar.sigma, grammar.n_rules
+    if not n_rules:
+        return []
+    firsts = grammar.ids[grammar.ends[:-1]]
+    nonterminal = firsts >= sigma
+    terminal = np.flatnonzero(~nonterminal)
+    order = terminal[np.argsort(firsts[terminal], kind="stable")].tolist()
+    # users[at[j]:at[j + 1]]: the rules whose first component is rule j, by index
+    users = np.flatnonzero(nonterminal)
+    child = (firsts[users] - sigma).astype(np.int64)
+    by_child = np.argsort(child, kind="stable")
+    at = np.searchsorted(child[by_child], np.arange(n_rules + 1)).tolist()
+    users = users[by_child].tolist()
+    for j in order:  # the list grows while it is walked
+        order += users[at[j]:at[j + 1]]
+    if len(order) != n_rules:
         raise AssertionError("pending rules with no placeable first component")
     return order
 
@@ -623,27 +625,33 @@ def encode_incremental(grammar: FullGrammar):
         raise ValueError("incremental encoding needs a nonempty starting string")
     sigma = grammar.sigma
     n_rules = grammar.n_rules
-    order = incremental_order(grammar)
-    rename = {sigma + old: sigma + new for new, old in enumerate(order)}
-
-    def new_id(s: int) -> int:
-        return s if s < sigma else rename[s]
-
-    w = BitWriter()
+    order = np.array(incremental_order(grammar), dtype=np.int64)
+    ids = grammar.ids
+    if n_rules:  # rule order[k] becomes rule k: one gather renames every id
+        rank = np.empty(n_rules, dtype=np.int64)
+        rank[order] = np.arange(n_rules)
+        ids = ids.copy()
+        nonterminal = ids >= sigma
+        ids[nonterminal] = rank[(ids[nonterminal] - sigma).astype(np.int64)].astype(ids.dtype) + sigma
+    head = int(grammar.ends[0])
+    pairs = ids[head:].reshape(-1, 2)[order]
+    if (np.diff(pairs[:, 0]) < 0).any():
+        raise AssertionError("first components not sorted")
+    # each rule: delta(first - previous first + 1) as the bit length N of the
+    # gap and its N - 1 low bits, then the second component
+    dtype = object if ids.dtype == object else np.uint64
+    pairs = pairs.astype(dtype)
+    gaps = np.diff(pairs[:, 0], prepend=np.zeros(1, dtype)) + 1
+    nbits = _bit_length(gaps)
     width = symbol_width(sigma, n_rules)
-    values, widths = [], []
-    prev = 0
-    for old in order:
-        first, second = (new_id(s) for s in grammar.rules[old])
-        if first < prev:
-            raise AssertionError("first components not sorted")
-        v, wd = _delta_fields(first - prev + 1)
-        values += (*v, second)
-        widths += (*wd, width)
-        prev = first
-    w.write_fields(values, widths)
-    delta_bits = sum(widths) - n_rules * width
-    start = [new_id(s) for s in grammar.start]
+    values = np.column_stack((nbits.astype(dtype), gaps - (np.ones(1, dtype) << (nbits - 1).astype(dtype)),
+                              pairs[:, 1]))
+    widths = np.column_stack((2 * _bit_length(nbits.astype(np.uint64)) - 1, nbits - 1,
+                              np.full(n_rules, width)))
+    w = BitWriter()
+    w.write_fields(values.ravel(), widths.ravel())
+    delta_bits = int(widths[:, :2].sum())
+    start = ids[:head]
     cb, coded = _write_coded(w, start, sigma + n_rules)
     stream = w.freeze()
     payload = stream.length_bits - delta_bits - cb.serialized_bits
