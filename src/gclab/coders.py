@@ -23,9 +23,11 @@ which packs them in one pass; each decoder gathers whole sections of fields
 at once from a BitReader and walks one by one only what fixes the next
 field's position: rule lengths interleaved with symbols and Elias delta
 codes, each in one loop over the reader's 64-bit words, and the chain of
-Huffman code starts.  A codebook is three arrays (symbols ascending, code
-lengths, codes), so building, serializing, parsing and applying it are
-numpy passes.
+Huffman code starts, whose steps come from a table indexed by each bit
+position's leading 12 bits.  A codebook is three arrays (symbols ascending,
+code lengths, codes), so building, serializing, parsing and applying it are
+numpy passes.  The incremental encoder orders its rules in one
+breadth-first walk and renames them with one gather.
 
 Every SizeBreakdown carries formula_bound_bits: the corresponding upper
 bound with all hidden constants instantiated explicitly (see _overhead_slack
@@ -277,8 +279,8 @@ def _read_huffman(reader: BitReader, codebook: Codebook, count: int) -> np.ndarr
     blocks, a = [], start  # a: the bit position of the block's first window
     for prefix in reader.scan(start, end, t):
         block = table[prefix.view(np.int64)]  # an intp index gathers fastest
-        open_ = np.flatnonzero(block == _OPEN)
-        block[open_] = step[np.searchsorted(limits, reader.windows(open_ + a, top), "right")]
+        unfixed = np.flatnonzero(block == _OPEN)
+        block[unfixed] = step[np.searchsorted(limits, reader.windows(unfixed + a, top), "right")]
         blocks.append(block.tobytes())
         a += len(prefix)
     steps = b"".join(blocks)
@@ -643,9 +645,9 @@ def encode_incremental(grammar: FullGrammar):
     pairs = pairs.astype(dtype)
     gaps = np.diff(pairs[:, 0], prepend=np.zeros(1, dtype)) + 1
     nbits = _bit_length(gaps)
+    low = gaps - (np.ones(1, dtype) << (nbits - 1).astype(dtype))  # the gap without its top bit
     width = symbol_width(sigma, n_rules)
-    values = np.column_stack((nbits.astype(dtype), gaps - (np.ones(1, dtype) << (nbits - 1).astype(dtype)),
-                              pairs[:, 1]))
+    values = np.column_stack((nbits.astype(dtype), low, pairs[:, 1]))
     widths = np.column_stack((2 * _bit_length(nbits.astype(np.uint64)) - 1, nbits - 1,
                               np.full(n_rules, width)))
     w = BitWriter()
