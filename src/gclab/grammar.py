@@ -217,11 +217,8 @@ class FullGrammar:
         lens = self._length_array
         if lens is None:
             return sum(self._symbol_lengths(seq))
-        total = len(ids)
-        if self.n_rules:  # without rules, sigma may be 2^63, past int64
-            children = (ids[ids >= self.sigma] - self.sigma).astype(np.int64)
-            total += int(lens[children].sum()) - len(children)
-        return total
+        children = (ids[ids >= self.sigma] - self.sigma).astype(np.int64)
+        return len(ids) + int(lens[children].sum()) - len(children)
 
     def _fill(self, top: int):
         """Build the expansions of rules up to index ``top`` not built yet;
