@@ -235,7 +235,8 @@ class FullGrammar:
         for a, b in zip(bounds, bounds[1:]):
             if b - a == 2:
                 x, y = values[a - head], values[a - head + 1]
-                built.append((built[x - sigma] if x >= sigma else (x,)) + (built[y - sigma] if y >= sigma else (y,)))
+                left = built[x - sigma] if x >= sigma else (x,)
+                built.append(left + (built[y - sigma] if y >= sigma else (y,)))
             else:
                 built.append(self._splice(values[a - head:b - head]))
 

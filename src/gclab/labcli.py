@@ -661,7 +661,7 @@ def _write_out(args, data: bytes):
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
-    about 2 ms, more than decoding a small container.  Parsing keeps no
+    1 to 2 ms, more than decoding a small container.  Parsing keeps no
     state in it, so every main() call may use it."""
     ap = argparse.ArgumentParser(prog="gclab", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)

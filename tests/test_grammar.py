@@ -265,7 +265,8 @@ def test_expansions_match_stack_expander(golden_grammars):
         mixed = (*reversed(nonterminals), 0, *g.start[:5])
         assert g.expand_sequence(mixed) == stack_expand(g, mixed), key
         # terminals that occur nowhere in the grammar, alone and among rules
-        unused = [t for t in (g.sigma - 1, g.sigma - 2, 1) if 0 <= t < g.sigma and t not in set(g.ids.tolist())]
+        used = set(g.ids.tolist())
+        unused = [t for t in (g.sigma - 1, g.sigma - 2, 1) if 0 <= t < g.sigma and t not in used]
         with_unused += bool(unused)
         for seq in (unused, [*unused, *nonterminals[-2:], *unused]):
             assert g.expand_sequence(seq) == stack_expand(g, seq), (key, seq)
@@ -608,7 +609,8 @@ def test_expansion_total_over_cap_is_refused():
     # every rule is within the cap; the start's 65 copies of 2^20 are not
     g = doubling_grammar(20, copies=MAX_EXPANSION // (1 << 20) + 1)
     assert max(g.expansion_lengths()) == 1 << 20
-    with pytest.raises(ExpansionTooLargeError, match=f"^expansion of {65 << 20} symbols exceeds the cap of {MAX_EXPANSION}$"):
+    message = f"^expansion of {65 << 20} symbols exceeds the cap of {MAX_EXPANSION}$"
+    with pytest.raises(ExpansionTooLargeError, match=message):
         g.expand_start()
     assert g._expansions == []
     # totals at the cap and one past it.  Rule 25 expands to 2^26 symbols,
